@@ -44,10 +44,10 @@ use wf_bench::{process_cpu_ns, Bench, LatencyHistogram};
 use wf_bitio::{BitReader, BitVec, BitWriter};
 use wf_core::{DataLabel, Fvl, VariantKind};
 use wf_engine::{
-    EngineWriter, IngestOp, IngestPipeline, IngestQueue, ItemId, LiveEngine, PipelineOptions,
-    PublishPolicy, SharedSink, ViewRef, WorkerScratch,
+    shared_durable, DurableEngine, EngineWriter, IngestOp, IngestPipeline, IngestQueue, ItemId,
+    LabelStore, LiveEngine, PipelineOptions, PublishPolicy, ViewRef, WorkerScratch,
 };
-use wf_snapshot::{read_label, write_label};
+use wf_snapshot::{read_label, write_label, MemStorage};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -81,14 +81,19 @@ fn decode(bits: &BitVec, fvl: &Fvl<'_>) -> DataLabel {
 /// waits out every ticket and drains. Returns the row with wall/CPU time
 /// and the fleet-merged publish-lag histogram.
 fn fleet_run(fvl: &Arc<Fvl<'static>>, encoded: &[BitVec], producers: usize) -> FleetRow {
-    let writer = EngineWriter::from_fvl(fvl.clone());
+    // The op-log is framed into an in-memory store: the append path is the
+    // real one, without a disk's fsync latency in the measurement.
+    let storage = Box::new(MemStorage::new());
+    let (durable, gen0, _) =
+        DurableEngine::open(fvl.clone(), storage, LabelStore::DEFAULT_SHARD_CAPACITY)
+            .expect("a fresh in-memory store opens");
+    let writer = EngineWriter::new(gen0);
     let live = Arc::new(LiveEngine::new(writer.base().clone()));
-    let sink = SharedSink::new();
     let pipeline = IngestPipeline::spawn_with(
         writer,
         live,
         PublishPolicy::default(),
-        PipelineOptions { sink: Some(Box::new(sink)), ..PipelineOptions::default() },
+        PipelineOptions { durable: Some(shared_durable(durable)), ..PipelineOptions::default() },
     );
 
     let per = encoded.len() / producers;

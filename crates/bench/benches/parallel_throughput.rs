@@ -24,10 +24,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 use wf_bench::{process_cpu_ns, Bench};
 use wf_core::{Fvl, VariantKind};
-use wf_engine::{QueryEngine, WorkerScratch};
+use wf_engine::{EngineWriter, LiveEngine, WorkerScratch};
 use wf_workloads::queries::{sample_pairs, PairDist};
 
 const PAIRS: usize = 8192;
@@ -52,7 +53,7 @@ fn timed(rounds: usize, mut f: impl FnMut()) -> (f64, Option<f64>) {
 
 fn bench_parallel_throughput(c: &mut Criterion) {
     let bench = Bench::fine(1);
-    let fvl = Fvl::new(&bench.workload.spec).unwrap();
+    let fvl = Arc::new(Fvl::from_arc(Arc::new(bench.workload.spec.clone())).unwrap());
     let run = bench.run_of(42, 8_000);
     let labeler = fvl.labeler(&run);
     let view = bench.safe_view(7, 8);
@@ -61,8 +62,13 @@ fn bench_parallel_throughput(c: &mut Criterion) {
     let dist = PairDist::HotKey { hot_items: 64, hot_prob: 0.5 };
     let pairs = sample_pairs(&run, &mut rng, PAIRS, dist);
 
-    let mut engine = QueryEngine::new(&fvl);
-    let items = engine.insert_labels(labeler.labels());
+    let variants = [VariantKind::SpaceEfficient, VariantKind::Default, VariantKind::QueryEfficient];
+    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    let items = writer.insert_labels(labeler.labels());
+    let vid = writer.add_view(view.clone());
+    let vrefs = variants.map(|kind| writer.compile(vid, kind).unwrap());
+    let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
+    let core = gen.core();
     let id_pairs: Vec<_> =
         pairs.iter().map(|&(a, b)| (items[a.0 as usize], items[b.0 as usize])).collect();
 
@@ -87,22 +93,18 @@ fn bench_parallel_throughput(c: &mut Criterion) {
     let _ = writeln!(json, "  \"variants\": {{");
 
     let mut g = c.benchmark_group("parallel_throughput");
-    let variants = [VariantKind::SpaceEfficient, VariantKind::Default, VariantKind::QueryEfficient];
-    for (vi, kind) in variants.into_iter().enumerate() {
-        let vref = engine.register_view(view.clone(), kind).unwrap();
-
+    for (vi, (kind, vref)) in variants.into_iter().zip(vrefs).enumerate() {
         // Guard: every thread count must reproduce the sequential batch
         // exactly before its throughput may be reported.
-        let sequential = engine.query_batch(vref, &id_pairs);
+        let sequential = gen.query_batch(&mut WorkerScratch::new(), vref, &id_pairs);
         for threads in THREADS {
             assert_eq!(
-                engine.par_query_batch(vref, &id_pairs, threads),
+                core.par_query_batch(vref, &id_pairs, threads),
                 sequential,
                 "{kind:?} x{threads} diverges from the sequential batch"
             );
         }
 
-        let core = engine.freeze();
         let _ = writeln!(json, "    \"{kind:?}\": {{");
         let mut agg_by_threads = Vec::new();
         for &threads in &THREADS {

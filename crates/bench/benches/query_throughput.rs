@@ -3,26 +3,27 @@
 //!
 //! The per-call path rebuilds the decode context and scratch every query
 //! (the seed repo's only mode); the session path reuses one
-//! [`wf_core::FvlSession`]; the batched path goes through the `wf-engine`
-//! registry + interned label store. Besides the Criterion printout, the
-//! run writes `BENCH_query_throughput.json` into the working directory
-//! (the workspace root under `cargo bench`) so the numbers accumulate a
-//! perf trajectory across commits.
+//! [`wf_core::FvlSession`]; the batched path goes through a published
+//! `wf-engine` generation (registry + interned label store). Besides the
+//! Criterion printout, the run writes `BENCH_query_throughput.json` into
+//! the workspace root; `bench_check` gates its shape and the same-host
+//! ordering batched ≤ per-call for every variant.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use wf_bench::{ns_per, Bench};
 use wf_core::{Fvl, VariantKind};
-use wf_engine::QueryEngine;
+use wf_engine::{EngineWriter, LiveEngine, WorkerScratch};
 use wf_workloads::queries::{sample_pairs, PairDist};
 
 const PAIRS: usize = 4096;
 
 fn bench_query_throughput(c: &mut Criterion) {
     let bench = Bench::fine(1);
-    let fvl = Fvl::new(&bench.workload.spec).unwrap();
+    let fvl = Arc::new(Fvl::from_arc(Arc::new(bench.workload.spec.clone())).unwrap());
     let run = bench.run_of(42, 8_000);
     let labeler = fvl.labeler(&run);
     let labels = labeler.labels();
@@ -33,8 +34,14 @@ fn bench_query_throughput(c: &mut Criterion) {
     let dist = PairDist::HotKey { hot_items: 64, hot_prob: 0.5 };
     let pairs = sample_pairs(&run, &mut rng, PAIRS, dist);
 
-    let mut engine = QueryEngine::new(&fvl);
-    let items = engine.insert_labels(labels);
+    let variants = [VariantKind::SpaceEfficient, VariantKind::Default, VariantKind::QueryEfficient];
+    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    let items = writer.insert_labels(labels);
+    let vid = writer.add_view(view.clone());
+    let vrefs = variants.map(|kind| writer.compile(vid, kind).unwrap());
+    let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
+    let core = gen.core();
+    let mut ws = WorkerScratch::new();
     let id_pairs: Vec<_> =
         pairs.iter().map(|&(a, b)| (items[a.0 as usize], items[b.0 as usize])).collect();
 
@@ -46,14 +53,12 @@ fn bench_query_throughput(c: &mut Criterion) {
     let _ = writeln!(json, "  \"variants\": {{");
 
     let mut g = c.benchmark_group("query_throughput");
-    let variants = [VariantKind::SpaceEfficient, VariantKind::Default, VariantKind::QueryEfficient];
-    for (vi, kind) in variants.into_iter().enumerate() {
+    for (vi, (kind, vref)) in variants.into_iter().zip(vrefs).enumerate() {
         let vl = fvl.label_view(&view, kind).unwrap();
-        let vref = engine.register_view(view.clone(), kind).unwrap();
 
         // Guard: the fast paths must agree with the reference before any
         // number is reported.
-        let batch = engine.query_batch(vref, &id_pairs);
+        let batch = gen.query_batch(&mut ws, vref, &id_pairs);
         let mut session_check = fvl.session(&vl);
         for (i, &(a, b)) in pairs.iter().enumerate() {
             let reference = fvl.query(&vl, &labels[a.0 as usize], &labels[b.0 as usize]);
@@ -74,10 +79,12 @@ fn bench_query_throughput(c: &mut Criterion) {
             session.query(&labels[a.0 as usize], &labels[b.0 as usize])
         });
         let mut out = Vec::with_capacity(id_pairs.len());
-        engine.query_batch_into(vref, &id_pairs, &mut out); // warm the scratch
+        let mut batch_into = |out: &mut Vec<Option<bool>>| {
+            core.try_query_batch_into(&mut ws, vref, &id_pairs, out).expect("handles are valid")
+        };
+        batch_into(&mut out); // warm the scratch
         let rounds = 8usize;
-        let batch_ns = ns_per(rounds, |_| engine.query_batch_into(vref, &id_pairs, &mut out))
-            / id_pairs.len() as f64;
+        let batch_ns = ns_per(rounds, |_| batch_into(&mut out)) / id_pairs.len() as f64;
 
         let _ = writeln!(
             json,
@@ -102,9 +109,7 @@ fn bench_query_throughput(c: &mut Criterion) {
                 session.query(&labels[a.0 as usize], &labels[d.0 as usize])
             })
         });
-        g.bench_function(format!("{kind:?}/batch{PAIRS}"), |b| {
-            b.iter(|| engine.query_batch_into(vref, &id_pairs, &mut out))
-        });
+        g.bench_function(format!("{kind:?}/batch{PAIRS}"), |b| b.iter(|| batch_into(&mut out)));
     }
     g.finish();
 

@@ -95,9 +95,7 @@ fn bench_recovery(c: &mut Criterion) {
         for _ in 0..per {
             writer.insert_label(pool_iter.next().expect("pool cycles"));
         }
-        let mut record = Vec::new();
-        let gen = writer.publish_with_delta(&live, &mut record).expect("publish");
-        durable.append(gen.seqno(), &record).expect("in-memory append");
+        writer.publish_durable(&live, &mut durable).expect("in-memory append");
     }
     let final_gen = live.snapshot();
     let (boot_base, full_log) = storage.contents();

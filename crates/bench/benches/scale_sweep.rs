@@ -17,10 +17,11 @@
 //!   tail reflects time-slicing, which is exactly what an SLO on a small
 //!   host looks like);
 //! * restart economics — `cold_build_ms` (FVL-label the sampled run,
-//!   intern every label, compile the view) vs `save_ms`/`warm_load_ms`
-//!   (snapshot round-trip through [`wf_engine::QueryEngine::save`]/`load`,
-//!   which restores interned labels without relabeling), with warm answers
-//!   spot-checked against cold;
+//!   intern every label, compile the view, publish) vs
+//!   `save_ms`/`warm_load_ms` (snapshot round-trip through
+//!   [`wf_engine::EngineGeneration::save`]/`load`, which restores interned
+//!   labels without relabeling), with warm answers spot-checked against
+//!   cold;
 //! * memory — `rss_bytes` (`VmRSS`) after each size's build, plus the
 //!   process-wide `peak_rss_bytes` (`VmHWM`) after the largest;
 //! * `kernels` — the microbench justifying the word-parallel transpose and
@@ -41,11 +42,12 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 use wf_bench::{current_rss_bytes, ms, ns_per, peak_rss_bytes, profile, Bench, LatencyHistogram};
 use wf_boolmat::BoolMat;
 use wf_core::{Fvl, VariantKind};
-use wf_engine::{ItemId, QueryEngine, WorkerScratch};
+use wf_engine::{EngineGeneration, EngineWriter, ItemId, LiveEngine, WorkerScratch};
 
 /// Parallel fan-out width (recorded in the JSON next to `host_cores`).
 const PAR_WORKERS: usize = 4;
@@ -136,7 +138,7 @@ fn bench_scale_sweep(c: &mut Criterion) {
     let kernel_iters = if quick { 20_000 } else { 200_000 };
 
     let bench = Bench::fine(1);
-    let fvl = Fvl::new(&bench.workload.spec).unwrap();
+    let fvl = Arc::new(Fvl::from_arc(Arc::new(bench.workload.spec.clone())).unwrap());
     let view = bench.safe_view(7, 8);
 
     let mut rows: Vec<SweepRow> = Vec::new();
@@ -148,13 +150,14 @@ fn bench_scale_sweep(c: &mut Criterion) {
         // start must repeat is labeling + interning + compiling).
         let run = bench.run_of(42 + size as u64, size);
 
-        // --- Cold build: label the run, intern every label, compile. ----
-        let mut engine = QueryEngine::new(&fvl);
+        // --- Cold build: label the run, intern every label, compile,
+        // publish. -------------------------------------------------------
+        let mut writer = EngineWriter::from_fvl(fvl.clone());
         let t_build = Instant::now();
         let labeler = fvl.labeler(&run);
-        let items = engine.insert_labels(labeler.labels());
-        let vid = engine.add_view(view.clone());
-        let vref = engine.compile(vid, VariantKind::Default).unwrap();
+        let items = writer.insert_labels(labeler.labels());
+        let vref = writer.register_view(view.clone(), VariantKind::Default).unwrap();
+        let engine = writer.publish(&LiveEngine::new(writer.base().clone()));
         let cold_build_ms = t_build.elapsed().as_secs_f64() * 1e3;
         drop(labeler);
         let size = items.len(); // the sampler lands near, not on, the target
@@ -163,7 +166,7 @@ fn bench_scale_sweep(c: &mut Criterion) {
         let pairs = query_pairs(&mut StdRng::seed_from_u64(9), &items, queries);
 
         // --- Sequential per-query latency. ------------------------------
-        let core = engine.freeze();
+        let core = engine.core();
         let mut ws = WorkerScratch::new();
         // Warm the scratch (pool, chain memo, store caches) untimed.
         for &(a, b) in pairs.iter().take(256) {
@@ -216,24 +219,18 @@ fn bench_scale_sweep(c: &mut Criterion) {
         // --- Warm restart: snapshot round-trip vs the cold build. -------
         let mut snapshot = Vec::new();
         let save_ms = ms(|| engine.save(&mut snapshot).unwrap());
-        let mut warm: Option<QueryEngine<'_>> = None;
-        let mut warm_load_ms = ms(|| {
-            warm = Some(QueryEngine::load(&fvl, &mut snapshot.as_slice()).unwrap());
+        let mut warm: Option<EngineGeneration> = None;
+        let warm_load_ms = ms(|| {
+            warm = Some(EngineGeneration::load(fvl.clone(), &mut snapshot.as_slice()).unwrap());
         });
-        let mut warm = warm.unwrap();
-        let mut warm_vref = None;
-        warm_load_ms += ms(|| {
-            // A warm start re-obtains handles; the snapshot already carries
-            // the compiled label, so this is a lookup, not a compile.
-            warm_vref = Some(warm.compile(vid, VariantKind::Default).unwrap());
-        });
-        let warm_vref = warm_vref.unwrap();
-        // Spot-check: the restarted engine answers exactly like the cold
-        // one on a slice of the workload.
+        // The snapshot carries the compiled label: `vref` is valid as is.
+        let warm = warm.unwrap();
+        // Spot-check: the restarted generation answers exactly like the
+        // cold one on a slice of the workload.
         let probe = &pairs[..pairs.len().min(200)];
         assert_eq!(
-            warm.query_batch(warm_vref, probe),
-            engine.query_batch(vref, probe),
+            warm.query_batch(&mut ws, vref, probe),
+            engine.query_batch(&mut ws, vref, probe),
             "warm restart must answer identically at size {size}"
         );
 
@@ -290,13 +287,13 @@ fn bench_scale_sweep(c: &mut Criterion) {
     let _ = writeln!(
         json,
         "  \"metric_note\": \"Figure 26-style scale sweep over real sampled runs. Per size: \
-         cold_build_ms = FVL-label the run + intern every label + compile the Default view \
-         (everything a cold start repeats; run sampling itself is untimed); seq_query_ns = \
+         cold_build_ms = FVL-label the run + intern every label + compile the Default view + \
+         publish (everything a cold start repeats; run sampling itself is untimed); seq_query_ns = \
          per-query wall latency through EngineCore::try_query (hot-key mix, one WorkerScratch); \
          par_query_ns = same workload across {PAR_WORKERS} scoped workers sharing the frozen \
          core, per-worker histograms merged (on host_cores < par_workers the tail includes \
-         time-slicing, by design); warm_load_ms = QueryEngine::load + handle re-lookup from a \
-         save() snapshot — no relabeling — gated <= cold_build_ms; rss_bytes = VmRSS after the \
+         time-slicing, by design); warm_load_ms = EngineGeneration::load from a save() \
+         snapshot — no relabeling — gated <= cold_build_ms; rss_bytes = VmRSS after the \
          build. kernels = 64x64 microbench of each rewrite in its dispatched regime: \
          word-parallel transpose on a dense operand, blocked matmul on a sparse right-hand side \
          (dense rhs stays bit-serial, whose saturation exit wins there); speedups gated by \
@@ -351,13 +348,14 @@ fn bench_scale_sweep(c: &mut Criterion) {
     // --- Criterion entries (human-readable printout) at the smallest
     // size, so the group stays cheap under `--test`. ---------------------
     let run = bench.run_of(42 + sizes[0] as u64, sizes[0]);
-    let mut engine = QueryEngine::new(&fvl);
-    let items = engine.insert_labels(fvl.labeler(&run).labels());
-    let vref = engine.register_view(view, VariantKind::Default).unwrap();
+    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    let items = writer.insert_labels(fvl.labeler(&run).labels());
+    let vref = writer.register_view(view, VariantKind::Default).unwrap();
+    let engine = writer.publish(&LiveEngine::new(writer.base().clone()));
     let pairs = query_pairs(&mut StdRng::seed_from_u64(9), &items, 1024);
     let mut g = c.benchmark_group("scale_sweep");
     g.bench_function("seq_query_at_smallest_size", |bch| {
-        let core = engine.freeze();
+        let core = engine.core();
         let mut ws = WorkerScratch::new();
         let mut i = 0;
         bch.iter(|| {

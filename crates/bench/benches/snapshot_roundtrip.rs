@@ -4,52 +4,58 @@
 //! computed *once*; persisting them is what lets a serving process actually
 //! bank that one-time cost across restarts. This bench measures the whole
 //! warm-start story: the cold path (dynamic labeling + store interning +
-//! view compilation for all three variants) against `QueryEngine::save` /
-//! `QueryEngine::load`, plus the snapshot's storage efficiency — the
-//! trie-interned store's bits/label against the §5 per-label codec bound.
-//! Besides the Criterion printout, the run writes `BENCH_snapshot.json`
-//! into the workspace root so the numbers accumulate a perf trajectory.
+//! view compilation for all three variants + publish) against
+//! `EngineGeneration::save` / `EngineGeneration::load`, plus the
+//! snapshot's storage efficiency — the trie-interned store's bits/label
+//! against the §5 per-label codec bound. Besides the Criterion printout,
+//! the run writes `BENCH_snapshot.json` into the workspace root;
+//! `bench_check` gates its shape, warm load ≤ cold build, and the store
+//! staying within the codec bound.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use wf_bench::{ms, Bench};
 use wf_bitio::BitWriter;
 use wf_core::{Fvl, VariantKind};
-use wf_engine::QueryEngine;
+use wf_engine::{EngineGeneration, EngineWriter, LiveEngine, WorkerScratch};
 
 const ITEMS: usize = 8_000;
+/// Repeats behind each median timing in the JSON.
+const REPEATS: usize = 5;
 
 const VARIANTS: [VariantKind; 3] =
     [VariantKind::SpaceEfficient, VariantKind::Default, VariantKind::QueryEfficient];
 
 fn bench_snapshot_roundtrip(c: &mut Criterion) {
     let bench = Bench::fine(1);
-    let fvl = Fvl::new(&bench.workload.spec).unwrap();
+    let fvl = Arc::new(Fvl::from_arc(Arc::new(bench.workload.spec.clone())).unwrap());
     let run = bench.run_of(42, ITEMS);
     let view = bench.safe_view(7, 8);
 
     // The cold path a restart pays without snapshots: relabel the run,
-    // intern everything, recompile every (view, variant).
+    // intern everything, recompile every (view, variant), publish.
     let build_cold = || {
         let labeler = fvl.labeler(&run);
-        let mut engine = QueryEngine::new(&fvl);
-        engine.insert_labels(labeler.labels());
-        let vid = engine.add_view(view.clone());
+        let mut writer = EngineWriter::from_fvl(fvl.clone());
+        writer.insert_labels(labeler.labels());
+        let vid = writer.add_view(view.clone());
         for kind in VARIANTS {
-            engine.compile(vid, kind).unwrap();
+            writer.compile(vid, kind).unwrap();
         }
-        engine
+        writer.publish(&LiveEngine::new(writer.base().clone()))
     };
-
     let engine = build_cold();
     let mut bytes = Vec::new();
     engine.save(&mut bytes).unwrap();
+    let load = || EngineGeneration::load(fvl.clone(), &mut bytes.as_slice()).unwrap();
 
-    // Guard: the loaded engine must answer exactly like the cold one before
-    // any number is reported.
+    // Guard: the loaded generation must answer exactly like the cold one
+    // before any number is reported.
     {
-        let mut cold = build_cold();
-        let mut warm = QueryEngine::load(&fvl, &mut bytes.as_slice()).unwrap();
+        let cold = build_cold();
+        let warm = load();
+        let mut ws = WorkerScratch::new();
         let pairs = bench.queries(&run, 5, 512);
         let vid = wf_engine::ViewId(0);
         for kind in VARIANTS {
@@ -59,9 +65,9 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
                 .map(|&(a, b)| (wf_engine::ItemId(a.0), wf_engine::ItemId(b.0)))
                 .collect();
             assert_eq!(
-                cold.query_batch(vref, &id_pairs),
-                warm.query_batch(vref, &id_pairs),
-                "{kind:?}: loaded engine diverges"
+                cold.query_batch(&mut ws, vref, &id_pairs),
+                warm.query_batch(&mut ws, vref, &id_pairs),
+                "{kind:?}: loaded generation diverges"
             );
         }
     }
@@ -92,20 +98,16 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         xs[xs.len() / 2]
     };
-    let cold_ms = median((0..5).map(|_| ms(|| std::mem::drop(build_cold()))).collect());
+    let cold_ms = median((0..REPEATS).map(|_| ms(|| std::mem::drop(build_cold()))).collect());
     let save_ms = median(
-        (0..5)
+        (0..REPEATS)
             .map(|_| {
                 let mut out = Vec::new();
                 ms(|| engine.save(&mut out).unwrap())
             })
             .collect(),
     );
-    let load_ms = median(
-        (0..5)
-            .map(|_| ms(|| std::mem::drop(QueryEngine::load(&fvl, &mut bytes.as_slice()).unwrap())))
-            .collect(),
-    );
+    let load_ms = median((0..REPEATS).map(|_| ms(|| std::mem::drop(load()))).collect());
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -113,6 +115,7 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
     let _ = writeln!(json, "  \"items\": {},", store.len());
     let _ = writeln!(json, "  \"views\": 1,");
     let _ = writeln!(json, "  \"variants_compiled\": 3,");
+    let _ = writeln!(json, "  \"repeats\": {REPEATS},");
     let _ = writeln!(json, "  \"snapshot_bytes\": {},", bytes.len());
     let _ = writeln!(json, "  \"cold_build_ms\": {cold_ms:.2},");
     let _ = writeln!(json, "  \"save_ms\": {save_ms:.2},");
@@ -131,9 +134,7 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
             out.len()
         })
     });
-    g.bench_function("load", |b| {
-        b.iter(|| QueryEngine::load(&fvl, &mut bytes.as_slice()).unwrap().store().len())
-    });
+    g.bench_function("load", |b| b.iter(|| load().store().len()));
     g.finish();
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_snapshot.json");

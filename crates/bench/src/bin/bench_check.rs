@@ -4,7 +4,8 @@
 //! `cargo run --release -p wf-bench --bin bench_check [path ...]` — with
 //! no arguments it checks `BENCH_update_throughput.json`,
 //! `BENCH_ingest_throughput.json`, `BENCH_recovery.json`,
-//! `BENCH_parallel_throughput.json` and `BENCH_scale_sweep.json` in the
+//! `BENCH_parallel_throughput.json`, `BENCH_scale_sweep.json`,
+//! `BENCH_query_throughput.json` and `BENCH_snapshot.json` in the
 //! current directory (the workspace root, where bench-smoke runs). Each
 //! document dispatches on its `"bench"` field:
 //!
@@ -61,6 +62,22 @@
 //! snapshot/RSS accounting; the word-parallel transpose ≥ 2× bit-serial
 //! at 64×64 and the blocked matmul ≥ 0.8× on its dispatched sparse-rhs
 //! regime; and a `--features profile` report naming ≥ 3 hot stages.
+//!
+//! **`query_throughput`** — exit 0 iff all three §6.3 variants report
+//! positive per-call / session / batched ns-per-query over ≥ 1000 pairs,
+//! and for every variant the batched path is no slower than the per-call
+//! path on the same host (batched ≤ per-call; the batched path shares one
+//! decode context and scratch across the batch, so losing to per-call
+//! context rebuilds would be a regression of the serving layer).
+//!
+//! **`snapshot_roundtrip`** — exit 0 iff the report covers ≥ 1000 items,
+//! ≥ 1 view and all 3 compiled variants with ≥ 3 timing repeats and
+//! positive byte/time fields; the warm load costs ≤ 1.5× the cold build
+//! on the same host (the no-catastrophe bound `scale_sweep` applies below
+//! 5·10^5 items — at this size loading and relabeling cost about the
+//! same); and the trie-interned store stays within the §5 per-label codec
+//! bound (`store_bits_per_label` ≤ `codec_bits_per_label`, a size
+//! property of the fixed workload, identical on every host).
 //!
 //! No serde in this workspace (offline shims only), so the JSON is parsed
 //! by the little recursive-descent reader below — it handles exactly the
@@ -264,6 +281,8 @@ fn check(doc: &Json) -> Result<String, String> {
         Some(Json::Str(name)) if name == "recovery" => check_recovery(doc),
         Some(Json::Str(name)) if name == "parallel_throughput" => check_parallel(doc),
         Some(Json::Str(name)) if name == "scale_sweep" => check_scale_sweep(doc),
+        Some(Json::Str(name)) if name == "query_throughput" => check_query_throughput(doc),
+        Some(Json::Str(name)) if name == "snapshot_roundtrip" => check_snapshot(doc),
         // `update_throughput` and older reports without the field.
         _ => check_update(doc),
     }
@@ -575,6 +594,87 @@ fn check_recovery(doc: &Json) -> Result<String, String> {
     ))
 }
 
+/// A positive number at `key`, or the error naming it.
+fn positive(obj: &Json, key: &str, what: &str) -> Result<f64, String> {
+    obj.get(key)
+        .and_then(Json::num)
+        .filter(|&v| v > 0.0)
+        .ok_or_else(|| format!("{what}: missing or non-positive {key}"))
+}
+
+/// The `query_throughput` gate: shape, sample count, and batched ≤
+/// per-call for every variant.
+fn check_query_throughput(doc: &Json) -> Result<String, String> {
+    let pairs = doc
+        .get("pairs")
+        .and_then(Json::num)
+        .filter(|&n| n >= 1000.0)
+        .ok_or("query_throughput must time >= 1000 pairs")?;
+    let variants = doc.get("variants").ok_or("missing variants object")?;
+    let mut summary = String::new();
+    for name in ["SpaceEfficient", "Default", "QueryEfficient"] {
+        let v = variants.get(name).ok_or_else(|| format!("missing variant {name}"))?;
+        let per_call = positive(v, "per_call", name)?;
+        positive(v, "session", name)?;
+        let batched = positive(v, "batched", name)?;
+        if batched > per_call {
+            return Err(format!(
+                "{name}: batched {batched:.1} ns/query is slower than per-call {per_call:.1} \
+                 ns/query on the same host — the batch no longer amortizes context and scratch"
+            ));
+        }
+        summary.push_str(&format!(
+            "{name}: batched {batched:.1} <= per-call {per_call:.1} ns/query over {pairs} pairs \
+             — ok\n"
+        ));
+    }
+    Ok(summary)
+}
+
+/// The `snapshot_roundtrip` gate: shape, repeats, warm load ≤ 1.5× cold
+/// build, and the store within the per-label codec bound.
+fn check_snapshot(doc: &Json) -> Result<String, String> {
+    let items = doc
+        .get("items")
+        .and_then(Json::num)
+        .filter(|&n| n >= 1000.0)
+        .ok_or("snapshot_roundtrip must cover >= 1000 items")?;
+    doc.get("views")
+        .and_then(Json::num)
+        .filter(|&n| n >= 1.0)
+        .ok_or("missing views (need >= 1)")?;
+    doc.get("variants_compiled")
+        .and_then(Json::num)
+        .filter(|&n| n == 3.0)
+        .ok_or("all 3 variants must be compiled into the snapshot")?;
+    doc.get("repeats")
+        .and_then(Json::num)
+        .filter(|&n| n >= 3.0)
+        .ok_or("timings must be medians of >= 3 repeats")?;
+    positive(doc, "snapshot_bytes", "snapshot_roundtrip")?;
+    positive(doc, "save_ms", "snapshot_roundtrip")?;
+    let cold = positive(doc, "cold_build_ms", "snapshot_roundtrip")?;
+    let load = positive(doc, "load_ms", "snapshot_roundtrip")?;
+    if load > 1.5 * cold {
+        return Err(format!(
+            "warm load {load:.2} ms costs more than 1.5x the cold build {cold:.2} ms at {items} \
+             items: restoring a snapshot must not lose catastrophically to relabeling"
+        ));
+    }
+    let store = positive(doc, "store_bits_per_label", "snapshot_roundtrip")?;
+    let codec = positive(doc, "codec_bits_per_label", "snapshot_roundtrip")?;
+    if store > codec {
+        return Err(format!(
+            "the trie-interned store takes {store:.1} bits/label, over the per-label codec \
+             bound {codec:.1}: prefix sharing stopped paying"
+        ));
+    }
+    Ok(format!(
+        "snapshot at {items} items: warm load {load:.2} ms vs cold build {cold:.2} ms (limit \
+         1.5x), store {store:.1} <= codec {codec:.1} bits/label — ok\n"
+    ))
+}
+
 /// The `update_throughput` gate: sweep shape + the O(touched) publish
 /// scaling claim.
 fn check_update(doc: &Json) -> Result<String, String> {
@@ -817,6 +917,8 @@ fn main() -> ExitCode {
             "BENCH_recovery.json".into(),
             "BENCH_parallel_throughput.json".into(),
             "BENCH_scale_sweep.json".into(),
+            "BENCH_query_throughput.json".into(),
+            "BENCH_snapshot.json".into(),
         ];
     }
     let mut failed = false;
@@ -1228,6 +1330,71 @@ mod tests {
     #[test]
     fn accepts_the_committed_parallel_and_sweep_reports() {
         for name in ["BENCH_parallel_throughput.json", "BENCH_scale_sweep.json"] {
+            let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).expect("committed report exists");
+            let doc = parse(&text).expect("committed report parses");
+            check(&doc).unwrap_or_else(|e| panic!("{name} fails its own gate: {e}"));
+        }
+    }
+
+    // --- query_throughput / snapshot_roundtrip gate fixtures. ----------
+
+    fn query_doc(pairs: u64, qe_batched: f64) -> Json {
+        parse(&format!(
+            r#"{{"bench": "query_throughput", "pairs": {pairs}, "unit": "ns_per_query",
+                 "variants": {{
+                   "SpaceEfficient": {{ "per_call": 5682.2, "session": 914.9, "batched": 808.7 }},
+                   "Default": {{ "per_call": 1701.8, "session": 471.9, "batched": 388.5 }},
+                   "QueryEfficient": {{ "per_call": 479.5, "session": 256.6, "batched": {qe_batched} }}
+                 }}}}"#
+        ))
+        .expect("test fixture parses")
+    }
+
+    #[test]
+    fn accepts_batched_at_or_under_per_call() {
+        assert!(check(&query_doc(4096, 324.5)).expect("batched wins").contains("ok"));
+    }
+
+    #[test]
+    fn rejects_batched_slower_than_per_call_and_thin_samples() {
+        assert!(check(&query_doc(4096, 612.0)).unwrap_err().contains("slower than per-call"));
+        assert!(check(&query_doc(64, 324.5)).unwrap_err().contains(">= 1000 pairs"));
+        let no_qe = parse(
+            r#"{"bench": "query_throughput", "pairs": 4096, "variants": {
+                 "SpaceEfficient": { "per_call": 2.0, "session": 1.0, "batched": 1.0 },
+                 "Default": { "per_call": 2.0, "session": 1.0, "batched": 1.0 }}}"#,
+        )
+        .unwrap();
+        assert!(check(&no_qe).unwrap_err().contains("QueryEfficient"));
+    }
+
+    fn snapshot_doc(repeats: u64, cold: f64, load: f64, store_bpl: f64) -> Json {
+        parse(&format!(
+            r#"{{"bench": "snapshot_roundtrip", "items": 8070, "views": 1,
+                 "variants_compiled": 3, "repeats": {repeats}, "snapshot_bytes": 81988,
+                 "cold_build_ms": {cold}, "save_ms": 3.52, "load_ms": {load},
+                 "warm_start_speedup": 0.8, "store_bits_per_label": {store_bpl},
+                 "codec_bits_per_label": 81.7}}"#
+        ))
+        .expect("test fixture parses")
+    }
+
+    #[test]
+    fn accepts_a_warm_load_within_the_cold_build_bound() {
+        assert!(check(&snapshot_doc(5, 3.35, 4.0, 79.2)).expect("1.2x passes").contains("ok"));
+    }
+
+    #[test]
+    fn rejects_a_catastrophic_load_a_bloated_store_and_thin_repeats() {
+        assert!(check(&snapshot_doc(5, 3.35, 5.5, 79.2)).unwrap_err().contains("1.5x"));
+        assert!(check(&snapshot_doc(5, 3.35, 4.0, 90.0)).unwrap_err().contains("codec"));
+        assert!(check(&snapshot_doc(1, 3.35, 4.0, 79.2)).unwrap_err().contains(">= 3 repeats"));
+    }
+
+    #[test]
+    fn accepts_the_committed_query_and_snapshot_reports() {
+        for name in ["BENCH_query_throughput.json", "BENCH_snapshot.json"] {
             let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
             let text = std::fs::read_to_string(&path).expect("committed report exists");
             let doc = parse(&text).expect("committed report parses");

@@ -408,10 +408,18 @@ fn main_case(
     if div == l1.len() || div == l2.len() {
         return Some(false);
     }
+    // Within one run, the two edges below the divergence point are siblings
+    // of one parse-tree node, so they share its production (or recursion)
+    // and each chain child expands through its cycle production. Labels of
+    // two different runs interned in one store can break all of that; no
+    // single run holds such a pair, so it answers `Some(false)` instead of
+    // indexing matrices of the wrong production.
     match (l1[div], l2[div]) {
         // Case 2a: the least common ancestor is an ordinary production node.
         (EdgeLabel::Plain { k, i }, EdgeLabel::Plain { k: k2, i: j }) => {
-            debug_assert_eq!(k, k2, "siblings share their production");
+            if k != k2 {
+                return Some(false);
+            }
             if i >= j {
                 return Some(false); // Z(k,i,j) is empty for i ≥ j
             }
@@ -438,7 +446,9 @@ fn main_case(
         }
         // Case 2b: the least common ancestor is a recursive node.
         (EdgeLabel::Rec { s, t, i: a }, EdgeLabel::Rec { s: s2, t: t2, i: b }) => {
-            debug_assert_eq!((s, t), (s2, t2), "chain siblings share their recursion");
+            if (s, t) != (s2, t2) {
+                return Some(false);
+            }
             let cycle = ctx.pg.cycles().ok()?.get(s as usize)?;
             if a < b {
                 // d1's branch is an ancestor level of d2's chain position.
@@ -446,13 +456,11 @@ fn main_case(
                     return Some(false); // o1 is a port of chain child a itself
                 }
                 let EdgeLabel::Plain { k: kp, i: ip } = l1[div + 1] else {
-                    debug_assert!(false, "chain child expands through a plain edge");
-                    return None;
+                    return Some(false);
                 };
                 let (k_exp, jp) = cycle.edge_at(t as usize + a as usize);
-                debug_assert_eq!(kp, k_exp, "child a expands via its cycle production");
-                if ip >= jp {
-                    return Some(false); // Z(k', i', j') is empty
+                if kp != k_exp || ip >= jp {
+                    return Some(false); // Z(k', i', j') is empty, or a cross-run pair
                 }
                 let z = ctx.z_mat(kp, ip, jp)?;
                 let in_dim = ctx.cycle_in_dim(s, t as usize + b as usize)?;
@@ -483,13 +491,11 @@ fn main_case(
                     return Some(false); // i2 is a port of chain child b itself
                 }
                 let EdgeLabel::Plain { k: kq, i: iq } = l2[div + 1] else {
-                    debug_assert!(false, "chain child expands through a plain edge");
-                    return None;
+                    return Some(false);
                 };
                 let (k_exp, jq) = cycle.edge_at(t as usize + b as usize);
-                debug_assert_eq!(kq, k_exp);
-                if jq >= iq {
-                    return Some(false); // Z(k'', j'', i'') is empty
+                if kq != k_exp || jq >= iq {
+                    return Some(false); // Z(k'', j'', i'') is empty, or cross-run
                 }
                 let z = ctx.z_mat(kq, jq, iq)?;
                 let out_dim = ctx.cycle_out_dim(s, t as usize + a as usize)?;
@@ -516,10 +522,7 @@ fn main_case(
                 res
             }
         }
-        _ => {
-            debug_assert!(false, "sibling edges cannot mix plain and recursive labels");
-            None
-        }
+        _ => Some(false),
     }
 }
 

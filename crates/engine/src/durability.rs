@@ -1,10 +1,11 @@
 //! Self-healing recovery and background compaction over the durable
-//! op-log (`wf_snapshot::durable`).
+//! op-log (`wf_snapshot::durable`) — the engine's one persisted format.
 //!
-//! The persisted shape is the familiar `base ‖ delta ‖ …` replay stream
-//! (PR 5), split across two files: a base snapshot and an append-only
-//! frame log, each frame wrapping one publish's delta record tagged with
-//! its seqno. [`DurableEngine::open`] is the recovery reader:
+//! The persisted shape is two files: a base snapshot
+//! ([`EngineGeneration::save`]) and an append-only frame log, each frame
+//! wrapping one publish's delta record tagged with its seqno. Frames are
+//! written only by [`crate::EngineWriter::publish_durable`] (append +
+//! fsync, then swap). [`DurableEngine::open`] is the recovery reader:
 //!
 //! 1. the log layer scans to the last intact frame and truncates a torn
 //!    tail (mid-stream damage stays a hard
@@ -12,9 +13,8 @@
 //! 2. frames whose `seq` tag is ≤ the base's seqno are *stale* — already
 //!    folded into the base by a compaction whose log rewrite a crash
 //!    interrupted — and are skipped without decoding;
-//! 3. the rest replay in order through the same chain-checked
-//!    `apply_delta` path a warm restart uses, and each frame's tag must
-//!    match the seqno its delta produces.
+//! 3. the rest replay in order through the chain-checked `apply_delta`
+//!    path, and each frame's tag must match the seqno its delta produces.
 //!
 //! Compaction rewrites the replayed head into a fresh base (write-temp →
 //! fsync → rename, both files) and drops the covered frames. The
@@ -176,9 +176,20 @@ impl DurableEngine {
 
     /// Append one publish's delta record under its seqno and fsync — the
     /// acknowledgement barrier. `Ok` means the record survives any crash
-    /// from here on.
-    pub fn append(&mut self, seqno: u64, record: &[u8]) -> io::Result<LogStatus> {
-        debug_assert_eq!(seqno, self.last_seqno + 1, "appends must chain");
+    /// from here on. A seqno that does not chain onto the newest durable
+    /// one (a stale or skipping writer) is rejected with
+    /// [`io::ErrorKind::InvalidInput`] before any byte is written: framing
+    /// it would make every later frame unrecoverable.
+    pub(crate) fn append(&mut self, seqno: u64, record: &[u8]) -> io::Result<LogStatus> {
+        if seqno != self.last_seqno + 1 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "publish seqno {seqno} does not chain onto durable seqno {}",
+                    self.last_seqno
+                ),
+            ));
+        }
         self.log.append(seqno, record)?;
         self.last_seqno = seqno;
         Ok(self.status())

@@ -1,10 +1,10 @@
 //! The frozen serving core: an immutable, `Sync` read path over a compiled
 //! engine, plus the per-worker mutable state that makes queries cheap.
 //!
-//! [`crate::QueryEngine`] is structurally single-threaded: its scratch,
-//! path buffers and chain-power memos are engine-owned, so `query` takes
-//! `&mut self` and a service built on it is capped at one core. The split
-//! here separates what a query *reads* from what it *mutates*:
+//! A query both *reads* compiled state and *mutates* scratch (path
+//! buffers, chain-power memos); bundling the two would make every query
+//! `&mut self` and cap a service at one core. The split here separates
+//! what a query reads from what it mutates:
 //!
 //! * [`EngineCore`] — registry, label store and scheme references, all
 //!   accessed through `&self`. Every field is plain owned data (asserted
@@ -118,9 +118,9 @@ fn sweep_rows(
 }
 
 /// The immutable half of a serving engine: everything a query reads,
-/// behind `&self`. Obtained from [`crate::QueryEngine::freeze`] (or built
-/// directly from the parts); holds only references, so freezing is free
-/// and many cores can coexist.
+/// behind `&self`. Obtained from [`crate::EngineGeneration::core`] (or
+/// built directly from the parts); holds only references, so building one
+/// is free and many cores can coexist.
 #[derive(Clone, Copy)]
 pub struct EngineCore<'e> {
     fvl: &'e Fvl<'e>,
@@ -174,6 +174,11 @@ impl<'e> EngineCore<'e> {
 
     /// One dependency query (semantics of [`wf_core::Fvl::query`]): `None`
     /// iff either item is invisible in the view.
+    ///
+    /// A store may intern the labels of several runs. A pair whose items
+    /// come from two different runs has no dependency to decide: it gets an
+    /// unspecified answer (`Some(true)`, `Some(false)` or `None`), but never
+    /// a panic.
     pub fn try_query(
         &self,
         ws: &mut WorkerScratch,

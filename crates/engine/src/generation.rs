@@ -1,12 +1,12 @@
 //! The generational engine: owned, atomically-published generations that
 //! let writes land while reads keep flowing.
 //!
-//! [`crate::QueryEngine`] and [`crate::EngineCore`] are borrow-chained to
-//! one [`Fvl`] on one stack frame: correct, fast — and *static*. Any
-//! mutation (a new view, freshly labeled items) needs `&mut` access, which
-//! invalidates every frozen reader; a serving process would have to stop
-//! the world to grow. Real provenance stores never stop growing: runs are
-//! append-heavy, and views accrete as users search and refine them.
+//! [`crate::EngineCore`] is borrow-chained to one [`Fvl`], registry and
+//! store: correct, fast — and *static*. Any mutation (a new view, freshly
+//! labeled items) would need `&mut` access to what every frozen reader
+//! borrows; a serving process would have to stop the world to grow. Real
+//! provenance stores never stop growing: runs are append-heavy, and views
+//! accrete as users search and refine them.
 //!
 //! The split here is RCU-shaped — readers pay nothing, writers pay copies:
 //!
@@ -15,13 +15,13 @@
 //!   store, and a sequence number. `Send + Sync` is a compile-checked
 //!   invariant; a generation answers queries through `&self` exactly like
 //!   the frozen core (it *is* one, via [`EngineGeneration::core`]).
-//! * [`EngineWriter`] — the single writer. Mutations stage against a lazy
-//!   copy-on-write clone of the base generation (registry clones are
-//!   refcount bumps per compiled label; the store clone is a refcount bump
-//!   per *shard*, and staging un-shares only the tail shards an insert
-//!   batch lands in — see [`LabelStore`]), so nothing a reader can see is
-//!   ever mutated in place, and the cost of a publish cycle tracks the
-//!   *increment*, not the store size.
+//! * [`EngineWriter`] — the single writer, and the engine's one write
+//!   path. Mutations stage against a lazy copy-on-write clone of the base
+//!   generation (registry clones are refcount bumps per compiled label;
+//!   the store clone is a refcount bump per *shard*, and staging un-shares
+//!   only the tail shards an insert batch lands in — see [`LabelStore`]),
+//!   so nothing a reader can see is ever mutated in place, and the cost of
+//!   a publish cycle tracks the *increment*, not the store size.
 //! * [`LiveEngine`] — the publication point. `publish` swaps the current
 //!   `Arc<EngineGeneration>` under a `std::sync::Mutex` (publishes are
 //!   rare); readers obtain the current generation with a **lock-free fast
@@ -32,23 +32,22 @@
 //!   drops. No reader ever blocks a writer, and a writer never blocks the
 //!   query path.
 //!
-//! Persistence is generation-aware: [`EngineGeneration::save`] writes a
-//! full base snapshot, [`EngineWriter::publish_with_delta`] appends a
-//! *delta record* (just what this publish added) to the same stream, and
-//! [`EngineGeneration::replay`] warm-starts by reading base ‖ delta ‖ …
-//! until end of stream — restart cost proportional to what changed, not to
-//! the store.
+//! Persistence has one format: [`EngineGeneration::save`] writes a full
+//! base snapshot, and [`EngineWriter::publish_durable`] appends each
+//! publish's *delta record* (just what the publish added) as a
+//! checksummed, fsynced frame of a [`DurableEngine`] op-log before the
+//! swap. [`DurableEngine::open`] warm-starts from base ‖ frames — restart
+//! cost proportional to what changed since the last compaction, not to the
+//! store.
 
-use crate::engine::{
-    expect_section, read_engine_sections, write_engine_sections, SECTION_DELTA, SECTION_GENERATION,
-};
+use crate::durability::DurableEngine;
 use crate::error::EngineError;
 use crate::frozen::{EngineCore, WorkerScratch};
 use crate::registry::{ViewId, ViewRef, ViewRegistry};
 use crate::staging::StagedState;
 use crate::store::{ItemId, LabelStore};
 use std::cell::RefCell;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use wf_bitio::{BitReader, BitWriter};
@@ -56,9 +55,18 @@ use wf_core::{DataLabel, Fvl, FvlError, VariantKind};
 use wf_model::View;
 use wf_snapshot::{
     oplog::{self, OplogOp},
-    read_container, read_container_opt, read_label, spec_fingerprint, write_container,
-    SnapshotError,
+    read_container, read_label, spec_fingerprint, write_container, SnapshotError,
 };
+
+/// Section tags inside the snapshot payload (one byte each, in order). A
+/// base snapshot is `0x03` (seqno) ‖ `0x01` (store) ‖ `0x02` (registry); a
+/// delta record opens with `0x04`. A payload opening directly with `0x01`
+/// is the single-generation snapshot older builds wrote, and loads as the
+/// origin generation (seqno 0).
+const SECTION_STORE: u64 = 0x01;
+const SECTION_REGISTRY: u64 = 0x02;
+const SECTION_GENERATION: u64 = 0x03;
+const SECTION_DELTA: u64 = 0x04;
 
 /// One immutable, owned engine state: everything the read path needs, with
 /// no borrow reaching outside the `Arc` it is published in.
@@ -117,9 +125,9 @@ impl EngineGeneration {
         &self.registry
     }
 
-    /// The generation as a frozen serving core — the same lock-free,
-    /// `Sync`, `&self` read path [`crate::QueryEngine::freeze`] yields,
-    /// including the `par_*` fan-outs. Building one is free.
+    /// The generation as a frozen serving core — the lock-free, `Sync`,
+    /// `&self` read path, including the `par_*` fan-outs. Building one is
+    /// free.
     pub fn core(&self) -> EngineCore<'_> {
         EngineCore::new(self.fvl.as_ref(), &self.registry, &self.store)
     }
@@ -136,7 +144,8 @@ impl EngineGeneration {
     }
 
     /// A batch of pairs answered against this generation (allocating
-    /// convenience; panics on bad handles like [`crate::QueryEngine`]).
+    /// convenience; panics on bad handles —
+    /// [`EngineCore::try_query_batch_into`] is the typed-error form).
     pub fn query_batch(
         &self,
         ws: &mut WorkerScratch,
@@ -166,30 +175,45 @@ impl EngineGeneration {
         spec_fingerprint(&self.fvl.spec().grammar, self.fvl.prod_graph())
     }
 
-    /// Persists this generation as a *base* snapshot: seqno, then the same
-    /// store + registry sections a [`crate::QueryEngine`] snapshot carries,
-    /// under the versioned, checksummed container. Delta records appended
-    /// to the same stream by [`EngineWriter::publish_with_delta`] chain
-    /// onto it; [`EngineGeneration::replay`] restores the latest state.
+    /// Persists this generation as a *base* snapshot: seqno, then the
+    /// interned label store (trie nodes in creation order, so shared
+    /// prefixes stay shared on disk), every registered view and every
+    /// compiled `ViewLabel` including the Query-Efficient power caches,
+    /// under the versioned, checksummed container. Scratch state (matrix
+    /// pool, chain-power memo) is *not* persisted: it is a per-process
+    /// warm-up artifact that rebuilds in a handful of queries.
     pub fn save(&self, to: &mut impl Write) -> Result<(), SnapshotError> {
         let mut w = BitWriter::new();
         w.write_bits(SECTION_GENERATION, 8);
         w.write_gamma(self.seqno + 1);
-        write_engine_sections(&self.fvl, &self.store, &self.registry, &mut w);
+        w.write_bits(SECTION_STORE, 8);
+        self.store.write_snapshot(self.fvl.codec(), &mut w);
+        w.write_bits(SECTION_REGISTRY, 8);
+        self.registry.write_snapshot(&self.fvl.spec().grammar, &mut w);
         write_container(to, self.fingerprint(), &w.finish())
     }
 
     /// Restores one base snapshot written by [`EngineGeneration::save`]
-    /// (stopping at its end — see [`EngineGeneration::replay`] for the
-    /// base-plus-deltas form).
+    /// against the *same* specification (enforced by the header
+    /// fingerprint — a snapshot of a different spec is rejected with
+    /// [`SnapshotError::SpecMismatch`] before any payload bit is read).
+    /// A single-generation snapshot from an older build (store and
+    /// registry sections only) loads as seqno 0.
+    ///
+    /// `ItemId`s and `ViewId`s are stable across save/load: the store's
+    /// interning map is rebuilt from the persisted node list in creation
+    /// order, and views keep their registration order. A warm start never
+    /// re-runs labeling, compilation or cycle-finding. Truncated,
+    /// corrupted or version-mismatched input yields a typed
+    /// [`SnapshotError`]; this constructor never panics on bad bytes.
     pub fn load(fvl: Arc<Fvl<'static>>, from: &mut impl Read) -> Result<Self, SnapshotError> {
         Self::load_with_shard_capacity(fvl, from, LabelStore::DEFAULT_SHARD_CAPACITY)
     }
 
     /// [`EngineGeneration::load`] re-sharding the store at `shard_capacity`
     /// — the wire format carries no layout (see
-    /// [`LabelStore::write_snapshot`]), so a stream saved at any capacity
-    /// (including pre-shard streams) loads at any other.
+    /// [`LabelStore::write_snapshot`]), so a snapshot saved at any capacity
+    /// (including pre-shard snapshots) loads at any other.
     pub fn load_with_shard_capacity(
         fvl: Arc<Fvl<'static>>,
         from: &mut impl Read,
@@ -201,60 +225,38 @@ impl EngineGeneration {
             return Err(SnapshotError::SpecMismatch { expected, found: container.fingerprint });
         }
         let mut r = BitReader::new(&container.payload);
-        expect_section(&mut r, SECTION_GENERATION)?;
-        let seqno = r.read_gamma()? - 1;
-        let (store, registry) = read_engine_sections(&fvl, &mut r, shard_capacity)?;
+        let seqno = match r.read_bits(8)? {
+            SECTION_GENERATION => {
+                let seqno = r.read_gamma()? - 1;
+                expect_section(&mut r, SECTION_STORE)?;
+                seqno
+            }
+            SECTION_STORE => 0,
+            _ => return Err(SnapshotError::Malformed("unexpected section tag")),
+        };
+        let store = LabelStore::read_snapshot_with_capacity(
+            &mut r,
+            fvl.codec(),
+            &fvl.spec().grammar,
+            fvl.prod_graph(),
+            shard_capacity,
+        )?;
+        expect_section(&mut r, SECTION_REGISTRY)?;
+        let registry = ViewRegistry::read_snapshot(&mut r, &fvl.spec().grammar, fvl.prod_graph())?;
         if r.remaining() != 0 {
             return Err(SnapshotError::Malformed("trailing payload bits"));
         }
         Ok(Self { fvl, registry, store, seqno })
     }
 
-    /// Warm restart from an append-only stream: one base snapshot followed
-    /// by any number of delta records, replayed in order. Each delta must
-    /// chain exactly onto the generation before it (consecutive seqnos
-    /// against the same spec fingerprint); gaps, reordering and every form
-    /// of corruption are rejected with typed errors. Returns the newest
-    /// generation — hand it to [`LiveEngine::new`] and serving resumes
-    /// where the last publish left off.
-    pub fn replay(
-        fvl: Arc<Fvl<'static>>,
-        from: &mut impl Read,
-    ) -> Result<EngineGeneration, SnapshotError> {
-        Self::replay_with_shard_capacity(fvl, from, LabelStore::DEFAULT_SHARD_CAPACITY)
-    }
-
-    /// [`EngineGeneration::replay`] re-sharding at `shard_capacity` (see
-    /// [`EngineGeneration::load_with_shard_capacity`]); the deltas replay
-    /// into the re-sharded store, crossing its boundaries wherever the ids
-    /// land.
-    pub fn replay_with_shard_capacity(
-        fvl: Arc<Fvl<'static>>,
-        from: &mut impl Read,
-        shard_capacity: u32,
-    ) -> Result<EngineGeneration, SnapshotError> {
-        let mut gen = Self::load_with_shard_capacity(fvl, from, shard_capacity)?;
-        let expected = gen.fingerprint();
-        while let Some(container) = read_container_opt(from)? {
-            if container.fingerprint != expected {
-                return Err(SnapshotError::SpecMismatch { expected, found: container.fingerprint });
-            }
-            let mut r = BitReader::new(&container.payload);
-            gen = gen.apply_delta(&mut r)?;
-            if r.remaining() != 0 {
-                return Err(SnapshotError::Malformed("trailing payload bits"));
-            }
-        }
-        Ok(gen)
-    }
-
-    /// Applies one decoded delta record, yielding the successor generation.
-    /// The payload is the op-log framing ([`wf_snapshot::oplog`]): the
-    /// increment as typed ops in the order the publisher applied them.
-    /// Replay reproduces exactly what was staged: labels re-intern into
-    /// the same dense ids, views re-register (structural dedup makes that
-    /// deterministic) and must land on their recorded ids, and compiled
-    /// labels install into empty slots only.
+    /// Applies one decoded delta record, yielding the successor generation
+    /// (recovery calls this once per op-log frame). The payload is the
+    /// op-log framing ([`wf_snapshot::oplog`]): the increment as typed ops
+    /// in the order the publisher applied them. Replay reproduces exactly
+    /// what was staged: labels re-intern into the same dense ids, views
+    /// re-register (structural dedup makes that deterministic) and must
+    /// land on their recorded ids, and compiled labels install into empty
+    /// slots only.
     pub(crate) fn apply_delta(
         &self,
         r: &mut BitReader<'_>,
@@ -299,7 +301,8 @@ impl EngineGeneration {
 
 /// The single-producer façade over the staging core (the crate-private
 /// `StagedState`) — one thread mutating, publishing, and optionally
-/// persisting a generation chain directly.
+/// persisting a generation chain directly. Every write to the engine goes
+/// through one of these.
 ///
 /// Mutations stage against a lazy copy-on-write clone of the base
 /// generation — the first mutation after a publish pays the clone, and
@@ -310,8 +313,8 @@ impl EngineGeneration {
 /// Concurrent producers do not share an `EngineWriter`: they feed an
 /// [`crate::IngestQueue`] and the pipeline's publisher drives one writer
 /// on their behalf ([`crate::IngestPipeline`]) — same staging core, same
-/// publish path, same delta records, so a single-producer chain and a
-/// multi-producer one are indistinguishable on disk and on replay.
+/// publish path, same delta frames, so a single-producer chain and a
+/// multi-producer one are indistinguishable on disk and on recovery.
 ///
 /// Ids are stable across publishes: an [`ItemId`] or [`ViewRef`] handed
 /// out while staging is valid in the generation that publish produces and
@@ -355,8 +358,8 @@ impl EngineWriter {
     }
 
     /// Stages one data label; the returned id is valid from the next
-    /// publish on. Panicking on a full store, like
-    /// [`crate::QueryEngine::insert_label`].
+    /// publish on. Panics on a full store —
+    /// [`EngineWriter::try_insert_label`] is the non-panicking form.
     pub fn insert_label(&mut self, d: &DataLabel) -> ItemId {
         self.try_insert_label(d).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -428,46 +431,35 @@ impl EngineWriter {
         }
     }
 
-    /// [`EngineWriter::publish`] that first appends a delta record — what
-    /// this publish added, nothing more — to `out`. Appending every
-    /// publish to the stream that starts with a base
-    /// [`EngineGeneration::save`] keeps an on-disk replica that
-    /// [`EngineGeneration::replay`] can warm-start from at any moment; the
-    /// write happens *before* the swap, so a crash between the two loses
-    /// the publish, never the stream. On `Err` nothing is consumed: the
-    /// staged state stays intact for a retry, no generation is published,
-    /// and the record was handed to `out` as one buffered `write_all` (a
-    /// sink that accepts writes atomically — or is truncated back to the
-    /// last record boundary on recovery — keeps the stream replayable).
-    pub fn publish_with_delta(
+    /// [`EngineWriter::publish`] made durable, and the one function that
+    /// orders a persisted publish: encode the staged increment as a delta
+    /// record, append it to `durable` as a checksummed frame and fsync
+    /// (the acknowledgement barrier), and only then swap the next
+    /// generation into `live` — so a crash at any point loses at most an
+    /// unacknowledged publish, never a published one.
+    ///
+    /// On `Err` nothing is consumed: the staged state stays intact for a
+    /// retry, no generation is published, and the log keeps its last frame
+    /// boundary. A writer whose base no longer matches the log's newest
+    /// seqno (a stale writer) is rejected with
+    /// [`io::ErrorKind::InvalidInput`] before any byte is written. With
+    /// nothing staged this appends nothing and returns the current base.
+    pub fn publish_durable(
         &mut self,
         live: &LiveEngine,
-        out: &mut impl Write,
-    ) -> Result<Arc<EngineGeneration>, SnapshotError> {
+        durable: &mut DurableEngine,
+    ) -> io::Result<Arc<EngineGeneration>> {
         if self.staged.is_none() {
             return Ok(self.base.clone());
         }
-        let record = self.delta_record()?;
-        out.write_all(&record)?;
-        let st = self.staged.take().expect("staged presence checked above");
-        let gen = self.freeze_staged(st);
-        live.publish(gen.clone());
-        Ok(gen)
-    }
-
-    /// The staged increment as `(next_seqno, delta_record)` without
-    /// consuming it — the durable pipeline appends the record (with
-    /// retries) to its op-log *before* committing the publish, so the
-    /// fsync is the acknowledgement barrier. `None` with nothing staged.
-    pub(crate) fn staged_record(&self) -> Option<Result<(u64, Vec<u8>), SnapshotError>> {
-        self.staged.as_ref()?;
-        Some(self.delta_record().map(|record| (self.base.seqno + 1, record)))
+        durable.append(self.base.seqno + 1, &self.delta_record()?)?;
+        Ok(self.publish(live))
     }
 
     /// Serializes the staged increment into one container-framed delta
     /// record — the op-log of this publish, in application order
     /// (borrowing the staged state — nothing is consumed).
-    fn delta_record(&self) -> Result<Vec<u8>, SnapshotError> {
+    fn delta_record(&self) -> io::Result<Vec<u8>> {
         let st = self.staged.as_ref().expect("caller checked staged presence");
         let fvl = &self.base.fvl;
         let mut w = BitWriter::new();
@@ -475,9 +467,16 @@ impl EngineWriter {
         st.write_delta(fvl, self.base.seqno, &mut w);
         let fp = spec_fingerprint(&fvl.spec().grammar, fvl.prod_graph());
         let mut record = Vec::new();
-        write_container(&mut record, fp, &w.finish())?;
+        write_container(&mut record, fp, &w.finish()).map_err(io::Error::other)?;
         Ok(record)
     }
+}
+
+fn expect_section(r: &mut BitReader<'_>, tag: u64) -> Result<(), SnapshotError> {
+    if r.read_bits(8)? != tag {
+        return Err(SnapshotError::Malformed("unexpected section tag"));
+    }
+    Ok(())
 }
 
 /// Global id source for [`LiveEngine`]s — what keys the thread-local

@@ -21,10 +21,12 @@
 //!    cadence ([`PublishPolicy`]: ops, staged bytes, or deadline) and each
 //!    one atomically swaps the next generation into the [`LiveEngine`] —
 //!    readers never block, exactly as with a direct writer.
-//! 3. **Op-log persistence** — with a sink attached, every publish appends
-//!    its delta record (the op-log wire form, [`wf_snapshot::oplog`])
-//!    before the swap, so `base ‖ deltas` replays to byte-identical
-//!    generations no matter how many producers raced.
+//! 3. **Op-log persistence** — with durable storage attached, every
+//!    publish goes through [`crate::EngineWriter::publish_durable`]: its
+//!    delta record (the op-log wire form, [`wf_snapshot::oplog`]) is
+//!    framed, appended and fsynced before the swap, so recovery from
+//!    `base ‖ frames` lands on byte-identical generations no matter how
+//!    many producers raced.
 //!
 //! Ordering and atomicity guarantees, precisely:
 //!
@@ -47,7 +49,7 @@ use crate::durability::{
 };
 use crate::error::EngineError;
 use crate::generation::{EngineGeneration, EngineWriter, LiveEngine};
-use std::io::{self, Write};
+use std::io;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -416,7 +418,7 @@ impl Default for PublishPolicy {
     }
 }
 
-/// How the retry layer should treat one sink/storage failure.
+/// How the retry layer should treat one storage failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SinkErrorClass {
     /// Worth retrying after a backoff (interruption, contention, timeout).
@@ -425,7 +427,7 @@ pub enum SinkErrorClass {
     Fatal,
 }
 
-/// Classify a sink/storage `io::Error` for the [`RetryPolicy`]. The
+/// Classify a storage `io::Error` for the [`RetryPolicy`]. The
 /// transient set is deliberately small — kinds that mean "the world was
 /// busy", not "the world is broken": `Interrupted`, `WouldBlock`,
 /// `TimedOut`. Everything else is fatal and surfaces immediately.
@@ -497,64 +499,12 @@ impl RetryPolicy {
     }
 }
 
-/// A cloneable in-memory op-log sink: every clone appends to the same
-/// buffer, so a test or service can hand one clone to
-/// [`PipelineOptions::sink`] and read the accumulated stream from another
-/// while (or after) the pipeline runs.
-#[derive(Clone, Default)]
-pub struct SharedSink {
-    buf: Arc<Mutex<Vec<u8>>>,
-}
-
-impl SharedSink {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The buffer is plain bytes with no invariant a panicking writer
-    /// could break mid-update (delta records land as one
-    /// `extend_from_slice`), so a poisoned lock is recovered: one
-    /// writer's panic must not wedge every later append.
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<u8>> {
-        self.buf.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// A snapshot of everything written so far. Delta records are
-    /// appended atomically (one `write_all` each), so between publishes
-    /// this is always a replayable stream suffix.
-    pub fn contents(&self) -> Vec<u8> {
-        self.lock().clone()
-    }
-
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Write for SharedSink {
-    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-        self.lock().extend_from_slice(data);
-        Ok(data.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 /// Publish-notification callback, invoked with each published generation.
 pub type PublishHook = Box<dyn FnMut(&Arc<EngineGeneration>) + Send>;
 
 /// Optional pipeline attachments.
 #[derive(Default)]
 pub struct PipelineOptions {
-    /// Op-log sink: every publish appends its delta record here *before*
-    /// the generation swap (crash loses the publish, never the stream).
-    pub sink: Option<Box<dyn Write + Send>>,
     /// Called with each published generation, after the swap — test and
     /// monitoring hook (runs on the publisher thread; keep it cheap).
     pub on_publish: Option<PublishHook>,
@@ -567,15 +517,8 @@ pub struct PipelineOptions {
     /// [`CompactionDriver`] and trigger it whenever the op-log exceeds
     /// these bounds. Ignored without durable storage.
     pub compaction: Option<CompactionPolicy>,
-    /// Retry-with-backoff for transient persistence failures (applies to
-    /// both `durable` appends and the plain `sink`).
+    /// Retry-with-backoff for transient failures of the `durable` append.
     pub retry: RetryPolicy,
-}
-
-impl PipelineOptions {
-    fn wants_record(&self) -> bool {
-        self.durable.is_some() || self.sink.is_some()
-    }
 }
 
 /// Publisher-side counters, returned in the [`PipelineReport`].
@@ -595,10 +538,9 @@ pub struct IngestStats {
 
 /// What [`IngestPipeline::shutdown`] hands back: the writer (now based on
 /// the final published generation and ready for direct single-producer
-/// use or a new pipeline), the op-log sink, and the run's counters.
+/// use or a new pipeline) and the run's counters.
 pub struct PipelineReport {
     pub writer: EngineWriter,
-    pub sink: Option<Box<dyn Write + Send>>,
     pub stats: IngestStats,
     /// `Some` if a publish failed to persist its delta (the pipeline
     /// stopped there; tickets after that point resolved `Shutdown`).
@@ -646,7 +588,8 @@ impl IngestPipeline {
         Self::spawn_with(writer, live, policy, PipelineOptions::default())
     }
 
-    /// [`IngestPipeline::spawn`] with an op-log sink and/or publish hook.
+    /// [`IngestPipeline::spawn`] with durable storage, compaction and/or a
+    /// publish hook.
     pub fn spawn_with(
         writer: EngineWriter,
         live: Arc<LiveEngine>,
@@ -732,13 +675,8 @@ fn publisher_loop(
 
         if due && staged_ops > 0 {
             if writer.has_staged_changes() {
-                let published = persist_and_publish(
-                    &mut writer,
-                    &live,
-                    &mut options,
-                    &mut stats,
-                    driver.as_ref(),
-                );
+                let published =
+                    publish_batch(&mut writer, &live, &options, &mut stats, driver.as_ref());
                 match published {
                     Ok(gen) => {
                         stats.publishes += 1;
@@ -799,46 +737,37 @@ fn publisher_loop(
     }
 
     let compaction = driver.map(CompactionDriver::shutdown);
-    PipelineReport { writer, sink: options.sink, stats, persist_error, compaction }
+    PipelineReport { writer, stats, persist_error, compaction }
 }
 
-/// Publish one staged batch, persisting its delta record first. With
-/// durable storage the order is: frame + append + fsync (retried under
-/// the [`RetryPolicy`] for transient errors) → optional plain sink →
-/// generation swap. `Err` consumes nothing: the staged state survives
-/// for the caller's persist-failure path.
-fn persist_and_publish(
+/// Publish one staged batch. With durable storage this is
+/// [`EngineWriter::publish_durable`] (frame + append + fsync, then swap)
+/// retried under the [`RetryPolicy`] for transient errors, and the
+/// resulting log size may trigger a compaction. `Err` consumes nothing:
+/// the staged state survives for the caller's persist-failure path.
+fn publish_batch(
     writer: &mut EngineWriter,
     live: &LiveEngine,
-    options: &mut PipelineOptions,
+    options: &PipelineOptions,
     stats: &mut IngestStats,
     driver: Option<&CompactionDriver>,
 ) -> Result<Arc<EngineGeneration>, String> {
-    if !options.wants_record() {
+    let Some(durable) = options.durable.as_ref() else {
         return Ok(writer.publish(live));
-    }
-    let (seqno, record) = match writer.staged_record() {
-        None => return Ok(writer.publish(live)),
-        Some(Ok(pair)) => pair,
-        Some(Err(e)) => return Err(e.to_string()),
     };
-    let retry = options.retry;
-    let mut log_status = None;
-    if let Some(durable) = options.durable.as_ref() {
-        let status = retry
-            .run(|| lock_durable(durable).append(seqno, &record), |_e| stats.persist_retries += 1)
-            .map_err(|e| e.to_string())?;
-        log_status = Some(status);
-    }
-    if let Some(sink) = options.sink.as_mut() {
-        retry
-            .run(|| sink.write_all(&record), |_e| stats.persist_retries += 1)
-            .map_err(|e| e.to_string())?;
-    }
-    let gen = writer.publish(live);
-    debug_assert_eq!(gen.seqno(), seqno, "published seqno must match the persisted record");
-    if let (Some(driver), Some(policy), Some(status)) = (driver, options.compaction, log_status) {
-        if policy.due(status) {
+    let (gen, log) = options
+        .retry
+        .run(
+            || {
+                let mut durable = lock_durable(durable);
+                let gen = writer.publish_durable(live, &mut durable)?;
+                Ok((gen, durable.status()))
+            },
+            |_e| stats.persist_retries += 1,
+        )
+        .map_err(|e| e.to_string())?;
+    if let (Some(driver), Some(policy)) = (driver, options.compaction) {
+        if policy.due(log) {
             driver.trigger();
         }
     }

@@ -3,7 +3,7 @@
 //! The paper proves π answers a dependency query in constant time from
 //! compact labels (§4.4, Theorem 10); this crate makes that constant small
 //! under the workload shape a provenance service actually faces: *many
-//! queries against few views over one labeled run*. Three pieces:
+//! queries against few views over one labeled run*. Its pieces:
 //!
 //! * [`ViewRegistry`] — views registered once, their [`wf_core::ViewLabel`]s
 //!   precompiled per §6.3 variant and addressed by dense [`ViewRef`]s;
@@ -11,71 +11,70 @@
 //!   and addressed by dense [`ItemId`]s, partitioned into fixed-capacity
 //!   copy-on-write shards so cloning a store is a directory copy and
 //!   mutating it touches only the shards an insert batch lands in;
-//! * [`QueryEngine`] — `query` / `query_batch` / `all_pairs` entry points
-//!   threading one reusable [`wf_core::QueryScratch`] through the
-//!   scratch-aware decode path ([`wf_core::pi_with`]), so steady-state
-//!   serving performs no heap allocation and Default-variant recursion
-//!   chains are exponentiated once per distinct exponent, not per query;
-//! * [`EngineCore`] / [`WorkerScratch`] — the engine frozen into an
-//!   immutable, `Sync` read path plus per-thread mutable state, so one
-//!   compiled engine serves queries from as many cores as the host has:
-//!   `par_query_batch` / `par_all_pairs` shard a workload across
-//!   `std::thread::scope` workers and merge deterministically, answering
-//!   exactly like the sequential path;
-//! * [`EngineGeneration`] / [`EngineWriter`] / [`LiveEngine`] — the
-//!   generational layer for *live updates under serving*: owned,
-//!   immutable generations published by atomic `Arc` swap, a
-//!   copy-on-write staging writer, and a lock-free reader fast path, so
-//!   labels and views keep landing while readers keep answering (plus
-//!   append-style delta persistence for warm restarts);
+//! * [`EngineCore`] / [`WorkerScratch`] — the immutable, `Sync` read path
+//!   plus per-thread mutable state: `try_query` / `try_query_batch_into` /
+//!   `try_all_pairs_into` thread one reusable [`wf_core::QueryScratch`]
+//!   through the scratch-aware decode path ([`wf_core::pi_with`]), so
+//!   steady-state serving performs no heap allocation and Default-variant
+//!   recursion chains are exponentiated once per distinct exponent, not
+//!   per query; `par_query_batch` / `par_all_pairs` shard a workload
+//!   across `std::thread::scope` workers and merge deterministically,
+//!   answering exactly like the sequential path;
+//! * [`EngineGeneration`] / [`EngineWriter`] / [`LiveEngine`] — the one
+//!   write path: owned, immutable generations published by atomic `Arc`
+//!   swap, a copy-on-write staging writer, and a lock-free reader fast
+//!   path, so labels and views keep landing while readers keep answering;
 //! * [`IngestQueue`] / [`IngestPipeline`] — concurrent multi-producer
-//!   ingest over that same staging core: producers submit typed
-//!   [`IngestOp`]s into a bounded MPSC queue (typed backpressure, never
-//!   silent drops) and a publisher thread batches, coalesces and
-//!   publishes them on a [`PublishPolicy`] cadence, appending each
-//!   publish to an op-log whose replay converges byte-identically with
-//!   the live run;
-//! * [`DurableEngine`] / [`CompactionDriver`] — crash-safe durability
-//!   over that op-log: framed, checksummed, fsynced appends as the
-//!   acknowledgement barrier, a recovery reader that heals torn tails
-//!   and skips compaction-stale frames, background compaction that folds
-//!   the replayed head into a fresh base by atomic rename, and a
-//!   [`RetryPolicy`] absorbing transient sink faults.
+//!   ingest over that same writer: producers submit typed [`IngestOp`]s
+//!   into a bounded MPSC queue (typed backpressure, never silent drops)
+//!   and a publisher thread batches, coalesces and publishes them on a
+//!   [`PublishPolicy`] cadence;
+//! * [`DurableEngine`] / [`CompactionDriver`] — the one log: every
+//!   persisted publish ([`EngineWriter::publish_durable`]) is a framed,
+//!   checksummed, fsynced append — the acknowledgement barrier — before
+//!   its generation swap; a recovery reader heals torn tails and skips
+//!   compaction-stale frames, background compaction folds the replayed
+//!   head into a fresh base by atomic rename, and a [`RetryPolicy`]
+//!   absorbs transient storage faults.
 //!
-//! Engines additionally persist themselves: [`QueryEngine::save`] writes
-//! the interned store, the registered views and every compiled label
-//! (power caches included) into the versioned, checksummed `wf-snapshot`
-//! container, and [`QueryEngine::load`] restores a serving-ready engine
-//! without re-running labeling, view compilation or cycle-finding — the
-//! "label once, query forever" economics of §4 survive process restarts.
+//! Generations persist themselves: [`EngineGeneration::save`] writes the
+//! interned store, the registered views and every compiled label (power
+//! caches included) into the versioned, checksummed `wf-snapshot`
+//! container, and [`EngineGeneration::load`] restores a serving-ready
+//! generation without re-running labeling, view compilation or
+//! cycle-finding — the "label once, query forever" economics of §4
+//! survive process restarts.
 //!
 //! Semantics are identical to [`wf_core::Fvl::query`] — the agreement is
 //! enforced by the engine tests here and by the workspace-level property
 //! tests; only the cost model changes.
 //!
 //! ```
+//! use std::sync::Arc;
 //! use wf_core::{Fvl, VariantKind};
-//! use wf_engine::QueryEngine;
+//! use wf_engine::{EngineWriter, LiveEngine, WorkerScratch};
 //! use wf_model::fixtures::paper_example;
 //! use wf_run::fixtures::figure3_run;
 //!
 //! let ex = paper_example();
-//! let fvl = Fvl::new(&ex.spec).unwrap();
+//! let fvl = Arc::new(Fvl::from_arc(Arc::new(ex.spec.clone())).unwrap());
 //! let (run, ids) = figure3_run(&ex);
-//! let labeler = fvl.labeler(&run);
+//! let labels = fvl.labeler(&run).labels().to_vec();
 //!
-//! let mut engine = QueryEngine::new(&fvl);
-//! let items = engine.insert_labels(labeler.labels());
-//! let u2 = engine.register_view(ex.view_u2(), VariantKind::Default).unwrap();
+//! let mut writer = EngineWriter::from_fvl(fvl);
+//! let items = writer.insert_labels(&labels);
+//! let u2 = writer.register_view(ex.view_u2(), VariantKind::Default).unwrap();
+//! let live = LiveEngine::new(writer.base().clone());
+//! let gen = writer.publish(&live);
 //!
 //! // Example 8 as a batch of one:
 //! let d17 = items[ids.d17.0 as usize];
 //! let d31 = items[ids.d31.0 as usize];
-//! assert_eq!(engine.query_batch(u2, &[(d17, d31)]), vec![Some(true)]);
+//! let mut ws = WorkerScratch::new();
+//! assert_eq!(gen.query_batch(&mut ws, u2, &[(d17, d31)]), vec![Some(true)]);
 //! ```
 
 mod durability;
-mod engine;
 mod error;
 mod frozen;
 mod generation;
@@ -88,17 +87,17 @@ pub use durability::{
     lock_durable, serialize_base, shared_durable, CompactionDriver, CompactionPolicy,
     CompactionStats, CompactionTotals, DurableEngine, LogStatus, RecoveryReport, SharedDurable,
 };
-pub use engine::QueryEngine;
 pub use error::EngineError;
 pub use frozen::{EngineCore, WorkerScratch};
 pub use generation::{EngineGeneration, EngineWriter, LiveEngine};
 pub use ingest::{
     classify_io_error, IngestError, IngestOp, IngestOutcome, IngestPipeline, IngestQueue,
-    IngestStats, PipelineOptions, PipelineReport, PublishPolicy, RetryPolicy, SharedSink,
-    SinkErrorClass, Ticket,
+    IngestStats, PipelineOptions, PipelineReport, PublishPolicy, RetryPolicy, SinkErrorClass,
+    Ticket,
 };
 pub use registry::{ViewId, ViewRef, ViewRegistry};
 pub use store::{ItemId, LabelStore};
-// The error type `QueryEngine::save` / `QueryEngine::load` surface, so
-// engine users need not name `wf-snapshot` directly.
+// The error type `EngineGeneration::save` / `EngineGeneration::load` and
+// `DurableEngine::open` surface, so engine users need not name
+// `wf-snapshot` directly.
 pub use wf_snapshot::SnapshotError;

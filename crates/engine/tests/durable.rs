@@ -53,9 +53,7 @@ fn build_chain(seed: u64) -> (MemStorage, Vec<Vec<u8>>, Arc<Fvl<'static>>) {
         if i == 1 {
             writer.register_view(view.clone(), VariantKind::Default).unwrap();
         }
-        let mut record = Vec::new();
-        let gen = writer.publish_with_delta(&live, &mut record).unwrap();
-        durable.append(gen.seqno(), &record).unwrap();
+        let gen = writer.publish_durable(&live, &mut durable).unwrap();
         golden.push(save_bytes(&gen));
         if i == 2 {
             // Fold the head into a fresh base mid-chain so recovery must
@@ -266,6 +264,49 @@ fn transient_faults_retry_and_fatal_faults_resolve_tickets() {
     let report = pipeline.shutdown();
     assert!(report.persist_error.is_some());
     assert_eq!(report.stats.persist_retries, 0, "fatal errors must not burn retries");
+}
+
+/// A writer whose base is behind the log (here: based on generation 1
+/// while seqno 2 is already durable) must be refused before any byte is
+/// framed — accepting its seqno-2 record would leave a frame that does not
+/// chain, and every frame after it would become unrecoverable.
+#[test]
+fn stale_writer_is_rejected_before_any_byte_is_written() {
+    let w = bioaid(1);
+    let fvl = shared_fvl(&w);
+    let pg = ProdGraph::new(&w.spec.grammar);
+    let mut rng = StdRng::seed_from_u64(21);
+    let (_, run) = sample::sample_run(&w, &pg, &mut rng, 60);
+    let labels = fvl.labeler(&run).labels().to_vec();
+    let (first, rest) = labels.split_at(labels.len() / 2);
+
+    let storage = MemStorage::new();
+    let (mut durable, gen0, _) =
+        DurableEngine::open(fvl.clone(), Box::new(storage.clone()), 64).unwrap();
+    let live = LiveEngine::new(gen0.clone());
+    let mut writer = EngineWriter::new(gen0);
+    writer.insert_labels(first);
+    let g1 = writer.publish_durable(&live, &mut durable).unwrap();
+    writer.insert_labels(rest);
+    let g2 = writer.publish_durable(&live, &mut durable).unwrap();
+    assert_eq!((g1.seqno(), g2.seqno()), (1, 2));
+    let (_, log_before) = storage.contents();
+
+    let mut stale = EngineWriter::new(g1);
+    stale.insert_labels(rest);
+    let Err(err) = stale.publish_durable(&live, &mut durable) else {
+        panic!("a stale seqno-2 publish must fail");
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(stale.has_staged_changes(), "a refused publish consumes nothing");
+    assert_eq!(live.seqno(), 2, "a refused publish swaps nothing");
+    assert_eq!(storage.contents().1, log_before, "no byte of the stale frame was written");
+
+    let (reopened, recovered, _) =
+        DurableEngine::open(fvl, Box::new(storage.survivor()), 64).expect("store reopens");
+    assert_eq!(recovered.seqno(), 2);
+    assert_eq!(reopened.last_seqno(), 2);
+    assert_eq!(save_bytes(&recovered), save_bytes(&g2));
 }
 
 /// `wait_timeout` bounds waiting on a stalled pipeline: `None` while the

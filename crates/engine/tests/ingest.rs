@@ -1,7 +1,7 @@
 //! The ingest pipeline under fire: racing producers must converge to the
-//! same chain a sequential writer would build, the op-log must replay to
-//! byte-identical generations, and shutdown must drain — every accepted
-//! op resolves, none is silently dropped.
+//! same chain a sequential writer would build, the durable op-log must
+//! recover byte-identical generations, and shutdown must drain — every
+//! accepted op resolves, none is silently dropped.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -9,9 +9,10 @@ use std::sync::Arc;
 use wf_analysis::ProdGraph;
 use wf_core::{Fvl, VariantKind};
 use wf_engine::{
-    EngineError, EngineGeneration, EngineWriter, IngestOp, IngestPipeline, LiveEngine,
-    PipelineOptions, PublishPolicy, SharedSink, WorkerScratch,
+    shared_durable, DurableEngine, EngineError, EngineWriter, IngestOp, IngestPipeline, LiveEngine,
+    PipelineOptions, PublishPolicy, WorkerScratch,
 };
+use wf_snapshot::MemStorage;
 use wf_workloads::{bioaid, sample, views, Workload};
 
 fn shared_fvl(w: &Workload) -> Arc<Fvl<'static>> {
@@ -19,13 +20,13 @@ fn shared_fvl(w: &Workload) -> Arc<Fvl<'static>> {
 }
 
 /// Four producers race label chunks and view compilations through the
-/// pipeline while the op-log records every publish. Afterwards: all
-/// tickets resolved `Ok` in per-producer submission order, the live chain
-/// contains every label exactly once, and replaying `base ‖ op-log`
+/// pipeline while the durable op-log frames every publish. Afterwards:
+/// all tickets resolved `Ok` in per-producer submission order, the live
+/// chain contains every label exactly once, and recovering `base ‖ frames`
 /// yields a generation whose `save` bytes equal the live generation's —
-/// the multi-producer run and its replay are indistinguishable.
+/// the multi-producer run and its recovery are indistinguishable.
 #[test]
-fn racing_producers_converge_and_the_oplog_replays_byte_identically() {
+fn racing_producers_converge_and_the_oplog_recovers_byte_identically() {
     let w = bioaid(5);
     let fvl = shared_fvl(&w);
     let pg = ProdGraph::new(&w.spec.grammar);
@@ -35,15 +36,16 @@ fn racing_producers_converge_and_the_oplog_replays_byte_identically() {
     let view_a = views::random_safe_view(&w, &mut rng, 4);
     let view_b = views::random_safe_view(&w, &mut rng, 8);
 
-    // Base generation: seeded directly through the façade, saved as the
-    // stream head the op-log chains onto.
-    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    // First generation: seeded directly through the façade, framed as the
+    // log head the pipeline's frames chain onto.
+    let storage = MemStorage::new();
+    let (mut durable, gen0, _) =
+        DurableEngine::open(fvl.clone(), Box::new(storage.clone()), 64).unwrap();
+    let mut writer = EngineWriter::new(gen0);
     writer.insert_labels(&labels[..labels.len() / 5]);
     writer.register_view(view_a.clone(), VariantKind::Default).unwrap();
     let live = Arc::new(LiveEngine::new(writer.base().clone()));
-    writer.publish(&live);
-    let mut stream = Vec::new();
-    writer.base().save(&mut stream).unwrap();
+    writer.publish_durable(&live, &mut durable).unwrap();
 
     let policy = PublishPolicy {
         queue_capacity: 64,
@@ -51,9 +53,8 @@ fn racing_producers_converge_and_the_oplog_replays_byte_identically() {
         max_delay: std::time::Duration::from_millis(1),
         ..PublishPolicy::default()
     };
-    let sink = SharedSink::new();
     let options =
-        PipelineOptions { sink: Some(Box::new(sink.clone())), ..PipelineOptions::default() };
+        PipelineOptions { durable: Some(shared_durable(durable)), ..PipelineOptions::default() };
     let pipeline = IngestPipeline::spawn_with(writer, live.clone(), policy, options);
 
     // Four producers, each owning a disjoint slice of the remaining pool;
@@ -105,17 +106,17 @@ fn racing_producers_converge_and_the_oplog_replays_byte_identically() {
     assert_eq!(final_gen.registry().view_count(), 2);
     assert_eq!(final_gen.registry().compiled_count(), 3);
 
-    // The op-log chains onto the base stream; replay must be
-    // byte-identical to the live result.
-    stream.extend_from_slice(&sink.contents());
-    let replayed = EngineGeneration::replay(shared_fvl(&w), &mut stream.as_slice()).unwrap();
+    // Recovery from the surviving bytes must be byte-identical to the
+    // live result.
+    let (_, replayed, _) =
+        DurableEngine::open(shared_fvl(&w), Box::new(storage.survivor()), 64).unwrap();
     assert_eq!(replayed.seqno(), final_gen.seqno());
     let (mut a, mut b) = (Vec::new(), Vec::new());
     final_gen.save(&mut a).unwrap();
     replayed.save(&mut b).unwrap();
-    assert_eq!(a, b, "replayed op-log must reproduce the live generation byte-for-byte");
+    assert_eq!(a, b, "the recovered op-log must reproduce the live generation byte-for-byte");
 
-    // And the replayed generation answers like the live one.
+    // And the recovered generation answers like the live one.
     let mut ws = WorkerScratch::new();
     let items: Vec<_> =
         (0..final_gen.store().len() as u32).step_by(9).map(wf_engine::ItemId).collect();
@@ -130,23 +131,25 @@ fn racing_producers_converge_and_the_oplog_replays_byte_identically() {
         );
     }
 
-    // Warm restart *continues the chain*: a new pipeline over the replayed
-    // generation publishes seqno n+1 and the stream keeps replaying.
-    let writer2 = EngineWriter::new(Arc::new(replayed));
+    // Warm restart *continues the chain*: a new pipeline over the recovered
+    // generation publishes seqno n+1 and the log keeps recovering.
+    let survivor = storage.survivor();
+    let (durable, replayed, _) =
+        DurableEngine::open(shared_fvl(&w), Box::new(survivor.clone()), 64).unwrap();
+    let writer2 = EngineWriter::new(replayed);
     let live2 = Arc::new(LiveEngine::new(writer2.base().clone()));
-    let sink2 = SharedSink::new();
     let pipeline2 = IngestPipeline::spawn_with(
         writer2,
         live2.clone(),
         PublishPolicy::default(),
-        PipelineOptions { sink: Some(Box::new(sink2.clone())), ..PipelineOptions::default() },
+        PipelineOptions { durable: Some(shared_durable(durable)), ..PipelineOptions::default() },
     );
     let t = pipeline2.queue().push(IngestOp::InsertLabels(labels[..3].to_vec())).unwrap();
     let resumed_seq = t.wait().unwrap();
     assert_eq!(resumed_seq, final_gen.seqno() + 1);
     pipeline2.shutdown();
-    stream.extend_from_slice(&sink2.contents());
-    let resumed = EngineGeneration::replay(shared_fvl(&w), &mut stream.as_slice()).unwrap();
+    let (_, resumed, _) =
+        DurableEngine::open(shared_fvl(&w), Box::new(survivor.survivor()), 64).unwrap();
     assert_eq!(resumed.seqno(), resumed_seq);
     assert_eq!(resumed.store().len(), live2.snapshot().store().len());
 }

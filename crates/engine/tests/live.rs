@@ -1,18 +1,21 @@
-//! The generational engine under fire: delta persistence must replay to
-//! exactly the published state, and readers racing a publishing writer
+//! The generational engine under fire: durable delta frames must recover
+//! to exactly the published state, and readers racing a publishing writer
 //! must only ever observe answers of *some* published generation —
-//! element-identical to a sequential single-generation engine built to
-//! that generation's state. No torn reads, no locks on the query path.
+//! element-identical to a cold single-generation build of that
+//! generation's state. No torn reads, no locks on the query path.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use wf_analysis::ProdGraph;
-use wf_core::{Fvl, VariantKind};
+use wf_core::{DataLabel, Fvl, VariantKind};
 use wf_engine::{
-    EngineGeneration, EngineWriter, ItemId, LiveEngine, QueryEngine, SnapshotError, WorkerScratch,
+    DurableEngine, EngineGeneration, EngineWriter, ItemId, LiveEngine, SnapshotError, ViewRef,
+    WorkerScratch,
 };
+use wf_model::View;
+use wf_snapshot::{scan_log, MemStorage};
 use wf_workloads::churn::{churn_stream, ChurnOp, ChurnSpec};
 use wf_workloads::{bioaid, sample, views, Workload};
 
@@ -23,12 +26,27 @@ fn shared_fvl(w: &Workload) -> Arc<Fvl<'static>> {
     Arc::new(Fvl::from_arc(Arc::new(w.spec.clone())).unwrap())
 }
 
-/// Base save + two delta-publishes, then a warm restart from the combined
-/// append-only stream: the replayed generation must agree with the live
-/// one — and with a cold-built single-generation engine — on `all_pairs`
-/// over every item, for every compiled view.
+/// A cold build: one writer interning `labels` and registering `views`
+/// in order, published once — the sequential reference every live or
+/// recovered generation is checked against.
+fn cold_build(
+    fvl: &Arc<Fvl<'static>>,
+    labels: &[DataLabel],
+    views: impl IntoIterator<Item = (View, VariantKind)>,
+) -> (Arc<EngineGeneration>, Vec<ViewRef>) {
+    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    writer.insert_labels(labels);
+    let refs = views.into_iter().map(|(v, k)| writer.register_view(v, k).unwrap()).collect();
+    let live = LiveEngine::new(writer.base().clone());
+    (writer.publish(&live), refs)
+}
+
+/// A compacted base at generation 1, then two durable publishes, then a
+/// warm restart from base ‖ frames: the recovered generation must agree
+/// with the live one — and with a cold build — on `all_pairs` over every
+/// item, for every compiled view.
 #[test]
-fn base_plus_deltas_replay_to_the_published_state() {
+fn base_plus_frames_recover_the_published_state() {
     let w = bioaid(3);
     let fvl = shared_fvl(&w);
     let pg = ProdGraph::new(&w.spec.grammar);
@@ -39,51 +57,59 @@ fn base_plus_deltas_replay_to_the_published_state() {
     let view_b = views::random_safe_view(&w, &mut rng, 10);
     let (third, two_thirds) = (labels.len() / 3, 2 * labels.len() / 3);
 
-    // Generation 1: first third + view A (Default). Saved as the base.
-    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    // Generation 1: first third + view A (Default), compacted into the base.
+    let storage = MemStorage::new();
+    let (mut durable, gen0, _) =
+        DurableEngine::open(fvl.clone(), Box::new(storage.clone()), 64).unwrap();
+    let live = LiveEngine::new(gen0.clone());
+    let mut writer = EngineWriter::new(gen0);
     writer.insert_labels(&labels[..third]);
     let ra = writer.register_view(view_a.clone(), VariantKind::Default).unwrap();
-    let live = LiveEngine::new(writer.base().clone());
-    let g1 = writer.publish(&live);
-    let mut stream = Vec::new();
-    g1.save(&mut stream).unwrap();
+    let g1 = writer.publish_durable(&live, &mut durable).unwrap();
+    let mut base = Vec::new();
+    g1.save(&mut base).unwrap();
+    durable.install_base(&base, 1).unwrap().expect("compacts");
 
-    // Generation 2 (delta): second third + view B (Query-Efficient).
-    let base_len = stream.len();
+    // Generation 2 (frame): second third + view B (Query-Efficient).
     writer.insert_labels(&labels[third..two_thirds]);
     let rb = writer.register_view(view_b.clone(), VariantKind::QueryEfficient).unwrap();
-    writer.publish_with_delta(&live, &mut stream).unwrap();
-    let delta1_end = stream.len();
+    writer.publish_durable(&live, &mut durable).unwrap();
 
-    // Generation 3 (delta): the rest + view A under a second variant.
+    // Generation 3 (frame): the rest + view A under a second variant.
     writer.insert_labels(&labels[two_thirds..]);
     let ra_se = writer.compile(ra.id, VariantKind::SpaceEfficient).unwrap();
-    let g3 = writer.publish_with_delta(&live, &mut stream).unwrap();
+    let g3 = writer.publish_durable(&live, &mut durable).unwrap();
     assert_eq!(g3.seqno(), 3);
 
-    // Warm restart: replay the whole stream against a fresh scheme.
-    let fvl2 = shared_fvl(&w);
-    let replayed = EngineGeneration::replay(fvl2, &mut stream.as_slice()).unwrap();
-    assert_eq!(replayed.seqno(), 3);
-    assert_eq!(replayed.store().len(), labels.len());
-    assert_eq!(replayed.store().edge_stats(), g3.store().edge_stats());
-    assert_eq!(replayed.registry().view_count(), 2);
-    assert_eq!(replayed.registry().compiled_count(), 3);
+    // Warm restart from the surviving bytes against a fresh scheme.
+    let (_, recovered, report) =
+        DurableEngine::open(shared_fvl(&w), Box::new(storage.survivor()), 64).unwrap();
+    assert_eq!((report.base_seqno, report.replayed_frames), (1, 2));
+    assert_eq!(recovered.seqno(), 3);
+    assert_eq!(recovered.store().len(), labels.len());
+    assert_eq!(recovered.store().edge_stats(), g3.store().edge_stats());
+    assert_eq!(recovered.registry().view_count(), 2);
+    assert_eq!(recovered.registry().compiled_count(), 3);
 
-    // Cold reference: one single-generation engine with everything.
-    let mut cold = QueryEngine::new(fvl.as_ref());
-    let items = cold.insert_labels(&labels);
-    let ca = cold.register_view(view_a, VariantKind::Default).unwrap();
-    let cb = cold.register_view(view_b, VariantKind::QueryEfficient).unwrap();
-    let ca_se = cold.compile(ca.id, VariantKind::SpaceEfficient).unwrap();
+    // Cold reference: one single-generation build with everything.
+    let (cold, refs) = cold_build(
+        &fvl,
+        &labels,
+        [
+            (view_a.clone(), VariantKind::Default),
+            (view_b, VariantKind::QueryEfficient),
+            (view_a, VariantKind::SpaceEfficient),
+        ],
+    );
+    let items: Vec<ItemId> = (0..labels.len() as u32).map(ItemId).collect();
 
     let mut ws = WorkerScratch::new();
-    for (live_ref, cold_ref) in [(ra, ca), (rb, cb), (ra_se, ca_se)] {
-        let expected = cold.all_pairs(cold_ref, &items);
+    for (live_ref, cold_ref) in [ra, rb, ra_se].into_iter().zip(refs) {
+        let expected = cold.all_pairs(&mut ws, cold_ref, &items);
         assert_eq!(
-            replayed.all_pairs(&mut ws, live_ref, &items),
+            recovered.all_pairs(&mut ws, live_ref, &items),
             expected,
-            "replayed generation diverges on {live_ref:?}"
+            "recovered generation diverges on {live_ref:?}"
         );
         assert_eq!(
             g3.all_pairs(&mut ws, live_ref, &items),
@@ -92,20 +118,22 @@ fn base_plus_deltas_replay_to_the_published_state() {
         );
     }
 
-    // A truncated stream (mid-delta) is rejected, not half-applied.
-    let cut = stream.len() - 7;
-    assert!(matches!(
-        EngineGeneration::replay(shared_fvl(&w), &mut &stream[..cut]),
-        Err(SnapshotError::Truncated)
-    ));
-    // Deltas replayed out of order break the chain with a typed error:
-    // base ‖ delta2 (a gap) and base ‖ delta1 ‖ delta1 (a repeat) both
-    // fail the consecutive-seqno check instead of half-applying.
-    let (base, delta1, delta2) =
-        (&stream[..base_len], &stream[base_len..delta1_end], &stream[delta1_end..]);
-    for bad in [vec![base, delta2], vec![base, delta1, delta1]] {
+    // A torn final frame is healed back to generation 2, not half-applied.
+    let (_, log) = storage.contents();
+    let torn = MemStorage::with_state(Some(base.clone()), log[..log.len() - 7].to_vec());
+    let (_, healed, report) = DurableEngine::open(shared_fvl(&w), Box::new(torn), 64).unwrap();
+    assert_eq!((healed.seqno(), report.replayed_frames), (2, 1));
+    assert!(report.dropped_bytes > 0);
+    // Frames out of order break the chain with a typed error: base ‖
+    // frame 3 (a gap) and base ‖ frame 2 ‖ frame 2 (a repeat) both fail
+    // the consecutive-seqno check instead of half-applying.
+    let frames: Vec<&[u8]> =
+        scan_log(&log).unwrap().frames.iter().map(|f| &log[f.start..f.payload.end]).collect();
+    let (frame2, frame3) = (frames[0], frames[1]);
+    for bad in [vec![frame3], vec![frame2, frame2]] {
+        let storage = MemStorage::with_state(Some(base.clone()), bad.concat());
         assert!(matches!(
-            EngineGeneration::replay(shared_fvl(&w), &mut bad.concat().as_slice()),
+            DurableEngine::open(shared_fvl(&w), Box::new(storage), 64),
             Err(SnapshotError::Malformed(_))
         ));
     }
@@ -163,9 +191,9 @@ proptest! {
     /// Readers racing a writer that replays a *generated churn stream*
     /// (view-heavy and insert-heavy mixes from `wf-workloads::churn`,
     /// publishing every few ops): every batch a reader answers must be
-    /// element-identical to the answers of a sequential single-generation
-    /// [`QueryEngine`] built to the state of the generation the reader
-    /// was served — i.e. every observation is of *some* published
+    /// element-identical to the answers of a cold single-generation build
+    /// of the state of the generation the reader was served — i.e. every
+    /// observation is of *some* published
     /// generation, never a torn mix, regardless of how inserts, view
     /// registrations and publishes interleave.
     #[test]
@@ -295,16 +323,14 @@ proptest! {
 
             // Verify each observation against a sequential reference built
             // to exactly that generation's journaled state.
+            let mut ws = WorkerScratch::new();
             for (seqno, label_count, view_seeds) in &journal {
-                let mut reference = QueryEngine::new(fvl.as_ref());
-                reference.insert_labels(&labels[..*label_count]);
-                let rref = reference.register_view(view0.clone(), kind).unwrap();
+                let views = std::iter::once((view0.clone(), kind))
+                    .chain(view_seeds.iter().map(|vseed| churn_view(&w, *vseed)));
+                let (reference, refs) = cold_build(&fvl, &labels[..*label_count], views);
+                let rref = refs[0];
                 prop_assert_eq!(rref, vref, "handles are chain-stable");
-                for vseed in view_seeds {
-                    let (view, vkind) = churn_view(&w, *vseed);
-                    reference.register_view(view, vkind).unwrap();
-                }
-                let expected = reference.query_batch(rref, &pairs);
+                let expected = reference.query_batch(&mut ws, rref, &pairs);
                 for (s, ans) in observations.iter().filter(|(s, _)| s == seqno) {
                     prop_assert_eq!(
                         ans,

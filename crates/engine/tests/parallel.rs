@@ -6,11 +6,16 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use wf_analysis::ProdGraph;
 use wf_core::{Fvl, VariantKind};
-use wf_engine::{EngineError, ItemId, QueryEngine, ViewRef, WorkerScratch};
+use wf_engine::{EngineError, EngineWriter, ItemId, LiveEngine, ViewRef, WorkerScratch};
 use wf_workloads::queries::{sample_pairs, PairDist};
-use wf_workloads::{bioaid, sample, views};
+use wf_workloads::{bioaid, sample, views, Workload};
+
+fn shared_fvl(w: &Workload) -> Arc<Fvl<'static>> {
+    Arc::new(Fvl::from_arc(Arc::new(w.spec.clone())).unwrap())
+}
 
 const VARIANTS: [VariantKind; 3] =
     [VariantKind::SpaceEfficient, VariantKind::Default, VariantKind::QueryEfficient];
@@ -28,16 +33,20 @@ proptest! {
         view_size in 2usize..10,
     ) {
         let w = bioaid(seed % 7);
-        let fvl = Fvl::new(&w.spec).unwrap();
+        let fvl = shared_fvl(&w);
         let pg = ProdGraph::new(&w.spec.grammar);
         let mut rng = StdRng::seed_from_u64(seed);
         let (_, run) = sample::sample_run(&w, &pg, &mut rng, run_size);
         let labeler = fvl.labeler(&run);
         let view = views::random_safe_view(&w, &mut rng, view_size);
 
-        let mut engine = QueryEngine::new(&fvl);
-        let items = engine.insert_labels(labeler.labels());
-        let vid = engine.add_view(view);
+        let mut writer = EngineWriter::from_fvl(fvl.clone());
+        let items = writer.insert_labels(labeler.labels());
+        let vid = writer.add_view(view);
+        let vrefs = VARIANTS.map(|kind| writer.compile(vid, kind).unwrap());
+        let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
+        let core = gen.core();
+        let mut ws = WorkerScratch::new();
         let pairs = sample_pairs(&run, &mut rng, 200, PairDist::Uniform);
         let id_pairs: Vec<_> =
             pairs.iter().map(|&(a, b)| (items[a.0 as usize], items[b.0 as usize])).collect();
@@ -46,16 +55,14 @@ proptest! {
         // thread count below: warm, cross-view scratch reuse must be as
         // sound in the parallel path as it is sequentially.
         let mut warm: Vec<_> = (0..4).map(|_| WorkerScratch::new()).collect();
-        for kind in VARIANTS {
-            let vref = engine.compile(vid, kind).unwrap();
-            let sequential = engine.query_batch(vref, &id_pairs);
+        for vref in vrefs {
+            let kind = vref.kind;
+            let sequential = gen.query_batch(&mut ws, vref, &id_pairs);
             for threads in [1usize, 2, 4] {
-                let parallel = engine.par_query_batch(vref, &id_pairs, threads);
+                let parallel = core.par_query_batch(vref, &id_pairs, threads);
                 prop_assert_eq!(&parallel, &sequential, "{:?} x{} threads", kind, threads);
-                let reused = engine
-                    .freeze()
-                    .try_par_query_batch_with(&mut warm[..threads], vref, &id_pairs)
-                    .unwrap();
+                let reused =
+                    core.try_par_query_batch_with(&mut warm[..threads], vref, &id_pairs).unwrap();
                 prop_assert_eq!(&reused, &sequential, "{:?} x{} warm scratches", kind, threads);
             }
         }
@@ -69,20 +76,21 @@ proptest! {
         run_size in 40usize..160,
     ) {
         let w = bioaid(seed % 5);
-        let fvl = Fvl::new(&w.spec).unwrap();
+        let fvl = shared_fvl(&w);
         let pg = ProdGraph::new(&w.spec.grammar);
         let mut rng = StdRng::seed_from_u64(seed);
         let (_, run) = sample::sample_run(&w, &pg, &mut rng, run_size);
         let labeler = fvl.labeler(&run);
         let view = views::random_safe_view(&w, &mut rng, 8);
 
-        let mut engine = QueryEngine::new(&fvl);
-        let items = engine.insert_labels(labeler.labels());
-        let vref = engine.register_view(view, VariantKind::Default).unwrap();
+        let mut writer = EngineWriter::from_fvl(fvl.clone());
+        let items = writer.insert_labels(labeler.labels());
+        let vref = writer.register_view(view, VariantKind::Default).unwrap();
+        let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
         let subset: Vec<_> = items.iter().copied().step_by(2).collect();
-        let sequential = engine.all_pairs(vref, &subset);
+        let sequential = gen.all_pairs(&mut WorkerScratch::new(), vref, &subset);
         for threads in [1usize, 2, 4] {
-            let parallel = engine.par_all_pairs(vref, &subset, threads);
+            let parallel = gen.core().par_all_pairs(vref, &subset, threads);
             prop_assert_eq!(&parallel, &sequential, "x{} threads", threads);
         }
     }
@@ -90,12 +98,12 @@ proptest! {
 
 /// Two workers hammering *different* views through one shared frozen core,
 /// each with its own `WorkerScratch`, must both answer exactly like the
-/// sequential engine: per-worker chain-power memos are keyed by view uid,
+/// sequential path: per-worker chain-power memos are keyed by view uid,
 /// so concurrent interleaving across views cannot poison either side.
 #[test]
 fn interleaved_views_across_threads_stay_sound() {
     let w = bioaid(13);
-    let fvl = Fvl::new(&w.spec).unwrap();
+    let fvl = shared_fvl(&w);
     let pg = ProdGraph::new(&w.spec.grammar);
     let mut rng = StdRng::seed_from_u64(13);
     let (_, run) = sample::sample_run(&w, &pg, &mut rng, 400);
@@ -103,10 +111,11 @@ fn interleaved_views_across_threads_stay_sound() {
     let view_a = views::random_safe_view(&w, &mut rng, 6);
     let view_b = views::random_safe_view(&w, &mut rng, 12);
 
-    let mut engine = QueryEngine::new(&fvl);
-    let items = engine.insert_labels(labeler.labels());
-    let ra = engine.register_view(view_a, VariantKind::Default).unwrap();
-    let rb = engine.register_view(view_b, VariantKind::SpaceEfficient).unwrap();
+    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    let items = writer.insert_labels(labeler.labels());
+    let ra = writer.register_view(view_a, VariantKind::Default).unwrap();
+    let rb = writer.register_view(view_b, VariantKind::SpaceEfficient).unwrap();
+    let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
 
     let pairs =
         sample_pairs(&run, &mut rng, 300, PairDist::HotKey { hot_items: 16, hot_prob: 0.5 });
@@ -114,10 +123,11 @@ fn interleaved_views_across_threads_stay_sound() {
         pairs.iter().map(|&(a, b)| (items[a.0 as usize], items[b.0 as usize])).collect();
 
     // Sequential reference, per view.
-    let want_a = engine.query_batch(ra, &id_pairs);
-    let want_b = engine.query_batch(rb, &id_pairs);
+    let mut ws = WorkerScratch::new();
+    let want_a = gen.query_batch(&mut ws, ra, &id_pairs);
+    let want_b = gen.query_batch(&mut ws, rb, &id_pairs);
 
-    let core = engine.freeze();
+    let core = gen.core();
     let id_pairs = &id_pairs;
     std::thread::scope(|s| {
         // Each worker alternates between the two views on every query —
@@ -148,38 +158,42 @@ fn interleaved_views_across_threads_stay_sound() {
 #[test]
 fn try_api_reports_uncompiled_views_and_bad_items() {
     let w = bioaid(2);
-    let fvl = Fvl::new(&w.spec).unwrap();
+    let fvl = shared_fvl(&w);
     let pg = ProdGraph::new(&w.spec.grammar);
     let mut rng = StdRng::seed_from_u64(2);
     let (_, run) = sample::sample_run(&w, &pg, &mut rng, 80);
     let labeler = fvl.labeler(&run);
     let view = views::random_safe_view(&w, &mut rng, 6);
 
-    let mut engine = QueryEngine::new(&fvl);
-    let items = engine.insert_labels(labeler.labels());
-    let vid = engine.add_view(view);
-    let compiled = engine.compile(vid, VariantKind::Default).unwrap();
+    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    let items = writer.insert_labels(labeler.labels());
+    let vid = writer.add_view(view);
+    let compiled = writer.compile(vid, VariantKind::Default).unwrap();
+    let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
+    let core = gen.core();
+    let mut ws = WorkerScratch::new();
 
     // A handle for a variant that was never compiled.
     let uncompiled = ViewRef { id: vid, kind: VariantKind::QueryEfficient };
     assert_eq!(
-        engine.try_query(uncompiled, items[0], items[1]),
+        core.try_query(&mut ws, uncompiled, items[0], items[1]),
         Err(EngineError::ViewNotCompiled { view: uncompiled })
     );
     let mut out = Vec::new();
     out.push(Some(true)); // must be cleared, not appended to, on error
-    assert!(engine.try_query_batch_into(uncompiled, &[(items[0], items[1])], &mut out).is_err());
+    let batch = [(items[0], items[1])];
+    assert!(core.try_query_batch_into(&mut ws, uncompiled, &batch, &mut out).is_err());
     assert!(out.is_empty(), "failed batch must leave the output empty");
 
     // An item id from some other engine's store.
     let alien = ItemId(items.len() as u32 + 7);
     assert_eq!(
-        engine.try_query(compiled, items[0], alien),
+        core.try_query(&mut ws, compiled, items[0], alien),
         Err(EngineError::ItemOutOfRange { item: alien, len: items.len() })
     );
-    assert!(engine.try_par_query_batch(compiled, &[(alien, items[0])], 2).is_err());
+    assert!(core.try_par_query_batch(compiled, &[(alien, items[0])], 2).is_err());
     assert_eq!(
-        engine.freeze().try_par_all_pairs(uncompiled, &items[..4], 2),
+        core.try_par_all_pairs(uncompiled, &items[..4], 2),
         Err(EngineError::ViewNotCompiled { view: uncompiled })
     );
 
@@ -188,12 +202,12 @@ fn try_api_reports_uncompiled_views_and_bad_items() {
     assert!(msg.contains("out of range"), "{msg}");
 
     // Valid input still answers through every path.
-    let got = engine.try_query(compiled, items[0], items[1]).unwrap();
-    assert_eq!(got, engine.query(compiled, items[0], items[1]));
+    let got = core.try_query(&mut ws, compiled, items[0], items[1]).unwrap();
+    assert_eq!(got, core.query(&mut ws, compiled, items[0], items[1]));
 
     // And the panicking wrapper does panic on the bad handle.
     let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        engine.query(uncompiled, items[0], items[1])
+        core.query(&mut ws, uncompiled, items[0], items[1])
     }));
     assert!(panicked.is_err(), "query on an uncompiled view must panic");
 }
@@ -202,16 +216,17 @@ fn try_api_reports_uncompiled_views_and_bad_items() {
 #[test]
 fn parallel_paths_handle_empty_inputs() {
     let w = bioaid(4);
-    let fvl = Fvl::new(&w.spec).unwrap();
+    let fvl = shared_fvl(&w);
     let pg = ProdGraph::new(&w.spec.grammar);
     let mut rng = StdRng::seed_from_u64(4);
     let (_, run) = sample::sample_run(&w, &pg, &mut rng, 50);
     let labeler = fvl.labeler(&run);
     let view = views::random_safe_view(&w, &mut rng, 6);
 
-    let mut engine = QueryEngine::new(&fvl);
-    engine.insert_labels(labeler.labels());
-    let vref = engine.register_view(view, VariantKind::Default).unwrap();
-    assert!(engine.par_query_batch(vref, &[], 4).is_empty());
-    assert!(engine.par_all_pairs(vref, &[], 4).is_empty());
+    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    writer.insert_labels(labeler.labels());
+    let vref = writer.register_view(view, VariantKind::Default).unwrap();
+    let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
+    assert!(gen.core().par_query_batch(vref, &[], 4).is_empty());
+    assert!(gen.core().par_all_pairs(vref, &[], 4).is_empty());
 }

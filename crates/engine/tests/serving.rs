@@ -4,35 +4,43 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use wf_analysis::ProdGraph;
 use wf_core::{Fvl, VariantKind};
-use wf_engine::QueryEngine;
-use wf_workloads::{bioaid, sample, views};
+use wf_engine::{EngineWriter, LiveEngine, WorkerScratch};
+use wf_workloads::{bioaid, sample, views, Workload};
 
 const VARIANTS: [VariantKind; 3] =
     [VariantKind::SpaceEfficient, VariantKind::Default, VariantKind::QueryEfficient];
 
+fn shared_fvl(w: &Workload) -> Arc<Fvl<'static>> {
+    Arc::new(Fvl::from_arc(Arc::new(w.spec.clone())).unwrap())
+}
+
 #[test]
 fn batch_agrees_with_reference_across_variants() {
     let w = bioaid(11);
-    let fvl = Fvl::new(&w.spec).unwrap();
+    let fvl = shared_fvl(&w);
     let pg = ProdGraph::new(&w.spec.grammar);
     let mut rng = StdRng::seed_from_u64(11);
     let (_, run) = sample::sample_run(&w, &pg, &mut rng, 600);
     let labeler = fvl.labeler(&run);
     let view = views::random_safe_view(&w, &mut rng, 8);
 
-    let mut engine = QueryEngine::new(&fvl);
-    let items = engine.insert_labels(labeler.labels());
+    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    let items = writer.insert_labels(labeler.labels());
     let pairs = sample::sample_query_pairs(&run, &mut rng, 500);
     let id_pairs: Vec<_> =
         pairs.iter().map(|&(a, b)| (items[a.0 as usize], items[b.0 as usize])).collect();
 
-    let vid = engine.add_view(view.clone());
-    for kind in VARIANTS {
-        let vref = engine.compile(vid, kind).unwrap();
+    let vid = writer.add_view(view.clone());
+    let vrefs = VARIANTS.map(|kind| writer.compile(vid, kind).unwrap());
+    let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
+    let mut ws = WorkerScratch::new();
+    for vref in vrefs {
+        let kind = vref.kind;
         let vl = fvl.label_view(&view, kind).unwrap();
-        let batch = engine.query_batch(vref, &id_pairs);
+        let batch = gen.query_batch(&mut ws, vref, &id_pairs);
         for (i, &(a, b)) in pairs.iter().enumerate() {
             let reference = fvl.query(&vl, labeler.label(a), labeler.label(b));
             assert_eq!(batch[i], reference, "{kind:?} pair {i}: {a:?} -> {b:?}");
@@ -45,7 +53,7 @@ fn batch_agrees_with_reference_across_variants() {
 #[test]
 fn interleaved_views_stay_sound() {
     let w = bioaid(3);
-    let fvl = Fvl::new(&w.spec).unwrap();
+    let fvl = shared_fvl(&w);
     let pg = ProdGraph::new(&w.spec.grammar);
     let mut rng = StdRng::seed_from_u64(3);
     let (_, run) = sample::sample_run(&w, &pg, &mut rng, 400);
@@ -53,17 +61,19 @@ fn interleaved_views_stay_sound() {
     let view_a = views::random_safe_view(&w, &mut rng, 6);
     let view_b = views::random_safe_view(&w, &mut rng, 12);
 
-    let mut engine = QueryEngine::new(&fvl);
-    let items = engine.insert_labels(labeler.labels());
-    let ra = engine.register_view(view_a.clone(), VariantKind::Default).unwrap();
-    let rb = engine.register_view(view_b.clone(), VariantKind::Default).unwrap();
+    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    let items = writer.insert_labels(labeler.labels());
+    let ra = writer.register_view(view_a.clone(), VariantKind::Default).unwrap();
+    let rb = writer.register_view(view_b.clone(), VariantKind::Default).unwrap();
+    let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
+    let mut ws = WorkerScratch::new();
     let vla = fvl.label_view(&view_a, VariantKind::Default).unwrap();
     let vlb = fvl.label_view(&view_b, VariantKind::Default).unwrap();
 
     let pairs = sample::sample_query_pairs(&run, &mut rng, 300);
     for (i, &(a, b)) in pairs.iter().enumerate() {
         let (vref, vl) = if i % 2 == 0 { (ra, &vla) } else { (rb, &vlb) };
-        let got = engine.query(vref, items[a.0 as usize], items[b.0 as usize]);
+        let got = gen.core().query(&mut ws, vref, items[a.0 as usize], items[b.0 as usize]);
         let want = fvl.query(vl, labeler.label(a), labeler.label(b));
         assert_eq!(got, want, "query {i} on view {}", if i % 2 == 0 { "A" } else { "B" });
     }
@@ -72,7 +82,7 @@ fn interleaved_views_stay_sound() {
 #[test]
 fn all_pairs_matches_pairwise_queries() {
     let w = bioaid(5);
-    let fvl = Fvl::new(&w.spec).unwrap();
+    let fvl = shared_fvl(&w);
     let pg = ProdGraph::new(&w.spec.grammar);
     let mut rng = StdRng::seed_from_u64(5);
     let (_, run) = sample::sample_run(&w, &pg, &mut rng, 120);
@@ -80,12 +90,13 @@ fn all_pairs_matches_pairwise_queries() {
     let view = views::random_safe_view(&w, &mut rng, 8);
     let vl = fvl.label_view(&view, VariantKind::Default).unwrap();
 
-    let mut engine = QueryEngine::new(&fvl);
-    let items = engine.insert_labels(labeler.labels());
-    let vref = engine.register_view(view, VariantKind::Default).unwrap();
+    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    let items = writer.insert_labels(labeler.labels());
+    let vref = writer.register_view(view, VariantKind::Default).unwrap();
+    let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
 
     let subset: Vec<_> = items.iter().copied().step_by(3).collect();
-    let dependent = engine.all_pairs(vref, &subset);
+    let dependent = gen.all_pairs(&mut WorkerScratch::new(), vref, &subset);
     let mut expected = Vec::new();
     for &a in &subset {
         for &b in &subset {
@@ -108,16 +119,18 @@ fn all_pairs_matches_pairwise_queries() {
 #[test]
 fn grouped_batch_matches_per_call_queries() {
     let w = bioaid(13);
-    let fvl = Fvl::new(&w.spec).unwrap();
+    let fvl = shared_fvl(&w);
     let pg = ProdGraph::new(&w.spec.grammar);
     let mut rng = StdRng::seed_from_u64(13);
     let (_, run) = sample::sample_run(&w, &pg, &mut rng, 300);
     let labeler = fvl.labeler(&run);
     let view = views::random_safe_view(&w, &mut rng, 6);
 
-    let mut engine = QueryEngine::new(&fvl);
-    let items = engine.insert_labels(labeler.labels());
-    let vref = engine.register_view(view, VariantKind::Default).unwrap();
+    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    let items = writer.insert_labels(labeler.labels());
+    let vref = writer.register_view(view, VariantKind::Default).unwrap();
+    let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
+    let mut ws = WorkerScratch::new();
 
     let base = sample::sample_query_pairs(&run, &mut rng, 200);
     let mut id_pairs: Vec<_> =
@@ -131,10 +144,10 @@ fn grouped_batch_matches_per_call_queries() {
     id_pairs.extend(items.iter().rev().take(64).map(|&b| (hot, b)));
     id_pairs.reverse();
 
-    let batch = engine.query_batch(vref, &id_pairs);
+    let batch = gen.query_batch(&mut ws, vref, &id_pairs);
     assert_eq!(batch.len(), id_pairs.len());
     for (i, &(a, b)) in id_pairs.iter().enumerate() {
-        assert_eq!(batch[i], engine.query(vref, a, b), "pair {i}: {a:?} -> {b:?}");
+        assert_eq!(batch[i], gen.core().query(&mut ws, vref, a, b), "pair {i}: {a:?} -> {b:?}");
     }
 }
 
@@ -143,26 +156,61 @@ fn grouped_batch_matches_per_call_queries() {
 #[test]
 fn steady_state_is_allocation_free() {
     let w = bioaid(7);
-    let fvl = Fvl::new(&w.spec).unwrap();
+    let fvl = shared_fvl(&w);
     let pg = ProdGraph::new(&w.spec.grammar);
     let mut rng = StdRng::seed_from_u64(7);
     let (_, run) = sample::sample_run(&w, &pg, &mut rng, 500);
     let labeler = fvl.labeler(&run);
     let view = views::random_safe_view(&w, &mut rng, 8);
 
-    let mut engine = QueryEngine::new(&fvl);
-    let items = engine.insert_labels(labeler.labels());
-    let vref = engine.register_view(view, VariantKind::Default).unwrap();
+    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    let items = writer.insert_labels(labeler.labels());
+    let vref = writer.register_view(view, VariantKind::Default).unwrap();
+    let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
     let pairs = sample::sample_query_pairs(&run, &mut rng, 400);
     let id_pairs: Vec<_> =
         pairs.iter().map(|&(a, b)| (items[a.0 as usize], items[b.0 as usize])).collect();
 
+    let core = gen.core();
+    let mut ws = WorkerScratch::new();
     let mut out = Vec::with_capacity(id_pairs.len());
-    engine.query_batch_into(vref, &id_pairs, &mut out);
-    engine.query_batch_into(vref, &id_pairs, &mut out);
-    let warm = engine.scratch_stats();
+    core.try_query_batch_into(&mut ws, vref, &id_pairs, &mut out).unwrap();
+    core.try_query_batch_into(&mut ws, vref, &id_pairs, &mut out).unwrap();
+    let warm = ws.stats();
     for _ in 0..3 {
-        engine.query_batch_into(vref, &id_pairs, &mut out);
-        assert_eq!(engine.scratch_stats(), warm, "scratch grew after warm-up");
+        core.try_query_batch_into(&mut ws, vref, &id_pairs, &mut out).unwrap();
+        assert_eq!(ws.stats(), warm, "scratch grew after warm-up");
     }
+}
+
+/// One store may intern the labels of two different runs. A pair with one
+/// item from each has no dependency to decide, and its label paths can
+/// diverge on edges of different productions (274 of the sampled pairs
+/// here do), so π must not index one production's matrices with the
+/// other's positions: every such pair gets an answer, never a panic.
+#[test]
+fn cross_run_pairs_answer_without_panicking() {
+    let w = bioaid(1);
+    let fvl = shared_fvl(&w);
+    let pg = ProdGraph::new(&w.spec.grammar);
+    let mut rng = StdRng::seed_from_u64(3);
+    let (_, run_a) = sample::sample_run(&w, &pg, &mut rng, 2000);
+    let (_, run_b) = sample::sample_run(&w, &pg, &mut rng, 2000);
+    let view = views::random_safe_view(&w, &mut rng, 8);
+
+    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    let items_a = writer.insert_labels(fvl.labeler(&run_a).labels());
+    let items_b = writer.insert_labels(fvl.labeler(&run_b).labels());
+    let vref = writer.register_view(view, VariantKind::Default).unwrap();
+    let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
+    let core = gen.core();
+    let mut ws = WorkerScratch::new();
+    let mut answered = 0usize;
+    for &a in items_a.iter().step_by(7) {
+        for &b in items_b.iter().step_by(7) {
+            assert!(core.try_query(&mut ws, vref, a, b).is_ok());
+            answered += 1;
+        }
+    }
+    assert_eq!(answered, 296 * 290);
 }

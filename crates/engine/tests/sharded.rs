@@ -8,7 +8,8 @@
 //! the bench baseline) through the same churn streams, across all three
 //! §6.3 variants, and require identical answers at every published
 //! generation, after save → load at a *different* capacity, and after
-//! delta replay whose inserts cross shard boundaries mid-record.
+//! recovery from durable delta frames whose inserts cross shard boundaries
+//! mid-record.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -16,7 +17,8 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use wf_analysis::ProdGraph;
 use wf_core::{Fvl, VariantKind};
-use wf_engine::{EngineGeneration, EngineWriter, ItemId, LiveEngine, QueryEngine, WorkerScratch};
+use wf_engine::{DurableEngine, EngineGeneration, EngineWriter, ItemId, LiveEngine, WorkerScratch};
+use wf_snapshot::MemStorage;
 use wf_workloads::churn::{churn_stream, ChurnOp, ChurnSpec, InsertLocality};
 use wf_workloads::{bioaid, sample, views, Workload};
 
@@ -45,8 +47,8 @@ proptest! {
     /// must give element-identical `query_batch` answers for every
     /// compiled view; at the end, `all_pairs` over every item must match,
     /// and so must a save → load → `all_pairs` roundtrip at a *different*
-    /// shard capacity plus a full base‖delta replay — for all three
-    /// variants.
+    /// shard capacity plus a full recovery from base ‖ frames — for all
+    /// three variants.
     #[test]
     fn sharded_engine_is_element_identical_to_single_shard_reference(
         seed in 0u64..200,
@@ -100,24 +102,26 @@ proptest! {
         }
 
         for kind in VARIANTS {
-            // The sharded chain under test.
-            let mut writer = EngineWriter::from_fvl_with_shard_capacity(fvl.clone(), cap);
+            // The sharded, durable chain under test.
+            let storage = MemStorage::new();
+            let (mut durable, gen0, _) =
+                DurableEngine::open(fvl.clone(), Box::new(storage.clone()), cap).unwrap();
+            let mut writer = EngineWriter::new(gen0);
             writer.insert_labels(&labels[..initial]);
             let vref = writer.register_view(view0.clone(), kind).unwrap();
             let live = LiveEngine::new(writer.base().clone());
-            let g1 = writer.publish(&live);
+            let g1 = writer.publish_durable(&live, &mut durable).unwrap();
             prop_assert!(
                 g1.store().shard_count() > 1,
                 "capacity {} over {} items must produce multiple shards", cap, initial
             );
-            let mut stream = Vec::new();
-            g1.save(&mut stream).unwrap();
 
             // The single-shard sequential reference (the pre-shard store).
-            let mut reference = QueryEngine::with_shard_capacity(fvl.as_ref(), u32::MAX);
+            let mut reference = EngineWriter::from_fvl_with_shard_capacity(fvl.clone(), u32::MAX);
             reference.insert_labels(&labels[..initial]);
             let rref = reference.register_view(view0.clone(), kind).unwrap();
             prop_assert_eq!(rref, vref, "registration order fixes handles on both sides");
+            let reference_live = LiveEngine::new(reference.base().clone());
 
             let mut ws = WorkerScratch::new();
             let mut next_label = initial;
@@ -139,22 +143,24 @@ proptest! {
                     ChurnOp::QueryBatch { .. } => {}
                 }
                 if (ix + 1) % 3 == 0 && writer.has_staged_changes() {
-                    let gen = writer.publish_with_delta(&live, &mut stream).unwrap();
+                    let gen = writer.publish_durable(&live, &mut durable).unwrap();
+                    let rgen = reference.publish(&reference_live);
                     for &vr in &view_refs {
                         prop_assert_eq!(
                             gen.query_batch(&mut ws, vr, &pairs),
-                            reference.query_batch(vr, &pairs),
+                            rgen.query_batch(&mut ws, vr, &pairs),
                             "sharded (cap {}) diverges from single-shard at seqno {} on {:?}/{:?}",
                             cap, gen.seqno(), vr, kind
                         );
                     }
                 }
             }
-            let final_gen = writer.publish_with_delta(&live, &mut stream).unwrap();
+            let final_gen = writer.publish_durable(&live, &mut durable).unwrap();
+            let reference = reference.publish(&reference_live);
 
             // Element-identical over *every* ordered pair of every item.
             let items: Vec<ItemId> = (0..next_label as u32).map(ItemId).collect();
-            let expected = reference.all_pairs(vref, &items);
+            let expected = reference.all_pairs(&mut ws, vref, &items);
             prop_assert_eq!(
                 &final_gen.all_pairs(&mut ws, vref, &items), &expected,
                 "final all_pairs diverges (cap {}, {:?})", cap, kind
@@ -174,11 +180,12 @@ proptest! {
                 "reloaded at capacity {} diverges (saved at {}, {:?})", other_cap, cap, kind
             );
 
-            // Base ‖ delta replay, re-sharded both ways: every delta's
-            // inserts land across shard boundaries of the replayed store.
+            // Recovery from base ‖ frames, re-sharded both ways: every
+            // frame's inserts land across shard boundaries of the
+            // recovered store.
             for replay_cap in [cap, u32::MAX] {
-                let replayed = EngineGeneration::replay_with_shard_capacity(
-                    shared_fvl(&w), &mut stream.as_slice(), replay_cap,
+                let (_, replayed, _) = DurableEngine::open(
+                    shared_fvl(&w), Box::new(storage.survivor()), replay_cap,
                 ).unwrap();
                 prop_assert_eq!(replayed.seqno(), final_gen.seqno());
                 prop_assert_eq!(replayed.store().len(), next_label);

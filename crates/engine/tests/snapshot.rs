@@ -1,72 +1,93 @@
-//! Snapshot persistence: a loaded engine must be indistinguishable from the
-//! engine that wrote the snapshot — same answers, same ids, same trie — and
-//! bad bytes must be rejected with typed errors, never a panic.
+//! Snapshot persistence: a loaded generation must be indistinguishable from
+//! the generation that wrote the snapshot — same answers, same ids, same
+//! trie — bad bytes must be rejected with typed errors, never a panic, and
+//! the bytes this format has always written must keep loading.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use wf_analysis::ProdGraph;
 use wf_core::{Fvl, VariantKind};
-use wf_engine::{QueryEngine, SnapshotError, ViewRef};
-use wf_workloads::{bioaid, sample, views};
+use wf_engine::{
+    serialize_base, DurableEngine, EngineGeneration, EngineWriter, ItemId, LabelStore, LiveEngine,
+    SnapshotError, ViewId, ViewRef, WorkerScratch,
+};
+use wf_model::fixtures::paper_example;
+use wf_run::fixtures::figure3_run;
+use wf_snapshot::MemStorage;
+use wf_workloads::{bioaid, sample, views, Workload};
 
 const VARIANTS: [VariantKind; 3] =
     [VariantKind::SpaceEfficient, VariantKind::Default, VariantKind::QueryEfficient];
 
-/// Builds an engine with a labeled run and one view compiled under every
-/// variant, returning the snapshot bytes alongside.
+fn shared_fvl(w: &Workload) -> Arc<Fvl<'static>> {
+    Arc::new(Fvl::from_arc(Arc::new(w.spec.clone())).unwrap())
+}
+
+/// Publishes whatever `writer` staged, as the next generation.
+fn publish(writer: &mut EngineWriter) -> Arc<EngineGeneration> {
+    writer.publish(&LiveEngine::new(writer.base().clone()))
+}
+
+fn save(gen: &EngineGeneration) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    gen.save(&mut bytes).unwrap();
+    bytes
+}
+
+/// Builds a generation with a labeled run and one view compiled under
+/// every variant, returning its snapshot bytes.
 fn build_and_save(seed: u64, run_size: usize, view_size: usize) -> Vec<u8> {
     let w = bioaid(seed);
-    let fvl = Fvl::new(&w.spec).unwrap();
+    let fvl = shared_fvl(&w);
     let pg = ProdGraph::new(&w.spec.grammar);
     let mut rng = StdRng::seed_from_u64(seed);
     let (_, run) = sample::sample_run(&w, &pg, &mut rng, run_size);
     let labeler = fvl.labeler(&run);
     let view = views::random_safe_view(&w, &mut rng, view_size);
 
-    let mut engine = QueryEngine::new(&fvl);
-    engine.insert_labels(labeler.labels());
-    let vid = engine.add_view(view);
+    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    writer.insert_labels(labeler.labels());
+    let vid = writer.add_view(view);
     for kind in VARIANTS {
-        engine.compile(vid, kind).unwrap();
+        writer.compile(vid, kind).unwrap();
     }
-    let mut bytes = Vec::new();
-    engine.save(&mut bytes).unwrap();
-    bytes
+    save(&publish(&mut writer))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// A snapshot-loaded engine answers `all_pairs` (and with it every
+    /// A snapshot-loaded generation answers `all_pairs` (and with it every
     /// pairwise query, visibility included) identically to a freshly
     /// labeled one, for all three variants. The item subset deliberately
     /// includes the run's boundary items — labels whose `out` or `inp`
     /// side is `None` exercise the store's root-pointing empty paths.
     #[test]
-    fn loaded_engine_agrees_with_fresh_one(
+    fn loaded_generation_agrees_with_fresh_one(
         seed in 0u64..500,
         view_size in 2usize..10,
         run_size in 40usize..200,
     ) {
         let w = bioaid(seed % 5);
-        let fvl = Fvl::new(&w.spec).unwrap();
+        let fvl = shared_fvl(&w);
         let pg = ProdGraph::new(&w.spec.grammar);
         let mut rng = StdRng::seed_from_u64(seed);
         let (_, run) = sample::sample_run(&w, &pg, &mut rng, run_size);
         let labeler = fvl.labeler(&run);
         let view = views::random_safe_view(&w, &mut rng, view_size);
 
-        let mut fresh = QueryEngine::new(&fvl);
-        let items = fresh.insert_labels(labeler.labels());
-        let vid = fresh.add_view(view);
+        let mut writer = EngineWriter::from_fvl(fvl.clone());
+        let items = writer.insert_labels(labeler.labels());
+        let vid = writer.add_view(view);
         for kind in VARIANTS {
-            fresh.compile(vid, kind).unwrap();
+            writer.compile(vid, kind).unwrap();
         }
-        let mut bytes = Vec::new();
-        fresh.save(&mut bytes).unwrap();
-        let mut loaded = QueryEngine::load(&fvl, &mut bytes.as_slice()).unwrap();
+        let fresh = publish(&mut writer);
+        let loaded = EngineGeneration::load(fvl.clone(), &mut save(&fresh).as_slice()).unwrap();
 
+        prop_assert_eq!(loaded.seqno(), fresh.seqno());
         prop_assert_eq!(loaded.store().len(), fresh.store().len());
         prop_assert_eq!(loaded.store().edge_stats(), fresh.store().edge_stats());
         prop_assert_eq!(loaded.registry().view_count(), 1);
@@ -81,27 +102,27 @@ proptest! {
             .collect();
         subset.extend(items.iter().copied().step_by(5));
         subset.truncate(40);
+        let mut ws = WorkerScratch::new();
         for kind in VARIANTS {
             let vref = ViewRef { id: vid, kind };
             prop_assert_eq!(
-                loaded.all_pairs(vref, &subset),
-                fresh.all_pairs(vref, &subset),
+                loaded.all_pairs(&mut ws, vref, &subset),
+                fresh.all_pairs(&mut ws, vref, &subset),
                 "{:?}", kind
             );
         }
     }
 }
 
-/// Mutate-after-load: a loaded engine is a *live* engine, not a read-only
-/// replica. Inserting more labels and registering a new view after a load,
-/// then saving and loading again, must agree with a cold-built engine that
-/// saw everything from the start — ids, trie sharing and `all_pairs`
-/// answers included. (Before this pin, only pristine save→load was
-/// covered.)
+/// Mutate-after-load: a loaded generation is a *live* chain head, not a
+/// read-only replica. Inserting more labels and registering a new view
+/// through a writer based on it, then saving and loading again, must agree
+/// with a cold build that saw everything from the start — ids, trie
+/// sharing and `all_pairs` answers included.
 #[test]
-fn mutate_after_load_roundtrips_like_a_cold_engine() {
+fn mutate_after_load_roundtrips_like_a_cold_build() {
     let w = bioaid(9);
-    let fvl = Fvl::new(&w.spec).unwrap();
+    let fvl = shared_fvl(&w);
     let pg = ProdGraph::new(&w.spec.grammar);
     let mut rng = StdRng::seed_from_u64(9);
     let (_, run) = sample::sample_run(&w, &pg, &mut rng, 200);
@@ -112,47 +133,49 @@ fn mutate_after_load_roundtrips_like_a_cold_engine() {
     let view_b = views::random_safe_view(&w, &mut rng, 10);
 
     // Save with half the labels and one view…
-    let mut engine = QueryEngine::new(&fvl);
-    engine.insert_labels(&labels[..half]);
-    let va = engine.add_view(view_a.clone());
-    engine.compile(va, VariantKind::Default).unwrap();
-    let mut bytes = Vec::new();
-    engine.save(&mut bytes).unwrap();
-    drop(engine);
+    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    writer.insert_labels(&labels[..half]);
+    let va = writer.add_view(view_a.clone());
+    writer.compile(va, VariantKind::Default).unwrap();
+    let bytes = save(&publish(&mut writer));
+    drop(writer);
 
     // …load, grow (rest of the labels + a second view), save again…
-    let mut grown = QueryEngine::load(&fvl, &mut bytes.as_slice()).unwrap();
+    let loaded = EngineGeneration::load(fvl.clone(), &mut bytes.as_slice()).unwrap();
+    let mut grown = EngineWriter::new(Arc::new(loaded));
     let more_ids = grown.insert_labels(&labels[half..]);
     assert_eq!(more_ids.first().map(|id| id.0 as usize), Some(half), "ids continue densely");
     let vb = grown.add_view(view_b.clone());
     for kind in VARIANTS {
         grown.compile(vb, kind).unwrap();
     }
-    let mut bytes2 = Vec::new();
-    grown.save(&mut bytes2).unwrap();
+    let bytes2 = save(&publish(&mut grown));
 
     // …and the re-load must be indistinguishable from a cold build.
-    let mut warm = QueryEngine::load(&fvl, &mut bytes2.as_slice()).unwrap();
-    let mut cold = QueryEngine::new(&fvl);
+    let warm = EngineGeneration::load(fvl.clone(), &mut bytes2.as_slice()).unwrap();
+    let mut cold = EngineWriter::from_fvl(fvl.clone());
     let items = cold.insert_labels(labels);
     assert_eq!(cold.add_view(view_a), va);
     assert_eq!(cold.add_view(view_b), vb);
+    cold.compile(va, VariantKind::Default).unwrap();
+    for kind in VARIANTS {
+        cold.compile(vb, kind).unwrap();
+    }
+    let cold = publish(&mut cold);
     assert_eq!(warm.store().len(), cold.store().len());
     assert_eq!(
         warm.store().edge_stats().0,
         cold.store().edge_stats().0,
         "the grown trie shares prefixes exactly like a cold one"
     );
-    cold.compile(va, VariantKind::Default).unwrap();
-    for kind in VARIANTS {
-        cold.compile(vb, kind).unwrap();
-    }
+    let mut ws = WorkerScratch::new();
     for (vid, kinds) in [(va, &VARIANTS[1..2]), (vb, &VARIANTS[..])] {
         for &kind in kinds {
-            let vref = warm.compile(vid, kind).unwrap();
+            let vref = ViewRef { id: vid, kind };
+            assert!(warm.registry().label(vref).is_some(), "{kind:?} arrives compiled");
             assert_eq!(
-                warm.all_pairs(vref, &items),
-                cold.all_pairs(vref, &items),
+                warm.all_pairs(&mut ws, vref, &items),
+                cold.all_pairs(&mut ws, vref, &items),
                 "{kind:?} diverges after mutate-and-reload"
             );
         }
@@ -164,12 +187,10 @@ fn truncation_at_every_byte_is_rejected_typed() {
     let bytes = build_and_save(3, 60, 6);
     // Every strict prefix must fail with a typed error — never panic,
     // never succeed (the container checks the declared length first).
-    let w = bioaid(3);
-    let fvl = Fvl::new(&w.spec).unwrap();
+    let fvl = shared_fvl(&bioaid(3));
     for cut in 0..bytes.len() {
-        match QueryEngine::load(&fvl, &mut &bytes[..cut]) {
-            Err(_) => {}
-            Ok(_) => panic!("prefix of {cut} bytes loaded successfully"),
+        if EngineGeneration::load(fvl.clone(), &mut &bytes[..cut]).is_ok() {
+            panic!("prefix of {cut} bytes loaded successfully");
         }
     }
 }
@@ -177,15 +198,14 @@ fn truncation_at_every_byte_is_rejected_typed() {
 #[test]
 fn corruption_of_any_byte_is_rejected_typed() {
     let bytes = build_and_save(4, 60, 6);
-    let w = bioaid(4);
-    let fvl = Fvl::new(&w.spec).unwrap();
+    let fvl = shared_fvl(&bioaid(4));
     // Flip one bit in each of a spread of byte positions (every byte would
     // be slow at release-test sizes); all flips must be caught.
     for i in (0..bytes.len()).step_by(7) {
         let mut bad = bytes.clone();
         bad[i] ^= 0x10;
         assert!(
-            QueryEngine::load(&fvl, &mut bad.as_slice()).is_err(),
+            EngineGeneration::load(fvl.clone(), &mut bad.as_slice()).is_err(),
             "bit flip at byte {i} went undetected"
         );
     }
@@ -194,64 +214,51 @@ fn corruption_of_any_byte_is_rejected_typed() {
 #[test]
 fn version_and_spec_mismatches_are_typed() {
     let bytes = build_and_save(5, 60, 6);
-    let w = bioaid(5);
-    let fvl = Fvl::new(&w.spec).unwrap();
+    let fvl = shared_fvl(&bioaid(5));
+    let load = |bytes: &[u8]| EngineGeneration::load(fvl.clone(), &mut &bytes[..]);
 
     // Foreign format version.
     let mut versioned = bytes.clone();
     versioned[8] = 0x7F;
-    assert!(matches!(
-        QueryEngine::load(&fvl, &mut versioned.as_slice()),
-        Err(SnapshotError::UnsupportedVersion { found: 0x7F, .. })
-    ));
+    assert!(matches!(load(&versioned), Err(SnapshotError::UnsupportedVersion { found: 0x7F, .. })));
 
     // Snapshot of a different specification.
-    let other = bioaid(1);
-    let other_fvl = Fvl::new(&other.spec).unwrap();
     assert!(matches!(
-        QueryEngine::load(&other_fvl, &mut bytes.as_slice()),
+        EngineGeneration::load(shared_fvl(&bioaid(1)), &mut bytes.as_slice()),
         Err(SnapshotError::SpecMismatch { .. })
     ));
 
     // Not a snapshot at all.
-    assert!(matches!(
-        QueryEngine::load(&fvl, &mut &b"definitely not a snapshot"[..]),
-        Err(SnapshotError::BadMagic)
-    ));
+    assert!(matches!(load(b"definitely not a snapshot"), Err(SnapshotError::BadMagic)));
     // Empty stream.
-    assert!(matches!(QueryEngine::load(&fvl, &mut &b""[..]), Err(SnapshotError::Truncated)));
+    assert!(matches!(load(b""), Err(SnapshotError::Truncated)));
 }
 
-/// A warm-restart stream whose delta record carries a *valid* checksum but
-/// a forged label — one whose first edge uses a production that does not
-/// expand the start module. The integrity layer admits the container, so
-/// only the path-chaining validator behind it
-/// ([`wf_snapshot::edge_target_module`]) stands between the forgery and π
-/// being handed mismatched matrices. It must reject structurally — a
-/// `Malformed`, never `ChecksumMismatch` (the checksum is honest here) and
-/// never a panic — and the stream's base prefix must stay replayable.
+/// A durable store whose op-log frame carries a delta record with a
+/// *valid* checksum (container and frame both honest) but a forged label —
+/// one whose first edge uses a production that does not expand the start
+/// module. The integrity layers admit it, so only the path-chaining
+/// validator behind them ([`wf_snapshot::edge_target_module`]) stands
+/// between the forgery and π being handed mismatched matrices. Recovery
+/// must reject structurally — a `Malformed`, never `ChecksumMismatch` and
+/// never a panic — and the base alone must still recover.
 #[test]
 fn valid_checksum_delta_with_broken_label_chain_is_rejected_structurally() {
-    use std::sync::Arc;
     use wf_bitio::BitWriter;
-    use wf_engine::{EngineGeneration, EngineWriter, LiveEngine};
     use wf_run::EdgeLabel;
-    use wf_snapshot::{spec_fingerprint, write_container};
+    use wf_snapshot::{encode_frame, spec_fingerprint, write_container};
 
     let w = bioaid(8);
-    let fvl = Arc::new(Fvl::from_arc(Arc::new(w.spec.clone())).unwrap());
+    let fvl = shared_fvl(&w);
     let pg = ProdGraph::new(&w.spec.grammar);
     let mut rng = StdRng::seed_from_u64(8);
     let (_, run) = sample::sample_run(&w, &pg, &mut rng, 60);
     let mut writer = EngineWriter::from_fvl(fvl.clone());
     writer.insert_labels(fvl.labeler(&run).labels());
-    let live = LiveEngine::new(writer.base().clone());
-    let g1 = writer.publish(&live);
-    let mut stream = Vec::new();
-    g1.save(&mut stream).unwrap();
-    let base_len = stream.len();
+    let g1 = publish(&mut writer);
+    let base = save(&g1);
 
-    // Hand-assemble the delta record exactly as the writer frames it
+    // Hand-assemble the delta record exactly as the writer encodes it
     // (0x04 section tag, γ base/new seqnos chaining onto g1, one op-log
     // entry: an insert run of one label) — except the label's edge is
     // forged.
@@ -271,71 +278,160 @@ fn valid_checksum_delta_with_broken_label_chain_is_rejected_structurally() {
     bw.write_gamma(2); // …with a one-edge path that breaks at the root.
     fvl.codec().write_edge(&mut bw, &EdgeLabel::Plain { k: k_deep, i: 0 });
     bw.write_bits(0, 8);
-    write_container(&mut stream, spec_fingerprint(g, fvl.prod_graph()), &bw.finish()).unwrap();
+    let mut record = Vec::new();
+    write_container(&mut record, spec_fingerprint(g, fvl.prod_graph()), &bw.finish()).unwrap();
+    let log = encode_frame(g1.seqno() + 1, &record);
 
-    match EngineGeneration::replay(fvl.clone(), &mut stream.as_slice()) {
+    let storage = MemStorage::with_state(Some(base.clone()), log);
+    match DurableEngine::open(fvl.clone(), Box::new(storage), 64) {
         Err(SnapshotError::Malformed(_)) => {}
         Err(other) => panic!("forged delta must fail structurally, got {other}"),
-        Ok(_) => panic!("forged delta must not replay"),
+        Ok(_) => panic!("forged delta must not recover"),
     }
-    let recovered = EngineGeneration::replay(fvl, &mut &stream[..base_len])
-        .expect("the honest base prefix still replays");
+    let storage = MemStorage::with_state(Some(base), Vec::new());
+    let (_, recovered, _) =
+        DurableEngine::open(fvl, Box::new(storage), 64).expect("the honest base still recovers");
     assert_eq!(recovered.seqno(), g1.seqno());
 }
 
 #[test]
 fn save_load_save_is_byte_identical() {
-    // Determinism check: a loaded engine re-saves to the exact same bytes,
-    // so snapshots can be content-addressed / diffed.
+    // Determinism check: a loaded generation re-saves to the exact same
+    // bytes, so snapshots can be content-addressed / diffed.
     let bytes = build_and_save(6, 80, 8);
-    let w = bioaid(6);
-    let fvl = Fvl::new(&w.spec).unwrap();
-    let loaded = QueryEngine::load(&fvl, &mut bytes.as_slice()).unwrap();
-    let mut again = Vec::new();
-    loaded.save(&mut again).unwrap();
-    assert_eq!(again, bytes);
+    let loaded = EngineGeneration::load(shared_fvl(&bioaid(6)), &mut bytes.as_slice()).unwrap();
+    assert_eq!(save(&loaded), bytes);
 }
 
 #[test]
-fn loaded_engine_serves_and_reaches_steady_state() {
-    // A loaded engine is not just correct once: it serves batches
+fn loaded_generation_serves_and_reaches_steady_state() {
+    // A loaded generation is not just correct once: it serves batches
     // allocation-free like a fresh one (scratch reaches a fixed point).
     let w = bioaid(7);
-    let fvl = Fvl::new(&w.spec).unwrap();
+    let fvl = shared_fvl(&w);
     let pg = ProdGraph::new(&w.spec.grammar);
     let mut rng = StdRng::seed_from_u64(7);
     let (_, run) = sample::sample_run(&w, &pg, &mut rng, 300);
     let labeler = fvl.labeler(&run);
     let view = views::random_safe_view(&w, &mut rng, 8);
 
-    let mut engine = QueryEngine::new(&fvl);
-    let items = engine.insert_labels(labeler.labels());
-    let vid = engine.add_view(view);
-    engine.compile(vid, VariantKind::Default).unwrap();
-    let mut bytes = Vec::new();
-    engine.save(&mut bytes).unwrap();
-    drop(engine);
+    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    let items = writer.insert_labels(labeler.labels());
+    let vref = writer.register_view(view, VariantKind::Default).unwrap();
+    let bytes = save(&publish(&mut writer));
+    drop(writer);
 
-    let mut loaded = QueryEngine::load(&fvl, &mut bytes.as_slice()).unwrap();
-    // compile() on an already-compiled pair is a cheap handle lookup.
-    let vref = loaded.compile(vid, VariantKind::Default).unwrap();
+    let loaded = EngineGeneration::load(fvl.clone(), &mut bytes.as_slice()).unwrap();
+    let core = loaded.core();
     let pairs = sample::sample_query_pairs(&run, &mut rng, 300);
     let id_pairs: Vec<_> =
         pairs.iter().map(|&(a, b)| (items[a.0 as usize], items[b.0 as usize])).collect();
+    let mut ws = WorkerScratch::new();
     let mut out = Vec::with_capacity(id_pairs.len());
-    loaded.query_batch_into(vref, &id_pairs, &mut out);
+    core.try_query_batch_into(&mut ws, vref, &id_pairs, &mut out).unwrap();
+    let vl = fvl.label_view(loaded.registry().view(vref.id), VariantKind::Default).unwrap();
     for (i, &(a, b)) in pairs.iter().enumerate() {
-        let want = fvl.query(
-            &fvl.label_view(loaded.registry().view(vid), VariantKind::Default).unwrap(),
-            labeler.label(a),
-            labeler.label(b),
-        );
-        assert_eq!(out[i], want, "pair {i}");
+        assert_eq!(out[i], fvl.query(&vl, labeler.label(a), labeler.label(b)), "pair {i}");
     }
-    loaded.query_batch_into(vref, &id_pairs, &mut out);
-    let warm = loaded.scratch_stats();
+    core.try_query_batch_into(&mut ws, vref, &id_pairs, &mut out).unwrap();
+    let warm = ws.stats();
     for _ in 0..3 {
-        loaded.query_batch_into(vref, &id_pairs, &mut out);
-        assert_eq!(loaded.scratch_stats(), warm, "loaded engine scratch grew after warm-up");
+        core.try_query_batch_into(&mut ws, vref, &id_pairs, &mut out).unwrap();
+        assert_eq!(ws.stats(), warm, "loaded generation's scratch grew after warm-up");
     }
+}
+
+/// The paper's example state the frozen fixtures below hold: the Figure 3
+/// run, U1 compiled in all three variants and U2 in Default. Returns the
+/// scheme, the run's labels and Example 8's items (d17, d31).
+fn paper_state() -> (Arc<Fvl<'static>>, Vec<wf_core::DataLabel>, (ItemId, ItemId)) {
+    let ex = paper_example();
+    let fvl = Arc::new(Fvl::from_arc(Arc::new(ex.spec.clone())).unwrap());
+    let (run, ids) = figure3_run(&ex);
+    let labels = fvl.labeler(&run).labels().to_vec();
+    (fvl, labels, (ItemId(ids.d17.0), ItemId(ids.d31.0)))
+}
+
+/// Checks a generation holding [`paper_state`] under the ids the fixture
+/// writer handed out: items in run order, views `u1` and `u2`.
+fn assert_paper_state(gen: EngineGeneration, u1: ViewId, u2: ViewId) {
+    let (_, labels, (d17, d31)) = paper_state();
+    let ex = paper_example();
+    assert_eq!(gen.store().len(), labels.len());
+    for (i, d) in labels.iter().enumerate() {
+        assert_eq!(&gen.store().materialize(ItemId(i as u32)), d, "item {i} moved");
+    }
+    assert_eq!(gen.registry().view_count(), 2);
+    assert_eq!(gen.registry().compiled_count(), 4);
+    let core = gen.core();
+    let mut ws = WorkerScratch::new();
+    for kind in VARIANTS {
+        let r = ViewRef { id: u1, kind };
+        assert_eq!(core.try_query(&mut ws, r, d17, d31), Ok(Some(false)), "U1 {kind:?}");
+    }
+    let r = ViewRef { id: u2, kind: VariantKind::Default };
+    assert_eq!(core.try_query(&mut ws, r, d17, d31), Ok(Some(true)), "U2 Default");
+    // Views dedup structurally, so re-adding them must land on their ids.
+    let mut writer = EngineWriter::new(Arc::new(gen));
+    assert_eq!(writer.add_view(ex.view_u1()), u1);
+    assert_eq!(writer.add_view(ex.view_u2()), u2);
+}
+
+/// Frozen bytes of a single-generation snapshot — the format older builds
+/// wrote for one engine: the payload opens with the store section `0x01`
+/// and carries no seqno — holding [`paper_state`] with U1 registered
+/// first. It must keep loading, as the origin generation (seqno 0), with
+/// the same ids, and answer Example 8.
+#[test]
+fn single_generation_snapshot_loads_as_the_origin_generation() {
+    let bytes: &[u8] = include_bytes!("fixtures/single_generation_paper.wfs");
+    assert_eq!(bytes[36], 0x01, "the fixture opens with the store section");
+    let (fvl, _, _) = paper_state();
+    let gen = EngineGeneration::load(fvl.clone(), &mut &bytes[..]).unwrap();
+    assert_eq!(gen.seqno(), 0);
+    // Re-saved, it is an ordinary base snapshot of the same state.
+    let resaved = EngineGeneration::load(fvl, &mut save(&gen).as_slice()).unwrap();
+    assert_eq!(resaved.seqno(), 0);
+    assert_paper_state(gen, ViewId(0), ViewId(1));
+    assert_paper_state(resaved, ViewId(0), ViewId(1));
+}
+
+/// Frozen bytes of a durable store: publish 1 (the first half of the
+/// labels + U2 Default), a compaction to a base at seqno 1, then publish 2
+/// (the rest + U1 in all three variants) as one frame. Replaying the same
+/// writes today must produce exactly these base and frame bytes, and the
+/// frozen store must recover to [`paper_state`].
+#[test]
+fn durable_store_bytes_are_frozen() {
+    let base: &[u8] = include_bytes!("fixtures/durable_paper_base.wfs");
+    let log: &[u8] = include_bytes!("fixtures/durable_paper_log.wfl");
+    let ex = paper_example();
+    let (fvl, labels, _) = paper_state();
+
+    let storage = MemStorage::new();
+    let cap = LabelStore::DEFAULT_SHARD_CAPACITY;
+    let (mut durable, gen0, _) =
+        DurableEngine::open(fvl.clone(), Box::new(storage.clone()), cap).unwrap();
+    let live = LiveEngine::new(gen0.clone());
+    let mut writer = EngineWriter::new(gen0);
+    let half = labels.len() / 2;
+    writer.insert_labels(&labels[..half]);
+    writer.register_view(ex.view_u2(), VariantKind::Default).unwrap();
+    let g1 = writer.publish_durable(&live, &mut durable).unwrap();
+    durable.install_base(&serialize_base(&g1).unwrap(), 1).unwrap().expect("compacts");
+    writer.insert_labels(&labels[half..]);
+    let u1 = writer.add_view(ex.view_u1());
+    for kind in VARIANTS {
+        writer.compile(u1, kind).unwrap();
+    }
+    writer.publish_durable(&live, &mut durable).unwrap();
+    let (written_base, written_log) = storage.contents();
+    assert_eq!(written_base.as_deref(), Some(base), "base snapshot bytes changed");
+    assert_eq!(written_log, log, "op-log frame bytes changed");
+
+    let frozen = MemStorage::with_state(Some(base.to_vec()), log.to_vec());
+    let (_, recovered, report) = DurableEngine::open(fvl, Box::new(frozen), cap).unwrap();
+    assert_eq!((report.base_seqno, report.replayed_frames), (1, 1));
+    assert_eq!(recovered.seqno(), 2);
+    assert_paper_state(Arc::into_inner(recovered).unwrap(), ViewId(1), ViewId(0));
 }

@@ -62,7 +62,7 @@ pub struct CrashStats {
 }
 
 /// One step of the deterministic publish schedule: insert a label chunk,
-/// maybe register a view, publish+append, maybe fold into a new base.
+/// maybe register a view, publish durably, maybe fold into a new base.
 struct Step {
     labels: std::ops::Range<usize>,
     view: Option<View>,
@@ -105,13 +105,11 @@ fn drive(
                 .register_view(view.clone(), VariantKind::Default)
                 .map_err(|e| Divergence(format!("schedule view rejected: {e}")))?;
         }
-        let mut record = Vec::new();
-        let gen = writer
-            .publish_with_delta(&live, &mut record)
-            .map_err(|e| Divergence(format!("publish failed off the storage path: {e}")))?;
-        if durable.append(gen.seqno(), &record).is_err() {
+        // Frame + append + fsync, then swap: only the storage can fail
+        // here, and a failed publish is never visible.
+        let Ok(gen) = writer.publish_durable(&live, &mut durable) else {
             return Ok(Drive { acked, crashed: true });
-        }
+        };
         let save =
             serialize_base(&gen).map_err(|e| Divergence(format!("save failed in memory: {e}")))?;
         acked.push((gen.seqno(), save));

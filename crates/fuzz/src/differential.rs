@@ -7,18 +7,19 @@
 //! * For every generated `(spec, run, view)` and every ordered item pair
 //!   `(d1, d2)`: `Fvl::query` under Space-Efficient, Default and
 //!   Query-Efficient, the [`wf_run::RunOracle`]'s brute-force reachability
-//!   over the flattened run graph, and `QueryEngine` batched queries over
-//!   trie-interned labels agree **as `Option<bool>`** — visibility
-//!   (`None`) included, not just the boolean.
+//!   over the flattened run graph, and batched queries against a published
+//!   [`EngineGeneration`] over trie-interned labels agree **as
+//!   `Option<bool>`** — visibility (`None`) included, not just the boolean.
 //! * For every churn stream replayed through `EngineWriter` /
-//!   [`LiveEngine`]: each published generation answers every batch exactly
-//!   like a sequential single-generation [`QueryEngine`] holding the same
-//!   published state, and a warm [`EngineGeneration::replay`] of the
-//!   base ‖ delta stream reproduces the final generation's answers.
+//!   [`LiveEngine`] (every publish a durable frame): each published
+//!   generation answers every batch exactly like a sequential reference
+//!   writer holding the same published state, and recovering the
+//!   base ‖ frames store with [`DurableEngine::open`] reproduces the final
+//!   generation's answers.
 //! * For every producer fleet raced through the [`IngestPipeline`]: each
 //!   published generation is element-identical to a sequential replay of
 //!   the ops in global ticket order, and the op-log prefix that produced
-//!   it replays to a **byte-identical** `save` image
+//!   it recovers to a **byte-identical** `save` image
 //!   ([`check_multi_producer`]).
 //!
 //! Any violation is reported as a [`Divergence`] naming the case seed it
@@ -30,12 +31,13 @@ use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex};
 use wf_core::{DataLabel, Fvl, QueryScratch, VariantKind};
 use wf_engine::{
-    EngineError, EngineGeneration, EngineWriter, IngestOp, IngestPipeline, IngestQueue, ItemId,
-    LiveEngine, PipelineOptions, PublishPolicy, QueryEngine, SharedSink, Ticket, ViewRef,
-    WorkerScratch,
+    shared_durable, DurableEngine, EngineError, EngineGeneration, EngineWriter, IngestOp,
+    IngestPipeline, IngestQueue, ItemId, LabelStore, LiveEngine, PipelineOptions, PublishPolicy,
+    Ticket, ViewRef, WorkerScratch,
 };
 use wf_model::{View, ViewSpec};
 use wf_run::{DataId, RunOracle};
+use wf_snapshot::{scan_log, MemStorage};
 use wf_workloads::churn::{churn_stream, producer_churn_streams, ChurnOp, ChurnSpec};
 use wf_workloads::{sample, views, Workload};
 
@@ -83,8 +85,8 @@ fn check_workload(
     w: &Workload,
     rng: &mut StdRng,
 ) -> Result<DiffOutcome, Divergence> {
-    let fvl = match Fvl::new(&w.spec) {
-        Ok(f) => f,
+    let fvl = match Fvl::from_arc(Arc::new(w.spec.clone())) {
+        Ok(f) => Arc::new(f),
         Err(e) => diverge!("{}: generated spec rejected by Fvl: {e}", fail_ctx(seed, shape)),
     };
     let pg = fvl.prod_graph();
@@ -122,8 +124,11 @@ fn check_workload(
     }
 
     // The engine path runs alongside: labels interned once, each view
-    // registered under every variant, batches compared element-wise.
-    let mut engine = QueryEngine::new(&fvl);
+    // registered under every variant and published, batches compared
+    // element-wise.
+    let mut engine = EngineWriter::from_fvl(fvl.clone());
+    let engine_live = LiveEngine::new(engine.base().clone());
+    let mut ws = WorkerScratch::new();
     let items = engine.insert_labels(&labels);
     let engine_pairs: Vec<(ItemId, ItemId)> =
         pairs.iter().map(|&(a, b)| (items[a.0 as usize], items[b.0 as usize])).collect();
@@ -185,8 +190,9 @@ fn check_workload(
             }
             out.queries += 1;
         }
+        let gen = engine.publish(&engine_live);
         for (kind, vref) in &engine_refs {
-            let batch = engine.query_batch(*vref, &engine_pairs);
+            let batch = gen.query_batch(&mut ws, *vref, &engine_pairs);
             for (pix, (&(d1, d2), got)) in pairs.iter().zip(&batch).enumerate() {
                 let expected = oracle.depends_on(d1, d2);
                 if *got != expected {
@@ -211,11 +217,11 @@ fn check_workload(
 /// label pool and a churn stream (mix itself randomized between
 /// insert-heavy, view-heavy and query-heavy), then replays the stream
 /// through an [`EngineWriter`] publishing into a [`LiveEngine`] (every
-/// publish appending a delta record). Every query batch is answered by the
-/// *published* generation via the lock-free read path and compared to a
-/// sequential [`QueryEngine`] mirroring exactly the published ops; at the
-/// end the append-only stream is replayed cold and must reproduce the
-/// final generation's answers.
+/// publish a durable frame over [`MemStorage`]). Every query batch is
+/// answered by the *published* generation via the lock-free read path and
+/// compared to a sequential reference writer mirroring exactly the
+/// published ops; at the end the store is recovered cold and must
+/// reproduce the final generation's answers.
 pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutcome, Divergence> {
     let mut rng = StdRng::seed_from_u64(seed);
     let (shape, w) = adversarial_workload(&mut rng, budget);
@@ -266,7 +272,13 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
         i += 1;
     }
 
-    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    let storage = MemStorage::new();
+    let cap = LabelStore::DEFAULT_SHARD_CAPACITY;
+    let (mut durable, gen0, _) = DurableEngine::open(fvl.clone(), Box::new(storage.clone()), cap)
+        .map_err(|e| {
+        Divergence(format!("{}: durable open failed: {e}", fail_ctx(seed, &shape)))
+    })?;
+    let mut writer = EngineWriter::new(gen0);
     let mut next_label = 0usize;
     let mut insert_next = |writer: &mut EngineWriter, count: usize| {
         let ids = writer.insert_labels(&labels[next_label..next_label + count]);
@@ -275,20 +287,18 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
     };
     insert_next(&mut writer, spec.initial_items);
     let live = LiveEngine::new(writer.base().clone());
-    let mut delta_stream = Vec::new();
-    writer
-        .base()
-        .save(&mut delta_stream)
-        .map_err(|e| Divergence(format!("{}: base save failed: {e}", fail_ctx(seed, &shape))))?;
     // Initial items land in generation 1 (the empty origin is generation 0).
-    writer.publish_with_delta(&live, &mut delta_stream).map_err(|e| {
+    writer.publish_durable(&live, &mut durable).map_err(|e| {
         Divergence(format!("{}: initial publish failed: {e}", fail_ctx(seed, &shape)))
     })?;
 
     // The sequential reference mirrors *published* state only: ops applied
-    // to the writer stay pending until the next publish drains them.
-    let mut reference = QueryEngine::new(&fvl);
+    // to the writer stay pending until the next publish drains them, and
+    // the reference publishes its own chain after each drain.
+    let mut reference = EngineWriter::from_fvl(fvl.clone());
     reference.insert_labels(&labels[..spec.initial_items]);
+    let reference_live = LiveEngine::new(reference.base().clone());
+    let mut reference_gen = reference.publish(&reference_live);
     let mut pending: Vec<ChurnOp> = Vec::new();
     let mut compiled: Vec<ViewRef> = Vec::new();
     let mut pending_compiled: Vec<ViewRef> = Vec::new();
@@ -328,7 +338,7 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
                     .collect();
                 for &vref in &compiled {
                     let got = gen.query_batch(&mut ws, vref, &item_pairs);
-                    let expected = reference.query_batch(vref, &item_pairs);
+                    let expected = reference_gen.query_batch(&mut ws, vref, &item_pairs);
                     if got != expected {
                         diverge!(
                             "{}: op {opix} — generation {} disagrees with the sequential \
@@ -344,7 +354,7 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
         since_publish += 1;
         if since_publish >= publish_every && writer.has_staged_changes() {
             since_publish = 0;
-            writer.publish_with_delta(&live, &mut delta_stream).map_err(|e| {
+            writer.publish_durable(&live, &mut durable).map_err(|e| {
                 Divergence(format!("{}: publish failed: {e}", fail_ctx(seed, &shape)))
             })?;
             // Drain the published ops into the sequential reference.
@@ -369,31 +379,32 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
             }
             // Inserts: mirror the published store length exactly.
             let published_len = writer.base().store().len();
-            if reference.store().len() < published_len {
-                let from = reference.store().len();
+            let from = reference_gen.store().len();
+            if from < published_len {
                 reference.insert_labels(&labels[from..published_len]);
             }
+            reference_gen = reference.publish(&reference_live);
             pending_compiled.retain(|r| {
                 if !compiled.contains(r) {
                     compiled.push(*r);
                 }
                 false
             });
-            if !handles_match(&compiled, &reference) {
+            if !handles_match(&compiled, &reference_gen) {
                 diverge!("{}: view handles drifted from the reference", fail_ctx(seed, &shape));
             }
         }
     }
 
-    // Final barrier: publish the tail, then warm-replay the append-only
-    // stream and compare all_pairs per compiled view.
-    writer.publish_with_delta(&live, &mut delta_stream).map_err(|e| {
+    // Final barrier: publish the tail, then recover the durable store cold
+    // and compare all_pairs per compiled view.
+    writer.publish_durable(&live, &mut durable).map_err(|e| {
         Divergence(format!("{}: final publish failed: {e}", fail_ctx(seed, &shape)))
     })?;
     let final_gen = live.snapshot();
     let published_len = final_gen.store().len();
-    if reference.store().len() < published_len {
-        let from = reference.store().len();
+    let from = reference_gen.store().len();
+    if from < published_len {
         reference.insert_labels(&labels[from..published_len]);
     }
     for p in pending.drain(..) {
@@ -408,11 +419,14 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
             }
         }
     }
+    let reference_gen = reference.publish(&reference_live);
 
     let fvl2 = Fvl::from_arc(Arc::new(w.spec.clone()))
         .map_err(|e| Divergence(format!("{}: replay Fvl: {e}", fail_ctx(seed, &shape))))?;
-    let replayed = EngineGeneration::replay(Arc::new(fvl2), &mut delta_stream.as_slice())
-        .map_err(|e| Divergence(format!("{}: warm replay failed: {e}", fail_ctx(seed, &shape))))?;
+    let (_, replayed, _) = DurableEngine::open(Arc::new(fvl2), Box::new(storage.survivor()), cap)
+        .map_err(|e| {
+        Divergence(format!("{}: warm recovery failed: {e}", fail_ctx(seed, &shape)))
+    })?;
     if replayed.seqno() != final_gen.seqno() || replayed.store().len() != final_gen.store().len() {
         diverge!(
             "{}: warm replay landed on generation {} ({} items), live is {} ({} items)",
@@ -425,7 +439,7 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
     }
     let all_items: Vec<ItemId> = (0..published_len as u32).map(ItemId).collect();
     for &vref in &compiled {
-        let expected = reference.all_pairs(vref, &all_items);
+        let expected = reference_gen.all_pairs(&mut ws, vref, &all_items);
         if final_gen.all_pairs(&mut ws, vref, &all_items) != expected {
             diverge!("{}: final generation diverges on {vref:?}", fail_ctx(seed, &shape));
         }
@@ -437,7 +451,7 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
     Ok(out)
 }
 
-fn handles_match(compiled: &[ViewRef], reference: &QueryEngine<'_>) -> bool {
+fn handles_match(compiled: &[ViewRef], reference: &EngineGeneration) -> bool {
     compiled.iter().all(|r| reference.registry().label(*r).is_some())
 }
 
@@ -543,17 +557,19 @@ fn producer_run(
 /// adversarial spec, a fleet of per-producer churn streams
 /// ([`producer_churn_streams`] — producer `p`'s stream is identical at
 /// every fleet width) and a randomized [`PublishPolicy`], then races
-/// `producers` threads through an [`IngestPipeline`] while the op-log
-/// sink records every publish. Three oracles must agree:
+/// `producers` threads through an [`IngestPipeline`] while its durable
+/// op-log (over [`MemStorage`]) frames every publish. Three oracles must
+/// agree:
 ///
 /// 1. **Sequential replay** — applying the ops one by one in the global
-///    [`Ticket::apply_index`] order through a single [`QueryEngine`] must
+///    [`Ticket::apply_index`] order through a single reference writer must
 ///    reproduce *every published generation* element-identically
 ///    (store length, and `all_pairs` over every compiled view).
-/// 2. **Op-log prefix replay** — for every published generation,
-///    [`EngineGeneration::replay`] of `base ‖ op-log-prefix` must land on
-///    a **byte-identical** `save` image: the racing run and its log are
-///    indistinguishable at every publish point, not just at the end.
+/// 2. **Op-log prefix recovery** — for every published generation,
+///    [`DurableEngine::open`] over `base ‖ frames-up-to-its-seqno` must
+///    land on a **byte-identical** `save` image: the racing run and its
+///    log are indistinguishable at every publish point, not just at the
+///    end.
 /// 3. **Ticket contract** — every accepted op resolves `Ok`, one
 ///    producer's seqnos are non-decreasing in its submission order, and
 ///    no op resolves past the final published generation.
@@ -622,24 +638,26 @@ pub fn check_multi_producer(
         acc += n;
     }
 
-    // Base generation: seeded through the façade (initial items plus one
-    // compiled view the racing readers can query), saved as the stream
-    // head every prefix replay chains onto.
-    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    // First generation: seeded through the façade (initial items plus one
+    // compiled view the racing readers can query), framed as the log head
+    // every prefix recovery replays first.
+    let storage = MemStorage::new();
+    let cap = LabelStore::DEFAULT_SHARD_CAPACITY;
+    let (mut durable, gen0, _) =
+        DurableEngine::open(fvl.clone(), Box::new(storage.clone()), cap)
+            .map_err(|e| Divergence(format!("{ctx}: durable open failed: {e}")))?;
+    let mut writer = EngineWriter::new(gen0);
     writer.insert_labels(&pool[..spec.initial_items]);
     let base_vref = writer
         .register_view(w.spec.default_view(), VariantKind::Default)
         .map_err(|e| Divergence(format!("{ctx}: base view rejected: {e}")))?;
     let live = Arc::new(LiveEngine::new(writer.base().clone()));
-    writer.publish(&live);
-    let mut base_bytes = Vec::new();
-    writer
-        .base()
-        .save(&mut base_bytes)
-        .map_err(|e| Divergence(format!("{ctx}: base save failed: {e}")))?;
+    let first = writer
+        .publish_durable(&live, &mut durable)
+        .map_err(|e| Divergence(format!("{ctx}: first publish failed: {e}")))?;
 
-    // The sequential reference starts from the same base.
-    let mut reference = QueryEngine::new(&fvl);
+    // The sequential reference starts from the same first generation.
+    let mut reference = EngineWriter::from_fvl(fvl.clone());
     reference.insert_labels(&pool[..spec.initial_items]);
     let ref_vref = reference
         .register_view(w.spec.default_view(), VariantKind::Default)
@@ -647,6 +665,7 @@ pub fn check_multi_producer(
     if ref_vref != base_vref {
         diverge!("{ctx}: base view handle drifted between writer and reference");
     }
+    let reference_live = LiveEngine::new(reference.base().clone());
 
     // Publish cadence is fuzzed too: tiny op budgets force publishes to
     // split producer batches; tiny byte budgets and short deadlines race
@@ -657,18 +676,12 @@ pub fn check_multi_producer(
         max_batch_bytes: 1usize << rng.gen_range(8..20u32),
         max_delay: std::time::Duration::from_micros(rng.gen_range(100..2000)),
     };
-    let sink = SharedSink::new();
-    // (generation, op-log bytes at publish time) pairs, in publish order.
-    type PublishLog = Mutex<Vec<(Arc<EngineGeneration>, usize)>>;
-    let published: Arc<PublishLog> = Arc::new(Mutex::new(Vec::new()));
+    // Every published generation, in publish order.
+    let published: Arc<Mutex<Vec<Arc<EngineGeneration>>>> = Arc::new(Mutex::new(vec![first]));
     let hook = {
-        let sink = sink.clone();
         let published = published.clone();
         move |g: &Arc<EngineGeneration>| {
-            // The sink length *at publish time* delimits the op-log prefix
-            // that produced this generation (the record is appended before
-            // the swap, on this same thread).
-            published.lock().expect("publish log poisoned").push((g.clone(), sink.len()));
+            published.lock().expect("publish log poisoned").push(g.clone());
         }
     };
     let pipeline = IngestPipeline::spawn_with(
@@ -676,7 +689,7 @@ pub fn check_multi_producer(
         live.clone(),
         policy,
         PipelineOptions {
-            sink: Some(Box::new(sink.clone())),
+            durable: Some(shared_durable(durable)),
             on_publish: Some(Box::new(hook)),
             ..PipelineOptions::default()
         },
@@ -738,7 +751,8 @@ pub fn check_multi_producer(
     }
     ordered.sort_by_key(|&(ix, _, _)| ix);
     let published = std::mem::take(&mut *published.lock().expect("publish log poisoned"));
-    let oplog = sink.contents();
+    let (base_bytes, oplog) = storage.contents();
+    let frames = scan_log(&oplog).map_err(|e| Divergence(format!("{ctx}: op-log scan: {e}")))?;
 
     // Walk the published chain: before comparing generation s, apply every
     // op that resolved with seqno ≤ s to the sequential reference (ops a
@@ -748,7 +762,7 @@ pub fn check_multi_producer(
     let mut compiled: Vec<ViewRef> = vec![base_vref];
     let mut ptr = 0usize;
     let mut last_published = 0u64;
-    for (gen, prefix_len) in &published {
+    for gen in &published {
         if gen.seqno() <= last_published {
             diverge!("{ctx}: published seqnos are not strictly increasing");
         }
@@ -773,6 +787,7 @@ pub fn check_multi_producer(
         }
 
         // Element-identical with the sequential replay.
+        let reference = reference.publish(&reference_live);
         if reference.store().len() != gen.store().len() {
             diverge!(
                 "{ctx}: generation {} holds {} items, the sequential replay {}",
@@ -785,7 +800,7 @@ pub fn check_multi_producer(
         let step = (n as usize / 14).max(1);
         let items: Vec<ItemId> = (0..n).step_by(step).map(ItemId).collect();
         for &vref in &compiled {
-            let expected = reference.all_pairs(vref, &items);
+            let expected = reference.all_pairs(&mut ws, vref, &items);
             if gen.all_pairs(&mut ws, vref, &items) != expected {
                 diverge!(
                     "{ctx}: generation {} diverges from the sequential replay on {vref:?}",
@@ -795,18 +810,23 @@ pub fn check_multi_producer(
             out.queries += (items.len() * items.len()) as u64;
         }
 
-        // Byte-identical with the op-log prefix replay.
-        let mut stream = base_bytes.clone();
-        stream.extend_from_slice(&oplog[..*prefix_len]);
-        let replayed =
-            EngineGeneration::replay(fvl.clone(), &mut stream.as_slice()).map_err(|e| {
-                Divergence(format!("{ctx}: op-log replay failed at seqno {}: {e}", gen.seqno()))
+        // Byte-identical with the op-log prefix recovery.
+        let prefix_len = frames
+            .frames
+            .iter()
+            .find(|f| f.seq == gen.seqno())
+            .map(|f| f.payload.end)
+            .ok_or_else(|| Divergence(format!("{ctx}: seqno {} has no frame", gen.seqno())))?;
+        let prefix = MemStorage::with_state(base_bytes.clone(), oplog[..prefix_len].to_vec());
+        let (_, replayed, _) =
+            DurableEngine::open(fvl.clone(), Box::new(prefix), cap).map_err(|e| {
+                Divergence(format!("{ctx}: op-log recovery failed at seqno {}: {e}", gen.seqno()))
             })?;
         let (mut a, mut b) = (Vec::new(), Vec::new());
         gen.save(&mut a).map_err(|e| Divergence(format!("{ctx}: live save failed: {e}")))?;
         replayed.save(&mut b).map_err(|e| Divergence(format!("{ctx}: replay save failed: {e}")))?;
         if a != b {
-            diverge!("{ctx}: op-log replay is not byte-identical at seqno {}", gen.seqno());
+            diverge!("{ctx}: op-log recovery is not byte-identical at seqno {}", gen.seqno());
         }
     }
     if ptr < ordered.len() {

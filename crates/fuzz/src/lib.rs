@@ -19,18 +19,19 @@
 //!   ([`wf_run::RunOracle`]), asserting element-identical answers
 //!   (visibility included); plus a live-engine mode that replays generated
 //!   churn streams through `EngineWriter`/`LiveEngine` and compares every
-//!   published generation against a sequential single-generation engine;
-//!   plus a multi-producer mode that races producer fleets through the
+//!   published generation against a sequential reference writer; plus a
+//!   multi-producer mode that races producer fleets through the
 //!   `IngestPipeline` and demands every published generation match a
-//!   sequential replay in ticket order *and* a byte-identical op-log
-//!   prefix replay.
-//! * [`mutate`] — a **mutation fuzzer for the snapshot/delta decoders**:
-//!   valid containers produced by `EngineGeneration::save` /
-//!   `publish_with_delta` are bit-flipped, truncated, spliced, reordered
-//!   and checksum-resealed; every mutant must yield a typed
-//!   [`wf_snapshot::SnapshotError`] — never a panic, a hang, or a silently
-//!   wrong answer (mutants that still decode are checked against the
-//!   pristine state).
+//!   sequential replay in ticket order *and* a byte-identical recovery of
+//!   the op-log prefix that produced it.
+//! * [`mutate`] — a **mutation fuzzer for the persisted-store decoders**:
+//!   valid `(base, log)` stores — an `EngineGeneration::save` base plus
+//!   the frames `EngineWriter::publish_durable` appends — are bit-flipped,
+//!   truncated, spliced, reordered and checksum-resealed (frames
+//!   re-encoded) before `DurableEngine::open` recovers them; every mutant
+//!   must yield a typed [`wf_snapshot::SnapshotError`] — never a panic, a
+//!   hang, or a silently wrong answer (mutants that still decode are
+//!   checked against the pristine state).
 //! * [`crash`] — a **crash-injection campaign for the durable write
 //!   path**: a metered in-memory storage kills a deterministic
 //!   publish/compact schedule at every log byte, fsync, truncation and

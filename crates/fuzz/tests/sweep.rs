@@ -30,7 +30,7 @@ fn bounded_differential_sweep() {
 
 /// The live-engine campaign, bounded: churn streams with randomized op
 /// mixes replayed through writer/live-engine against a sequential
-/// reference, each case ending in a warm replay of its delta stream.
+/// reference, each case ending in a warm recovery of its durable store.
 #[test]
 fn bounded_live_churn_sweep() {
     let mut report = FuzzReport::default();
@@ -47,7 +47,7 @@ fn bounded_live_churn_sweep() {
 /// The multi-producer campaign, bounded: producer fleets of 1, 2 and 4
 /// race generated churn streams through the ingest pipeline; every
 /// published generation must match a sequential replay in global ticket
-/// order and a byte-identical op-log prefix replay.
+/// order and a byte-identical recovery of its op-log prefix.
 #[test]
 fn bounded_multi_producer_sweep() {
     let mut report = FuzzReport::default();

@@ -135,37 +135,6 @@ pub fn read_container(from: &mut impl Read) -> Result<Container, SnapshotError> 
     if magic != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    read_container_after_magic(from)
-}
-
-/// [`read_container`] for *append-style* streams (a base snapshot followed
-/// by any number of delta records, each its own container): `Ok(None)` at a
-/// clean end of stream — exactly zero bytes left — while a partial header
-/// or payload still reports [`SnapshotError::Truncated`]. Callers loop
-/// until `None` to replay everything that was ever appended.
-pub fn read_container_opt(from: &mut impl Read) -> Result<Option<Container>, SnapshotError> {
-    let mut magic = [0u8; 8];
-    let mut got = 0;
-    while got < magic.len() {
-        // Manual read loop (instead of `read_exact`) so a clean EOF at
-        // offset zero is distinguishable from a torn header; `Interrupted`
-        // is retried exactly as `read_exact` would.
-        match from.read(&mut magic[got..]) {
-            Ok(0) => {
-                return if got == 0 { Ok(None) } else { Err(SnapshotError::Truncated) };
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    if magic != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    read_container_after_magic(from).map(Some)
-}
-
-fn read_container_after_magic(from: &mut impl Read) -> Result<Container, SnapshotError> {
     let mut ver = [0u8; 4];
     from.read_exact(&mut ver)?;
     let version = u32::from_le_bytes(ver);

@@ -4,8 +4,8 @@
 //!
 //! The persisted layout is `base ‖ op-log`: a base snapshot file holding
 //! one full [`crate::container`] stream, plus an append-only log of
-//! *frames*, each wrapping one delta record (the same bytes
-//! `publish_with_delta` would hand a sink). A frame is:
+//! *frames*, each wrapping one delta record (the bytes
+//! `EngineWriter::publish_durable` encodes for one publish). A frame is:
 //!
 //! ```text
 //! magic   4 B   b"WFL1"

@@ -1,14 +1,11 @@
 //! Deterministic fault injection for the persistence stack.
 //!
-//! Three layers, all script-driven and repeatable:
+//! Two layers, both script-driven and repeatable:
 //!
-//! * [`FaultPlan`] — a script of faults, each firing at the N-th write
-//!   call or the N-th byte of the cumulative output stream: fail with a
+//! * [`FaultPlan`] — a script of faults, each firing at the N-th append
+//!   call or the N-th byte of the cumulative appended stream: fail with a
 //!   chosen [`std::io::ErrorKind`], short-write, or crash (every later
-//!   operation fails).
-//! * [`FaultSink`] / [`FaultFile`] — `io::Write` adapters carrying a
-//!   plan, for the pipeline's plain-sink path and for unit tests that
-//!   need a torn byte stream.
+//!   append fails).
 //! * [`MemStorage`] — a fault-injectable in-memory
 //!   [`crate::durable::Storage`] that *counts mutation points* (every
 //!   appended byte, every atomic rename/truncate, every fsync) and can
@@ -16,7 +13,7 @@
 //!   campaign enumerates `0..points()` to kill the write path at every
 //!   frame and byte boundary, then recovers from the surviving bytes.
 
-use std::io::{self, Write};
+use std::io;
 use std::sync::{Arc, Mutex};
 
 use crate::durable::Storage;
@@ -24,23 +21,23 @@ use crate::durable::Storage;
 /// What a planned fault does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Return `Err` of this kind; nothing past the trigger is written.
+    /// Return `Err` of this kind; the append lands nothing.
     /// `ErrorKind::Interrupted` / `WouldBlock` / `TimedOut` model
     /// transient failures a retry policy should absorb.
     Fail(io::ErrorKind),
-    /// Accept only the bytes up to the trigger and return `Ok(n)` with
-    /// `n` short of the buffer (0 if the trigger is at the call start).
+    /// Land only the bytes up to the trigger, then fail the append with
+    /// `ErrorKind::WriteZero`.
     ShortWrite,
     /// Like `Fail` with `ErrorKind::Other`, but permanent: every
-    /// subsequent operation fails too. The bytes accepted before the
-    /// trigger survive — exactly a process kill mid-write.
+    /// subsequent append fails too. (Byte-exact kill points are
+    /// [`MemStorage::crash_at_point`]'s job.)
     Crash,
 }
 
 /// When a planned fault fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAt {
-    /// On the N-th write call (0-based), before any of its bytes.
+    /// On the N-th append call (0-based), before any of its bytes.
     Call(u64),
     /// When the cumulative accepted byte stream reaches offset N.
     Byte(u64),
@@ -66,8 +63,8 @@ pub struct FaultPlan {
 enum FaultAction {
     /// No fault: accept the whole buffer.
     Pass,
-    /// Accept `accept` bytes, then return this error.
-    Fail { accept: usize, error: io::Error },
+    /// Return this error (the append lands nothing).
+    Fail { error: io::Error },
     /// Accept `accept` bytes and report a short write.
     Short { accept: usize },
 }
@@ -99,11 +96,6 @@ impl FaultPlan {
         self
     }
 
-    /// True once a `Crash` fault has fired.
-    pub fn crashed(&self) -> bool {
-        self.crashed
-    }
-
     fn crash_error() -> io::Error {
         io::Error::other("injected crash: storage is gone")
     }
@@ -112,7 +104,7 @@ impl FaultPlan {
     /// and byte counters.
     fn on_write(&mut self, len: usize) -> FaultAction {
         if self.crashed {
-            return FaultAction::Fail { accept: 0, error: Self::crash_error() };
+            return FaultAction::Fail { error: Self::crash_error() };
         }
         let call = self.calls;
         self.calls += 1;
@@ -140,7 +132,7 @@ impl FaultPlan {
         match kind {
             FaultKind::Fail(ek) => {
                 self.faults.remove(idx);
-                FaultAction::Fail { accept, error: io::Error::new(ek, "injected fault") }
+                FaultAction::Fail { error: io::Error::new(ek, "injected fault") }
             }
             FaultKind::ShortWrite => {
                 self.faults.remove(idx);
@@ -148,72 +140,9 @@ impl FaultPlan {
             }
             FaultKind::Crash => {
                 self.crashed = true;
-                FaultAction::Fail { accept, error: Self::crash_error() }
+                FaultAction::Fail { error: Self::crash_error() }
             }
         }
-    }
-}
-
-/// An `io::Write` wrapper that injects the plan's faults into writes to
-/// the inner sink.
-pub struct FaultSink<W> {
-    inner: W,
-    plan: FaultPlan,
-}
-
-impl<W: Write> FaultSink<W> {
-    /// Wrap `inner` with a fault script.
-    pub fn new(inner: W, plan: FaultPlan) -> Self {
-        Self { inner, plan }
-    }
-
-    /// The wrapped sink (for inspecting what survived).
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-
-    /// True once an injected `Crash` has fired.
-    pub fn crashed(&self) -> bool {
-        self.plan.crashed()
-    }
-}
-
-impl<W: Write> Write for FaultSink<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self.plan.on_write(buf.len()) {
-            FaultAction::Pass => self.inner.write(buf),
-            FaultAction::Fail { accept, error } => {
-                self.inner.write_all(&buf[..accept])?;
-                Err(error)
-            }
-            FaultAction::Short { accept } => {
-                self.inner.write_all(&buf[..accept])?;
-                Ok(accept)
-            }
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        if self.plan.crashed {
-            return Err(FaultPlan::crash_error());
-        }
-        self.inner.flush()
-    }
-}
-
-/// An in-memory file with an injected fault script — [`FaultSink`] over
-/// an owned buffer, with accessors for what survived.
-pub type FaultFile = FaultSink<Vec<u8>>;
-
-impl FaultFile {
-    /// An in-memory faulty file starting empty.
-    pub fn with_plan(plan: FaultPlan) -> Self {
-        FaultSink::new(Vec::new(), plan)
-    }
-
-    /// The bytes that made it into the file so far.
-    pub fn bytes(&self) -> &[u8] {
-        &self.inner
     }
 }
 
@@ -351,7 +280,7 @@ impl Storage for MemStorage {
             return Err(FaultPlan::crash_error());
         }
         match inner.plan.on_write(bytes.len()) {
-            FaultAction::Fail { accept: _, error } => return Err(error),
+            FaultAction::Fail { error } => return Err(error),
             FaultAction::Short { accept } => {
                 // Model a short write that the caller never resumes: only
                 // the accepted prefix lands (byte points still metered).
@@ -404,52 +333,44 @@ mod tests {
     #[test]
     fn call_fault_fires_once_then_clears() {
         let plan = FaultPlan::new().at_call(1, FaultKind::Fail(io::ErrorKind::Interrupted));
-        let mut sink = FaultFile::with_plan(plan);
-        assert_eq!(sink.write(b"one").unwrap(), 3);
-        let err = sink.write(b"two").unwrap_err();
+        let mut s = MemStorage::with_plan(plan);
+        s.append_log(b"one").unwrap();
+        let err = s.append_log(b"two").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);
-        assert_eq!(sink.write(b"two").unwrap(), 3);
-        assert_eq!(sink.bytes(), b"onetwo");
+        s.append_log(b"two").unwrap();
+        assert_eq!(s.read_log().unwrap(), b"onetwo");
     }
 
     #[test]
-    fn byte_fault_cuts_mid_buffer() {
+    fn crash_fault_latches_every_later_append() {
         let plan = FaultPlan::new().at_byte(5, FaultKind::Crash);
-        let mut sink = FaultFile::with_plan(plan);
-        let err = sink.write_all(b"0123456789").unwrap_err();
+        let mut s = MemStorage::with_plan(plan);
+        let err = s.append_log(b"0123456789").unwrap_err();
         assert_eq!(err.to_string(), FaultPlan::crash_error().to_string());
-        assert!(sink.crashed());
-        assert_eq!(sink.bytes(), b"01234");
-        assert!(sink.write_all(b"later").is_err());
-        assert!(sink.flush().is_err());
+        assert!(s.read_log().unwrap().is_empty(), "a failed append lands nothing");
+        assert!(s.append_log(b"later").is_err(), "the crash stays latched");
     }
 
     #[test]
     fn short_write_accepts_a_prefix() {
         let plan = FaultPlan::new().at_byte(2, FaultKind::ShortWrite);
-        let mut sink = FaultFile::with_plan(plan);
-        assert_eq!(sink.write(b"abcdef").unwrap(), 2);
-        assert_eq!(sink.bytes(), b"ab");
+        let mut s = MemStorage::with_plan(plan);
+        let err = s.append_log(b"abcdef").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+        assert_eq!(s.read_log().unwrap(), b"ab");
         // One-shot: the rest of the stream flows normally.
-        sink.write_all(b"cdef").unwrap();
-        assert_eq!(sink.bytes(), b"abcdef");
+        s.append_log(b"cdef").unwrap();
+        assert_eq!(s.read_log().unwrap(), b"abcdef");
     }
 
     #[test]
     fn transient_calls_build_consecutive_failures() {
         let plan = FaultPlan::new().transient_calls(0, 2);
-        let mut sink = FaultFile::with_plan(plan);
-        assert!(sink.write(b"x").is_err());
-        assert!(sink.write(b"x").is_err());
-        assert_eq!(sink.write(b"x").unwrap(), 1);
-        assert_eq!(sink.bytes(), b"x");
-        // `write_all` transparently retries Interrupted — the same plan
-        // under `write_all` succeeds in one call, which is exactly why
-        // the pipeline's RetryPolicy matters for the *storage* path.
-        let plan = FaultPlan::new().transient_calls(0, 2);
-        let mut sink = FaultFile::with_plan(plan);
-        sink.write_all(b"y").unwrap();
-        assert_eq!(sink.bytes(), b"y");
+        let mut s = MemStorage::with_plan(plan);
+        assert!(s.append_log(b"x").is_err());
+        assert!(s.append_log(b"x").is_err());
+        s.append_log(b"x").unwrap();
+        assert_eq!(s.read_log().unwrap(), b"x");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! compact enough to store) and of repository-scale provenance services,
 //! which assume a persisted index shared by many query processes.
 //!
-//! Three layers:
+//! Its modules:
 //!
 //! * [`container`] — the byte-level envelope: magic, format version,
 //!   specification fingerprint, payload bit-length, FNV-1a checksum, then
@@ -20,25 +20,27 @@
 //! * [`fingerprint`] — the structural spec hash stored in the header.
 //! * [`view`] — the snapshot form of a registered view `(Δ′, λ′)`.
 //! * [`delta`] — the snapshot form of a *generation increment* (the data
-//!   labels and views one publish added), validated on read; base + deltas
-//!   replay from one append-only stream via [`read_container_opt`].
+//!   labels and views one publish added), validated on read.
 //! * [`oplog`] — the op-framed layout of a delta payload: the increment as
-//!   the typed ingest ops that produced it, in application order, so one
-//!   persisted stream doubles as the ingest pipeline's op-log.
-//! * [`durable`] — crash-safe file-backed storage for that stream:
-//!   checksummed log frames with fsync acknowledgement points, a recovery
-//!   reader that truncates a torn tail (mid-stream damage stays a hard
-//!   [`SnapshotError::LogCorrupted`]), and the atomic
-//!   write-temp → fsync → rename base swap compaction relies on.
-//! * [`fault`] — deterministic fault injection ([`FaultSink`],
-//!   [`FaultFile`], crash-point-metered [`MemStorage`]) so every torn
-//!   write and kill point above is exercisable in tests and fuzzing.
+//!   the typed ingest ops that produced it, in application order, so each
+//!   delta record doubles as the ingest pipeline's op-log entry.
+//! * [`durable`] — the one persisted stream: a base snapshot plus an
+//!   append-only log of checksummed frames, one delta record each, with
+//!   fsync acknowledgement points, a recovery reader that truncates a torn
+//!   tail (mid-stream damage stays a hard [`SnapshotError::LogCorrupted`]),
+//!   and the atomic write-temp → fsync → rename base swap compaction
+//!   relies on. [`DiskStorage`] keeps it in a directory, [`MemStorage`] in
+//!   memory.
+//! * [`fault`] — deterministic fault injection ([`FaultPlan`] scripts and
+//!   the crash-point-metered [`MemStorage`]) so every torn write and kill
+//!   point above is exercisable in tests and fuzzing.
 //!
 //! The payload *sections* live with the data they serialize:
 //! [`wf_core::snapshot`] provides matrix / dependency-assignment
 //! primitives and `ViewLabel::{write,read}_snapshot`; `wf-engine` layers
 //! the label-store trie and registry sections on top and exposes the
-//! user-facing `QueryEngine::save` / `QueryEngine::load`.
+//! user-facing `EngineGeneration::save` / `EngineGeneration::load` and
+//! `DurableEngine::open`.
 
 pub mod container;
 pub mod delta;
@@ -50,8 +52,7 @@ pub mod oplog;
 pub mod view;
 
 pub use container::{
-    read_container, read_container_opt, reseal_container, write_container, Container,
-    FORMAT_VERSION, MAGIC,
+    read_container, reseal_container, write_container, Container, FORMAT_VERSION, MAGIC,
 };
 pub use delta::{edge_target_module, read_label, write_label};
 pub use durable::{
@@ -59,6 +60,6 @@ pub use durable::{
     BASE_FILE, FRAME_HEADER_BYTES, FRAME_MAGIC, LOG_FILE,
 };
 pub use error::SnapshotError;
-pub use fault::{FaultAt, FaultFile, FaultKind, FaultPlan, FaultSink, MemStorage};
+pub use fault::{FaultAt, FaultKind, FaultPlan, MemStorage};
 pub use fingerprint::spec_fingerprint;
 pub use view::{read_view, write_view};

@@ -1,8 +1,7 @@
 //! Crash-safe durable serving, end to end on real files.
 //!
-//! `multi_ingest` shows the pipeline appending to an in-memory sink; this
-//! example gives the pipeline a real durability story and then attacks
-//! it, in four acts:
+//! `multi_ingest` shows the pipeline framing its op-log in memory; this
+//! example puts that log on real files and then attacks it, in four acts:
 //!
 //! 1. **Serve durably** — a [`DurableEngine`] over [`DiskStorage`] (a
 //!    `base.wfs` snapshot plus a framed, checksummed, fsynced
@@ -147,9 +146,7 @@ fn main() {
     writer.register_view(view.clone(), VariantKind::Default).unwrap();
     for chunk in pool[..8 * CHUNK].chunks(CHUNK) {
         writer.insert_labels(chunk);
-        let mut rec = Vec::new();
-        let gen = writer.publish_with_delta(&live4, &mut rec).unwrap();
-        durable.append(gen.seqno(), &rec).unwrap();
+        writer.publish_durable(&live4, &mut durable).unwrap();
     }
     let acked_gen = live4.snapshot();
     let base = serialize_base(&acked_gen).unwrap();

@@ -10,22 +10,22 @@
 //!    naive run-graph reachability oracle, and the interned engine path.
 //! 2. **Live churn** — each case replays a generated churn stream through
 //!    `EngineWriter`/`LiveEngine`, comparing every published generation
-//!    against a sequential reference engine and finishing with a warm
-//!    replay of the append-only delta stream.
+//!    against a sequential reference writer and finishing with a warm
+//!    recovery of its durable base ‖ frames store.
 //!    Campaign 2½, **multi-producer ingest**, rides alongside: each case
 //!    races a fleet of producer threads through the `IngestPipeline`
 //!    (fleet width cycling 1/2/4) and demands every published generation
 //!    match a sequential replay in global ticket order *and* a
-//!    byte-identical op-log prefix replay.
+//!    byte-identical recovery of its op-log prefix.
 //!    Campaign 2¾, **crash injection**, follows: each campaign drives a
 //!    deterministic publish/compact schedule over a metered in-memory
 //!    storage and kills it at every mutation point (every log byte,
 //!    fsync, truncation and atomic rename), demanding recovery to a
 //!    byte-identical published generation with no acked loss.
-//! 3. **Decoder mutants** — snapshot/delta streams are mutated (bit
-//!    flips, truncations, splices, reorderings, checksum-resealed forgeries)
-//!    and every mutant must be rejected with a typed error or decode to a
-//!    provably pristine prefix state.
+//! 3. **Decoder mutants** — durable `(base, log)` stores are mutated (bit
+//!    flips, truncations, splices, frame reorderings, checksum-resealed
+//!    forgeries with re-encoded frames) and every mutant must be rejected
+//!    with a typed error or recover to a provably pristine prefix state.
 //!
 //! Every failure prints the case seed; rerun just that case with
 //! `--case <seed>`. The sweep writes `BENCH_fuzz_coverage.json` at the

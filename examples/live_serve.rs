@@ -6,9 +6,11 @@
 //! label inserts and view registrations against copy-on-write clones and
 //! publishes immutable [`EngineGeneration`]s through a [`LiveEngine`]
 //! (atomic `Arc` swap; readers use a lock-free fast path and finish
-//! in-flight work on whatever generation they hold). Every publish also
-//! appends a *delta record* to an on-disk stream, and a warm restart
-//! replays base ‖ deltas to exactly the last published state.
+//! in-flight work on whatever generation they hold). Every publish is
+//! durable: [`EngineWriter::publish_durable`] frames its *delta record*,
+//! appends and fsyncs it before the swap (into an in-memory store here;
+//! `durable_serve` uses a directory), and a warm restart recovers base ‖
+//! frames to exactly the last published state.
 //!
 //! Run with: `cargo run --release --example live_serve`
 
@@ -17,8 +19,9 @@ use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use wfprov::analysis::ProdGraph;
-use wfprov::engine::{EngineGeneration, EngineWriter, LiveEngine, QueryEngine, WorkerScratch};
+use wfprov::engine::{DurableEngine, EngineWriter, LabelStore, LiveEngine, WorkerScratch};
 use wfprov::fvl::{Fvl, VariantKind};
+use wfprov::snapshot::{MemStorage, SnapshotError};
 use wfprov::workloads::churn::{churn_stream, ChurnOp, ChurnSpec};
 use wfprov::workloads::queries::PairDist;
 use wfprov::workloads::{bioaid, sample, views};
@@ -34,21 +37,23 @@ fn main() {
     let labels = fvl.labeler(&run).labels().to_vec();
     let view = views::random_safe_view(&w, &mut rng, 8);
 
-    // --- Generation 1: initial state, saved as the base snapshot. -------
+    // --- Generation 1: initial state, the op-log's first frame. ---------
+    let cap = LabelStore::DEFAULT_SHARD_CAPACITY;
+    let storage = MemStorage::new();
+    let (mut durable, gen0, _) =
+        DurableEngine::open(fvl.clone(), Box::new(storage.clone()), cap).unwrap();
     let initial = labels.len() / 2;
-    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    let mut writer = EngineWriter::new(gen0);
     let items = writer.insert_labels(&labels[..initial]);
     let vref = writer.register_view(view.clone(), VariantKind::Default).unwrap();
     let live = LiveEngine::new(writer.base().clone());
-    let g1 = writer.publish(&live);
-    let mut disk = Vec::new();
-    g1.save(&mut disk).unwrap();
+    let g1 = writer.publish_durable(&live, &mut durable).unwrap();
     println!(
-        "generation {}: {} items, {} view(s) — base snapshot {} bytes",
+        "generation {}: {} items, {} view(s) — op-log {} bytes",
         g1.seqno(),
         g1.store().len(),
         g1.registry().view_count(),
-        disk.len()
+        durable.status().bytes
     );
 
     // --- Readers serve while the writer churns and publishes. -----------
@@ -92,7 +97,7 @@ fn main() {
 
         // The writer replays the churn stream: inserts and view
         // registrations stage up; every query op publishes what is staged
-        // (with its delta appended to the same on-disk stream).
+        // (its delta framed into the op-log first).
         let mut label_cursor = initial;
         let mut published = 0u32;
         let mut view_rng = StdRng::seed_from_u64(23);
@@ -109,7 +114,7 @@ fn main() {
                 }
                 ChurnOp::QueryBatch { .. } => {
                     if writer.has_staged_changes() {
-                        writer.publish_with_delta(live_ref, &mut disk).unwrap();
+                        writer.publish_durable(live_ref, &mut durable).unwrap();
                         published += 1;
                     }
                     // Yield the (possibly single) core so the readers
@@ -119,7 +124,7 @@ fn main() {
             }
         }
         if writer.has_staged_changes() {
-            writer.publish_with_delta(live_ref, &mut disk).unwrap();
+            writer.publish_durable(live_ref, &mut durable).unwrap();
             published += 1;
         }
         stop.store(true, Ordering::Relaxed);
@@ -131,46 +136,56 @@ fn main() {
     let last = live.snapshot();
     assert_eq!(last.seqno(), 1 + publishes as u64);
     println!(
-        "generation {}: {} items, {} view(s) — stream grew to {} bytes",
+        "generation {}: {} items, {} view(s) — op-log grew to {} bytes",
         last.seqno(),
         last.store().len(),
         last.registry().view_count(),
-        disk.len()
+        durable.status().bytes
     );
 
-    // --- Warm restart: replay base ‖ deltas, compare against cold. ------
+    // --- Warm restart: recover base ‖ frames, compare against cold. -----
     let fvl2 = Arc::new(Fvl::from_arc(Arc::new(w.spec.clone())).unwrap());
-    let replayed = EngineGeneration::replay(fvl2, &mut disk.as_slice()).unwrap();
+    let (_, replayed, _) = DurableEngine::open(fvl2, Box::new(storage.survivor()), cap).unwrap();
     assert_eq!(replayed.seqno(), last.seqno());
     assert_eq!(replayed.store().len(), last.store().len());
     assert_eq!(replayed.registry().view_count(), last.registry().view_count());
 
-    let mut cold = QueryEngine::new(fvl.as_ref());
+    let mut cold = EngineWriter::from_fvl(fvl.clone());
     let all_items = cold.insert_labels(&labels[..last.store().len()]);
     let cold_ref = cold.register_view(view, VariantKind::Default).unwrap();
     assert_eq!(cold_ref, vref, "handles are chain-stable");
+    let cold = cold.publish(&LiveEngine::new(cold.base().clone()));
     let sample: Vec<_> = all_items.iter().copied().step_by(7).collect();
     let mut ws = WorkerScratch::new();
     let warm_answers = replayed.all_pairs(&mut ws, vref, &sample);
     assert_eq!(
         warm_answers,
-        cold.all_pairs(cold_ref, &sample),
-        "replayed state must answer like a cold-built engine"
+        cold.all_pairs(&mut ws, cold_ref, &sample),
+        "recovered state must answer like a cold build"
     );
     println!(
-        "warm restart replayed {} generations: {} dependent pairs over a {}-item sample — \
+        "warm restart recovered {} generations: {} dependent pairs over a {}-item sample — \
          identical to a cold build",
         replayed.seqno(),
         warm_answers.len(),
         sample.len()
     );
 
-    // --- Bad streams are rejected, never half-applied. -------------------
-    let truncated = &disk[..disk.len() - 9];
-    assert!(EngineGeneration::replay(
-        Arc::new(Fvl::from_arc(Arc::new(w.spec.clone())).unwrap()),
-        &mut &truncated[..]
-    )
-    .is_err());
-    println!("truncated stream rejected with a typed error — live serving demo complete");
+    // --- A torn tail heals; damage before it is rejected, typed. ---------
+    let (base, log) = storage.contents();
+    let torn = MemStorage::with_state(base.clone(), log[..log.len() - 9].to_vec());
+    let (_, healed, report) = DurableEngine::open(fvl.clone(), Box::new(torn), cap).unwrap();
+    assert_eq!(healed.seqno(), last.seqno() - 1, "the torn final frame was never acknowledged");
+    assert!(report.dropped_bytes > 0);
+    let mut damaged = log;
+    damaged[40] ^= 0x01; // inside the first frame's payload
+    let damaged = MemStorage::with_state(base, damaged);
+    let err = DurableEngine::open(fvl, Box::new(damaged), cap).err().expect("must fail");
+    assert!(matches!(err, SnapshotError::LogCorrupted { .. }));
+    println!(
+        "torn tail healed to generation {} ({} bytes dropped); mid-log damage -> {err} — \
+         live serving demo complete",
+        healed.seqno(),
+        report.dropped_bytes
+    );
 }

@@ -7,15 +7,16 @@
 //! the bounded [`IngestQueue`] (full queue = backpressure, never loss)
 //! and gets a [`Ticket`] per op that resolves to the seqno of the
 //! generation that published it. One publisher thread drains the queue,
-//! coalesces ops into copy-on-write staging, appends every publish's
-//! delta record to a shared op-log sink, and swaps generations into the
-//! [`LiveEngine`] — which two reader threads query throughout, lock-free.
+//! coalesces ops into copy-on-write staging, frames and fsyncs every
+//! publish's delta record into a durable op-log (in memory here), and
+//! swaps generations into the [`LiveEngine`] — which two reader threads
+//! query throughout, lock-free.
 //!
 //! Shutdown is graceful by contract: closing the queue lets the publisher
 //! drain and publish everything already accepted, so every ticket
-//! resolves. The accumulated `base ‖ op-log` stream then replays to the
-//! exact final generation — and a *new* pipeline resumes ingesting on top
-//! of the reloaded state.
+//! resolves. The store's `base ‖ frames` then recovers to the exact final
+//! generation — and a *new* pipeline resumes ingesting on top of the
+//! recovered state.
 //!
 //! Run with: `cargo run --release --example multi_ingest`
 
@@ -24,10 +25,11 @@ use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use wfprov::engine::{
-    EngineGeneration, EngineWriter, IngestOp, IngestPipeline, ItemId, LiveEngine, PipelineOptions,
-    PublishPolicy, QueryEngine, SharedSink, Ticket, WorkerScratch,
+    shared_durable, DurableEngine, EngineWriter, IngestOp, IngestPipeline, ItemId, LabelStore,
+    LiveEngine, PipelineOptions, PublishPolicy, Ticket, WorkerScratch,
 };
 use wfprov::fvl::{Fvl, VariantKind};
+use wfprov::snapshot::MemStorage;
 use wfprov::workloads::{bioaid, sample, views};
 
 const PRODUCERS: usize = 4;
@@ -48,25 +50,26 @@ fn main() {
     }
     let view = views::random_safe_view(&w, &mut rng, 8);
 
-    // --- Base generation: an initial view the readers can query, saved
-    // as the head of the op-log stream. ----------------------------------
-    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    // --- First generation: an initial view the readers can query, the
+    // op-log's first frame. ----------------------------------------------
+    let cap = LabelStore::DEFAULT_SHARD_CAPACITY;
+    let storage = MemStorage::new();
+    let (mut durable, gen0, _) =
+        DurableEngine::open(fvl.clone(), Box::new(storage.clone()), cap).unwrap();
+    let mut writer = EngineWriter::new(gen0);
     let vref = writer.register_view(view.clone(), VariantKind::Default).unwrap();
     let live = Arc::new(LiveEngine::new(writer.base().clone()));
-    writer.publish(&live);
-    let mut disk = Vec::new();
-    writer.base().save(&mut disk).unwrap();
-    println!("base generation saved: {} bytes, 1 compiled view", disk.len());
+    writer.publish_durable(&live, &mut durable).unwrap();
+    println!("first generation framed: {} log bytes, 1 compiled view", durable.status().bytes);
 
-    // --- The pipeline: one publisher thread, an op-log sink, and as many
-    // producers as want to push. -----------------------------------------
-    let sink = SharedSink::new();
+    // --- The pipeline: one publisher thread, the durable op-log, and as
+    // many producers as want to push. ------------------------------------
     let policy = PublishPolicy { max_batch_ops: 64, ..PublishPolicy::default() };
     let pipeline = IngestPipeline::spawn_with(
         writer,
         live.clone(),
         policy,
-        PipelineOptions { sink: Some(Box::new(sink.clone())), ..PipelineOptions::default() },
+        PipelineOptions { durable: Some(shared_durable(durable)), ..PipelineOptions::default() },
     );
 
     let stop = AtomicBool::new(false);
@@ -151,15 +154,15 @@ fn main() {
         last.store().len(),
     );
 
-    // --- The racing run is replayable: base ‖ op-log lands on the exact
+    // --- The racing run is recoverable: base ‖ frames lands on the exact
     // final generation, answers included. --------------------------------
-    disk.extend_from_slice(&sink.contents());
     let fvl2 = Arc::new(Fvl::from_arc(Arc::new(w.spec.clone())).unwrap());
-    let replayed = EngineGeneration::replay(fvl2, &mut disk.as_slice()).unwrap();
+    let (durable, replayed, recovery) =
+        DurableEngine::open(fvl2, Box::new(storage.survivor()), cap).unwrap();
     assert_eq!(replayed.seqno(), last.seqno());
     assert_eq!(replayed.store().len(), last.store().len());
 
-    let mut cold = QueryEngine::new(fvl.as_ref());
+    let mut cold = EngineWriter::from_fvl(fvl.clone());
     // The store's id order *is* the global apply order — materialize it
     // back out to rebuild the same state cold.
     let store = report.writer.base().store();
@@ -167,24 +170,29 @@ fn main() {
     let all_items = cold.insert_labels(&ordered);
     let cold_ref = cold.register_view(view, VariantKind::Default).unwrap();
     assert_eq!(cold_ref, vref);
+    let cold = cold.publish(&LiveEngine::new(cold.base().clone()));
     let sample_items: Vec<_> = all_items.iter().copied().step_by(13).collect();
     let mut ws = WorkerScratch::new();
     assert_eq!(
         replayed.all_pairs(&mut ws, vref, &sample_items),
-        cold.all_pairs(cold_ref, &sample_items),
-        "replayed state must answer like a cold-built engine"
+        cold.all_pairs(&mut ws, cold_ref, &sample_items),
+        "recovered state must answer like a cold build"
     );
     println!(
-        "warm restart replayed {} bytes to generation {} — answers identical to a cold build",
-        disk.len(),
+        "warm restart replayed {} frames to generation {} — answers identical to a cold build",
+        recovery.replayed_frames,
         replayed.seqno()
     );
 
-    // --- Resume: a fresh pipeline on the reloaded generation keeps
-    // ingesting where the old one left off. ------------------------------
-    let live2 = Arc::new(LiveEngine::new(Arc::new(replayed)));
-    let pipeline2 =
-        IngestPipeline::spawn(EngineWriter::new(live2.snapshot()), live2.clone(), policy);
+    // --- Resume: a fresh pipeline on the recovered generation keeps
+    // ingesting (durably) where the old one left off. --------------------
+    let live2 = Arc::new(LiveEngine::new(replayed));
+    let pipeline2 = IngestPipeline::spawn_with(
+        EngineWriter::new(live2.snapshot()),
+        live2.clone(),
+        policy,
+        PipelineOptions { durable: Some(shared_durable(durable)), ..PipelineOptions::default() },
+    );
     let t = pipeline2.queue().push(IngestOp::InsertLabels(pool[..CHUNK].to_vec())).unwrap();
     let seq = t.wait().expect("resumed pipeline serves new ops");
     let report2 = pipeline2.shutdown();

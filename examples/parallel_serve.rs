@@ -1,19 +1,22 @@
 //! Multi-threaded query serving over a frozen engine core.
 //!
 //! `serve_queries` shows the single-threaded serving stack; this example
-//! shows what changed in the parallel refactor: a compiled [`QueryEngine`]
-//! freezes into an immutable, `Sync` [`EngineCore`] that any number of
-//! worker threads query concurrently through their own [`WorkerScratch`]es
-//! — no locks anywhere on the read path — and the one-call fan-outs
-//! `par_query_batch` / `par_all_pairs` shard a workload across scoped
-//! threads with answers *identical* to the sequential engine.
+//! shows the parallel one: a published generation is an immutable, `Sync`
+//! [`EngineCore`] that any number of worker threads query concurrently
+//! through their own [`WorkerScratch`]es — no locks anywhere on the read
+//! path — and the one-call fan-outs `par_query_batch` / `par_all_pairs`
+//! shard a workload across scoped threads with answers *identical* to the
+//! sequential path.
+//!
+//! [`EngineCore`]: wfprov::engine::EngineCore
 //!
 //! Run with: `cargo run --release --example parallel_serve`
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use wfprov::analysis::ProdGraph;
-use wfprov::engine::{QueryEngine, WorkerScratch};
+use wfprov::engine::{EngineWriter, LiveEngine, WorkerScratch};
 use wfprov::fvl::{Fvl, VariantKind};
 use wfprov::workloads::queries::{
     sample_mix, shard_round_robin, worker_streams, MixSpec, PairDist,
@@ -23,18 +26,21 @@ use wfprov::workloads::{bioaid, sample, views};
 fn main() {
     // A BioAID-like workload: one run of 4000 items, labeled once.
     let w = bioaid(1);
-    let fvl = Fvl::new(&w.spec).expect("strictly linear-recursive");
+    let fvl = Arc::new(Fvl::from_arc(Arc::new(w.spec.clone())).expect("strictly linear-recursive"));
     let pg = ProdGraph::new(&w.spec.grammar);
     let mut rng = StdRng::seed_from_u64(7);
     let (_, run) = sample::sample_run(&w, &pg, &mut rng, 4_000);
     let labeler = fvl.labeler(&run);
 
-    let mut engine = QueryEngine::new(&fvl);
-    let items = engine.insert_labels(labeler.labels());
+    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    let items = writer.insert_labels(labeler.labels());
     let view_a = views::random_safe_view(&w, &mut rng, 8);
     let view_b = views::random_safe_view(&w, &mut rng, 12);
-    let ra = engine.register_view(view_a, VariantKind::Default).unwrap();
-    let rb = engine.register_view(view_b, VariantKind::QueryEfficient).unwrap();
+    let ra = writer.register_view(view_a, VariantKind::Default).unwrap();
+    let rb = writer.register_view(view_b, VariantKind::QueryEfficient).unwrap();
+    let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
+    let core = gen.core();
+    let mut ws = WorkerScratch::new();
 
     // --- One-call fan-out: par_query_batch == query_batch, always. ------
     let dist = PairDist::HotKey { hot_items: 64, hot_prob: 0.5 };
@@ -43,9 +49,9 @@ fn main() {
         .into_iter()
         .map(|(a, b)| (items[a.0 as usize], items[b.0 as usize]))
         .collect();
-    let sequential = engine.query_batch(ra, &pairs);
+    let sequential = gen.query_batch(&mut ws, ra, &pairs);
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let parallel = engine.par_query_batch(ra, &pairs, threads);
+    let parallel = core.par_query_batch(ra, &pairs, threads);
     assert_eq!(parallel, sequential, "sharded answers must be bit-identical");
     let dependent = parallel.iter().filter(|r| **r == Some(true)).count();
     println!(
@@ -62,7 +68,6 @@ fn main() {
     let spec = MixSpec { view_weights: vec![3.0, 1.0], dist };
     let ops = sample_mix(&run, &mut rng, 8_192, &spec);
     let shards = shard_round_robin(&ops, threads.max(2));
-    let core = engine.freeze();
     let handles = [ra, rb];
     let items = &items;
     let served: usize = std::thread::scope(|s| {
@@ -97,8 +102,8 @@ fn main() {
 
     // --- All-pairs sweeps shard by rows, same order as sequential. ------
     let subset: Vec<_> = items.iter().copied().step_by(37).collect();
-    let seq_sweep = engine.all_pairs(rb, &subset);
-    let par_sweep = engine.par_all_pairs(rb, &subset, threads);
+    let seq_sweep = gen.all_pairs(&mut ws, rb, &subset);
+    let par_sweep = core.par_all_pairs(rb, &subset, threads);
     assert_eq!(par_sweep, seq_sweep, "row-sharded sweep must match sequentially");
     println!(
         "par_all_pairs: {}x{} sweep, {} dependent pairs — identical order to sequential",
@@ -110,7 +115,7 @@ fn main() {
     // The typed API refuses foreign handles instead of panicking.
     let bogus =
         wfprov::engine::ViewRef { id: wfprov::engine::ViewId(99), kind: VariantKind::Default };
-    match engine.try_par_query_batch(bogus, &pairs, threads) {
+    match core.try_par_query_batch(bogus, &pairs, threads) {
         Err(e) => println!("typed rejection of a foreign handle: {e}"),
         Ok(_) => unreachable!("view 99 was never registered"),
     }

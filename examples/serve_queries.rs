@@ -4,12 +4,13 @@
 //! context and scratch buffers on every call. This one sets up the serving
 //! stack a provenance service would run: register views once (compiled per
 //! §6.3 variant, addressed by dense handles), intern the run's labels into
-//! the prefix-sharing store, then answer batches and all-pairs sweeps
-//! allocation-free.
+//! the prefix-sharing store through the engine's one writer, publish, then
+//! answer batches and all-pairs sweeps allocation-free.
 //!
 //! Run with: `cargo run --example serve_queries`
 
-use wfprov::engine::QueryEngine;
+use std::sync::Arc;
+use wfprov::engine::{EngineWriter, LiveEngine, WorkerScratch};
 use wfprov::fvl::{Fvl, VariantKind};
 use wfprov::model::fixtures::paper_example;
 use wfprov::run::fixtures::figure3_run;
@@ -17,34 +18,39 @@ use wfprov::run::fixtures::figure3_run;
 fn main() {
     // The Figure 2 specification and its Figure 3 run, labeled once.
     let ex = paper_example();
-    let fvl = Fvl::new(&ex.spec).expect("strictly linear-recursive");
+    let fvl =
+        Arc::new(Fvl::from_arc(Arc::new(ex.spec.clone())).expect("strictly linear-recursive"));
     let (run, ids) = figure3_run(&ex);
     let labeler = fvl.labeler(&run);
 
-    // The engine interns every label: shared path prefixes are stored once
+    // The writer interns every label: shared path prefixes are stored once
     // in a trie, and items get dense ids aligned with the run's DataIds.
-    let mut engine = QueryEngine::new(&fvl);
-    let items = engine.insert_labels(labeler.labels());
-    let (stored, raw) = engine.store().edge_stats();
+    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    let items = writer.insert_labels(labeler.labels());
+
+    // Register both views of the running example. One view can be compiled
+    // under several variants; each (view, variant) pair is built once.
+    let u1 = writer.add_view(ex.view_u1());
+    let u2 = writer.add_view(ex.view_u2());
+    let u1_default = writer.compile(u1, VariantKind::Default).unwrap();
+    let u1_qe = writer.compile(u1, VariantKind::QueryEfficient).unwrap();
+    let u2_default = writer.compile(u2, VariantKind::Default).unwrap();
+
+    // Publishing freezes the staged state into an immutable generation.
+    let live = LiveEngine::new(writer.base().clone());
+    let gen = writer.publish(&live);
+    let (stored, raw) = gen.store().edge_stats();
     println!(
         "label store: {} items, {} trie edges for {} raw path edges ({:.0}% saved)",
-        engine.store().len(),
+        gen.store().len(),
         stored,
         raw,
         100.0 * (1.0 - stored as f64 / raw as f64)
     );
-
-    // Register both views of the running example. One view can be compiled
-    // under several variants; each (view, variant) pair is built once.
-    let u1 = engine.add_view(ex.view_u1());
-    let u2 = engine.add_view(ex.view_u2());
-    let u1_default = engine.compile(u1, VariantKind::Default).unwrap();
-    let u1_qe = engine.compile(u1, VariantKind::QueryEfficient).unwrap();
-    let u2_default = engine.compile(u2, VariantKind::Default).unwrap();
     println!(
         "registry: {} views, {} compiled labels",
-        engine.registry().view_count(),
-        engine.registry().compiled_count()
+        gen.registry().view_count(),
+        gen.registry().compiled_count()
     );
 
     // A batch against each view — Example 8's pair among them. The answers
@@ -52,26 +58,30 @@ fn main() {
     let d17 = items[ids.d17.0 as usize];
     let d21 = items[ids.d21.0 as usize];
     let d31 = items[ids.d31.0 as usize];
+    let mut ws = WorkerScratch::new();
     let batch = [(d17, d31), (d21, d31), (d31, d17)];
-    println!("U1 batch {:?} -> {:?}", batch, engine.query_batch(u1_default, &batch));
-    println!("U2 batch {:?} -> {:?}", batch, engine.query_batch(u2_default, &batch));
+    println!("U1 batch {:?} -> {:?}", batch, gen.query_batch(&mut ws, u1_default, &batch));
+    println!("U2 batch {:?} -> {:?}", batch, gen.query_batch(&mut ws, u2_default, &batch));
     // (d21, d31) answers None under U2: d21 is hidden inside C's grey box.
 
     // Variants agree on answers; they only trade label size for time.
-    assert_eq!(engine.query(u1_default, d17, d31), engine.query(u1_qe, d17, d31));
+    assert_eq!(
+        gen.try_query(&mut ws, u1_default, d17, d31),
+        gen.try_query(&mut ws, u1_qe, d17, d31)
+    );
 
     // An all-pairs sweep: the dependency closure of a working set, e.g. to
     // materialize a lineage subgraph for one search result page.
     let page: Vec<_> = items.iter().copied().take(12).collect();
-    let closure = engine.all_pairs(u1_default, &page);
+    let closure = gen.all_pairs(&mut ws, u1_default, &page);
     println!("all-pairs over {} items under U1: {} dependent pairs", page.len(), closure.len());
 
     // Steady state: repeating the batches allocates nothing — the scratch
     // (matrix pool + chain-power memo) has reached its fixed point.
     for _ in 0..3 {
-        engine.query_batch(u1_default, &batch);
-        engine.query_batch(u2_default, &batch);
+        gen.query_batch(&mut ws, u1_default, &batch);
+        gen.query_batch(&mut ws, u2_default, &batch);
     }
-    let (pooled, memoized) = engine.scratch_stats();
+    let (pooled, memoized) = ws.stats();
     println!("scratch fixed point: {pooled} pooled matrices, {memoized} memoized chain powers");
 }

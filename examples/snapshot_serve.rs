@@ -2,64 +2,72 @@
 //!
 //! The paper's labels are computed once and answer queries forever — but
 //! only within one process, unless they are persisted. This example builds
-//! the full serving stack over the Figure 3 run, snapshots it with
-//! [`QueryEngine::save`], *drops the engine* (the "restart"), and restores
-//! a serving-ready engine with [`QueryEngine::load`]: same answers, same
-//! ids, no relabeling, no view recompilation, no cycle-finding. It then
-//! demonstrates the container's safety net: truncated, corrupted,
-//! version-mismatched and wrong-spec snapshots are all rejected with typed
-//! errors, never a panic.
+//! the full serving stack over the Figure 3 run, publishes it, snapshots
+//! the generation with [`EngineGeneration::save`], *drops everything* (the
+//! "restart"), and restores a serving-ready generation with
+//! [`EngineGeneration::load`]: same answers, same ids, no relabeling, no
+//! view recompilation, no cycle-finding. It then demonstrates the
+//! container's safety net: truncated, corrupted, version-mismatched and
+//! wrong-spec snapshots are all rejected with typed errors, never a panic.
 //!
 //! Run with: `cargo run --example snapshot_serve`
 //!
-//! [`QueryEngine::save`]: wfprov::engine::QueryEngine::save
-//! [`QueryEngine::load`]: wfprov::engine::QueryEngine::load
+//! [`EngineGeneration::save`]: wfprov::engine::EngineGeneration::save
+//! [`EngineGeneration::load`]: wfprov::engine::EngineGeneration::load
 
-use wfprov::engine::{QueryEngine, SnapshotError, ViewRef};
+use std::sync::Arc;
+use wfprov::engine::{
+    EngineGeneration, EngineWriter, LiveEngine, SnapshotError, ViewRef, WorkerScratch,
+};
 use wfprov::fvl::{Fvl, VariantKind};
 use wfprov::model::fixtures::paper_example;
 use wfprov::run::fixtures::figure3_run;
 
 fn main() {
-    // ---- Process 1: label, compile, serve, snapshot. ------------------
+    // ---- Process 1: label, compile, publish, serve, snapshot. ---------
     let ex = paper_example();
-    let fvl = Fvl::new(&ex.spec).expect("strictly linear-recursive");
+    let fvl =
+        Arc::new(Fvl::from_arc(Arc::new(ex.spec.clone())).expect("strictly linear-recursive"));
     let (run, ids) = figure3_run(&ex);
     let labeler = fvl.labeler(&run);
 
-    let mut engine = QueryEngine::new(&fvl);
-    let items = engine.insert_labels(labeler.labels());
-    let u1 = engine.add_view(ex.view_u1());
-    let u2 = engine.add_view(ex.view_u2());
-    for kind in [VariantKind::SpaceEfficient, VariantKind::Default, VariantKind::QueryEfficient] {
-        engine.compile(u1, kind).unwrap();
+    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    let items = writer.insert_labels(labeler.labels());
+    let u1 = writer.add_view(ex.view_u1());
+    let u2 = writer.add_view(ex.view_u2());
+    for kind in VariantKind::ALL {
+        writer.compile(u1, kind).unwrap();
     }
-    let u2_default = engine.compile(u2, VariantKind::Default).unwrap();
+    let u2_default = writer.compile(u2, VariantKind::Default).unwrap();
+    let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
 
     let d17 = items[ids.d17.0 as usize];
     let d31 = items[ids.d31.0 as usize];
-    let before = engine.query(u2_default, d17, d31);
+    let mut ws = WorkerScratch::new();
+    let before = gen.try_query(&mut ws, u2_default, d17, d31).unwrap();
     println!("process 1: U2 says d31 depends on d17 -> {before:?}");
 
     // Snapshot to disk (any io::Write works; a file is what a service uses).
     let path = std::env::temp_dir().join("wfprov_snapshot_serve.bin");
     let mut file = std::fs::File::create(&path).expect("create snapshot file");
-    engine.save(&mut file).expect("save snapshot");
+    gen.save(&mut file).expect("save snapshot");
     drop(file);
     let bytes = std::fs::read(&path).expect("read snapshot back");
     println!(
         "snapshot: {} bytes for {} labels + {} views ({} compiled variants)",
         bytes.len(),
-        engine.store().len(),
-        engine.registry().view_count(),
-        engine.registry().compiled_count(),
+        gen.store().len(),
+        gen.registry().view_count(),
+        gen.registry().compiled_count(),
     );
-    drop(engine); // ---- the "restart" ----
+    drop((writer, gen)); // ---- the "restart" ----
 
     // ---- Process 2: load and serve immediately. -----------------------
-    let mut restored =
-        QueryEngine::load(&fvl, &mut std::fs::File::open(&path).expect("open snapshot"))
-            .expect("load snapshot");
+    let restored = EngineGeneration::load(
+        fvl.clone(),
+        &mut std::fs::File::open(&path).expect("open snapshot"),
+    )
+    .expect("load snapshot");
     println!(
         "process 2: restored {} labels, {} views, {} compiled variants — no relabeling",
         restored.store().len(),
@@ -67,48 +75,49 @@ fn main() {
         restored.registry().compiled_count(),
     );
 
-    // Item and view ids are stable across save/load; handles are cheap
-    // lookups (everything is already compiled).
-    let u2_default = restored.compile(u2, VariantKind::Default).unwrap();
-    let after = restored.query(u2_default, d17, d31);
+    // Item and view ids are stable across save/load; every handle is
+    // already compiled in the loaded registry.
+    let after = restored.try_query(&mut ws, u2_default, d17, d31).unwrap();
     println!("process 2: U2 says d31 depends on d17 -> {after:?}");
-    assert_eq!(before, after, "a loaded engine must answer identically");
+    assert_eq!(before, after, "a loaded generation must answer identically");
 
-    // The full all-pairs sweep agrees across every variant too.
-    let mut fresh = QueryEngine::new(&fvl);
+    // The full all-pairs sweep agrees with a cold build across every
+    // variant too.
+    let mut fresh = EngineWriter::from_fvl(fvl.clone());
     fresh.insert_labels(labeler.labels());
     fresh.add_view(ex.view_u1());
     fresh.add_view(ex.view_u2());
-    for kind in [VariantKind::SpaceEfficient, VariantKind::Default, VariantKind::QueryEfficient] {
+    for kind in VariantKind::ALL {
         fresh.compile(u1, kind).unwrap();
+    }
+    let fresh = fresh.publish(&LiveEngine::new(fresh.base().clone()));
+    for kind in VariantKind::ALL {
         let vref = ViewRef { id: u1, kind };
         assert_eq!(
-            restored.all_pairs(vref, &items),
-            fresh.all_pairs(vref, &items),
+            restored.all_pairs(&mut ws, vref, &items),
+            fresh.all_pairs(&mut ws, vref, &items),
             "{kind:?}: all_pairs diverged after load"
         );
     }
     println!("all_pairs over {} items agrees across all three variants", items.len());
 
     // ---- Bad input is rejected with typed errors, never a panic. ------
-    let truncated = QueryEngine::load(&fvl, &mut &bytes[..bytes.len() / 2]);
+    let load = |bytes: &[u8]| EngineGeneration::load(fvl.clone(), &mut &bytes[..]);
+    let truncated = load(&bytes[..bytes.len() / 2]);
     println!("truncated snapshot  -> {}", truncated.err().expect("must fail"));
 
     let mut corrupt = bytes.clone();
     let flip = corrupt.len() - 9; // payload byte
     corrupt[flip] ^= 0x40;
-    let corrupted = QueryEngine::load(&fvl, &mut corrupt.as_slice());
-    let err = corrupted.err().expect("must fail");
+    let err = load(&corrupt).err().expect("must fail");
     assert!(matches!(err, SnapshotError::ChecksumMismatch));
     println!("corrupted snapshot  -> {err}");
 
     let mut foreign = bytes.clone();
     foreign[8] = 0x63; // format version 99
-    let versioned = QueryEngine::load(&fvl, &mut foreign.as_slice());
-    println!("foreign version     -> {}", versioned.err().expect("must fail"));
+    println!("foreign version     -> {}", load(&foreign).err().expect("must fail"));
 
-    let not_a_snapshot = QueryEngine::load(&fvl, &mut &b"hello provenance"[..]);
-    println!("not a snapshot      -> {}", not_a_snapshot.err().expect("must fail"));
+    println!("not a snapshot      -> {}", load(b"hello provenance").err().expect("must fail"));
 
     let _ = std::fs::remove_file(&path);
     println!("ok: save -> restart -> serve round-trip verified");

@@ -8,12 +8,13 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use wfprov::analysis::{classify, ProdGraph, RecursionClass};
 use wfprov::engine::{
-    EngineGeneration, EngineWriter, IngestOp, IngestPipeline, ItemId, LiveEngine, PipelineOptions,
-    PublishPolicy, QueryEngine, SharedSink, Ticket, WorkerScratch,
+    shared_durable, DurableEngine, EngineWriter, IngestOp, IngestPipeline, ItemId, LabelStore,
+    LiveEngine, PipelineOptions, PublishPolicy, Ticket, WorkerScratch,
 };
 use wfprov::fvl::{DataLabel, Fvl, VariantKind};
 use wfprov::model::ViewSpec;
 use wfprov::run::RunOracle;
+use wfprov::snapshot::MemStorage;
 use wfprov::workloads::{bioaid, sample, synthetic, views, SynthParams};
 
 proptest! {
@@ -78,8 +79,8 @@ proptest! {
 
     /// The engine's batched fast path must never diverge from the reference
     /// per-call path: over random strictly-linear workloads, for all three
-    /// variants, `QueryEngine::query_batch` agrees pairwise with
-    /// `Fvl::query` — including `None`s for invisible items.
+    /// variants, a published generation's `query_batch` agrees pairwise
+    /// with `Fvl::query` — including `None`s for invisible items.
     #[test]
     fn query_batch_agrees_with_per_call(
         seed in 0u64..1_000,
@@ -100,25 +101,26 @@ proptest! {
                 seed,
             })
         };
-        let fvl = Fvl::new(&w.spec).unwrap();
+        let fvl = Arc::new(Fvl::from_arc(Arc::new(w.spec.clone())).unwrap());
         let pg = ProdGraph::new(&w.spec.grammar);
         let mut rng = StdRng::seed_from_u64(seed);
         let (_, run) = sample::sample_run(&w, &pg, &mut rng, run_size);
         let labels = fvl.labeler(&run);
         let view = views::random_safe_view(&w, &mut rng, view_size);
 
-        let mut engine = QueryEngine::new(&fvl);
-        let items = engine.insert_labels(labels.labels());
+        let mut writer = EngineWriter::from_fvl(fvl.clone());
+        let items = writer.insert_labels(labels.labels());
         let pairs = sample::sample_query_pairs(&run, &mut rng, 100);
         let id_pairs: Vec<_> =
             pairs.iter().map(|&(a, b)| (items[a.0 as usize], items[b.0 as usize])).collect();
-        let vid = engine.add_view(view.clone());
-        for kind in
-            [VariantKind::SpaceEfficient, VariantKind::Default, VariantKind::QueryEfficient]
-        {
-            let vref = engine.compile(vid, kind).unwrap();
+        let vid = writer.add_view(view.clone());
+        let vrefs = VariantKind::ALL.map(|kind| writer.compile(vid, kind).unwrap());
+        let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
+        let mut ws = WorkerScratch::new();
+        for vref in vrefs {
+            let kind = vref.kind;
             let vl = fvl.label_view(&view, kind).unwrap();
-            let batch = engine.query_batch(vref, &id_pairs);
+            let batch = gen.query_batch(&mut ws, vref, &id_pairs);
             for (i, &(a, b)) in pairs.iter().enumerate() {
                 prop_assert_eq!(
                     batch[i],
@@ -156,9 +158,9 @@ proptest! {
 
     /// Concurrent ingest is linearizable and durable: a fleet of racing
     /// producers publishes exactly what a sequential engine applying the
-    /// same ops in global ticket order holds, and the run's op-log
-    /// survives save → load → resume — a second fleet raced on top of the
-    /// reloaded generation stays element-identical too.
+    /// same ops in global ticket order holds, and the run's durable op-log
+    /// survives recovery → resume — a second fleet raced on top of the
+    /// recovered generation stays element-identical too.
     #[test]
     fn concurrent_ingest_matches_sequential_and_survives_reload(
         seed in 0u64..500,
@@ -179,21 +181,22 @@ proptest! {
         }
         let view = views::random_safe_view(&w, &mut rng, 4);
 
-        // Phase 1: race the fleet; every publish appends its delta record
-        // to the shared op-log sink, chained onto the saved base below.
-        let mut writer = EngineWriter::from_fvl(fvl.clone());
+        // Phase 1: race the fleet; every publish frames its delta record
+        // into the durable op-log, after the view's own first frame.
+        let storage = MemStorage::new();
+        let cap = LabelStore::DEFAULT_SHARD_CAPACITY;
+        let (mut durable, gen0, _) =
+            DurableEngine::open(fvl.clone(), Box::new(storage.clone()), cap).unwrap();
+        let mut writer = EngineWriter::new(gen0);
         let vref = writer.register_view(view.clone(), VariantKind::Default).unwrap();
         let live = Arc::new(LiveEngine::new(writer.base().clone()));
-        writer.publish(&live);
-        let mut stream = Vec::new();
-        writer.base().save(&mut stream).unwrap();
-        let sink = SharedSink::new();
+        writer.publish_durable(&live, &mut durable).unwrap();
         let pipeline = IngestPipeline::spawn_with(
             writer,
             live.clone(),
             // A tiny op budget forces publishes to split producer batches.
             PublishPolicy { max_batch_ops: 8, ..PublishPolicy::default() },
-            PipelineOptions { sink: Some(Box::new(sink.clone())), ..PipelineOptions::default() },
+            PipelineOptions { durable: Some(shared_durable(durable)), ..PipelineOptions::default() },
         );
         let race = |pipeline: &IngestPipeline, pool: &[DataLabel], base: usize| {
             let mut tickets: Vec<(Ticket, Vec<DataLabel>)> = Vec::new();
@@ -229,37 +232,34 @@ proptest! {
             prop_assert!(t.wait().is_ok());
         }
         tickets.sort_by_key(|(t, _)| t.apply_index().expect("resolved tickets carry the index"));
-        let mut reference = QueryEngine::new(&fvl);
+        let mut reference = EngineWriter::from_fvl(fvl.clone());
         let ref_vref = reference.register_view(view.clone(), VariantKind::Default).unwrap();
         prop_assert_eq!(ref_vref, vref);
         for (_, chunk) in &tickets {
             reference.insert_labels(chunk);
         }
+        let reference_live = LiveEngine::new(reference.base().clone());
+        let expected = reference.publish(&reference_live);
         let final_gen = live.snapshot();
         prop_assert_eq!(final_gen.store().len(), producers * PER);
         let items: Vec<ItemId> = (0..final_gen.store().len() as u32).map(ItemId).collect();
         let mut ws = WorkerScratch::new();
-        prop_assert_eq!(
-            final_gen.all_pairs(&mut ws, vref, &items),
-            reference.all_pairs(vref, &items)
-        );
+        let want = expected.all_pairs(&mut ws, vref, &items);
+        prop_assert_eq!(final_gen.all_pairs(&mut ws, vref, &items), want.clone());
 
-        // Save → load: replaying base ‖ op-log must land on the same
+        // Recovery: replaying base ‖ frames must land on the same
         // generation, views included.
-        stream.extend_from_slice(&sink.contents());
         let fvl2 = Arc::new(Fvl::from_arc(Arc::new(w.spec.clone())).unwrap());
-        let reloaded = EngineGeneration::replay(fvl2, &mut stream.as_slice()).unwrap();
+        let (_, reloaded, _) =
+            DurableEngine::open(fvl2, Box::new(storage.survivor()), cap).unwrap();
         prop_assert_eq!(reloaded.seqno(), final_gen.seqno());
         prop_assert_eq!(reloaded.store().len(), final_gen.store().len());
-        prop_assert_eq!(
-            reloaded.all_pairs(&mut ws, vref, &items),
-            reference.all_pairs(vref, &items)
-        );
+        prop_assert_eq!(reloaded.all_pairs(&mut ws, vref, &items), want);
 
-        // Resume: a second fleet raced on top of the reloaded generation
+        // Resume: a second fleet raced on top of the recovered generation
         // must still match the sequential reference continued in its
         // ticket order.
-        let live2 = Arc::new(LiveEngine::new(Arc::new(reloaded)));
+        let live2 = Arc::new(LiveEngine::new(reloaded));
         let pipeline2 =
             IngestPipeline::spawn(EngineWriter::new(live2.snapshot()), live2.clone(), PublishPolicy {
                 max_batch_ops: 8,
@@ -274,12 +274,13 @@ proptest! {
         for (_, chunk) in &tickets2 {
             reference.insert_labels(chunk);
         }
+        let expected = reference.publish(&reference_live);
         let resumed = live2.snapshot();
         prop_assert_eq!(resumed.store().len(), 2 * producers * PER);
         let items2: Vec<ItemId> = (0..resumed.store().len() as u32).map(ItemId).collect();
         prop_assert_eq!(
             resumed.all_pairs(&mut ws, vref, &items2),
-            reference.all_pairs(vref, &items2)
+            expected.all_pairs(&mut ws, vref, &items2)
         );
     }
 }
