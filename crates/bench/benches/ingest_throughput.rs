@@ -179,15 +179,14 @@ fn reader_qps(
     let mut best = 0.0f64;
     for _ in 0..trials {
         let mut ws = WorkerScratch::new();
-        {
-            let gen = live.read();
-            std::hint::black_box(gen.query_batch(&mut ws, vref, pairs));
-        }
+        let mut out = Vec::new();
+        live.read().core().try_query_batch_into(&mut ws, vref, pairs, &mut out).unwrap();
         let t = Instant::now();
         let mut answered = 0u64;
         while t.elapsed() < window {
             let gen = live.read();
-            std::hint::black_box(gen.query_batch(&mut ws, vref, pairs));
+            gen.core().try_query_batch_into(&mut ws, vref, pairs, &mut out).unwrap();
+            std::hint::black_box(&out);
             answered += pairs.len() as u64;
         }
         best = best.max(answered as f64 / t.elapsed().as_secs_f64());
@@ -275,7 +274,7 @@ fn bench_ingest_throughput(c: &mut Criterion) {
     let mut writer = EngineWriter::from_fvl(fvl.clone());
     let mut pool_iter = pool.iter().cycle();
     for _ in 0..reader_items {
-        writer.insert_label(pool_iter.next().expect("pool cycles forever"));
+        writer.try_insert_label(pool_iter.next().expect("pool cycles forever")).unwrap();
     }
     let vref = writer.register_view(view, VariantKind::Default).unwrap();
     let live = Arc::new(LiveEngine::new(writer.base().clone()));

@@ -64,7 +64,7 @@ fn bench_parallel_throughput(c: &mut Criterion) {
 
     let variants = [VariantKind::SpaceEfficient, VariantKind::Default, VariantKind::QueryEfficient];
     let mut writer = EngineWriter::from_fvl(fvl.clone());
-    let items = writer.insert_labels(labeler.labels());
+    let items = writer.try_insert_labels(labeler.labels()).unwrap();
     let vid = writer.add_view(view.clone());
     let vrefs = variants.map(|kind| writer.compile(vid, kind).unwrap());
     let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
@@ -96,10 +96,12 @@ fn bench_parallel_throughput(c: &mut Criterion) {
     for (vi, (kind, vref)) in variants.into_iter().zip(vrefs).enumerate() {
         // Guard: every thread count must reproduce the sequential batch
         // exactly before its throughput may be reported.
-        let sequential = gen.query_batch(&mut WorkerScratch::new(), vref, &id_pairs);
+        let mut sequential = Vec::new();
+        core.try_query_batch_into(&mut WorkerScratch::new(), vref, &id_pairs, &mut sequential)
+            .unwrap();
         for threads in THREADS {
             assert_eq!(
-                core.par_query_batch(vref, &id_pairs, threads),
+                core.try_par_query_batch(vref, &id_pairs, threads).unwrap(),
                 sequential,
                 "{kind:?} x{threads} diverges from the sequential batch"
             );
@@ -155,7 +157,7 @@ fn bench_parallel_throughput(c: &mut Criterion) {
 
         for &threads in &THREADS {
             g.bench_function(format!("{kind:?}/x{threads}"), |b| {
-                b.iter(|| core.par_query_batch(vref, &id_pairs, threads))
+                b.iter(|| core.try_par_query_batch(vref, &id_pairs, threads).unwrap())
             });
         }
     }

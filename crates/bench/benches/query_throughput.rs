@@ -36,7 +36,7 @@ fn bench_query_throughput(c: &mut Criterion) {
 
     let variants = [VariantKind::SpaceEfficient, VariantKind::Default, VariantKind::QueryEfficient];
     let mut writer = EngineWriter::from_fvl(fvl.clone());
-    let items = writer.insert_labels(labels);
+    let items = writer.try_insert_labels(labels).unwrap();
     let vid = writer.add_view(view.clone());
     let vrefs = variants.map(|kind| writer.compile(vid, kind).unwrap());
     let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
@@ -58,7 +58,8 @@ fn bench_query_throughput(c: &mut Criterion) {
 
         // Guard: the fast paths must agree with the reference before any
         // number is reported.
-        let batch = gen.query_batch(&mut ws, vref, &id_pairs);
+        let mut batch = Vec::new();
+        core.try_query_batch_into(&mut ws, vref, &id_pairs, &mut batch).unwrap();
         let mut session_check = fvl.session(&vl);
         for (i, &(a, b)) in pairs.iter().enumerate() {
             let reference = fvl.query(&vl, &labels[a.0 as usize], &labels[b.0 as usize]);

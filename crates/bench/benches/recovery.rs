@@ -93,7 +93,7 @@ fn bench_recovery(c: &mut Criterion) {
     let mut pool_iter = pool.iter().cycle();
     for _ in 0..PUBLISHES {
         for _ in 0..per {
-            writer.insert_label(pool_iter.next().expect("pool cycles"));
+            writer.try_insert_label(pool_iter.next().expect("pool cycles")).unwrap();
         }
         writer.publish_durable(&live, &mut durable).expect("in-memory append");
     }

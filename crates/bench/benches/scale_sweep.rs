@@ -24,11 +24,6 @@
 //!   cold;
 //! * memory — `rss_bytes` (`VmRSS`) after each size's build, plus the
 //!   process-wide `peak_rss_bytes` (`VmHWM`) after the largest;
-//! * `kernels` — the microbench justifying the word-parallel transpose and
-//!   blocked matmul rewrites, each measured in its dispatched regime
-//!   (dense operand for the transpose, sparse right-hand side for the
-//!   blocked matmul) against the bit-serial reference, speedups recorded
-//!   and CI-gated (transpose ≥ 2×);
 //! * `profile` — when built with `--features profile`, the per-stage
 //!   [`wf_bench::profile::ProfileReport`] of the largest size's query
 //!   traffic (label fetch / port-graph walk / matmul / pow-memo hit+miss /
@@ -44,8 +39,7 @@ use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-use wf_bench::{current_rss_bytes, ms, ns_per, peak_rss_bytes, profile, Bench, LatencyHistogram};
-use wf_boolmat::BoolMat;
+use wf_bench::{current_rss_bytes, ms, peak_rss_bytes, profile, Bench, LatencyHistogram};
 use wf_core::{Fvl, VariantKind};
 use wf_engine::{EngineGeneration, EngineWriter, ItemId, LiveEngine, WorkerScratch};
 
@@ -97,37 +91,6 @@ fn hist_json(h: &LatencyHistogram) -> String {
     )
 }
 
-/// Dense pseudo-random 64×64 operand (~50% occupancy) — the transpose
-/// microbench's worst case for the bit-serial scatter, and the matmul
-/// regime where the serial kernel's saturation exit wins (kept bit-serial
-/// by the density-aware dispatch).
-fn dense64(seed: u64) -> BoolMat {
-    let mut state = seed | 1;
-    let mut m = BoolMat::zeros(64, 64);
-    for r in 0..64 {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        m.set_row_bits(r, state ^ state.rotate_left(31));
-    }
-    m
-}
-
-/// Sparse 64×64 operand (8 bits/row ≈ 12.5% occupancy) — the right-hand
-/// regime where the blocked matmul's branchless pass beats bit-serial
-/// accumulation (no saturation exit to bail it out).
-fn sparse64(seed: u64) -> BoolMat {
-    let mut state = seed | 1;
-    let mut m = BoolMat::zeros(64, 64);
-    for r in 0..64 {
-        let mut bits = 0u64;
-        for _ in 0..8 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            bits |= 1u64 << (state >> 58);
-        }
-        m.set_row_bits(r, bits);
-    }
-    m
-}
-
 fn bench_scale_sweep(c: &mut Criterion) {
     let quick = std::env::args().any(|a| a == "--test");
     // Full mode is the committed Figure 26 axis; quick keeps the same
@@ -135,7 +98,6 @@ fn bench_scale_sweep(c: &mut Criterion) {
     let sizes: &[usize] =
         if quick { &[1_000, 4_000, 10_000] } else { &[10_000, 100_000, 1_000_000] };
     let queries = if quick { 4_000 } else { 20_000 };
-    let kernel_iters = if quick { 20_000 } else { 200_000 };
 
     let bench = Bench::fine(1);
     let fvl = Arc::new(Fvl::from_arc(Arc::new(bench.workload.spec.clone())).unwrap());
@@ -155,7 +117,7 @@ fn bench_scale_sweep(c: &mut Criterion) {
         let mut writer = EngineWriter::from_fvl(fvl.clone());
         let t_build = Instant::now();
         let labeler = fvl.labeler(&run);
-        let items = writer.insert_labels(labeler.labels());
+        let items = writer.try_insert_labels(labeler.labels()).unwrap();
         let vref = writer.register_view(view.clone(), VariantKind::Default).unwrap();
         let engine = writer.publish(&LiveEngine::new(writer.base().clone()));
         let cold_build_ms = t_build.elapsed().as_secs_f64() * 1e3;
@@ -228,9 +190,11 @@ fn bench_scale_sweep(c: &mut Criterion) {
         // Spot-check: the restarted generation answers exactly like the
         // cold one on a slice of the workload.
         let probe = &pairs[..pairs.len().min(200)];
+        let (mut warm_answers, mut cold_answers) = (Vec::new(), Vec::new());
+        warm.core().try_query_batch_into(&mut ws, vref, probe, &mut warm_answers).unwrap();
+        core.try_query_batch_into(&mut ws, vref, probe, &mut cold_answers).unwrap();
         assert_eq!(
-            warm.query_batch(&mut ws, vref, probe),
-            engine.query_batch(&mut ws, vref, probe),
+            warm_answers, cold_answers,
             "warm restart must answer identically at size {size}"
         );
 
@@ -247,29 +211,6 @@ fn bench_scale_sweep(c: &mut Criterion) {
             rss_bytes,
         });
     }
-
-    // --- Kernel microbench: the profile-justified rewrites vs their
-    // bit-serial references, each in its dispatched regime (transpose on a
-    // dense operand, blocked matmul on a sparse right-hand side). --------
-    let a = dense64(0xA5A5_5A5A);
-    let b = sparse64(0x1234_5678);
-    let mut out = BoolMat::default();
-    let transpose_serial_ns = ns_per(kernel_iters, |_| {
-        a.transpose_into_bitserial(&mut out);
-        out.row_bits(0)
-    });
-    let transpose_block_ns = ns_per(kernel_iters, |_| {
-        a.transpose_into_block(&mut out);
-        out.row_bits(0)
-    });
-    let matmul_serial_ns = ns_per(kernel_iters, |_| {
-        a.matmul_into_bitserial(&b, &mut out);
-        out.row_bits(0)
-    });
-    let matmul_blocked_ns = ns_per(kernel_iters, |_| {
-        a.matmul_into_blocked(&b, &mut out);
-        out.row_bits(0)
-    });
 
     let peak_rss = peak_rss_bytes().unwrap_or(0);
 
@@ -294,26 +235,9 @@ fn bench_scale_sweep(c: &mut Criterion) {
          core, per-worker histograms merged (on host_cores < par_workers the tail includes \
          time-slicing, by design); warm_load_ms = EngineGeneration::load from a save() \
          snapshot — no relabeling — gated <= cold_build_ms; rss_bytes = VmRSS after the \
-         build. kernels = 64x64 microbench of each rewrite in its dispatched regime: \
-         word-parallel transpose on a dense operand, blocked matmul on a sparse right-hand side \
-         (dense rhs stays bit-serial, whose saturation exit wins there); speedups gated by \
-         bench_check. profile = per-stage counters of the largest size's measured queries, \
+         build. profile = per-stage counters of the largest size's measured queries, \
          present when built with --features profile (CI does).\","
     );
-    let _ = writeln!(json, "  \"kernels\": {{");
-    let _ = writeln!(
-        json,
-        "    \"transpose_64x64\": {{ \"bitserial_ns\": {transpose_serial_ns:.1}, \
-         \"word_parallel_ns\": {transpose_block_ns:.1}, \"speedup\": {:.2} }},",
-        transpose_serial_ns / transpose_block_ns
-    );
-    let _ = writeln!(
-        json,
-        "    \"matmul_64x64_sparse_rhs\": {{ \"bitserial_ns\": {matmul_serial_ns:.1}, \
-         \"blocked_ns\": {matmul_blocked_ns:.1}, \"speedup\": {:.2} }}",
-        matmul_serial_ns / matmul_blocked_ns
-    );
-    let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"sweep\": [");
     for (i, row) in rows.iter().enumerate() {
         let _ = writeln!(json, "    {{");
@@ -349,7 +273,7 @@ fn bench_scale_sweep(c: &mut Criterion) {
     // size, so the group stays cheap under `--test`. ---------------------
     let run = bench.run_of(42 + sizes[0] as u64, sizes[0]);
     let mut writer = EngineWriter::from_fvl(fvl.clone());
-    let items = writer.insert_labels(fvl.labeler(&run).labels());
+    let items = writer.try_insert_labels(fvl.labeler(&run).labels()).unwrap();
     let vref = writer.register_view(view, VariantKind::Default).unwrap();
     let engine = writer.publish(&LiveEngine::new(writer.base().clone()));
     let pairs = query_pairs(&mut StdRng::seed_from_u64(9), &items, 1024);
@@ -362,18 +286,6 @@ fn bench_scale_sweep(c: &mut Criterion) {
             let (x, y) = pairs[i % pairs.len()];
             i += 1;
             std::hint::black_box(core.try_query(&mut ws, vref, x, y).unwrap())
-        })
-    });
-    g.bench_function("transpose_64x64_word_parallel", |bch| {
-        bch.iter(|| {
-            a.transpose_into_block(&mut out);
-            std::hint::black_box(out.row_bits(0))
-        })
-    });
-    g.bench_function("matmul_64x64_blocked", |bch| {
-        bch.iter(|| {
-            a.matmul_into_blocked(&b, &mut out);
-            std::hint::black_box(out.row_bits(0))
         })
     });
     g.finish();

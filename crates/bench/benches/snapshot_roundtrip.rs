@@ -38,7 +38,7 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
     let build_cold = || {
         let labeler = fvl.labeler(&run);
         let mut writer = EngineWriter::from_fvl(fvl.clone());
-        writer.insert_labels(labeler.labels());
+        writer.try_insert_labels(labeler.labels()).unwrap();
         let vid = writer.add_view(view.clone());
         for kind in VARIANTS {
             writer.compile(vid, kind).unwrap();
@@ -56,6 +56,7 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
         let cold = build_cold();
         let warm = load();
         let mut ws = WorkerScratch::new();
+        let (mut cold_answers, mut warm_answers) = (Vec::new(), Vec::new());
         let pairs = bench.queries(&run, 5, 512);
         let vid = wf_engine::ViewId(0);
         for kind in VARIANTS {
@@ -64,11 +65,9 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
                 .iter()
                 .map(|&(a, b)| (wf_engine::ItemId(a.0), wf_engine::ItemId(b.0)))
                 .collect();
-            assert_eq!(
-                cold.query_batch(&mut ws, vref, &id_pairs),
-                warm.query_batch(&mut ws, vref, &id_pairs),
-                "{kind:?}: loaded generation diverges"
-            );
+            cold.core().try_query_batch_into(&mut ws, vref, &id_pairs, &mut cold_answers).unwrap();
+            warm.core().try_query_batch_into(&mut ws, vref, &id_pairs, &mut warm_answers).unwrap();
+            assert_eq!(cold_answers, warm_answers, "{kind:?}: loaded generation diverges");
         }
     }
 

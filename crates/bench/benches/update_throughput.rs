@@ -74,7 +74,7 @@ fn publish_cycle<'a>(
     let base_len = writer.base().store().len();
     let t = Instant::now();
     for _ in 0..count {
-        writer.insert_label(pool.next().expect("pool cycles forever"));
+        writer.try_insert_label(pool.next().expect("pool cycles forever")).unwrap();
     }
     let gen = writer.publish(live);
     (t.elapsed().as_nanos() as u64, gen.store().shards_touched_since(base_len))
@@ -117,20 +117,21 @@ fn reader_qps_at<'a>(
     let mut best = (0.0f64, 0u64);
     for _ in 0..trials {
         // Warm the reader path (scratch, trie, caches).
-        {
-            let gen = live.read();
-            let mut ws = WorkerScratch::new();
-            std::hint::black_box(gen.query_batch(&mut ws, vref, pairs));
-        }
+        live.read()
+            .core()
+            .try_query_batch_into(&mut WorkerScratch::new(), vref, pairs, &mut Vec::new())
+            .unwrap();
         let stop = AtomicBool::new(false);
         let (qps, publishes) = std::thread::scope(|s| {
             let stop_ref = &stop;
             let reader = s.spawn(move || {
                 let mut ws = WorkerScratch::new();
+                let mut out = Vec::new();
                 let mut answered = 0u64;
                 while !stop_ref.load(Ordering::Relaxed) {
                     let gen = live.read();
-                    std::hint::black_box(gen.query_batch(&mut ws, vref, pairs));
+                    gen.core().try_query_batch_into(&mut ws, vref, pairs, &mut out).unwrap();
+                    std::hint::black_box(&out);
                     answered += pairs.len() as u64;
                 }
                 answered
@@ -242,7 +243,7 @@ fn bench_update_throughput(c: &mut Criterion) {
         // Sharded writer at the default capacity, filled to `size`.
         let mut writer = EngineWriter::from_fvl(fvl.clone());
         for _ in 0..size {
-            writer.insert_label(pool.next().expect("pool cycles forever"));
+            writer.try_insert_label(pool.next().expect("pool cycles forever")).unwrap();
         }
         let vref = writer.register_view(view.clone(), VariantKind::Default).unwrap();
         let live = LiveEngine::new(writer.base().clone());
@@ -253,7 +254,7 @@ fn bench_update_throughput(c: &mut Criterion) {
         // every staged chunk re-clones the whole store.
         let mut baseline_writer = EngineWriter::from_fvl_with_shard_capacity(fvl.clone(), u32::MAX);
         for _ in 0..size {
-            baseline_writer.insert_label(pool.next().expect("pool cycles forever"));
+            baseline_writer.try_insert_label(pool.next().expect("pool cycles forever")).unwrap();
         }
         let baseline_live = LiveEngine::new(baseline_writer.base().clone());
         baseline_writer.publish(&baseline_live);
@@ -403,9 +404,11 @@ fn bench_update_throughput(c: &mut Criterion) {
     g.bench_function("live_read_fast_path", |b| b.iter(|| std::hint::black_box(live.read())));
     g.bench_function("read_query_batch_at_max_size", |b| {
         let mut ws = WorkerScratch::new();
+        let mut out = Vec::new();
         b.iter(|| {
             let gen = live.read();
-            std::hint::black_box(gen.query_batch(&mut ws, vref, &pairs))
+            gen.core().try_query_batch_into(&mut ws, vref, &pairs, &mut out).unwrap();
+            std::hint::black_box(out.len())
         })
     });
     g.finish();

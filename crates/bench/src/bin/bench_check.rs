@@ -59,9 +59,8 @@
 //! (strict at ≥ 5·10^5 items where labeling dominates the cold cost,
 //! a 1.5× no-catastrophe bound below, where snapshot re-interning and
 //! labeling cost about the same); positive
-//! snapshot/RSS accounting; the word-parallel transpose ≥ 2× bit-serial
-//! at 64×64 and the blocked matmul ≥ 0.8× on its dispatched sparse-rhs
-//! regime; and a `--features profile` report naming ≥ 3 hot stages.
+//! snapshot/RSS accounting; and a `--features profile` report naming ≥ 3
+//! hot stages.
 //!
 //! **`query_throughput`** — exit 0 iff all three §6.3 variants report
 //! positive per-call / session / batched ns-per-query over ≥ 1000 pairs,
@@ -371,9 +370,8 @@ fn check_parallel(doc: &Json) -> Result<String, String> {
 
 /// The `scale_sweep` gate (Figure 26 at scale): a monotone size axis with
 /// sane tail-latency histograms at every point, warm restarts that beat
-/// cold rebuilds, positive memory accounting, the kernel microbench
-/// holding its measured speedups, and a profile report naming the top
-/// hot stages (the sweep must be run with `--features profile`).
+/// cold rebuilds, positive memory accounting, and a profile report naming
+/// the top hot stages (the sweep must be run with `--features profile`).
 fn check_scale_sweep(doc: &Json) -> Result<String, String> {
     doc.get("host_cores").and_then(Json::num).ok_or("missing or invalid host_cores")?;
     doc.get("par_workers")
@@ -471,31 +469,6 @@ fn check_scale_sweep(doc: &Json) -> Result<String, String> {
         .and_then(Json::num)
         .filter(|&v| v > 0.0)
         .ok_or("missing or zero peak_rss_bytes")?;
-    let kernels = doc.get("kernels").ok_or("missing kernels object")?;
-    let speedup_of = |name: &str| {
-        let k = kernels.get(name).ok_or_else(|| format!("kernels: missing {name}"))?;
-        for field in ["bitserial_ns", "speedup"] {
-            k.get(field)
-                .and_then(Json::num)
-                .filter(|&v| v > 0.0)
-                .ok_or_else(|| format!("kernels: {name} missing or zero {field}"))?;
-        }
-        Ok::<f64, String>(k.get("speedup").and_then(Json::num).expect("validated above"))
-    };
-    let transpose = speedup_of("transpose_64x64")?;
-    if transpose < 2.0 {
-        return Err(format!(
-            "word-parallel transpose is only {transpose:.2}x bit-serial at 64x64 (need >= 2x): \
-             the block kernel no longer earns its dispatch"
-        ));
-    }
-    let matmul = speedup_of("matmul_64x64_sparse_rhs")?;
-    if matmul < 0.8 {
-        return Err(format!(
-            "blocked matmul is {matmul:.2}x bit-serial on its dispatched (sparse-rhs) regime \
-             (floor 0.8x): the density dispatch is sending it traffic it loses on"
-        ));
-    }
     let profile = doc.get("profile").ok_or("missing profile object")?;
     match profile.get("enabled") {
         Some(Json::Bool(true)) => {}
@@ -520,11 +493,7 @@ fn check_scale_sweep(doc: &Json) -> Result<String, String> {
             _ => None,
         })
         .collect();
-    summary.push_str(&format!(
-        "kernels: transpose {transpose:.2}x (need 2x), matmul {matmul:.2}x (floor 0.8x); top \
-         stages: {} — ok\n",
-        top_names.join(" > ")
-    ));
+    summary.push_str(&format!("top stages: {} — ok\n", top_names.join(" > ")));
     Ok(summary)
 }
 
@@ -1233,13 +1202,10 @@ mod tests {
         )
     }
 
-    fn sweep_doc(rows: &[String], transpose: f64, matmul: f64, profile: &str) -> Json {
+    fn sweep_doc(rows: &[String], profile: &str) -> Json {
         parse(&format!(
             r#"{{"bench": "scale_sweep", "host_cores": 1, "par_workers": 4,
                  "queries_per_size": 4000,
-                 "kernels": {{
-                     "transpose_64x64": {{"bitserial_ns": 1100.0, "word_parallel_ns": 270.0, "speedup": {transpose}}},
-                     "matmul_64x64_sparse_rhs": {{"bitserial_ns": 1900.0, "blocked_ns": 1600.0, "speedup": {matmul}}}}},
                  "sweep": [{}],
                  "peak_rss_bytes": 8000000,
                  "profile": {profile}}}"#,
@@ -1262,68 +1228,56 @@ mod tests {
 
     #[test]
     fn accepts_a_sound_scale_sweep() {
-        let d = sweep_doc(&sweep_rows(), 4.1, 1.2, PROFILE_OK);
+        let d = sweep_doc(&sweep_rows(), PROFILE_OK);
         let summary = check(&d).expect("sound sweep passes");
         assert!(summary.contains("pi > label_fetch > chain_eval"), "{summary}");
     }
 
     #[test]
-    fn rejects_sweep_slo_and_kernel_regressions() {
+    fn rejects_sweep_slo_regressions() {
         // Disordered quantiles (p999 < p99).
         let mut rows = sweep_rows();
         rows[1] = sweep_row(10000, 400, 6000, 2300, 8.0, 5.0);
-        assert!(check(&sweep_doc(&rows, 4.1, 1.2, PROFILE_OK)).unwrap_err().contains("disordered"));
+        assert!(check(&sweep_doc(&rows, PROFILE_OK)).unwrap_err().contains("disordered"));
         // Warm restart slower than the cold rebuild at 10^6, where
         // labeling dominates and the bound is strict.
         let mut rows = sweep_rows();
         rows.push(sweep_row(1000000, 900, 4500, 17000, 500.0, 600.0));
-        assert!(check(&sweep_doc(&rows, 4.1, 1.2, PROFILE_OK))
-            .unwrap_err()
-            .contains("pay for themselves"));
+        assert!(check(&sweep_doc(&rows, PROFILE_OK)).unwrap_err().contains("pay for themselves"));
         // ...but a small row gets the 1.5x comparable-cost bound: near
         // parity passes, a catastrophic loss does not.
         let mut rows = sweep_rows();
         rows[0] = sweep_row(1000, 300, 2000, 5000, 1.0, 1.2);
-        assert!(check(&sweep_doc(&rows, 4.1, 1.2, PROFILE_OK)).is_ok());
+        assert!(check(&sweep_doc(&rows, PROFILE_OK)).is_ok());
         let mut rows = sweep_rows();
         rows[0] = sweep_row(1000, 300, 2000, 5000, 1.0, 2.0);
-        assert!(check(&sweep_doc(&rows, 4.1, 1.2, PROFILE_OK))
-            .unwrap_err()
-            .contains("pay for themselves"));
-        // Transpose kernel fell under its gated speedup.
-        assert!(check(&sweep_doc(&sweep_rows(), 1.4, 1.2, PROFILE_OK))
-            .unwrap_err()
-            .contains("earns its dispatch"));
-        // Blocked matmul losing on its own dispatched regime.
-        assert!(check(&sweep_doc(&sweep_rows(), 4.1, 0.5, PROFILE_OK))
-            .unwrap_err()
-            .contains("density dispatch"));
+        assert!(check(&sweep_doc(&rows, PROFILE_OK)).unwrap_err().contains("pay for themselves"));
     }
 
     #[test]
     fn rejects_sweep_structural_shortfalls() {
         // Too few sizes.
         let two = sweep_rows()[..2].to_vec();
-        assert!(check(&sweep_doc(&two, 4.1, 1.2, PROFILE_OK)).unwrap_err().contains(">= 3"));
+        assert!(check(&sweep_doc(&two, PROFILE_OK)).unwrap_err().contains(">= 3"));
         // Largest size below the 10^4 point.
         let small = vec![
             sweep_row(100, 300, 2000, 5000, 1.0, 0.5),
             sweep_row(1000, 300, 2000, 5000, 1.5, 0.7),
             sweep_row(5000, 400, 2300, 6000, 4.0, 2.0),
         ];
-        assert!(check(&sweep_doc(&small, 4.1, 1.2, PROFILE_OK)).unwrap_err().contains(">= 10000"));
+        assert!(check(&sweep_doc(&small, PROFILE_OK)).unwrap_err().contains(">= 10000"));
         // Too few samples for an honest p999.
         let thin = sweep_rows()[..2]
             .iter()
             .cloned()
             .chain([sweep_rows()[2].replace("\"count\": 4000", "\"count\": 50")])
             .collect::<Vec<_>>();
-        assert!(check(&sweep_doc(&thin, 4.1, 1.2, PROFILE_OK)).unwrap_err().contains(">= 1000"));
+        assert!(check(&sweep_doc(&thin, PROFILE_OK)).unwrap_err().contains(">= 1000"));
         // A profile-less run (default features) must not pass the gate.
-        let d = sweep_doc(&sweep_rows(), 4.1, 1.2, r#"{"enabled": false, "top": []}"#);
+        let d = sweep_doc(&sweep_rows(), r#"{"enabled": false, "top": []}"#);
         assert!(check(&d).unwrap_err().contains("--features profile"));
         // An enabled profile that somehow names < 3 stages is also a fail.
-        let d = sweep_doc(&sweep_rows(), 4.1, 1.2, r#"{"enabled": true, "top": ["pi"]}"#);
+        let d = sweep_doc(&sweep_rows(), r#"{"enabled": true, "top": ["pi"]}"#);
         assert!(check(&d).unwrap_err().contains("hot stages"));
     }
 

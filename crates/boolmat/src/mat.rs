@@ -191,65 +191,10 @@ impl BoolMat {
         self.matmul_bits(other, out);
     }
 
-    /// Inner-dimension threshold above which [`BoolMat::matmul_into_blocked`]
-    /// beats the bit-serial kernel on dense rows: the blocked pass costs a
-    /// fixed `other.rows` iterations per 4-row group (branchless, so the
-    /// four accumulators pipeline), while bit-serial costs ~3 dependent ops
-    /// per *set* bit. Workflow port matrices (≤10 ports) stay bit-serial.
-    const MATMUL_BLOCK_MIN_INNER: usize = 16;
-
-    /// Density ceiling (in quarters of `other`'s cells) below which the
-    /// blocked kernel is dispatched. Above ~25% occupancy the bit-serial
-    /// kernel's saturated-row early exit kicks in after a handful of ORs
-    /// (the accumulator fills in ~`log` steps on dense operands) and beats
-    /// the blocked pass's fixed `other.rows` iterations; the microbench in
-    /// `wf-bench::scale_sweep` pins both regimes.
-    const MATMUL_BLOCK_MAX_QUARTER_DENSITY: u32 = 1;
-
-    #[inline]
+    /// The product kernel behind [`BoolMat::matmul`] and
+    /// [`BoolMat::matmul_into`] (`out` already reset to the result shape).
     fn matmul_bits(&self, other: &BoolMat, out: &mut BoolMat) {
         let _t = wf_profile::scope(wf_profile::Stage::Matmul);
-        if self.rows >= 4
-            && other.rows as usize >= Self::MATMUL_BLOCK_MIN_INNER
-            && Self::sparse_enough_for_block(other)
-        {
-            self.matmul_bits_blocked(other, out);
-        } else {
-            self.matmul_bits_serial(other, out);
-        }
-    }
-
-    /// `true` when `other`'s occupancy is at most
-    /// [`BoolMat::MATMUL_BLOCK_MAX_QUARTER_DENSITY`] quarters of its cells.
-    /// Costs one `popcnt` per row (≤ 64) — noise next to the multiply this
-    /// decision steers.
-    #[inline]
-    fn sparse_enough_for_block(other: &BoolMat) -> bool {
-        let ones: u32 = other.data.iter().map(|w| w.count_ones()).sum();
-        ones * 4 <= other.rows as u32 * other.cols as u32 * Self::MATMUL_BLOCK_MAX_QUARTER_DENSITY
-    }
-
-    /// One output row of the bit-serial kernel: for each set bit `k` of
-    /// `row`, OR in row `k` of `other`, with a saturated-row early exit.
-    #[inline]
-    fn row_product_serial(row: u64, other_rows: &[u64], full: u64) -> u64 {
-        let mut bits = row;
-        let mut acc = 0u64;
-        while bits != 0 {
-            let k = bits.trailing_zeros() as usize;
-            acc |= other_rows[k];
-            if acc == full {
-                // The row saturated every column: no further source bit
-                // can add anything (reachability rows close fast, so
-                // this fires often on transitively-closed matrices).
-                break;
-            }
-            bits &= bits - 1;
-        }
-        acc
-    }
-
-    fn matmul_bits_serial(&self, other: &BoolMat, out: &mut BoolMat) {
         let full = Self::col_mask(other.cols as usize);
         for (i, &row) in self.data.iter().enumerate() {
             // All-zero source rows contribute nothing; `out` is freshly
@@ -257,56 +202,21 @@ impl BoolMat {
             if row == 0 {
                 continue;
             }
-            out.data[i] = Self::row_product_serial(row, &other.data, full);
-        }
-    }
-
-    /// Blocked kernel: four source rows share one branchless pass over
-    /// `other`. Each inner step turns bit `k` of a source row into an
-    /// all-ones/all-zeros mask (`wrapping_neg` of the extracted bit) and
-    /// ANDs it with row `k` of `other` — no data-dependent branches, so the
-    /// four accumulators retire in parallel. Worth it once the inner
-    /// dimension is large *and* `other` is sparse enough that the serial
-    /// kernel's saturation exit stays cold; see `MATMUL_BLOCK_MIN_INNER`
-    /// and `MATMUL_BLOCK_MAX_QUARTER_DENSITY`.
-    fn matmul_bits_blocked(&self, other: &BoolMat, out: &mut BoolMat) {
-        let orows = &other.data[..];
-        let n = self.rows as usize;
-        let full = Self::col_mask(other.cols as usize);
-        let mut i = 0;
-        while i + 4 <= n {
-            let r = [self.data[i], self.data[i + 1], self.data[i + 2], self.data[i + 3]];
-            let mut acc = [0u64; 4];
-            for (k, &orow) in orows.iter().enumerate() {
-                acc[0] |= orow & ((r[0] >> k) & 1).wrapping_neg();
-                acc[1] |= orow & ((r[1] >> k) & 1).wrapping_neg();
-                acc[2] |= orow & ((r[2] >> k) & 1).wrapping_neg();
-                acc[3] |= orow & ((r[3] >> k) & 1).wrapping_neg();
+            let mut bits = row;
+            let mut acc = 0u64;
+            while bits != 0 {
+                let k = bits.trailing_zeros() as usize;
+                acc |= other.data[k];
+                if acc == full {
+                    // The row saturated every column: no further source bit
+                    // can add anything (reachability rows close fast, so
+                    // this fires often on transitively-closed matrices).
+                    break;
+                }
+                bits &= bits - 1;
             }
-            out.data[i..i + 4].copy_from_slice(&acc);
-            i += 4;
+            out.data[i] = acc;
         }
-        for (j, &row) in self.data.iter().enumerate().skip(i) {
-            out.data[j] = Self::row_product_serial(row, orows, full);
-        }
-    }
-
-    /// The bit-serial matmul kernel, callable directly. Exposed as the
-    /// reference implementation for the kernel-equivalence proptests and
-    /// the `scale_sweep` microbench; production code should use
-    /// [`BoolMat::matmul_into`], which dispatches by dimension.
-    pub fn matmul_into_bitserial(&self, other: &BoolMat, out: &mut BoolMat) {
-        debug_assert_eq!(self.cols, other.rows);
-        out.reset(self.rows as usize, other.cols as usize);
-        self.matmul_bits_serial(other, out);
-    }
-
-    /// The blocked 4-row matmul kernel, callable directly (same contract as
-    /// [`BoolMat::matmul_into_bitserial`]).
-    pub fn matmul_into_blocked(&self, other: &BoolMat, out: &mut BoolMat) {
-        debug_assert_eq!(self.cols, other.rows);
-        out.reset(self.rows as usize, other.cols as usize);
-        self.matmul_bits_blocked(other, out);
     }
 
     /// Matrix transpose. Algorithm 2 transposes the accumulated `Outputs`
@@ -325,25 +235,11 @@ impl BoolMat {
         self.transpose_bits(out);
     }
 
-    /// Population threshold (in matrix *cells*, `rows × cols`) above which
-    /// the word-parallel 64×64 block transpose beats bit-serial scatter.
-    /// The block network is a fixed ~6·64 word ops regardless of density;
-    /// bit-serial pays ~3 dependent ops per set bit. Small port matrices
-    /// (≤10×10) stay bit-serial; the `Oᵀ` of a wide accumulated chain goes
-    /// word-parallel.
-    const TRANSPOSE_BLOCK_MIN_CELLS: usize = 256;
-
-    #[inline]
+    /// The transpose kernel behind [`BoolMat::transpose`] and
+    /// [`BoolMat::transpose_into`]: scatter each set bit `(r, c)` to
+    /// `(c, r)` of the reset `out`.
     fn transpose_bits(&self, out: &mut BoolMat) {
         let _t = wf_profile::scope(wf_profile::Stage::Transpose);
-        if self.rows as usize * self.cols as usize >= Self::TRANSPOSE_BLOCK_MIN_CELLS {
-            self.transpose_bits_block(out);
-        } else {
-            self.transpose_bits_serial(out);
-        }
-    }
-
-    fn transpose_bits_serial(&self, out: &mut BoolMat) {
         for r in 0..self.rows as usize {
             let mut bits = self.data[r];
             while bits != 0 {
@@ -352,57 +248,6 @@ impl BoolMat {
                 bits &= bits - 1;
             }
         }
-    }
-
-    /// Word-parallel 64×64 bit-block transpose (Hacker's Delight §7-3):
-    /// pad the matrix into a `[u64; 64]` block, then run the log-step
-    /// swap-mask network — at step `j ∈ {32,16,8,4,2,1}` every pair of rows
-    /// `(k, k|j)` exchanges its off-diagonal `j×j` sub-blocks with three
-    /// XORs under mask `m`. Six passes of straight-line word ops replace
-    /// one scattered read-modify-write per set bit.
-    ///
-    /// Transpose is only legal when `rows ≤ 64` (the output needs `rows`
-    /// columns), so the 64×64 block always suffices; padding rows/bits are
-    /// zero by the row-mask invariant and fall off in the copy-out.
-    fn transpose_bits_block(&self, out: &mut BoolMat) {
-        let rows = self.rows as usize;
-        debug_assert!(rows <= 64, "transpose requires rows <= 64 (got {rows})");
-        let mut a = [0u64; 64];
-        a[..rows].copy_from_slice(&self.data);
-        let mut j = 32usize;
-        let mut m: u64 = 0x0000_0000_FFFF_FFFF;
-        while j != 0 {
-            let mut k = 0usize;
-            while k < 64 {
-                // LSB-first block swap: exchange the high-`j` bits of row
-                // `k` with the low-`j` bits of row `k|j` (the mirror of the
-                // MSB-first form in Hacker's Delight, matching our
-                // bit-0-is-column-0 layout).
-                let t = ((a[k] >> j) ^ a[k | j]) & m;
-                a[k] ^= t << j;
-                a[k | j] ^= t;
-                k = ((k | j) + 1) & !j;
-            }
-            j >>= 1;
-            m ^= m << j;
-        }
-        out.data.copy_from_slice(&a[..self.cols as usize]);
-    }
-
-    /// The bit-serial scatter transpose, callable directly. Exposed as the
-    /// reference implementation for the kernel-equivalence proptests and
-    /// the `scale_sweep` microbench; production code should use
-    /// [`BoolMat::transpose_into`], which dispatches by occupancy.
-    pub fn transpose_into_bitserial(&self, out: &mut BoolMat) {
-        out.reset(self.cols as usize, self.rows as usize);
-        self.transpose_bits_serial(out);
-    }
-
-    /// The word-parallel block transpose, callable directly (same contract
-    /// as [`BoolMat::transpose_into_bitserial`]).
-    pub fn transpose_into_block(&self, out: &mut BoolMat) {
-        out.reset(self.cols as usize, self.rows as usize);
-        self.transpose_bits_block(out);
     }
 
     /// Element-wise OR, in place. Used when accumulating reachability.

@@ -1,6 +1,5 @@
-//! Kernel-equivalence pins: the word-parallel block transpose and the
-//! blocked 4-row matmul are pure speed plays — every variant (and the
-//! dimension-dispatched entry points) must be element-identical to the
+//! Kernel-equivalence pins: the bit-serial matmul (with its saturated-row
+//! early exit) and the scatter transpose must be element-identical to the
 //! naive definitional loops on random matrices across the full dimension
 //! range, including the 0-row/0-col degenerates and the 64-wide edge.
 
@@ -58,9 +57,9 @@ fn random_mat(rows: usize, cols: usize, seed: u64) -> BoolMat {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
-    /// Both transpose kernels — and the dispatching `transpose_into` —
-    /// agree with the definitional loop for every `rows ≤ 64, cols ≤ 64`
-    /// (transpose needs `rows ≤ 64` so the output fits the column bound).
+    /// `transpose_into` (into a dirty output) and `transpose` agree with
+    /// the definitional loop for every `rows ≤ 64, cols ≤ 64` (transpose
+    /// needs `rows ≤ 64` so the output fits the column bound).
     #[test]
     fn transpose_kernels_match_naive(
         rows in 0usize..=64,
@@ -69,21 +68,15 @@ proptest! {
     ) {
         let m = random_mat(rows, cols, seed);
         let expect = naive_transpose(&m);
-        let mut serial = BoolMat::complete(3, 3); // dirty on purpose
-        m.transpose_into_bitserial(&mut serial);
-        prop_assert_eq!(&serial, &expect);
-        let mut block = BoolMat::complete(2, 5);
-        m.transpose_into_block(&mut block);
-        prop_assert_eq!(&block, &expect);
-        let mut dispatched = BoolMat::default();
-        m.transpose_into(&mut dispatched);
-        prop_assert_eq!(&dispatched, &expect);
+        let mut into = BoolMat::complete(3, 3); // dirty on purpose
+        m.transpose_into(&mut into);
+        prop_assert_eq!(&into, &expect);
         prop_assert_eq!(&m.transpose(), &expect);
     }
 
-    /// Both matmul kernels — and the dispatching `matmul_into` — agree
-    /// with the triple loop across random dimensions, including the
-    /// degenerate 0-row/0-col/0-inner shapes.
+    /// `matmul_into` (into a dirty output) and `matmul` agree with the
+    /// triple loop across random dimensions, including the degenerate
+    /// 0-row/0-col/0-inner shapes.
     #[test]
     fn matmul_kernels_match_naive(
         r in 0usize..=64,
@@ -94,47 +87,40 @@ proptest! {
         let a = random_mat(r, m, seed);
         let b = random_mat(m, c, seed.rotate_left(17) ^ 0x9E37_79B9);
         let expect = naive_matmul(&a, &b);
-        let mut serial = BoolMat::complete(1, 1);
-        a.matmul_into_bitserial(&b, &mut serial);
-        prop_assert_eq!(&serial, &expect);
-        let mut blocked = BoolMat::complete(7, 2);
-        a.matmul_into_blocked(&b, &mut blocked);
-        prop_assert_eq!(&blocked, &expect);
-        let mut dispatched = BoolMat::default();
-        a.matmul_into(&b, &mut dispatched);
-        prop_assert_eq!(&dispatched, &expect);
+        let mut into = BoolMat::complete(7, 2); // dirty on purpose
+        a.matmul_into(&b, &mut into);
+        prop_assert_eq!(&into, &expect);
         prop_assert_eq!(&a.matmul(&b), &expect);
     }
 }
 
-/// The occupancy crossover cases straddle `TRANSPOSE_BLOCK_MIN_CELLS` /
-/// `MATMUL_BLOCK_MIN_INNER`; pin the exact boundary dimensions so a future
-/// threshold tweak cannot silently change which kernel runs unverified.
+/// Fixed shapes around the paper's port counts and the 64-wide edge, pinned
+/// independently of the random dimension draws above.
 #[test]
-fn dispatch_boundaries_agree_with_naive() {
+fn fixed_shapes_agree_with_naive() {
     for (rows, cols) in [(15, 17), (16, 16), (16, 15), (17, 15), (4, 64), (64, 4), (64, 64)] {
         let m = random_mat(rows, cols, (rows * 131 + cols) as u64);
         let mut out = BoolMat::default();
         m.transpose_into(&mut out);
-        assert_eq!(out, naive_transpose(&m), "transpose dispatch at {rows}x{cols}");
+        assert_eq!(out, naive_transpose(&m), "transpose at {rows}x{cols}");
     }
     for (r, m, c) in [(3, 64, 8), (4, 15, 8), (4, 16, 8), (5, 17, 9), (64, 64, 64)] {
         let a = random_mat(r, m, (r * 17 + m) as u64);
         let b = random_mat(m, c, (m * 31 + c) as u64);
         let mut out = BoolMat::default();
         a.matmul_into(&b, &mut out);
-        assert_eq!(out, naive_matmul(&a, &b), "matmul dispatch at {r}x{m}x{c}");
+        assert_eq!(out, naive_matmul(&a, &b), "matmul at {r}x{m}x{c}");
     }
 }
 
-/// Full-width involution through the block kernel: a dense 64×64 random
-/// matrix survives transpose∘transpose bit-for-bit.
+/// Full-width involution: a dense 64×64 random matrix survives
+/// transpose∘transpose bit-for-bit.
 #[test]
-fn block_transpose_is_an_involution_at_full_width() {
+fn transpose_is_an_involution_at_full_width() {
     let m = random_mat(64, 64, 0xFEED_5EED);
     let mut t = BoolMat::default();
     let mut back = BoolMat::default();
-    m.transpose_into_block(&mut t);
-    t.transpose_into_block(&mut back);
+    m.transpose_into(&mut t);
+    t.transpose_into(&mut back);
     assert_eq!(back, m);
 }

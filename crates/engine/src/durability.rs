@@ -26,6 +26,7 @@
 //! neither — see DESIGN.md §12 for the full crash matrix.
 
 use crate::generation::{EngineGeneration, LiveEngine};
+use crate::store::check_shard_capacity;
 use std::io;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -116,12 +117,16 @@ impl DurableEngine {
     /// Open (or bootstrap) a durable store and recover the newest
     /// generation from it. A fresh directory gets an empty base written
     /// immediately, so every subsequent state is reachable from disk; an
-    /// op-log without any base is rejected as malformed.
+    /// op-log without any base is rejected as malformed. A zero
+    /// `shard_capacity` is [`SnapshotError::Io`] of kind
+    /// [`io::ErrorKind::InvalidInput`], returned before the storage is
+    /// touched (opening can write: it heals a torn tail).
     pub fn open(
         fvl: Arc<Fvl<'static>>,
         storage: Box<dyn Storage>,
         shard_capacity: u32,
     ) -> Result<(Self, Arc<EngineGeneration>, RecoveryReport), SnapshotError> {
+        check_shard_capacity(shard_capacity)?;
         let (mut log, opened) = DurableLog::open(storage)?;
         let base_bytes = match opened.base {
             Some(bytes) => bytes,

@@ -1,21 +1,29 @@
 //! Typed serving-layer errors.
 
-use crate::registry::ViewRef;
+use crate::registry::{ViewId, ViewRef};
 use crate::store::ItemId;
+use wf_core::FvlError;
 
-/// What can go wrong when issuing a query against (or inserting into) an
-/// engine: the handle refers to a `(view, variant)` that was never
-/// compiled here, an item id falls outside the interned store, or an
-/// insert would exhaust the store's dense id space. The handle errors are
-/// *caller* mistakes — the engine itself never produces invalid handles —
-/// so the panicking entry points treat them as bugs, while the `try_*`
-/// forms surface them to services that accept handles from untrusted
-/// sessions (and must survive a full store).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// What can go wrong when querying, writing to or feeding an engine: a
+/// handle refers to a view that was never registered or a `(view,
+/// variant)` that was never compiled here, an item id falls outside the
+/// interned store, a view fails to compile, or a capacity runs out (the
+/// store's dense id space, the ingest queue). Every entry point surfaces
+/// these as values — a handle error is a *caller* mistake, but services
+/// accept handles from untrusted sessions and must answer the next one.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum EngineError {
+    /// The view id was never registered in this engine (or belongs to a
+    /// different engine).
+    ViewNotRegistered { id: ViewId },
     /// The `(view, variant)` pair was registered but never compiled in this
     /// engine (or the id belongs to a different engine).
     ViewNotCompiled { view: ViewRef },
+    /// Compiling a registered view failed (for example, the view is unsafe
+    /// for the requested variant). The registration itself stands.
+    Compile(FvlError),
+    /// A parallel batch was handed no worker scratch to run on.
+    NoWorkerScratch,
     /// The item id is not an index into this engine's label store.
     ItemOutOfRange { item: ItemId, len: usize },
     /// The label store's id space is exhausted: interning one more path
@@ -60,8 +68,15 @@ impl EngineError {
 impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            EngineError::ViewNotRegistered { id } => {
+                write!(f, "view {id:?} is not registered in this engine")
+            }
             EngineError::ViewNotCompiled { view } => {
                 write!(f, "view {:?}/{:?} was not compiled in this engine", view.id, view.kind)
+            }
+            EngineError::Compile(e) => write!(f, "view compilation failed: {e}"),
+            EngineError::NoWorkerScratch => {
+                write!(f, "a parallel batch needs at least one worker scratch")
             }
             EngineError::ItemOutOfRange { item, len } => {
                 write!(f, "item {:?} is out of range for a store of {len} labels", item)

@@ -16,11 +16,12 @@
 //!   never share scratches, so there is no locking anywhere on the query
 //!   path; each worker's memo warms up independently and stays warm.
 //!
-//! [`EngineCore::par_query_batch`] and [`EngineCore::par_all_pairs`] fan a
-//! workload out across `std::thread::scope` workers over contiguous shards
-//! and merge deterministically: results are written into (or concatenated
-//! in) shard order, so the output is element-for-element identical to the
-//! sequential path no matter the thread count or scheduling.
+//! [`EngineCore::try_par_query_batch`] and [`EngineCore::try_par_all_pairs`]
+//! fan a workload out across `std::thread::scope` workers over contiguous
+//! shards and merge deterministically: results are written into (or
+//! concatenated in) shard order, so the output is element-for-element
+//! identical to the sequential path no matter the thread count or
+//! scheduling.
 
 use crate::error::EngineError;
 use crate::registry::{ViewRef, ViewRegistry};
@@ -192,19 +193,6 @@ impl<'e> EngineCore<'e> {
         Ok(query_pair(self.store, &ctx, ws, a, b))
     }
 
-    /// Panicking form of [`EngineCore::try_query`] for callers that own
-    /// their handles (compiled the view themselves, interned the items
-    /// themselves) — for those, an error is a bug, not an input.
-    pub fn query(
-        &self,
-        ws: &mut WorkerScratch,
-        view: ViewRef,
-        a: ItemId,
-        b: ItemId,
-    ) -> Option<bool> {
-        self.try_query(ws, view, a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Answers a batch of pairs into `out` (cleared first), reusing one
     /// worker's scratch across the whole batch; steady state performs no
     /// allocation. Validates the view and every item before answering
@@ -318,14 +306,15 @@ impl<'e> EngineCore<'e> {
     /// scratch; a service that keeps `scratches` alive across batches gets
     /// the same allocation-free, memo-warm steady state per worker that
     /// the sequential batch path has, instead of re-warming pools and
-    /// chain-power memos on every call.
+    /// chain-power memos on every call. A non-empty batch with no scratch
+    /// to run on is [`EngineError::NoWorkerScratch`] (checked after the
+    /// view and items).
     pub fn try_par_query_batch_with(
         &self,
         scratches: &mut [WorkerScratch],
         view: ViewRef,
         pairs: &[(ItemId, ItemId)],
     ) -> Result<Vec<Option<bool>>, EngineError> {
-        assert!(!scratches.is_empty(), "parallel batches need at least one worker scratch");
         let ctx = self.context(view)?;
         for &(a, b) in pairs {
             self.check_item(a)?;
@@ -334,6 +323,9 @@ impl<'e> EngineCore<'e> {
         let mut out = vec![None; pairs.len()];
         if pairs.is_empty() {
             return Ok(out);
+        }
+        if scratches.is_empty() {
+            return Err(EngineError::NoWorkerScratch);
         }
         let chunk = pairs.len().div_ceil(scratches.len());
         let store = self.store;
@@ -355,16 +347,6 @@ impl<'e> EngineCore<'e> {
             }
         });
         Ok(out)
-    }
-
-    /// Panicking form of [`EngineCore::try_par_query_batch`].
-    pub fn par_query_batch(
-        &self,
-        view: ViewRef,
-        pairs: &[(ItemId, ItemId)],
-        threads: usize,
-    ) -> Vec<Option<bool>> {
-        self.try_par_query_batch(view, pairs, threads).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`EngineCore::try_all_pairs_into`] sharded by *rows* across scoped
@@ -408,15 +390,5 @@ impl<'e> EngineCore<'e> {
                 .collect::<Vec<_>>()
         });
         Ok(shards.concat())
-    }
-
-    /// Panicking form of [`EngineCore::try_par_all_pairs`].
-    pub fn par_all_pairs(
-        &self,
-        view: ViewRef,
-        items: &[ItemId],
-        threads: usize,
-    ) -> Vec<(ItemId, ItemId)> {
-        self.try_par_all_pairs(view, items, threads).unwrap_or_else(|e| panic!("{e}"))
     }
 }

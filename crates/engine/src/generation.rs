@@ -42,7 +42,7 @@
 
 use crate::durability::DurableEngine;
 use crate::error::EngineError;
-use crate::frozen::{EngineCore, WorkerScratch};
+use crate::frozen::EngineCore;
 use crate::registry::{ViewId, ViewRef, ViewRegistry};
 use crate::staging::StagedState;
 use crate::store::{ItemId, LabelStore};
@@ -51,7 +51,7 @@ use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use wf_bitio::{BitReader, BitWriter};
-use wf_core::{DataLabel, Fvl, FvlError, VariantKind};
+use wf_core::{DataLabel, Fvl, VariantKind};
 use wf_model::View;
 use wf_snapshot::{
     oplog::{self, OplogOp},
@@ -98,6 +98,10 @@ impl EngineGeneration {
     /// shards (see [`LabelStore::with_shard_capacity`]). The capacity is
     /// inherited by every later generation of the chain: staging clones the
     /// store, and the clone keeps its layout.
+    ///
+    /// # Panics
+    ///
+    /// If `shard_capacity` is 0.
     pub fn empty_with_shard_capacity(fvl: Arc<Fvl<'static>>, shard_capacity: u32) -> Self {
         Self {
             fvl,
@@ -126,49 +130,10 @@ impl EngineGeneration {
     }
 
     /// The generation as a frozen serving core — the lock-free, `Sync`,
-    /// `&self` read path, including the `par_*` fan-outs. Building one is
-    /// free.
+    /// `&self` read path and the generation's only query surface, including
+    /// the `try_par_*` fan-outs. Building one is free.
     pub fn core(&self) -> EngineCore<'_> {
         EngineCore::new(self.fvl.as_ref(), &self.registry, &self.store)
-    }
-
-    /// One dependency query against this generation (typed-error form).
-    pub fn try_query(
-        &self,
-        ws: &mut WorkerScratch,
-        view: ViewRef,
-        a: ItemId,
-        b: ItemId,
-    ) -> Result<Option<bool>, EngineError> {
-        self.core().try_query(ws, view, a, b)
-    }
-
-    /// A batch of pairs answered against this generation (allocating
-    /// convenience; panics on bad handles —
-    /// [`EngineCore::try_query_batch_into`] is the typed-error form).
-    pub fn query_batch(
-        &self,
-        ws: &mut WorkerScratch,
-        view: ViewRef,
-        pairs: &[(ItemId, ItemId)],
-    ) -> Vec<Option<bool>> {
-        let mut out = Vec::with_capacity(pairs.len());
-        self.core()
-            .try_query_batch_into(ws, view, pairs, &mut out)
-            .unwrap_or_else(|e| panic!("{e}"));
-        out
-    }
-
-    /// Every dependent ordered pair of `items` under `view` (row-major).
-    pub fn all_pairs(
-        &self,
-        ws: &mut WorkerScratch,
-        view: ViewRef,
-        items: &[ItemId],
-    ) -> Vec<(ItemId, ItemId)> {
-        let mut out = Vec::new();
-        self.core().try_all_pairs_into(ws, view, items, &mut out).unwrap_or_else(|e| panic!("{e}"));
-        out
     }
 
     fn fingerprint(&self) -> u64 {
@@ -213,7 +178,8 @@ impl EngineGeneration {
     /// [`EngineGeneration::load`] re-sharding the store at `shard_capacity`
     /// — the wire format carries no layout (see
     /// [`LabelStore::write_snapshot`]), so a snapshot saved at any capacity
-    /// (including pre-shard snapshots) loads at any other.
+    /// (including pre-shard snapshots) loads at any other. A zero capacity
+    /// is [`SnapshotError::Io`] of kind [`io::ErrorKind::InvalidInput`].
     pub fn load_with_shard_capacity(
         fvl: Arc<Fvl<'static>>,
         from: &mut impl Read,
@@ -338,6 +304,10 @@ impl EngineWriter {
 
     /// [`EngineWriter::from_fvl`] with an explicit store shard capacity
     /// (see [`EngineGeneration::empty_with_shard_capacity`]).
+    ///
+    /// # Panics
+    ///
+    /// If `shard_capacity` is 0.
     pub fn from_fvl_with_shard_capacity(fvl: Arc<Fvl<'static>>, shard_capacity: u32) -> Self {
         Self::new(Arc::new(EngineGeneration::empty_with_shard_capacity(fvl, shard_capacity)))
     }
@@ -358,13 +328,7 @@ impl EngineWriter {
     }
 
     /// Stages one data label; the returned id is valid from the next
-    /// publish on. Panics on a full store —
-    /// [`EngineWriter::try_insert_label`] is the non-panicking form.
-    pub fn insert_label(&mut self, d: &DataLabel) -> ItemId {
-        self.try_insert_label(d).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Typed-error form of [`EngineWriter::insert_label`]. The staged
+    /// publish on. A full store is [`EngineError::StoreFull`]. The staged
     /// store is the single copy of the label — the delta writer
     /// re-materializes the `base.len()..staged.len()` id range on demand,
     /// so heavy ingest never pays double storage for its increment.
@@ -372,15 +336,10 @@ impl EngineWriter {
         self.staged().try_insert(d)
     }
 
-    /// Stages a slice of labels in order.
-    pub fn insert_labels(&mut self, labels: &[DataLabel]) -> Vec<ItemId> {
-        labels.iter().map(|d| self.insert_label(d)).collect()
-    }
-
-    /// Non-panicking [`EngineWriter::insert_labels`]: stops at the first
-    /// label that cannot be staged, leaving the earlier ones staged. The
-    /// error is [`EngineError::BatchStoreFull`] with the failing label's
-    /// batch index, so the caller can retry `labels[index..]`.
+    /// Stages a slice of labels in order, stopping at the first label that
+    /// cannot be staged and leaving the earlier ones staged. The error is
+    /// [`EngineError::BatchStoreFull`] with the failing label's batch
+    /// index, so the caller can retry `labels[index..]`.
     pub fn try_insert_labels(&mut self, labels: &[DataLabel]) -> Result<Vec<ItemId>, EngineError> {
         self.staged().try_insert_all(labels)
     }
@@ -392,14 +351,16 @@ impl EngineWriter {
     }
 
     /// Stages the compilation of `(id, kind)` (idempotent across the whole
-    /// chain: a label compiled in any earlier generation is reused).
-    pub fn compile(&mut self, id: ViewId, kind: VariantKind) -> Result<ViewRef, FvlError> {
+    /// chain: a label compiled in any earlier generation is reused). An id
+    /// never registered in this chain is [`EngineError::ViewNotRegistered`];
+    /// a failed compilation is [`EngineError::Compile`].
+    pub fn compile(&mut self, id: ViewId, kind: VariantKind) -> Result<ViewRef, EngineError> {
         let fvl = self.base.fvl.clone();
         self.staged().compile(&fvl, id, kind)
     }
 
     /// Register + compile in one step.
-    pub fn register_view(&mut self, view: View, kind: VariantKind) -> Result<ViewRef, FvlError> {
+    pub fn register_view(&mut self, view: View, kind: VariantKind) -> Result<ViewRef, EngineError> {
         let id = self.add_view(view);
         self.compile(id, kind)
     }
@@ -569,6 +530,7 @@ impl LiveEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frozen::WorkerScratch;
     use wf_model::fixtures::paper_example;
     use wf_run::fixtures::figure3_run;
 
@@ -585,7 +547,7 @@ mod tests {
         let labels = Fvl::new(&ex.spec).unwrap().labeler(&run).labels().to_vec();
 
         let mut writer = EngineWriter::from_fvl(fvl);
-        let items = writer.insert_labels(&labels);
+        let items = writer.try_insert_labels(&labels).unwrap();
         let u2 = writer.register_view(ex.view_u2(), VariantKind::Default).unwrap();
         let live = LiveEngine::new(writer.base().clone());
         assert_eq!(live.seqno(), 0, "nothing published yet");
@@ -597,7 +559,7 @@ mod tests {
         let mut ws = WorkerScratch::new();
         let (d17, d31) = (items[ids.d17.0 as usize], items[ids.d31.0 as usize]);
         let old = live.read();
-        assert_eq!(old.try_query(&mut ws, u2, d17, d31).unwrap(), Some(true));
+        assert_eq!(old.core().try_query(&mut ws, u2, d17, d31).unwrap(), Some(true));
 
         // Stage + publish a second view; the held generation is unchanged.
         let u1 = writer.register_view(ex.view_u1(), VariantKind::Default).unwrap();
@@ -607,8 +569,8 @@ mod tests {
         assert!(old.registry().label(u1).is_none(), "old generation never sees new views");
         let new = live.read();
         assert_eq!(new.seqno(), 2);
-        assert_eq!(new.try_query(&mut ws, u1, d17, d31).unwrap(), Some(false));
-        assert_eq!(new.try_query(&mut ws, u2, d17, d31).unwrap(), Some(true));
+        assert_eq!(new.core().try_query(&mut ws, u1, d17, d31).unwrap(), Some(false));
+        assert_eq!(new.core().try_query(&mut ws, u2, d17, d31).unwrap(), Some(true));
 
         // Publishing with nothing staged is a no-op.
         assert!(!writer.has_staged_changes());
@@ -642,6 +604,12 @@ mod tests {
         let fvl = shared_fvl();
         let mut writer = EngineWriter::from_fvl(fvl);
         let v = writer.register_view(ex.view_u1(), VariantKind::Default).unwrap();
+        // An id never registered in this chain is a typed error.
+        let foreign = ViewId(v.id.0 + 1);
+        assert_eq!(
+            writer.compile(foreign, VariantKind::Default),
+            Err(EngineError::ViewNotRegistered { id: foreign })
+        );
         let live = LiveEngine::new(writer.base().clone());
         let g1 = writer.publish(&live);
         let uid1 = g1.registry().label(v).unwrap().uid();

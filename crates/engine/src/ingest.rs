@@ -53,7 +53,7 @@ use std::io;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use wf_core::{DataLabel, FvlError, VariantKind};
+use wf_core::{DataLabel, VariantKind};
 use wf_model::View;
 
 /// One typed mutation submitted to the pipeline.
@@ -74,13 +74,12 @@ pub enum IngestOp {
 /// Why a submitted op did not make it into a generation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum IngestError {
-    /// The staging store rejected the op (e.g. capacity); for batch
-    /// inserts the stored prefix stands, per the writer's contract.
+    /// The writer rejected the op: the store is full (for batch inserts
+    /// the stored prefix stands, per the writer's contract) or view
+    /// compilation failed ([`EngineError::Compile`]; the registration half
+    /// of a [`IngestOp::CompileView`] may still have staged — dedup makes
+    /// the retry cheap).
     Engine(EngineError),
-    /// View compilation failed; the registration half of a
-    /// [`IngestOp::CompileView`] may still have staged (dedup makes the
-    /// retry cheap).
-    Compile(FvlError),
     /// The publish that would have covered this op could not persist its
     /// delta record; the pipeline stops rather than let the live chain
     /// outrun the op-log.
@@ -94,7 +93,6 @@ impl std::fmt::Display for IngestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             IngestError::Engine(e) => write!(f, "ingest op rejected: {e}"),
-            IngestError::Compile(e) => write!(f, "ingest compile failed: {e}"),
             IngestError::Persist(e) => write!(f, "publish could not persist its delta: {e}"),
             IngestError::Shutdown => write!(f, "pipeline stopped before the op was applied"),
         }
@@ -803,7 +801,7 @@ fn apply_op(
             Ok(())
         }
         IngestOp::CompileView(view, kind) => {
-            writer.register_view(view, kind).map(|_| ()).map_err(IngestError::Compile)
+            writer.register_view(view, kind).map(|_| ()).map_err(IngestError::Engine)
         }
     }
 }
@@ -903,7 +901,7 @@ mod tests {
             crate::registry::ViewRef { id: crate::registry::ViewId(0), kind: VariantKind::Default };
         let mut ws = WorkerScratch::new();
         let (a, b) = (crate::store::ItemId(ids.d17.0), crate::store::ItemId(ids.d31.0));
-        assert_eq!(gen.try_query(&mut ws, u2, a, b).unwrap(), Some(true));
+        assert_eq!(gen.core().try_query(&mut ws, u2, a, b).unwrap(), Some(true));
 
         let report = pipeline.shutdown();
         assert_eq!(report.stats.op_errors, 0);
@@ -941,7 +939,7 @@ mod tests {
         let pipeline = IngestPipeline::spawn(writer, live.clone(), PublishPolicy::default());
         let q = pipeline.queue().clone();
 
-        // An unsafe compile fails its ticket with the FvlError…
+        // An unsafe compile fails its ticket with the compile error…
         let bad = q.push(IngestOp::CompileView(ex.view_u1(), VariantKind::SpaceEfficient));
         // …while a later valid op still lands.
         let good = q.push(IngestOp::AddView(ex.view_u2())).unwrap();
@@ -951,7 +949,7 @@ mod tests {
                 // If the workload's U1 is safe for SpaceEfficient this arm
                 // is legal; the pipeline-liveness half is what matters.
             }
-            Err(IngestError::Compile(_)) => {}
+            Err(IngestError::Engine(EngineError::Compile(_))) => {}
             Err(other) => panic!("expected a compile error, got {other:?}"),
         }
         good.wait().unwrap();

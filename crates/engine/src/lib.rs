@@ -17,9 +17,9 @@
 //!   through the scratch-aware decode path ([`wf_core::pi_with`]), so
 //!   steady-state serving performs no heap allocation and Default-variant
 //!   recursion chains are exponentiated once per distinct exponent, not
-//!   per query; `par_query_batch` / `par_all_pairs` shard a workload
-//!   across `std::thread::scope` workers and merge deterministically,
-//!   answering exactly like the sequential path;
+//!   per query; `try_par_query_batch` / `try_par_all_pairs` shard a
+//!   workload across `std::thread::scope` workers and merge
+//!   deterministically, answering exactly like the sequential path;
 //! * [`EngineGeneration`] / [`EngineWriter`] / [`LiveEngine`] — the one
 //!   write path: owned, immutable generations published by atomic `Arc`
 //!   swap, a copy-on-write staging writer, and a lock-free reader fast
@@ -49,6 +49,14 @@
 //! enforced by the engine tests here and by the workspace-level property
 //! tests; only the cost model changes.
 //!
+//! Every fallible operation has one form, and it returns the failures a
+//! caller can cause — a foreign view or item handle, an unsafe view, a full
+//! store or queue, bad snapshot bytes — as typed errors ([`EngineError`],
+//! [`IngestError`], [`SnapshotError`]). The exceptions say so where they
+//! live: the `Self`-returning constructors that take a shard capacity
+//! assert it is non-zero, and [`LabelStore::label_ref`] /
+//! [`LabelStore::materialize`] are unchecked hot-path accessors.
+//!
 //! ```
 //! use std::sync::Arc;
 //! use wf_core::{Fvl, VariantKind};
@@ -62,7 +70,7 @@
 //! let labels = fvl.labeler(&run).labels().to_vec();
 //!
 //! let mut writer = EngineWriter::from_fvl(fvl);
-//! let items = writer.insert_labels(&labels);
+//! let items = writer.try_insert_labels(&labels).unwrap();
 //! let u2 = writer.register_view(ex.view_u2(), VariantKind::Default).unwrap();
 //! let live = LiveEngine::new(writer.base().clone());
 //! let gen = writer.publish(&live);
@@ -71,8 +79,13 @@
 //! let d17 = items[ids.d17.0 as usize];
 //! let d31 = items[ids.d31.0 as usize];
 //! let mut ws = WorkerScratch::new();
-//! assert_eq!(gen.query_batch(&mut ws, u2, &[(d17, d31)]), vec![Some(true)]);
+//! let mut answers = Vec::new();
+//! gen.core().try_query_batch_into(&mut ws, u2, &[(d17, d31)], &mut answers).unwrap();
+//! assert_eq!(answers, vec![Some(true)]);
 //! ```
+
+// Library code reports failures as typed errors, never `panic!` (tests may).
+#![cfg_attr(not(test), deny(clippy::panic))]
 
 mod durability;
 mod error;

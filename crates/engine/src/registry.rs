@@ -7,13 +7,14 @@
 //! [`ViewRef`] afterwards. (Scratch-memo soundness across views is carried
 //! by [`ViewLabel::uid`], which every compiled label gets at build time.)
 
+use crate::error::EngineError;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use wf_analysis::ProdGraph;
 use wf_bitio::{BitReader, BitWriter};
-use wf_core::{Fvl, FvlError, VariantKind, ViewLabel};
+use wf_core::{Fvl, VariantKind, ViewLabel};
 use wf_model::{Grammar, View};
 use wf_snapshot::{read_view, write_view, SnapshotError};
 
@@ -110,21 +111,30 @@ impl ViewRegistry {
         id
     }
 
-    pub fn view(&self, id: ViewId) -> &View {
-        &self.views[id.0 as usize]
+    /// The registered view of `id` (`None` if `id` was never registered
+    /// here, like [`ViewRegistry::label`] for foreign handles).
+    pub fn view(&self, id: ViewId) -> Option<&View> {
+        self.views.get(id.0 as usize)
     }
 
     /// Compiles (or reuses) the label of `(id, kind)`. Idempotent: the
-    /// interned label is built at most once per combination.
+    /// interned label is built at most once per combination. An id that
+    /// was never registered is [`EngineError::ViewNotRegistered`]; a view
+    /// the scheme cannot label is [`EngineError::Compile`].
     pub fn compile(
         &mut self,
         fvl: &Fvl<'_>,
         id: ViewId,
         kind: VariantKind,
-    ) -> Result<ViewRef, FvlError> {
-        let cell = &mut self.compiled[id.0 as usize][slot(kind)];
+    ) -> Result<ViewRef, EngineError> {
+        let (Some(view), Some(slots)) =
+            (self.views.get(id.0 as usize), self.compiled.get_mut(id.0 as usize))
+        else {
+            return Err(EngineError::ViewNotRegistered { id });
+        };
+        let cell = &mut slots[slot(kind)];
         if cell.is_none() {
-            *cell = Some(Arc::new(fvl.label_view(&self.views[id.0 as usize], kind)?));
+            *cell = Some(Arc::new(fvl.label_view(view, kind).map_err(EngineError::Compile)?));
         }
         Ok(ViewRef { id, kind })
     }
@@ -261,6 +271,16 @@ mod tests {
         assert!(reg.label(r1q).is_some());
         assert!(reg.label(r2).is_some());
         assert!(reg.label(ViewRef { id: u2, kind: VariantKind::QueryEfficient }).is_none());
+
+        // An id this registry never handed out is a typed miss, not a panic.
+        let foreign = ViewId(2);
+        assert!(reg.view(foreign).is_none());
+        assert_eq!(
+            reg.compile(&fvl, foreign, VariantKind::Default),
+            Err(EngineError::ViewNotRegistered { id: foreign })
+        );
+        assert_eq!(reg.compiled_count(), 3, "a rejected compile installs nothing");
+        assert!(reg.view(u2).is_some_and(|v| views_structurally_equal(v, &ex.view_u2())));
 
         // Compiled labels carry pairwise-distinct uids — what keeps one
         // scratch's chain-power memo sound across interleaved views.

@@ -24,7 +24,7 @@ use crate::registry::{ViewId, ViewRef, ViewRegistry};
 use crate::store::{ItemId, LabelStore};
 use std::sync::Arc;
 use wf_bitio::BitWriter;
-use wf_core::{DataLabel, Fvl, FvlError, VariantKind};
+use wf_core::{DataLabel, Fvl, VariantKind};
 use wf_model::View;
 use wf_snapshot::{oplog, write_label};
 
@@ -105,7 +105,7 @@ impl StagedState {
         fvl: &Arc<Fvl<'static>>,
         id: ViewId,
         kind: VariantKind,
-    ) -> Result<ViewRef, FvlError> {
+    ) -> Result<ViewRef, EngineError> {
         let was_compiled = self.registry.is_compiled(id, kind);
         let r = self.registry.compile(fvl.as_ref(), id, kind)?;
         if !was_compiled {
@@ -131,7 +131,11 @@ impl StagedState {
                     }
                 }
                 StagedOp::AddView(id) => {
-                    oplog::write_add_view(w, grammar, id.0, self.registry.view(*id));
+                    let view = self
+                        .registry
+                        .view(*id)
+                        .expect("staged registrations are present in the staged registry");
+                    oplog::write_add_view(w, grammar, id.0, view);
                 }
                 StagedOp::Compile(vr) => {
                     let vl = self

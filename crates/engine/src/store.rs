@@ -45,6 +45,7 @@
 
 use crate::error::EngineError;
 use std::collections::HashMap;
+use std::io;
 use std::sync::Arc;
 use wf_analysis::ProdGraph;
 use wf_bitio::{BitReader, BitWriter};
@@ -157,6 +158,10 @@ impl LabelStore {
     /// effectively disables sharding (one ever-growing shard — the
     /// pre-shard store, used as the bench baseline and the differential
     /// reference).
+    ///
+    /// # Panics
+    ///
+    /// If `shard_capacity` is 0.
     pub fn with_shard_capacity(shard_capacity: u32) -> Self {
         assert!(shard_capacity >= 1, "shard capacity must be at least 1");
         Self { shards: Vec::new(), shard_capacity, len: 0 }
@@ -188,19 +193,12 @@ impl LabelStore {
     /// id sequence, so inserting a run's labels in data-item order makes
     /// `ItemId(i)` coincide with the run's `DataId(i)`.
     ///
-    /// Panics if the store's `u32` id space is exhausted (≈ 4 × 10⁹ trie
-    /// nodes or labels) — [`LabelStore::try_insert`] is the non-panicking
-    /// form for ingest services that must survive a full store.
-    pub fn insert(&mut self, d: &DataLabel) -> ItemId {
-        self.try_insert(d).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`LabelStore::insert`] with the capacity contract surfaced as a
-    /// typed [`EngineError::StoreFull`] instead of a panic. A failed insert
-    /// stores no label; path nodes interned before the overflow was
-    /// detected remain in the tail shard's trie (they are consistent and
-    /// re-usable — the next successful insert of a sharing label picks
-    /// them up).
+    /// Exhausting the store's `u32` id space (≈ 4 × 10⁹ trie nodes or
+    /// labels) is a typed [`EngineError::StoreFull`], so an ingest service
+    /// survives a full store. A failed insert stores no label; path nodes
+    /// interned before the overflow was detected remain in the tail
+    /// shard's trie (they are consistent and re-usable — the next
+    /// successful insert of a sharing label picks them up).
     pub fn try_insert(&mut self, d: &DataLabel) -> Result<ItemId, EngineError> {
         self.try_insert_bounded(d, ROOT)
     }
@@ -246,18 +244,12 @@ impl LabelStore {
         Ok(id)
     }
 
-    /// Interns a slice of labels, returning their ids (in order). Panics on
-    /// id-space exhaustion, like [`LabelStore::insert`].
-    pub fn insert_all(&mut self, labels: &[DataLabel]) -> Vec<ItemId> {
-        labels.iter().map(|d| self.insert(d)).collect()
-    }
-
-    /// Non-panicking [`LabelStore::insert_all`]: stops at the first label
-    /// that cannot be interned, leaving every earlier label stored. The
-    /// error is [`EngineError::BatchStoreFull`], carrying the index of the
-    /// label that failed — `labels[..index]` are stored, so a caller can
-    /// retry `labels[index..]` against a fresh store (or shard) without
-    /// double-inserting the prefix.
+    /// Interns a slice of labels, returning their ids (in order). Stops at
+    /// the first label that cannot be interned, leaving every earlier
+    /// label stored. The error is [`EngineError::BatchStoreFull`], carrying
+    /// the index of the label that failed — `labels[..index]` are stored,
+    /// so a caller can retry `labels[index..]` against a fresh store (or
+    /// shard) without double-inserting the prefix.
     pub fn try_insert_all(&mut self, labels: &[DataLabel]) -> Result<Vec<ItemId>, EngineError> {
         self.try_insert_all_bounded(labels, ROOT)
     }
@@ -393,7 +385,9 @@ impl LabelStore {
     /// rejected as malformed. Every edge's fields are range-checked
     /// against the grammar and every stored port against its path's
     /// terminal module, so nothing a later query indexes with can be out
-    /// of range — bad bytes fail *here*, typed, not inside π.
+    /// of range — bad bytes fail *here*, typed, not inside π. A zero
+    /// `shard_capacity` is rejected before anything is read, as
+    /// [`SnapshotError::Io`] of kind [`io::ErrorKind::InvalidInput`].
     pub fn read_snapshot_with_capacity(
         r: &mut BitReader<'_>,
         codec: &LabelCodec,
@@ -401,6 +395,7 @@ impl LabelStore {
         pg: &ProdGraph,
         shard_capacity: u32,
     ) -> Result<Self, SnapshotError> {
+        check_shard_capacity(shard_capacity)?;
         let cycles = pg
             .cycles()
             .map_err(|_| SnapshotError::Malformed("production graph has no cycle tables"))?;
@@ -502,6 +497,19 @@ impl Default for LabelStore {
     }
 }
 
+/// The typed form of [`LabelStore::with_shard_capacity`]'s assert, for the
+/// `Result`-returning entry points that take a shard capacity: 0 is
+/// [`SnapshotError::Io`] of kind [`io::ErrorKind::InvalidInput`].
+pub(crate) fn check_shard_capacity(shard_capacity: u32) -> Result<(), SnapshotError> {
+    if shard_capacity == 0 {
+        return Err(SnapshotError::Io(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "shard capacity must be at least 1",
+        )));
+    }
+    Ok(())
+}
+
 /// γ-friendly code of a trie node reference: `1` for the root sentinel,
 /// `node + 2` otherwise (γ codes positive integers only).
 fn node_code(node: u32) -> u64 {
@@ -540,7 +548,7 @@ mod tests {
         let (run, _) = figure3_run(&ex);
         let labeler = fvl.labeler(&run);
         let mut store = LabelStore::new();
-        let ids = store.insert_all(labeler.labels());
+        let ids = store.try_insert_all(labeler.labels()).unwrap();
         assert_eq!(store.len(), run.item_count());
         for (i, d) in labeler.labels().iter().enumerate() {
             assert_eq!(&store.materialize(ids[i]), d, "item {i}");
@@ -559,7 +567,7 @@ mod tests {
         let labeler = fvl.labeler(&run);
         for cap in [1u32, 2, 3, 7] {
             let mut store = LabelStore::with_shard_capacity(cap);
-            let ids = store.insert_all(labeler.labels());
+            let ids = store.try_insert_all(labeler.labels()).unwrap();
             let n = labeler.labels().len();
             assert_eq!(store.len(), n);
             assert_eq!(store.shard_count(), n.div_ceil(cap as usize), "cap {cap}");
@@ -585,7 +593,7 @@ mod tests {
         let (run, _) = figure3_run(&ex);
         let labels = fvl.labeler(&run).labels().to_vec();
         let mut store = LabelStore::with_shard_capacity(8);
-        store.insert_all(&labels);
+        store.try_insert_all(&labels).unwrap();
         let shard_count = store.shard_count();
         assert!(shard_count >= 3, "the Figure 3 run should span several 8-item shards");
 
@@ -594,7 +602,7 @@ mod tests {
             assert!(Arc::ptr_eq(a, b), "a clone must share every shard");
         }
         let base_len = store.len();
-        staged.insert(&labels[0]);
+        staged.try_insert(&labels[0]).unwrap();
         let touched = staged.shards_touched_since(base_len);
         assert!(touched <= 2, "one insert touches at most the tail and a fresh shard");
         // Every full shard below the touched range is still the same Arc.
@@ -613,7 +621,7 @@ mod tests {
         let (run, _) = figure3_run(&ex);
         let labeler = fvl.labeler(&run);
         let mut store = LabelStore::new();
-        let ids = store.insert_all(labeler.labels());
+        let ids = store.try_insert_all(labeler.labels()).unwrap();
         let (mut ob, mut ib) = (Vec::new(), Vec::new());
         for (i, d) in labeler.labels().iter().enumerate() {
             let r = store.label_ref(ids[i], &mut ob, &mut ib);
@@ -636,7 +644,7 @@ mod tests {
         let (run, _) = figure3_run(&ex);
         let labeler = fvl.labeler(&run);
         let mut store = LabelStore::new();
-        let ids = store.insert_all(labeler.labels());
+        let ids = store.try_insert_all(labeler.labels()).unwrap();
 
         let mut w = BitWriter::new();
         store.write_snapshot(fvl.codec(), &mut w);
@@ -654,7 +662,7 @@ mod tests {
         // an existing label afresh reuses the shared trie (no new nodes).
         let mut grown = back;
         let (nodes_before, _) = grown.edge_stats();
-        grown.insert(&store.materialize(ids[0]));
+        grown.try_insert(&store.materialize(ids[0])).unwrap();
         assert_eq!(grown.edge_stats().0, nodes_before, "re-insert must not grow the trie");
     }
 
@@ -670,7 +678,7 @@ mod tests {
         let labels = fvl.labeler(&run).labels().to_vec();
         let snapshot = |cap: u32| {
             let mut store = LabelStore::with_shard_capacity(cap);
-            store.insert_all(&labels);
+            store.try_insert_all(&labels).unwrap();
             let mut w = BitWriter::new();
             store.write_snapshot(fvl.codec(), &mut w);
             w.finish()
@@ -748,7 +756,7 @@ mod tests {
             let (run, _) = figure3_run(&ex);
             let labeler = fvl.labeler(&run);
             let mut s = LabelStore::new();
-            s.insert_all(labeler.labels());
+            s.try_insert_all(labeler.labels()).unwrap();
             s
         };
         let mut w = BitWriter::new();
@@ -869,7 +877,7 @@ mod tests {
         let (run, _) = figure3_run(&ex);
         let labeler = fvl.labeler(&run);
         let mut store = LabelStore::new();
-        store.insert_all(labeler.labels());
+        store.try_insert_all(labeler.labels()).unwrap();
         let (stored, raw) = store.edge_stats();
         assert!(
             stored * 2 < raw,

@@ -14,7 +14,7 @@ use wf_core::{Fvl, VariantKind};
 use wf_engine::{
     serialize_base, shared_durable, CompactionPolicy, DurableEngine, EngineGeneration,
     EngineWriter, IngestOp, IngestPipeline, LiveEngine, PipelineOptions, PublishPolicy,
-    WorkerScratch,
+    SnapshotError, WorkerScratch,
 };
 use wf_snapshot::{FaultKind, FaultPlan, MemStorage};
 use wf_workloads::{bioaid, sample, views, Workload};
@@ -49,7 +49,7 @@ fn build_chain(seed: u64) -> (MemStorage, Vec<Vec<u8>>, Arc<Fvl<'static>>) {
 
     let chunks: Vec<&[wf_core::DataLabel]> = labels.chunks(labels.len() / 5 + 1).collect();
     for (i, chunk) in chunks.iter().enumerate() {
-        writer.insert_labels(chunk);
+        writer.try_insert_labels(chunk).unwrap();
         if i == 1 {
             writer.register_view(view.clone(), VariantKind::Default).unwrap();
         }
@@ -198,10 +198,32 @@ fn durable_pipeline_with_compaction_recovers_exactly() {
     let vref = wf_engine::ViewRef { id: wf_engine::ViewId(0), kind: VariantKind::Default };
     let sample: Vec<_> =
         (0..recovered.store().len().min(40) as u32).map(wf_engine::ItemId).collect();
-    assert_eq!(
-        recovered.all_pairs(&mut ws, vref, &sample),
-        final_gen.all_pairs(&mut ws, vref, &sample)
-    );
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    recovered.core().try_all_pairs_into(&mut ws, vref, &sample, &mut got).unwrap();
+    final_gen.core().try_all_pairs_into(&mut ws, vref, &sample, &mut want).unwrap();
+    assert_eq!(got, want);
+}
+
+/// A zero shard capacity is rejected typed before the storage is touched:
+/// opening at capacity 0 neither heals a torn tail nor bootstraps a base
+/// (both are writes).
+#[test]
+fn open_at_zero_shard_capacity_is_rejected_before_touching_storage() {
+    let (storage, _, fvl) = build_chain(5);
+    let (base, log) = storage.contents();
+    let torn_log = log[..log.len() - 3].to_vec();
+    let fresh = MemStorage::new();
+    let torn = MemStorage::with_state(base.clone(), torn_log.clone());
+    for store in [&fresh, &torn] {
+        let Err(SnapshotError::Io(e)) =
+            DurableEngine::open(fvl.clone(), Box::new(store.clone()), 0)
+        else {
+            panic!("a zero shard capacity must be rejected as an i/o error");
+        };
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
+    }
+    assert_eq!(fresh.contents(), (None, Vec::new()), "no base was bootstrapped");
+    assert_eq!(torn.contents(), (base, torn_log), "the torn tail was not healed");
 }
 
 /// Transient storage faults are absorbed by the retry policy; fatal ones
@@ -285,15 +307,15 @@ fn stale_writer_is_rejected_before_any_byte_is_written() {
         DurableEngine::open(fvl.clone(), Box::new(storage.clone()), 64).unwrap();
     let live = LiveEngine::new(gen0.clone());
     let mut writer = EngineWriter::new(gen0);
-    writer.insert_labels(first);
+    writer.try_insert_labels(first).unwrap();
     let g1 = writer.publish_durable(&live, &mut durable).unwrap();
-    writer.insert_labels(rest);
+    writer.try_insert_labels(rest).unwrap();
     let g2 = writer.publish_durable(&live, &mut durable).unwrap();
     assert_eq!((g1.seqno(), g2.seqno()), (1, 2));
     let (_, log_before) = storage.contents();
 
     let mut stale = EngineWriter::new(g1);
-    stale.insert_labels(rest);
+    stale.try_insert_labels(rest).unwrap();
     let Err(err) = stale.publish_durable(&live, &mut durable) else {
         panic!("a stale seqno-2 publish must fail");
     };

@@ -35,7 +35,7 @@ fn cold_build(
     views: impl IntoIterator<Item = (View, VariantKind)>,
 ) -> (Arc<EngineGeneration>, Vec<ViewRef>) {
     let mut writer = EngineWriter::from_fvl(fvl.clone());
-    writer.insert_labels(labels);
+    writer.try_insert_labels(labels).unwrap();
     let refs = views.into_iter().map(|(v, k)| writer.register_view(v, k).unwrap()).collect();
     let live = LiveEngine::new(writer.base().clone());
     (writer.publish(&live), refs)
@@ -43,7 +43,7 @@ fn cold_build(
 
 /// A compacted base at generation 1, then two durable publishes, then a
 /// warm restart from base ‖ frames: the recovered generation must agree
-/// with the live one — and with a cold build — on `all_pairs` over every
+/// with the live one — and with a cold build — on the all-pairs sweep over every
 /// item, for every compiled view.
 #[test]
 fn base_plus_frames_recover_the_published_state() {
@@ -63,7 +63,7 @@ fn base_plus_frames_recover_the_published_state() {
         DurableEngine::open(fvl.clone(), Box::new(storage.clone()), 64).unwrap();
     let live = LiveEngine::new(gen0.clone());
     let mut writer = EngineWriter::new(gen0);
-    writer.insert_labels(&labels[..third]);
+    writer.try_insert_labels(&labels[..third]).unwrap();
     let ra = writer.register_view(view_a.clone(), VariantKind::Default).unwrap();
     let g1 = writer.publish_durable(&live, &mut durable).unwrap();
     let mut base = Vec::new();
@@ -71,12 +71,12 @@ fn base_plus_frames_recover_the_published_state() {
     durable.install_base(&base, 1).unwrap().expect("compacts");
 
     // Generation 2 (frame): second third + view B (Query-Efficient).
-    writer.insert_labels(&labels[third..two_thirds]);
+    writer.try_insert_labels(&labels[third..two_thirds]).unwrap();
     let rb = writer.register_view(view_b.clone(), VariantKind::QueryEfficient).unwrap();
     writer.publish_durable(&live, &mut durable).unwrap();
 
     // Generation 3 (frame): the rest + view A under a second variant.
-    writer.insert_labels(&labels[two_thirds..]);
+    writer.try_insert_labels(&labels[two_thirds..]).unwrap();
     let ra_se = writer.compile(ra.id, VariantKind::SpaceEfficient).unwrap();
     let g3 = writer.publish_durable(&live, &mut durable).unwrap();
     assert_eq!(g3.seqno(), 3);
@@ -104,18 +104,13 @@ fn base_plus_frames_recover_the_published_state() {
     let items: Vec<ItemId> = (0..labels.len() as u32).map(ItemId).collect();
 
     let mut ws = WorkerScratch::new();
+    let (mut expected, mut got) = (Vec::new(), Vec::new());
     for (live_ref, cold_ref) in [ra, rb, ra_se].into_iter().zip(refs) {
-        let expected = cold.all_pairs(&mut ws, cold_ref, &items);
-        assert_eq!(
-            recovered.all_pairs(&mut ws, live_ref, &items),
-            expected,
-            "recovered generation diverges on {live_ref:?}"
-        );
-        assert_eq!(
-            g3.all_pairs(&mut ws, live_ref, &items),
-            expected,
-            "published generation diverges on {live_ref:?}"
-        );
+        cold.core().try_all_pairs_into(&mut ws, cold_ref, &items, &mut expected).unwrap();
+        recovered.core().try_all_pairs_into(&mut ws, live_ref, &items, &mut got).unwrap();
+        assert_eq!(got, expected, "recovered generation diverges on {live_ref:?}");
+        g3.core().try_all_pairs_into(&mut ws, live_ref, &items, &mut got).unwrap();
+        assert_eq!(got, expected, "published generation diverges on {live_ref:?}");
     }
 
     // A torn final frame is healed back to generation 2, not half-applied.
@@ -238,7 +233,7 @@ proptest! {
 
         for kind in VARIANTS {
             let mut writer = EngineWriter::from_fvl(fvl.clone());
-            writer.insert_labels(&labels[..initial]);
+            writer.try_insert_labels(&labels[..initial]).unwrap();
             let vref = writer.register_view(view0.clone(), kind).unwrap();
             let live = LiveEngine::new(writer.base().clone());
             writer.publish(&live);
@@ -274,7 +269,10 @@ proptest! {
                             let mut seen = Vec::new();
                             for _ in 0..20_000 {
                                 let gen = live.read();
-                                let ans = gen.query_batch(&mut ws, vref, pairs);
+                                let mut ans = Vec::new();
+                                gen.core()
+                                    .try_query_batch_into(&mut ws, vref, pairs, &mut ans)
+                                    .unwrap();
                                 let done = gen.seqno() == expected_final;
                                 seen.push((gen.seqno(), ans));
                                 if done {
@@ -292,7 +290,7 @@ proptest! {
                 for (ix, op) in ops.iter().enumerate() {
                     match op {
                         ChurnOp::Insert { count } => {
-                            writer.insert_labels(&labels[next_label..next_label + count]);
+                            writer.try_insert_labels(&labels[next_label..next_label + count]).unwrap();
                             next_label += count;
                         }
                         ChurnOp::RegisterView { seed: vseed } => {
@@ -330,7 +328,8 @@ proptest! {
                 let (reference, refs) = cold_build(&fvl, &labels[..*label_count], views);
                 let rref = refs[0];
                 prop_assert_eq!(rref, vref, "handles are chain-stable");
-                let expected = reference.query_batch(&mut ws, rref, &pairs);
+                let mut expected = Vec::new();
+                reference.core().try_query_batch_into(&mut ws, rref, &pairs, &mut expected).unwrap();
                 for (s, ans) in observations.iter().filter(|(s, _)| s == seqno) {
                     prop_assert_eq!(
                         ans,

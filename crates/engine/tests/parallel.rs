@@ -23,7 +23,7 @@ const VARIANTS: [VariantKind; 3] =
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// `par_query_batch` agrees element-wise with the sequential batch for
+    /// `try_par_query_batch` agrees element-wise with the sequential batch for
     /// all three variants and thread counts {1, 2, 4} (including counts
     /// exceeding the pair count, which the clamp handles).
     #[test]
@@ -41,7 +41,7 @@ proptest! {
         let view = views::random_safe_view(&w, &mut rng, view_size);
 
         let mut writer = EngineWriter::from_fvl(fvl.clone());
-        let items = writer.insert_labels(labeler.labels());
+        let items = writer.try_insert_labels(labeler.labels()).unwrap();
         let vid = writer.add_view(view);
         let vrefs = VARIANTS.map(|kind| writer.compile(vid, kind).unwrap());
         let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
@@ -55,11 +55,12 @@ proptest! {
         // thread count below: warm, cross-view scratch reuse must be as
         // sound in the parallel path as it is sequentially.
         let mut warm: Vec<_> = (0..4).map(|_| WorkerScratch::new()).collect();
+        let mut sequential = Vec::new();
         for vref in vrefs {
             let kind = vref.kind;
-            let sequential = gen.query_batch(&mut ws, vref, &id_pairs);
+            core.try_query_batch_into(&mut ws, vref, &id_pairs, &mut sequential).unwrap();
             for threads in [1usize, 2, 4] {
-                let parallel = core.par_query_batch(vref, &id_pairs, threads);
+                let parallel = core.try_par_query_batch(vref, &id_pairs, threads).unwrap();
                 prop_assert_eq!(&parallel, &sequential, "{:?} x{} threads", kind, threads);
                 let reused =
                     core.try_par_query_batch_with(&mut warm[..threads], vref, &id_pairs).unwrap();
@@ -68,7 +69,7 @@ proptest! {
         }
     }
 
-    /// Row-sharded `par_all_pairs` returns exactly the sequential sweep —
+    /// Row-sharded `try_par_all_pairs` returns exactly the sequential sweep —
     /// same pairs, same (row-major) order.
     #[test]
     fn par_all_pairs_agrees_with_sequential(
@@ -84,13 +85,16 @@ proptest! {
         let view = views::random_safe_view(&w, &mut rng, 8);
 
         let mut writer = EngineWriter::from_fvl(fvl.clone());
-        let items = writer.insert_labels(labeler.labels());
+        let items = writer.try_insert_labels(labeler.labels()).unwrap();
         let vref = writer.register_view(view, VariantKind::Default).unwrap();
         let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
         let subset: Vec<_> = items.iter().copied().step_by(2).collect();
-        let sequential = gen.all_pairs(&mut WorkerScratch::new(), vref, &subset);
+        let mut sequential = Vec::new();
+        gen.core()
+            .try_all_pairs_into(&mut WorkerScratch::new(), vref, &subset, &mut sequential)
+            .unwrap();
         for threads in [1usize, 2, 4] {
-            let parallel = gen.core().par_all_pairs(vref, &subset, threads);
+            let parallel = gen.core().try_par_all_pairs(vref, &subset, threads).unwrap();
             prop_assert_eq!(&parallel, &sequential, "x{} threads", threads);
         }
     }
@@ -112,7 +116,7 @@ fn interleaved_views_across_threads_stay_sound() {
     let view_b = views::random_safe_view(&w, &mut rng, 12);
 
     let mut writer = EngineWriter::from_fvl(fvl.clone());
-    let items = writer.insert_labels(labeler.labels());
+    let items = writer.try_insert_labels(labeler.labels()).unwrap();
     let ra = writer.register_view(view_a, VariantKind::Default).unwrap();
     let rb = writer.register_view(view_b, VariantKind::SpaceEfficient).unwrap();
     let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
@@ -123,11 +127,12 @@ fn interleaved_views_across_threads_stay_sound() {
         pairs.iter().map(|&(a, b)| (items[a.0 as usize], items[b.0 as usize])).collect();
 
     // Sequential reference, per view.
-    let mut ws = WorkerScratch::new();
-    let want_a = gen.query_batch(&mut ws, ra, &id_pairs);
-    let want_b = gen.query_batch(&mut ws, rb, &id_pairs);
-
     let core = gen.core();
+    let mut ws = WorkerScratch::new();
+    let (mut want_a, mut want_b) = (Vec::new(), Vec::new());
+    core.try_query_batch_into(&mut ws, ra, &id_pairs, &mut want_a).unwrap();
+    core.try_query_batch_into(&mut ws, rb, &id_pairs, &mut want_b).unwrap();
+
     let id_pairs = &id_pairs;
     std::thread::scope(|s| {
         // Each worker alternates between the two views on every query —
@@ -141,7 +146,7 @@ fn interleaved_views_across_threads_stay_sound() {
                 for (i, &(a, b)) in id_pairs.iter().enumerate() {
                     let (view, want) =
                         if (i + flip) % 2 == 0 { (ra, want_a[i]) } else { (rb, want_b[i]) };
-                    let got = core.query(&mut ws, view, a, b);
+                    let got = core.try_query(&mut ws, view, a, b).unwrap();
                     assert_eq!(got, want, "worker {flip}, query {i}");
                 }
                 // The worker's scratch warmed up per-view memo entries and
@@ -153,8 +158,8 @@ fn interleaved_views_across_threads_stay_sound() {
     });
 }
 
-/// The typed API surfaces caller mistakes as values; the classic entry
-/// points still panic (documented contract).
+/// The query API surfaces caller mistakes as typed values, on the
+/// sequential and the parallel paths alike.
 #[test]
 fn try_api_reports_uncompiled_views_and_bad_items() {
     let w = bioaid(2);
@@ -166,7 +171,7 @@ fn try_api_reports_uncompiled_views_and_bad_items() {
     let view = views::random_safe_view(&w, &mut rng, 6);
 
     let mut writer = EngineWriter::from_fvl(fvl.clone());
-    let items = writer.insert_labels(labeler.labels());
+    let items = writer.try_insert_labels(labeler.labels()).unwrap();
     let vid = writer.add_view(view);
     let compiled = writer.compile(vid, VariantKind::Default).unwrap();
     let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
@@ -197,19 +202,25 @@ fn try_api_reports_uncompiled_views_and_bad_items() {
         Err(EngineError::ViewNotCompiled { view: uncompiled })
     );
 
+    // Caller-owned scratches: none for a non-empty batch is an error too,
+    // reported after the view check; an empty batch needs none.
+    let no_scratch = core.try_par_query_batch_with(&mut [], compiled, &batch);
+    assert_eq!(no_scratch, Err(EngineError::NoWorkerScratch));
+    assert_eq!(
+        core.try_par_query_batch_with(&mut [], uncompiled, &batch),
+        Err(EngineError::ViewNotCompiled { view: uncompiled })
+    );
+    assert_eq!(core.try_par_query_batch_with(&mut [], compiled, &[]), Ok(Vec::new()));
+
     // Errors render for operators.
     let msg = EngineError::ItemOutOfRange { item: alien, len: items.len() }.to_string();
     assert!(msg.contains("out of range"), "{msg}");
 
     // Valid input still answers through every path.
     let got = core.try_query(&mut ws, compiled, items[0], items[1]).unwrap();
-    assert_eq!(got, core.query(&mut ws, compiled, items[0], items[1]));
-
-    // And the panicking wrapper does panic on the bad handle.
-    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        core.query(&mut ws, uncompiled, items[0], items[1])
-    }));
-    assert!(panicked.is_err(), "query on an uncompiled view must panic");
+    core.try_query_batch_into(&mut ws, compiled, &batch, &mut out).unwrap();
+    assert_eq!(out, [got]);
+    assert_eq!(core.try_par_query_batch(compiled, &batch, 2), Ok(vec![got]));
 }
 
 /// Empty inputs are served, not special-cased away.
@@ -224,9 +235,9 @@ fn parallel_paths_handle_empty_inputs() {
     let view = views::random_safe_view(&w, &mut rng, 6);
 
     let mut writer = EngineWriter::from_fvl(fvl.clone());
-    writer.insert_labels(labeler.labels());
+    writer.try_insert_labels(labeler.labels()).unwrap();
     let vref = writer.register_view(view, VariantKind::Default).unwrap();
     let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
-    assert!(gen.core().par_query_batch(vref, &[], 4).is_empty());
-    assert!(gen.core().par_all_pairs(vref, &[], 4).is_empty());
+    assert!(gen.core().try_par_query_batch(vref, &[], 4).unwrap().is_empty());
+    assert!(gen.core().try_par_all_pairs(vref, &[], 4).unwrap().is_empty());
 }

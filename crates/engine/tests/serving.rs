@@ -28,7 +28,7 @@ fn batch_agrees_with_reference_across_variants() {
     let view = views::random_safe_view(&w, &mut rng, 8);
 
     let mut writer = EngineWriter::from_fvl(fvl.clone());
-    let items = writer.insert_labels(labeler.labels());
+    let items = writer.try_insert_labels(labeler.labels()).unwrap();
     let pairs = sample::sample_query_pairs(&run, &mut rng, 500);
     let id_pairs: Vec<_> =
         pairs.iter().map(|&(a, b)| (items[a.0 as usize], items[b.0 as usize])).collect();
@@ -37,10 +37,11 @@ fn batch_agrees_with_reference_across_variants() {
     let vrefs = VARIANTS.map(|kind| writer.compile(vid, kind).unwrap());
     let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
     let mut ws = WorkerScratch::new();
+    let mut batch = Vec::new();
     for vref in vrefs {
         let kind = vref.kind;
         let vl = fvl.label_view(&view, kind).unwrap();
-        let batch = gen.query_batch(&mut ws, vref, &id_pairs);
+        gen.core().try_query_batch_into(&mut ws, vref, &id_pairs, &mut batch).unwrap();
         for (i, &(a, b)) in pairs.iter().enumerate() {
             let reference = fvl.query(&vl, labeler.label(a), labeler.label(b));
             assert_eq!(batch[i], reference, "{kind:?} pair {i}: {a:?} -> {b:?}");
@@ -62,7 +63,7 @@ fn interleaved_views_stay_sound() {
     let view_b = views::random_safe_view(&w, &mut rng, 12);
 
     let mut writer = EngineWriter::from_fvl(fvl.clone());
-    let items = writer.insert_labels(labeler.labels());
+    let items = writer.try_insert_labels(labeler.labels()).unwrap();
     let ra = writer.register_view(view_a.clone(), VariantKind::Default).unwrap();
     let rb = writer.register_view(view_b.clone(), VariantKind::Default).unwrap();
     let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
@@ -73,7 +74,8 @@ fn interleaved_views_stay_sound() {
     let pairs = sample::sample_query_pairs(&run, &mut rng, 300);
     for (i, &(a, b)) in pairs.iter().enumerate() {
         let (vref, vl) = if i % 2 == 0 { (ra, &vla) } else { (rb, &vlb) };
-        let got = gen.core().query(&mut ws, vref, items[a.0 as usize], items[b.0 as usize]);
+        let got =
+            gen.core().try_query(&mut ws, vref, items[a.0 as usize], items[b.0 as usize]).unwrap();
         let want = fvl.query(vl, labeler.label(a), labeler.label(b));
         assert_eq!(got, want, "query {i} on view {}", if i % 2 == 0 { "A" } else { "B" });
     }
@@ -91,12 +93,15 @@ fn all_pairs_matches_pairwise_queries() {
     let vl = fvl.label_view(&view, VariantKind::Default).unwrap();
 
     let mut writer = EngineWriter::from_fvl(fvl.clone());
-    let items = writer.insert_labels(labeler.labels());
+    let items = writer.try_insert_labels(labeler.labels()).unwrap();
     let vref = writer.register_view(view, VariantKind::Default).unwrap();
     let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
 
     let subset: Vec<_> = items.iter().copied().step_by(3).collect();
-    let dependent = gen.all_pairs(&mut WorkerScratch::new(), vref, &subset);
+    let mut dependent = Vec::new();
+    gen.core()
+        .try_all_pairs_into(&mut WorkerScratch::new(), vref, &subset, &mut dependent)
+        .unwrap();
     let mut expected = Vec::new();
     for &a in &subset {
         for &b in &subset {
@@ -127,7 +132,7 @@ fn grouped_batch_matches_per_call_queries() {
     let view = views::random_safe_view(&w, &mut rng, 6);
 
     let mut writer = EngineWriter::from_fvl(fvl.clone());
-    let items = writer.insert_labels(labeler.labels());
+    let items = writer.try_insert_labels(labeler.labels()).unwrap();
     let vref = writer.register_view(view, VariantKind::Default).unwrap();
     let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
     let mut ws = WorkerScratch::new();
@@ -144,10 +149,12 @@ fn grouped_batch_matches_per_call_queries() {
     id_pairs.extend(items.iter().rev().take(64).map(|&b| (hot, b)));
     id_pairs.reverse();
 
-    let batch = gen.query_batch(&mut ws, vref, &id_pairs);
+    let core = gen.core();
+    let mut batch = Vec::new();
+    core.try_query_batch_into(&mut ws, vref, &id_pairs, &mut batch).unwrap();
     assert_eq!(batch.len(), id_pairs.len());
     for (i, &(a, b)) in id_pairs.iter().enumerate() {
-        assert_eq!(batch[i], gen.core().query(&mut ws, vref, a, b), "pair {i}: {a:?} -> {b:?}");
+        assert_eq!(Ok(batch[i]), core.try_query(&mut ws, vref, a, b), "pair {i}: {a:?} -> {b:?}");
     }
 }
 
@@ -164,7 +171,7 @@ fn steady_state_is_allocation_free() {
     let view = views::random_safe_view(&w, &mut rng, 8);
 
     let mut writer = EngineWriter::from_fvl(fvl.clone());
-    let items = writer.insert_labels(labeler.labels());
+    let items = writer.try_insert_labels(labeler.labels()).unwrap();
     let vref = writer.register_view(view, VariantKind::Default).unwrap();
     let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
     let pairs = sample::sample_query_pairs(&run, &mut rng, 400);
@@ -199,8 +206,8 @@ fn cross_run_pairs_answer_without_panicking() {
     let view = views::random_safe_view(&w, &mut rng, 8);
 
     let mut writer = EngineWriter::from_fvl(fvl.clone());
-    let items_a = writer.insert_labels(fvl.labeler(&run_a).labels());
-    let items_b = writer.insert_labels(fvl.labeler(&run_b).labels());
+    let items_a = writer.try_insert_labels(fvl.labeler(&run_a).labels()).unwrap();
+    let items_b = writer.try_insert_labels(fvl.labeler(&run_b).labels()).unwrap();
     let vref = writer.register_view(view, VariantKind::Default).unwrap();
     let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
     let core = gen.core();

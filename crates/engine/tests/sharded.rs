@@ -44,9 +44,9 @@ proptest! {
     /// One churn stream (skewed insert bursts, so single inserts span
     /// several tiny shards), applied in lockstep to a sharded writer chain
     /// and a single-shard sequential reference. At every publish, both
-    /// must give element-identical `query_batch` answers for every
-    /// compiled view; at the end, `all_pairs` over every item must match,
-    /// and so must a save → load → `all_pairs` roundtrip at a *different*
+    /// must give element-identical batch answers for every compiled view;
+    /// at the end, the all-pairs sweep over every item must match, and so
+    /// must a save → load → all-pairs roundtrip at a *different*
     /// shard capacity plus a full recovery from base ‖ frames — for all
     /// three variants.
     #[test]
@@ -107,7 +107,7 @@ proptest! {
             let (mut durable, gen0, _) =
                 DurableEngine::open(fvl.clone(), Box::new(storage.clone()), cap).unwrap();
             let mut writer = EngineWriter::new(gen0);
-            writer.insert_labels(&labels[..initial]);
+            writer.try_insert_labels(&labels[..initial]).unwrap();
             let vref = writer.register_view(view0.clone(), kind).unwrap();
             let live = LiveEngine::new(writer.base().clone());
             let g1 = writer.publish_durable(&live, &mut durable).unwrap();
@@ -118,19 +118,20 @@ proptest! {
 
             // The single-shard sequential reference (the pre-shard store).
             let mut reference = EngineWriter::from_fvl_with_shard_capacity(fvl.clone(), u32::MAX);
-            reference.insert_labels(&labels[..initial]);
+            reference.try_insert_labels(&labels[..initial]).unwrap();
             let rref = reference.register_view(view0.clone(), kind).unwrap();
             prop_assert_eq!(rref, vref, "registration order fixes handles on both sides");
             let reference_live = LiveEngine::new(reference.base().clone());
 
             let mut ws = WorkerScratch::new();
+            let (mut got, mut expected) = (Vec::new(), Vec::new());
             let mut next_label = initial;
             let mut view_refs = vec![vref];
             for (ix, op) in ops.iter().enumerate() {
                 match op {
                     ChurnOp::Insert { count } => {
-                        writer.insert_labels(&labels[next_label..next_label + count]);
-                        reference.insert_labels(&labels[next_label..next_label + count]);
+                        writer.try_insert_labels(&labels[next_label..next_label + count]).unwrap();
+                        reference.try_insert_labels(&labels[next_label..next_label + count]).unwrap();
                         next_label += count;
                     }
                     ChurnOp::RegisterView { seed: vseed } => {
@@ -146,9 +147,13 @@ proptest! {
                     let gen = writer.publish_durable(&live, &mut durable).unwrap();
                     let rgen = reference.publish(&reference_live);
                     for &vr in &view_refs {
+                        gen.core().try_query_batch_into(&mut ws, vr, &pairs, &mut got).unwrap();
+                        rgen.core()
+                            .try_query_batch_into(&mut ws, vr, &pairs, &mut expected)
+                            .unwrap();
                         prop_assert_eq!(
-                            gen.query_batch(&mut ws, vr, &pairs),
-                            rgen.query_batch(&mut ws, vr, &pairs),
+                            &got,
+                            &expected,
                             "sharded (cap {}) diverges from single-shard at seqno {} on {:?}/{:?}",
                             cap, gen.seqno(), vr, kind
                         );
@@ -160,13 +165,16 @@ proptest! {
 
             // Element-identical over *every* ordered pair of every item.
             let items: Vec<ItemId> = (0..next_label as u32).map(ItemId).collect();
-            let expected = reference.all_pairs(&mut ws, vref, &items);
+            let mut expected = Vec::new();
+            reference.core().try_all_pairs_into(&mut ws, vref, &items, &mut expected).unwrap();
+            let mut got = Vec::new();
+            final_gen.core().try_all_pairs_into(&mut ws, vref, &items, &mut got).unwrap();
             prop_assert_eq!(
-                &final_gen.all_pairs(&mut ws, vref, &items), &expected,
-                "final all_pairs diverges (cap {}, {:?})", cap, kind
+                &got, &expected,
+                "final all-pairs sweep diverges (cap {}, {:?})", cap, kind
             );
 
-            // save → load at a *different* capacity → all_pairs: the wire
+            // save → load at a *different* capacity → all-pairs: the wire
             // format is layout-free, so any capacity reads any stream.
             let mut saved = Vec::new();
             final_gen.save(&mut saved).unwrap();
@@ -175,8 +183,9 @@ proptest! {
                 shared_fvl(&w), &mut saved.as_slice(), other_cap,
             ).unwrap();
             prop_assert_eq!(reloaded.store().len(), next_label);
+            reloaded.core().try_all_pairs_into(&mut ws, vref, &items, &mut got).unwrap();
             prop_assert_eq!(
-                &reloaded.all_pairs(&mut ws, vref, &items), &expected,
+                &got, &expected,
                 "reloaded at capacity {} diverges (saved at {}, {:?})", other_cap, cap, kind
             );
 
@@ -189,8 +198,9 @@ proptest! {
                 ).unwrap();
                 prop_assert_eq!(replayed.seqno(), final_gen.seqno());
                 prop_assert_eq!(replayed.store().len(), next_label);
+                replayed.core().try_all_pairs_into(&mut ws, vref, &items, &mut got).unwrap();
                 prop_assert_eq!(
-                    &replayed.all_pairs(&mut ws, vref, &items), &expected,
+                    &got, &expected,
                     "replay at capacity {} diverges (written at {}, {:?})", replay_cap, cap, kind
                 );
             }
@@ -201,8 +211,8 @@ proptest! {
 /// A pre-shard-format stream (what PR 5 wrote — identical bytes to what a
 /// single-shard store writes today) loads into a sharded store, and a
 /// sharded stream loads into a single-shard store: capacity is invisible
-/// on the wire in both directions, and a truncated stream stays a typed
-/// error, never a panic.
+/// on the wire in both directions, and a truncated stream or a zero
+/// capacity stays a typed error, never a panic.
 #[test]
 fn streams_cross_shard_capacities_in_both_directions() {
     let w = bioaid(1);
@@ -215,7 +225,7 @@ fn streams_cross_shard_capacities_in_both_directions() {
 
     let save_with = |cap: u32| {
         let mut writer = EngineWriter::from_fvl_with_shard_capacity(fvl.clone(), cap);
-        writer.insert_labels(&labels);
+        writer.try_insert_labels(&labels).unwrap();
         writer.register_view(view.clone(), VariantKind::Default).unwrap();
         let live = LiveEngine::new(writer.base().clone());
         let gen = writer.publish(&live);
@@ -240,17 +250,25 @@ fn streams_cross_shard_capacities_in_both_directions() {
         assert_eq!(gen.store().len(), labels.len());
         let vref = wf_engine::ViewRef { id: wf_engine::ViewId(0), kind: VariantKind::Default };
         assert!(gen.registry().label(vref).is_some(), "the saved view arrived compiled");
-        let pairs = gen.all_pairs(&mut ws, vref, &items);
+        let mut pairs = Vec::new();
+        gen.core().try_all_pairs_into(&mut ws, vref, &items, &mut pairs).unwrap();
         match &expected {
             None => expected = Some(pairs),
             Some(e) => assert_eq!(&pairs, e, "capacity {load_cap} changes answers"),
         }
     }
 
-    // Truncation stays typed whatever the target capacity.
+    // Truncation stays typed whatever the target capacity, and a zero
+    // capacity is a typed error, not a panic.
     let cut = from_single.len() - 9;
     assert!(matches!(
         EngineGeneration::load_with_shard_capacity(shared_fvl(&w), &mut &from_single[..cut], 3),
         Err(wf_engine::SnapshotError::Truncated)
     ));
+    let Err(wf_engine::SnapshotError::Io(e)) =
+        EngineGeneration::load_with_shard_capacity(shared_fvl(&w), &mut from_single.as_slice(), 0)
+    else {
+        panic!("a zero shard capacity must be rejected as an i/o error");
+    };
+    assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
 }

@@ -48,7 +48,7 @@ fn build_and_save(seed: u64, run_size: usize, view_size: usize) -> Vec<u8> {
     let view = views::random_safe_view(&w, &mut rng, view_size);
 
     let mut writer = EngineWriter::from_fvl(fvl.clone());
-    writer.insert_labels(labeler.labels());
+    writer.try_insert_labels(labeler.labels()).unwrap();
     let vid = writer.add_view(view);
     for kind in VARIANTS {
         writer.compile(vid, kind).unwrap();
@@ -59,7 +59,7 @@ fn build_and_save(seed: u64, run_size: usize, view_size: usize) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// A snapshot-loaded generation answers `all_pairs` (and with it every
+    /// A snapshot-loaded generation answers the all-pairs sweep (and with it every
     /// pairwise query, visibility included) identically to a freshly
     /// labeled one, for all three variants. The item subset deliberately
     /// includes the run's boundary items — labels whose `out` or `inp`
@@ -79,7 +79,7 @@ proptest! {
         let view = views::random_safe_view(&w, &mut rng, view_size);
 
         let mut writer = EngineWriter::from_fvl(fvl.clone());
-        let items = writer.insert_labels(labeler.labels());
+        let items = writer.try_insert_labels(labeler.labels()).unwrap();
         let vid = writer.add_view(view);
         for kind in VARIANTS {
             writer.compile(vid, kind).unwrap();
@@ -103,13 +103,12 @@ proptest! {
         subset.extend(items.iter().copied().step_by(5));
         subset.truncate(40);
         let mut ws = WorkerScratch::new();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
         for kind in VARIANTS {
             let vref = ViewRef { id: vid, kind };
-            prop_assert_eq!(
-                loaded.all_pairs(&mut ws, vref, &subset),
-                fresh.all_pairs(&mut ws, vref, &subset),
-                "{:?}", kind
-            );
+            loaded.core().try_all_pairs_into(&mut ws, vref, &subset, &mut got).unwrap();
+            fresh.core().try_all_pairs_into(&mut ws, vref, &subset, &mut want).unwrap();
+            prop_assert_eq!(&got, &want, "{:?}", kind);
         }
     }
 }
@@ -118,7 +117,7 @@ proptest! {
 /// read-only replica. Inserting more labels and registering a new view
 /// through a writer based on it, then saving and loading again, must agree
 /// with a cold build that saw everything from the start — ids, trie
-/// sharing and `all_pairs` answers included.
+/// sharing and all-pairs answers included.
 #[test]
 fn mutate_after_load_roundtrips_like_a_cold_build() {
     let w = bioaid(9);
@@ -134,7 +133,7 @@ fn mutate_after_load_roundtrips_like_a_cold_build() {
 
     // Save with half the labels and one view…
     let mut writer = EngineWriter::from_fvl(fvl.clone());
-    writer.insert_labels(&labels[..half]);
+    writer.try_insert_labels(&labels[..half]).unwrap();
     let va = writer.add_view(view_a.clone());
     writer.compile(va, VariantKind::Default).unwrap();
     let bytes = save(&publish(&mut writer));
@@ -143,7 +142,7 @@ fn mutate_after_load_roundtrips_like_a_cold_build() {
     // …load, grow (rest of the labels + a second view), save again…
     let loaded = EngineGeneration::load(fvl.clone(), &mut bytes.as_slice()).unwrap();
     let mut grown = EngineWriter::new(Arc::new(loaded));
-    let more_ids = grown.insert_labels(&labels[half..]);
+    let more_ids = grown.try_insert_labels(&labels[half..]).unwrap();
     assert_eq!(more_ids.first().map(|id| id.0 as usize), Some(half), "ids continue densely");
     let vb = grown.add_view(view_b.clone());
     for kind in VARIANTS {
@@ -154,7 +153,7 @@ fn mutate_after_load_roundtrips_like_a_cold_build() {
     // …and the re-load must be indistinguishable from a cold build.
     let warm = EngineGeneration::load(fvl.clone(), &mut bytes2.as_slice()).unwrap();
     let mut cold = EngineWriter::from_fvl(fvl.clone());
-    let items = cold.insert_labels(labels);
+    let items = cold.try_insert_labels(labels).unwrap();
     assert_eq!(cold.add_view(view_a), va);
     assert_eq!(cold.add_view(view_b), vb);
     cold.compile(va, VariantKind::Default).unwrap();
@@ -169,15 +168,14 @@ fn mutate_after_load_roundtrips_like_a_cold_build() {
         "the grown trie shares prefixes exactly like a cold one"
     );
     let mut ws = WorkerScratch::new();
+    let (mut got, mut want) = (Vec::new(), Vec::new());
     for (vid, kinds) in [(va, &VARIANTS[1..2]), (vb, &VARIANTS[..])] {
         for &kind in kinds {
             let vref = ViewRef { id: vid, kind };
             assert!(warm.registry().label(vref).is_some(), "{kind:?} arrives compiled");
-            assert_eq!(
-                warm.all_pairs(&mut ws, vref, &items),
-                cold.all_pairs(&mut ws, vref, &items),
-                "{kind:?} diverges after mutate-and-reload"
-            );
+            warm.core().try_all_pairs_into(&mut ws, vref, &items, &mut got).unwrap();
+            cold.core().try_all_pairs_into(&mut ws, vref, &items, &mut want).unwrap();
+            assert_eq!(got, want, "{kind:?} diverges after mutate-and-reload");
         }
     }
 }
@@ -254,7 +252,7 @@ fn valid_checksum_delta_with_broken_label_chain_is_rejected_structurally() {
     let mut rng = StdRng::seed_from_u64(8);
     let (_, run) = sample::sample_run(&w, &pg, &mut rng, 60);
     let mut writer = EngineWriter::from_fvl(fvl.clone());
-    writer.insert_labels(fvl.labeler(&run).labels());
+    writer.try_insert_labels(fvl.labeler(&run).labels()).unwrap();
     let g1 = publish(&mut writer);
     let base = save(&g1);
 
@@ -316,7 +314,7 @@ fn loaded_generation_serves_and_reaches_steady_state() {
     let view = views::random_safe_view(&w, &mut rng, 8);
 
     let mut writer = EngineWriter::from_fvl(fvl.clone());
-    let items = writer.insert_labels(labeler.labels());
+    let items = writer.try_insert_labels(labeler.labels()).unwrap();
     let vref = writer.register_view(view, VariantKind::Default).unwrap();
     let bytes = save(&publish(&mut writer));
     drop(writer);
@@ -329,7 +327,8 @@ fn loaded_generation_serves_and_reaches_steady_state() {
     let mut ws = WorkerScratch::new();
     let mut out = Vec::with_capacity(id_pairs.len());
     core.try_query_batch_into(&mut ws, vref, &id_pairs, &mut out).unwrap();
-    let vl = fvl.label_view(loaded.registry().view(vref.id), VariantKind::Default).unwrap();
+    let vl =
+        fvl.label_view(loaded.registry().view(vref.id).unwrap(), VariantKind::Default).unwrap();
     for (i, &(a, b)) in pairs.iter().enumerate() {
         assert_eq!(out[i], fvl.query(&vl, labeler.label(a), labeler.label(b)), "pair {i}");
     }
@@ -415,11 +414,11 @@ fn durable_store_bytes_are_frozen() {
     let live = LiveEngine::new(gen0.clone());
     let mut writer = EngineWriter::new(gen0);
     let half = labels.len() / 2;
-    writer.insert_labels(&labels[..half]);
+    writer.try_insert_labels(&labels[..half]).unwrap();
     writer.register_view(ex.view_u2(), VariantKind::Default).unwrap();
     let g1 = writer.publish_durable(&live, &mut durable).unwrap();
     durable.install_base(&serialize_base(&g1).unwrap(), 1).unwrap().expect("compacts");
-    writer.insert_labels(&labels[half..]);
+    writer.try_insert_labels(&labels[half..]).unwrap();
     let u1 = writer.add_view(ex.view_u1());
     for kind in VARIANTS {
         writer.compile(u1, kind).unwrap();

@@ -99,7 +99,9 @@ fn drive(
     let mut writer = EngineWriter::new(gen0);
     let mut acked = Vec::new();
     for step in steps {
-        writer.insert_labels(&labels[step.labels.clone()]);
+        writer
+            .try_insert_labels(&labels[step.labels.clone()])
+            .map_err(|e| Divergence(format!("schedule labels rejected: {e}")))?;
         if let Some(view) = &step.view {
             writer
                 .register_view(view.clone(), VariantKind::Default)

@@ -79,6 +79,36 @@ fn fail_ctx(seed: u64, shape: &SpecShape) -> String {
     format!("case seed {seed:#x} (shape {shape:?})")
 }
 
+/// `gen`'s batch answers for `pairs` into `out`. The harness issues only
+/// handles it owns, so an engine error here is a divergence under `ctx`.
+fn answer_batch(
+    gen: &EngineGeneration,
+    ws: &mut WorkerScratch,
+    view: ViewRef,
+    pairs: &[(ItemId, ItemId)],
+    out: &mut Vec<Option<bool>>,
+    ctx: &str,
+) -> Result<(), Divergence> {
+    gen.core().try_query_batch_into(ws, view, pairs, out).map_err(|e| {
+        Divergence(format!("{ctx}: batch on {view:?} at seqno {} failed: {e}", gen.seqno()))
+    })
+}
+
+/// `gen`'s dependent pairs of `items` into `out` (errors as in
+/// [`answer_batch`]).
+fn sweep_all_pairs(
+    gen: &EngineGeneration,
+    ws: &mut WorkerScratch,
+    view: ViewRef,
+    items: &[ItemId],
+    out: &mut Vec<(ItemId, ItemId)>,
+    ctx: &str,
+) -> Result<(), Divergence> {
+    gen.core().try_all_pairs_into(ws, view, items, out).map_err(|e| {
+        Divergence(format!("{ctx}: all-pairs on {view:?} at seqno {} failed: {e}", gen.seqno()))
+    })
+}
+
 fn check_workload(
     seed: u64,
     shape: &SpecShape,
@@ -129,7 +159,10 @@ fn check_workload(
     let mut engine = EngineWriter::from_fvl(fvl.clone());
     let engine_live = LiveEngine::new(engine.base().clone());
     let mut ws = WorkerScratch::new();
-    let items = engine.insert_labels(&labels);
+    let items = match engine.try_insert_labels(&labels) {
+        Ok(items) => items,
+        Err(e) => diverge!("{}: engine rejected the run's labels: {e}", fail_ctx(seed, shape)),
+    };
     let engine_pairs: Vec<(ItemId, ItemId)> =
         pairs.iter().map(|&(a, b)| (items[a.0 as usize], items[b.0 as usize])).collect();
 
@@ -191,8 +224,9 @@ fn check_workload(
             out.queries += 1;
         }
         let gen = engine.publish(&engine_live);
+        let mut batch = Vec::new();
         for (kind, vref) in &engine_refs {
-            let batch = gen.query_batch(&mut ws, *vref, &engine_pairs);
+            answer_batch(&gen, &mut ws, *vref, &engine_pairs, &mut batch, &fail_ctx(seed, shape))?;
             for (pix, (&(d1, d2), got)) in pairs.iter().zip(&batch).enumerate() {
                 let expected = oracle.depends_on(d1, d2);
                 if *got != expected {
@@ -279,13 +313,14 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
         Divergence(format!("{}: durable open failed: {e}", fail_ctx(seed, &shape)))
     })?;
     let mut writer = EngineWriter::new(gen0);
+    let ctx = fail_ctx(seed, &shape);
     let mut next_label = 0usize;
     let mut insert_next = |writer: &mut EngineWriter, count: usize| {
-        let ids = writer.insert_labels(&labels[next_label..next_label + count]);
+        let staged = writer.try_insert_labels(&labels[next_label..next_label + count]);
         next_label += count;
-        ids
+        staged.map_err(|e| Divergence(format!("{ctx}: live insert rejected: {e}")))
     };
-    insert_next(&mut writer, spec.initial_items);
+    insert_next(&mut writer, spec.initial_items)?;
     let live = LiveEngine::new(writer.base().clone());
     // Initial items land in generation 1 (the empty origin is generation 0).
     writer.publish_durable(&live, &mut durable).map_err(|e| {
@@ -295,8 +330,12 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
     // The sequential reference mirrors *published* state only: ops applied
     // to the writer stay pending until the next publish drains them, and
     // the reference publishes its own chain after each drain.
+    let reference_insert = |reference: &mut EngineWriter, range: std::ops::Range<usize>| {
+        let staged = reference.try_insert_labels(&labels[range]);
+        staged.map_err(|e| Divergence(format!("{ctx}: reference insert rejected: {e}")))
+    };
     let mut reference = EngineWriter::from_fvl(fvl.clone());
-    reference.insert_labels(&labels[..spec.initial_items]);
+    reference_insert(&mut reference, 0..spec.initial_items)?;
     let reference_live = LiveEngine::new(reference.base().clone());
     let mut reference_gen = reference.publish(&reference_live);
     let mut pending: Vec<ChurnOp> = Vec::new();
@@ -306,11 +345,12 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
 
     let mut out = DiffOutcome::default();
     let mut ws = WorkerScratch::new();
+    let (mut got, mut expected) = (Vec::new(), Vec::new());
     let mut since_publish = 0usize;
     for (opix, op) in stream.iter().enumerate() {
         match op {
             ChurnOp::Insert { count } => {
-                insert_next(&mut writer, *count);
+                insert_next(&mut writer, *count)?;
                 pending.push(op.clone());
             }
             ChurnOp::RegisterView { seed: vseed } => {
@@ -337,8 +377,8 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
                     .map(|&(a, b)| (ItemId(a % population), ItemId(b % population)))
                     .collect();
                 for &vref in &compiled {
-                    let got = gen.query_batch(&mut ws, vref, &item_pairs);
-                    let expected = reference_gen.query_batch(&mut ws, vref, &item_pairs);
+                    answer_batch(&gen, &mut ws, vref, &item_pairs, &mut got, &ctx)?;
+                    answer_batch(&reference_gen, &mut ws, vref, &item_pairs, &mut expected, &ctx)?;
                     if got != expected {
                         diverge!(
                             "{}: op {opix} — generation {} disagrees with the sequential \
@@ -381,7 +421,7 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
             let published_len = writer.base().store().len();
             let from = reference_gen.store().len();
             if from < published_len {
-                reference.insert_labels(&labels[from..published_len]);
+                reference_insert(&mut reference, from..published_len)?;
             }
             reference_gen = reference.publish(&reference_live);
             pending_compiled.retain(|r| {
@@ -397,7 +437,7 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
     }
 
     // Final barrier: publish the tail, then recover the durable store cold
-    // and compare all_pairs per compiled view.
+    // and compare all-pairs sweeps per compiled view.
     writer.publish_durable(&live, &mut durable).map_err(|e| {
         Divergence(format!("{}: final publish failed: {e}", fail_ctx(seed, &shape)))
     })?;
@@ -405,7 +445,7 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
     let published_len = final_gen.store().len();
     let from = reference_gen.store().len();
     if from < published_len {
-        reference.insert_labels(&labels[from..published_len]);
+        reference_insert(&mut reference, from..published_len)?;
     }
     for p in pending.drain(..) {
         if let ChurnOp::RegisterView { seed: vseed } = p {
@@ -438,12 +478,15 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
         );
     }
     let all_items: Vec<ItemId> = (0..published_len as u32).map(ItemId).collect();
+    let (mut got, mut expected) = (Vec::new(), Vec::new());
     for &vref in &compiled {
-        let expected = reference_gen.all_pairs(&mut ws, vref, &all_items);
-        if final_gen.all_pairs(&mut ws, vref, &all_items) != expected {
+        sweep_all_pairs(&reference_gen, &mut ws, vref, &all_items, &mut expected, &ctx)?;
+        sweep_all_pairs(&final_gen, &mut ws, vref, &all_items, &mut got, &ctx)?;
+        if got != expected {
             diverge!("{}: final generation diverges on {vref:?}", fail_ctx(seed, &shape));
         }
-        if replayed.all_pairs(&mut ws, vref, &all_items) != expected {
+        sweep_all_pairs(&replayed, &mut ws, vref, &all_items, &mut got, &ctx)?;
+        if got != expected {
             diverge!("{}: warm replay diverges on {vref:?}", fail_ctx(seed, &shape));
         }
     }
@@ -506,6 +549,7 @@ fn producer_run(
     base_vref: ViewRef,
 ) -> Result<(Vec<(Ticket, ProducerOp)>, u64), String> {
     let mut ws = WorkerScratch::new();
+    let mut got = Vec::new();
     let mut cursor = start;
     let mut recorded = Vec::new();
     let mut reads = 0u64;
@@ -537,7 +581,8 @@ fn producer_run(
                     .iter()
                     .map(|&(a, b)| (ItemId(a % population), ItemId(b % population)))
                     .collect();
-                let got = gen.query_batch(&mut ws, base_vref, &item_pairs);
+                answer_batch(&gen, &mut ws, base_vref, &item_pairs, &mut got, "racing read")
+                    .map_err(|d| d.0)?;
                 if got.len() != item_pairs.len() {
                     return Err(format!(
                         "racing read on generation {} returned {} of {} answers",
@@ -564,7 +609,7 @@ fn producer_run(
 /// 1. **Sequential replay** — applying the ops one by one in the global
 ///    [`Ticket::apply_index`] order through a single reference writer must
 ///    reproduce *every published generation* element-identically
-///    (store length, and `all_pairs` over every compiled view).
+///    (store length, and the all-pairs sweep over every compiled view).
 /// 2. **Op-log prefix recovery** — for every published generation,
 ///    [`DurableEngine::open`] over `base ‖ frames-up-to-its-seqno` must
 ///    land on a **byte-identical** `save` image: the racing run and its
@@ -647,7 +692,9 @@ pub fn check_multi_producer(
         DurableEngine::open(fvl.clone(), Box::new(storage.clone()), cap)
             .map_err(|e| Divergence(format!("{ctx}: durable open failed: {e}")))?;
     let mut writer = EngineWriter::new(gen0);
-    writer.insert_labels(&pool[..spec.initial_items]);
+    writer
+        .try_insert_labels(&pool[..spec.initial_items])
+        .map_err(|e| Divergence(format!("{ctx}: initial labels rejected: {e}")))?;
     let base_vref = writer
         .register_view(w.spec.default_view(), VariantKind::Default)
         .map_err(|e| Divergence(format!("{ctx}: base view rejected: {e}")))?;
@@ -658,7 +705,9 @@ pub fn check_multi_producer(
 
     // The sequential reference starts from the same first generation.
     let mut reference = EngineWriter::from_fvl(fvl.clone());
-    reference.insert_labels(&pool[..spec.initial_items]);
+    reference
+        .try_insert_labels(&pool[..spec.initial_items])
+        .map_err(|e| Divergence(format!("{ctx}: reference initial labels rejected: {e}")))?;
     let ref_vref = reference
         .register_view(w.spec.default_view(), VariantKind::Default)
         .map_err(|e| Divergence(format!("{ctx}: reference base view rejected: {e}")))?;
@@ -759,6 +808,7 @@ pub fn check_multi_producer(
     // dedup made no-ops resolve with an older seqno and are no-ops in the
     // reference too, so the early application is harmless).
     let mut ws = WorkerScratch::new();
+    let (mut got, mut expected) = (Vec::new(), Vec::new());
     let mut compiled: Vec<ViewRef> = vec![base_vref];
     let mut ptr = 0usize;
     let mut last_published = 0u64;
@@ -770,7 +820,9 @@ pub fn check_multi_producer(
         while ptr < ordered.len() && ordered[ptr].1 <= gen.seqno() {
             match &ordered[ptr].2 {
                 ProducerOp::Insert { from, to } => {
-                    reference.insert_labels(&pool[*from..*to]);
+                    reference.try_insert_labels(&pool[*from..*to]).map_err(|e| {
+                        Divergence(format!("{ctx}: sequential replay rejected labels: {e}"))
+                    })?;
                 }
                 ProducerOp::Compile { vseed } => {
                     let (view, kind) = churn_view(&w, *vseed);
@@ -800,8 +852,9 @@ pub fn check_multi_producer(
         let step = (n as usize / 14).max(1);
         let items: Vec<ItemId> = (0..n).step_by(step).map(ItemId).collect();
         for &vref in &compiled {
-            let expected = reference.all_pairs(&mut ws, vref, &items);
-            if gen.all_pairs(&mut ws, vref, &items) != expected {
+            sweep_all_pairs(&reference, &mut ws, vref, &items, &mut expected, &ctx)?;
+            sweep_all_pairs(gen, &mut ws, vref, &items, &mut got, &ctx)?;
+            if got != expected {
                 diverge!(
                     "{ctx}: generation {} diverges from the sequential replay on {vref:?}",
                     gen.seqno()

@@ -43,7 +43,7 @@ pub enum Stage {
     PowMemoMiss = 6,
     /// One full `pi` decode (Algorithm 2), visibility checks excluded.
     Pi = 7,
-    /// One engine batch call (`query_batch` / `all_pairs` / a parallel
+    /// One engine batch call (`try_query_batch_into` / `try_all_pairs_into` / a parallel
     /// worker's chunk), containing everything above.
     Batch = 8,
 }

@@ -145,7 +145,7 @@ fn main() {
     let mut writer = EngineWriter::new(gen0);
     writer.register_view(view.clone(), VariantKind::Default).unwrap();
     for chunk in pool[..8 * CHUNK].chunks(CHUNK) {
-        writer.insert_labels(chunk);
+        writer.try_insert_labels(chunk).unwrap();
         writer.publish_durable(&live4, &mut durable).unwrap();
     }
     let acked_gen = live4.snapshot();
@@ -185,11 +185,10 @@ fn main() {
         wfprov::engine::ViewRef { id: wfprov::engine::ViewId(0), kind: VariantKind::Default };
     let sample_items: Vec<_> = (0..acked.store().len() as u32).step_by(17).map(ItemId).collect();
     let mut ws = WorkerScratch::new();
-    assert_eq!(
-        recovered.all_pairs(&mut ws, vref, &sample_items),
-        acked.all_pairs(&mut ws, vref, &sample_items),
-        "recovered answers must match the acknowledged state"
-    );
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    recovered.core().try_all_pairs_into(&mut ws, vref, &sample_items, &mut got).unwrap();
+    acked.core().try_all_pairs_into(&mut ws, vref, &sample_items, &mut want).unwrap();
+    assert_eq!(got, want, "recovered answers must match the acknowledged state");
 
     // The recovered engine keeps serving durably.
     let storage = DiskStorage::open(&dir).expect("reopen again");

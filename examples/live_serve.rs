@@ -44,7 +44,7 @@ fn main() {
         DurableEngine::open(fvl.clone(), Box::new(storage.clone()), cap).unwrap();
     let initial = labels.len() / 2;
     let mut writer = EngineWriter::new(gen0);
-    let items = writer.insert_labels(&labels[..initial]);
+    let items = writer.try_insert_labels(&labels[..initial]).unwrap();
     let vref = writer.register_view(view.clone(), VariantKind::Default).unwrap();
     let live = LiveEngine::new(writer.base().clone());
     let g1 = writer.publish_durable(&live, &mut durable).unwrap();
@@ -78,6 +78,7 @@ fn main() {
             .map(|_| {
                 s.spawn(move || {
                     let mut ws = WorkerScratch::new();
+                    let mut answers = Vec::new();
                     let mut batches = 0u64;
                     let pairs: Vec<_> = items_ref
                         .iter()
@@ -87,7 +88,10 @@ fn main() {
                         .collect();
                     while !stop_ref.load(Ordering::Relaxed) {
                         let gen = live_ref.read();
-                        std::hint::black_box(gen.query_batch(&mut ws, vref, &pairs));
+                        gen.core()
+                            .try_query_batch_into(&mut ws, vref, &pairs, &mut answers)
+                            .expect("a published view answers every in-range pair");
+                        std::hint::black_box(&answers);
                         batches += 1;
                     }
                     batches
@@ -105,7 +109,7 @@ fn main() {
             match op {
                 ChurnOp::Insert { count } => {
                     let end = (label_cursor + count).min(labels.len());
-                    writer.insert_labels(&labels[label_cursor..end]);
+                    writer.try_insert_labels(&labels[label_cursor..end]).unwrap();
                     label_cursor = end;
                 }
                 ChurnOp::RegisterView { .. } => {
@@ -151,18 +155,16 @@ fn main() {
     assert_eq!(replayed.registry().view_count(), last.registry().view_count());
 
     let mut cold = EngineWriter::from_fvl(fvl.clone());
-    let all_items = cold.insert_labels(&labels[..last.store().len()]);
+    let all_items = cold.try_insert_labels(&labels[..last.store().len()]).unwrap();
     let cold_ref = cold.register_view(view, VariantKind::Default).unwrap();
     assert_eq!(cold_ref, vref, "handles are chain-stable");
     let cold = cold.publish(&LiveEngine::new(cold.base().clone()));
     let sample: Vec<_> = all_items.iter().copied().step_by(7).collect();
     let mut ws = WorkerScratch::new();
-    let warm_answers = replayed.all_pairs(&mut ws, vref, &sample);
-    assert_eq!(
-        warm_answers,
-        cold.all_pairs(&mut ws, cold_ref, &sample),
-        "recovered state must answer like a cold build"
-    );
+    let (mut warm_answers, mut cold_answers) = (Vec::new(), Vec::new());
+    replayed.core().try_all_pairs_into(&mut ws, vref, &sample, &mut warm_answers).unwrap();
+    cold.core().try_all_pairs_into(&mut ws, cold_ref, &sample, &mut cold_answers).unwrap();
+    assert_eq!(warm_answers, cold_answers, "recovered state must answer like a cold build");
     println!(
         "warm restart recovered {} generations: {} dependent pairs over a {}-item sample — \
          identical to a cold build",

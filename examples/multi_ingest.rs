@@ -82,6 +82,7 @@ fn main() {
             .map(|_| {
                 s.spawn(move || {
                     let mut ws = WorkerScratch::new();
+                    let mut answers = Vec::new();
                     let mut batches = 0u64;
                     while !stop_ref.load(Ordering::Relaxed) {
                         let gen = live_ref.read();
@@ -90,7 +91,10 @@ fn main() {
                             .map(|k| (ItemId(k % n.max(1)), ItemId((k * 7 + 3) % n.max(1))))
                             .collect();
                         if n > 0 {
-                            std::hint::black_box(gen.query_batch(&mut ws, vref, &pairs));
+                            gen.core()
+                                .try_query_batch_into(&mut ws, vref, &pairs, &mut answers)
+                                .expect("a published view answers every in-range pair");
+                            std::hint::black_box(&answers);
                         }
                         batches += 1;
                     }
@@ -167,17 +171,16 @@ fn main() {
     // back out to rebuild the same state cold.
     let store = report.writer.base().store();
     let ordered: Vec<_> = (0..store.len() as u32).map(|i| store.materialize(ItemId(i))).collect();
-    let all_items = cold.insert_labels(&ordered);
+    let all_items = cold.try_insert_labels(&ordered).unwrap();
     let cold_ref = cold.register_view(view, VariantKind::Default).unwrap();
     assert_eq!(cold_ref, vref);
     let cold = cold.publish(&LiveEngine::new(cold.base().clone()));
     let sample_items: Vec<_> = all_items.iter().copied().step_by(13).collect();
     let mut ws = WorkerScratch::new();
-    assert_eq!(
-        replayed.all_pairs(&mut ws, vref, &sample_items),
-        cold.all_pairs(&mut ws, cold_ref, &sample_items),
-        "recovered state must answer like a cold build"
-    );
+    let (mut warm_answers, mut cold_answers) = (Vec::new(), Vec::new());
+    replayed.core().try_all_pairs_into(&mut ws, vref, &sample_items, &mut warm_answers).unwrap();
+    cold.core().try_all_pairs_into(&mut ws, cold_ref, &sample_items, &mut cold_answers).unwrap();
+    assert_eq!(warm_answers, cold_answers, "recovered state must answer like a cold build");
     println!(
         "warm restart replayed {} frames to generation {} — answers identical to a cold build",
         recovery.replayed_frames,

@@ -4,7 +4,7 @@
 //! shows the parallel one: a published generation is an immutable, `Sync`
 //! [`EngineCore`] that any number of worker threads query concurrently
 //! through their own [`WorkerScratch`]es — no locks anywhere on the read
-//! path — and the one-call fan-outs `par_query_batch` / `par_all_pairs`
+//! path — and the one-call fan-outs `try_par_query_batch` / `try_par_all_pairs`
 //! shard a workload across scoped threads with answers *identical* to the
 //! sequential path.
 //!
@@ -33,7 +33,7 @@ fn main() {
     let labeler = fvl.labeler(&run);
 
     let mut writer = EngineWriter::from_fvl(fvl.clone());
-    let items = writer.insert_labels(labeler.labels());
+    let items = writer.try_insert_labels(labeler.labels()).unwrap();
     let view_a = views::random_safe_view(&w, &mut rng, 8);
     let view_b = views::random_safe_view(&w, &mut rng, 12);
     let ra = writer.register_view(view_a, VariantKind::Default).unwrap();
@@ -42,20 +42,21 @@ fn main() {
     let core = gen.core();
     let mut ws = WorkerScratch::new();
 
-    // --- One-call fan-out: par_query_batch == query_batch, always. ------
+    // --- One-call fan-out: parallel batch == sequential batch, always. ---
     let dist = PairDist::HotKey { hot_items: 64, hot_prob: 0.5 };
     let pairs: Vec<_> = worker_streams(&run, &mut rng, 1, 4_096, dist)
         .remove(0)
         .into_iter()
         .map(|(a, b)| (items[a.0 as usize], items[b.0 as usize]))
         .collect();
-    let sequential = gen.query_batch(&mut ws, ra, &pairs);
+    let mut sequential = Vec::new();
+    core.try_query_batch_into(&mut ws, ra, &pairs, &mut sequential).unwrap();
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let parallel = core.par_query_batch(ra, &pairs, threads);
+    let parallel = core.try_par_query_batch(ra, &pairs, threads).unwrap();
     assert_eq!(parallel, sequential, "sharded answers must be bit-identical");
     let dependent = parallel.iter().filter(|r| **r == Some(true)).count();
     println!(
-        "par_query_batch: {} pairs over {} threads, {} dependent — identical to sequential",
+        "try_par_query_batch: {} pairs over {} threads, {} dependent — identical to sequential",
         pairs.len(),
         threads,
         dependent
@@ -79,12 +80,14 @@ fn main() {
                     let mut answered = 0usize;
                     for op in shard {
                         let (a, b) = op.pair;
-                        let q = core.query(
-                            &mut ws,
-                            handles[op.view],
-                            items[a.0 as usize],
-                            items[b.0 as usize],
-                        );
+                        let q = core
+                            .try_query(
+                                &mut ws,
+                                handles[op.view],
+                                items[a.0 as usize],
+                                items[b.0 as usize],
+                            )
+                            .unwrap();
                         answered += usize::from(q.is_some());
                     }
                     answered
@@ -102,11 +105,12 @@ fn main() {
 
     // --- All-pairs sweeps shard by rows, same order as sequential. ------
     let subset: Vec<_> = items.iter().copied().step_by(37).collect();
-    let seq_sweep = gen.all_pairs(&mut ws, rb, &subset);
-    let par_sweep = core.par_all_pairs(rb, &subset, threads);
+    let mut seq_sweep = Vec::new();
+    core.try_all_pairs_into(&mut ws, rb, &subset, &mut seq_sweep).unwrap();
+    let par_sweep = core.try_par_all_pairs(rb, &subset, threads).unwrap();
     assert_eq!(par_sweep, seq_sweep, "row-sharded sweep must match sequentially");
     println!(
-        "par_all_pairs: {}x{} sweep, {} dependent pairs — identical order to sequential",
+        "try_par_all_pairs: {}x{} sweep, {} dependent pairs — identical order to sequential",
         subset.len(),
         subset.len(),
         par_sweep.len()

@@ -26,7 +26,7 @@ fn main() {
     // The writer interns every label: shared path prefixes are stored once
     // in a trie, and items get dense ids aligned with the run's DataIds.
     let mut writer = EngineWriter::from_fvl(fvl.clone());
-    let items = writer.insert_labels(labeler.labels());
+    let items = writer.try_insert_labels(labeler.labels()).unwrap();
 
     // Register both views of the running example. One view can be compiled
     // under several variants; each (view, variant) pair is built once.
@@ -58,29 +58,34 @@ fn main() {
     let d17 = items[ids.d17.0 as usize];
     let d21 = items[ids.d21.0 as usize];
     let d31 = items[ids.d31.0 as usize];
+    let core = gen.core();
     let mut ws = WorkerScratch::new();
+    let mut answers = Vec::new();
     let batch = [(d17, d31), (d21, d31), (d31, d17)];
-    println!("U1 batch {:?} -> {:?}", batch, gen.query_batch(&mut ws, u1_default, &batch));
-    println!("U2 batch {:?} -> {:?}", batch, gen.query_batch(&mut ws, u2_default, &batch));
+    core.try_query_batch_into(&mut ws, u1_default, &batch, &mut answers).unwrap();
+    println!("U1 batch {batch:?} -> {answers:?}");
+    core.try_query_batch_into(&mut ws, u2_default, &batch, &mut answers).unwrap();
+    println!("U2 batch {batch:?} -> {answers:?}");
     // (d21, d31) answers None under U2: d21 is hidden inside C's grey box.
 
     // Variants agree on answers; they only trade label size for time.
     assert_eq!(
-        gen.try_query(&mut ws, u1_default, d17, d31),
-        gen.try_query(&mut ws, u1_qe, d17, d31)
+        core.try_query(&mut ws, u1_default, d17, d31),
+        core.try_query(&mut ws, u1_qe, d17, d31)
     );
 
     // An all-pairs sweep: the dependency closure of a working set, e.g. to
     // materialize a lineage subgraph for one search result page.
     let page: Vec<_> = items.iter().copied().take(12).collect();
-    let closure = gen.all_pairs(&mut ws, u1_default, &page);
+    let mut closure = Vec::new();
+    core.try_all_pairs_into(&mut ws, u1_default, &page, &mut closure).unwrap();
     println!("all-pairs over {} items under U1: {} dependent pairs", page.len(), closure.len());
 
     // Steady state: repeating the batches allocates nothing — the scratch
     // (matrix pool + chain-power memo) has reached its fixed point.
     for _ in 0..3 {
-        gen.query_batch(&mut ws, u1_default, &batch);
-        gen.query_batch(&mut ws, u2_default, &batch);
+        core.try_query_batch_into(&mut ws, u1_default, &batch, &mut answers).unwrap();
+        core.try_query_batch_into(&mut ws, u2_default, &batch, &mut answers).unwrap();
     }
     let (pooled, memoized) = ws.stats();
     println!("scratch fixed point: {pooled} pooled matrices, {memoized} memoized chain powers");

@@ -32,7 +32,7 @@ fn main() {
     let labeler = fvl.labeler(&run);
 
     let mut writer = EngineWriter::from_fvl(fvl.clone());
-    let items = writer.insert_labels(labeler.labels());
+    let items = writer.try_insert_labels(labeler.labels()).unwrap();
     let u1 = writer.add_view(ex.view_u1());
     let u2 = writer.add_view(ex.view_u2());
     for kind in VariantKind::ALL {
@@ -44,7 +44,7 @@ fn main() {
     let d17 = items[ids.d17.0 as usize];
     let d31 = items[ids.d31.0 as usize];
     let mut ws = WorkerScratch::new();
-    let before = gen.try_query(&mut ws, u2_default, d17, d31).unwrap();
+    let before = gen.core().try_query(&mut ws, u2_default, d17, d31).unwrap();
     println!("process 1: U2 says d31 depends on d17 -> {before:?}");
 
     // Snapshot to disk (any io::Write works; a file is what a service uses).
@@ -77,29 +77,28 @@ fn main() {
 
     // Item and view ids are stable across save/load; every handle is
     // already compiled in the loaded registry.
-    let after = restored.try_query(&mut ws, u2_default, d17, d31).unwrap();
+    let after = restored.core().try_query(&mut ws, u2_default, d17, d31).unwrap();
     println!("process 2: U2 says d31 depends on d17 -> {after:?}");
     assert_eq!(before, after, "a loaded generation must answer identically");
 
     // The full all-pairs sweep agrees with a cold build across every
     // variant too.
     let mut fresh = EngineWriter::from_fvl(fvl.clone());
-    fresh.insert_labels(labeler.labels());
+    fresh.try_insert_labels(labeler.labels()).unwrap();
     fresh.add_view(ex.view_u1());
     fresh.add_view(ex.view_u2());
     for kind in VariantKind::ALL {
         fresh.compile(u1, kind).unwrap();
     }
     let fresh = fresh.publish(&LiveEngine::new(fresh.base().clone()));
+    let (mut warm_pairs, mut cold_pairs) = (Vec::new(), Vec::new());
     for kind in VariantKind::ALL {
         let vref = ViewRef { id: u1, kind };
-        assert_eq!(
-            restored.all_pairs(&mut ws, vref, &items),
-            fresh.all_pairs(&mut ws, vref, &items),
-            "{kind:?}: all_pairs diverged after load"
-        );
+        restored.core().try_all_pairs_into(&mut ws, vref, &items, &mut warm_pairs).unwrap();
+        fresh.core().try_all_pairs_into(&mut ws, vref, &items, &mut cold_pairs).unwrap();
+        assert_eq!(warm_pairs, cold_pairs, "{kind:?}: all-pairs sweep diverged after load");
     }
-    println!("all_pairs over {} items agrees across all three variants", items.len());
+    println!("all-pairs over {} items agrees across all three variants", items.len());
 
     // ---- Bad input is rejected with typed errors, never a panic. ------
     let load = |bytes: &[u8]| EngineGeneration::load(fvl.clone(), &mut &bytes[..]);

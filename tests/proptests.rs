@@ -79,7 +79,7 @@ proptest! {
 
     /// The engine's batched fast path must never diverge from the reference
     /// per-call path: over random strictly-linear workloads, for all three
-    /// variants, a published generation's `query_batch` agrees pairwise
+    /// variants, a published generation's batch path agrees pairwise
     /// with `Fvl::query` — including `None`s for invisible items.
     #[test]
     fn query_batch_agrees_with_per_call(
@@ -109,7 +109,7 @@ proptest! {
         let view = views::random_safe_view(&w, &mut rng, view_size);
 
         let mut writer = EngineWriter::from_fvl(fvl.clone());
-        let items = writer.insert_labels(labels.labels());
+        let items = writer.try_insert_labels(labels.labels()).unwrap();
         let pairs = sample::sample_query_pairs(&run, &mut rng, 100);
         let id_pairs: Vec<_> =
             pairs.iter().map(|&(a, b)| (items[a.0 as usize], items[b.0 as usize])).collect();
@@ -117,10 +117,11 @@ proptest! {
         let vrefs = VariantKind::ALL.map(|kind| writer.compile(vid, kind).unwrap());
         let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
         let mut ws = WorkerScratch::new();
+        let mut batch = Vec::new();
         for vref in vrefs {
             let kind = vref.kind;
             let vl = fvl.label_view(&view, kind).unwrap();
-            let batch = gen.query_batch(&mut ws, vref, &id_pairs);
+            gen.core().try_query_batch_into(&mut ws, vref, &id_pairs, &mut batch).unwrap();
             for (i, &(a, b)) in pairs.iter().enumerate() {
                 prop_assert_eq!(
                     batch[i],
@@ -236,7 +237,7 @@ proptest! {
         let ref_vref = reference.register_view(view.clone(), VariantKind::Default).unwrap();
         prop_assert_eq!(ref_vref, vref);
         for (_, chunk) in &tickets {
-            reference.insert_labels(chunk);
+            reference.try_insert_labels(chunk).unwrap();
         }
         let reference_live = LiveEngine::new(reference.base().clone());
         let expected = reference.publish(&reference_live);
@@ -244,8 +245,10 @@ proptest! {
         prop_assert_eq!(final_gen.store().len(), producers * PER);
         let items: Vec<ItemId> = (0..final_gen.store().len() as u32).map(ItemId).collect();
         let mut ws = WorkerScratch::new();
-        let want = expected.all_pairs(&mut ws, vref, &items);
-        prop_assert_eq!(final_gen.all_pairs(&mut ws, vref, &items), want.clone());
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        expected.core().try_all_pairs_into(&mut ws, vref, &items, &mut want).unwrap();
+        final_gen.core().try_all_pairs_into(&mut ws, vref, &items, &mut got).unwrap();
+        prop_assert_eq!(&got, &want);
 
         // Recovery: replaying base ‖ frames must land on the same
         // generation, views included.
@@ -254,7 +257,8 @@ proptest! {
             DurableEngine::open(fvl2, Box::new(storage.survivor()), cap).unwrap();
         prop_assert_eq!(reloaded.seqno(), final_gen.seqno());
         prop_assert_eq!(reloaded.store().len(), final_gen.store().len());
-        prop_assert_eq!(reloaded.all_pairs(&mut ws, vref, &items), want);
+        reloaded.core().try_all_pairs_into(&mut ws, vref, &items, &mut got).unwrap();
+        prop_assert_eq!(&got, &want);
 
         // Resume: a second fleet raced on top of the recovered generation
         // must still match the sequential reference continued in its
@@ -272,15 +276,14 @@ proptest! {
         }
         tickets2.sort_by_key(|(t, _)| t.apply_index().expect("resolved tickets carry the index"));
         for (_, chunk) in &tickets2 {
-            reference.insert_labels(chunk);
+            reference.try_insert_labels(chunk).unwrap();
         }
         let expected = reference.publish(&reference_live);
         let resumed = live2.snapshot();
         prop_assert_eq!(resumed.store().len(), 2 * producers * PER);
         let items2: Vec<ItemId> = (0..resumed.store().len() as u32).map(ItemId).collect();
-        prop_assert_eq!(
-            resumed.all_pairs(&mut ws, vref, &items2),
-            expected.all_pairs(&mut ws, vref, &items2)
-        );
+        resumed.core().try_all_pairs_into(&mut ws, vref, &items2, &mut got).unwrap();
+        expected.core().try_all_pairs_into(&mut ws, vref, &items2, &mut want).unwrap();
+        prop_assert_eq!(got, want);
     }
 }
