@@ -1,6 +1,7 @@
-//! Multi-core serving throughput: the frozen `EngineCore` read path fanned
-//! out over 1/2/4/8 `std::thread::scope` workers, across the three §6.3
-//! variants.
+//! Multi-core serving throughput: `EngineCore::try_query_batch_into` over
+//! 1/2/4/8 worker scratches, across the three §6.3 variants. One scratch
+//! answers the batch inline; more split it into one contiguous chunk per
+//! scratch on `std::thread::scope` workers.
 //!
 //! Besides the Criterion printout, the run writes
 //! `BENCH_parallel_throughput.json` (workspace root) with the scaling
@@ -17,8 +18,8 @@
 //!   `host_cores` is recorded so readers can tell which regime a number
 //!   was measured in.
 //!
-//! Before anything is timed, every parallel result is asserted equal to
-//! the sequential batch — the scaling numbers are for the *same answers*.
+//! Before anything is timed, every fanned-out result is asserted equal to
+//! the one-scratch batch — the scaling numbers are for the *same answers*.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -33,6 +34,10 @@ use wf_workloads::queries::{sample_pairs, PairDist};
 
 const PAIRS: usize = 8192;
 const THREADS: [usize; 4] = [1, 2, 4, 8];
+
+fn scratches(count: usize) -> Vec<WorkerScratch> {
+    (0..count).map(|_| WorkerScratch::new()).collect()
+}
 
 /// Wall + (if available) CPU time of `rounds` runs of `f`, as
 /// `(wall_ns, Some(cpu_ns))`. `None` when the platform has no process CPU
@@ -94,17 +99,14 @@ fn bench_parallel_throughput(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("parallel_throughput");
     for (vi, (kind, vref)) in variants.into_iter().zip(vrefs).enumerate() {
-        // Guard: every thread count must reproduce the sequential batch
+        // Guard: every scratch count must reproduce the one-scratch batch
         // exactly before its throughput may be reported.
-        let mut sequential = Vec::new();
+        let (mut sequential, mut out) = (Vec::new(), Vec::new());
         core.try_query_batch_into(&mut WorkerScratch::new(), vref, &id_pairs, &mut sequential)
             .unwrap();
         for threads in THREADS {
-            assert_eq!(
-                core.try_par_query_batch(vref, &id_pairs, threads).unwrap(),
-                sequential,
-                "{kind:?} x{threads} diverges from the sequential batch"
-            );
+            core.try_query_batch_into(&mut scratches(threads), vref, &id_pairs, &mut out).unwrap();
+            assert_eq!(out, sequential, "{kind:?} x{threads} diverges from the one-scratch batch");
         }
 
         let _ = writeln!(json, "    \"{kind:?}\": {{");
@@ -113,22 +115,18 @@ fn bench_parallel_throughput(c: &mut Criterion) {
             // Persistent per-worker scratches: the steady-state serving
             // shape, where pools and chain-power memos stay warm across
             // batches instead of re-warming on every call.
-            let mut scratches: Vec<_> = (0..threads).map(|_| WorkerScratch::new()).collect();
+            let mut workers = scratches(threads);
+            let mut batch = || {
+                core.try_query_batch_into(&mut workers, vref, &id_pairs, &mut out).unwrap();
+                std::hint::black_box(&out);
+            };
             // Warm-up batch (settles scratches, shared trie, predictors).
-            core.try_par_query_batch_with(&mut scratches, vref, &id_pairs).unwrap();
+            batch();
             // Adaptive rounds: enough to dominate clock noise (>= ~0.2 s
             // wall), few enough to keep the CI smoke fast.
-            let (w1, _) = timed(1, || {
-                std::hint::black_box(
-                    core.try_par_query_batch_with(&mut scratches, vref, &id_pairs).unwrap(),
-                );
-            });
+            let (w1, _) = timed(1, &mut batch);
             let rounds = ((2e8 / w1.max(1.0)).ceil() as usize).clamp(2, 256);
-            let (wall_ns, cpu_ns) = timed(rounds, || {
-                std::hint::black_box(
-                    core.try_par_query_batch_with(&mut scratches, vref, &id_pairs).unwrap(),
-                );
-            });
+            let (wall_ns, cpu_ns) = timed(rounds, &mut batch);
             let queries = (rounds * PAIRS) as f64;
             let wall_qps = queries / (wall_ns / 1e9);
             // Without a CPU clock there is no honest per-core rate to
@@ -156,8 +154,11 @@ fn bench_parallel_throughput(c: &mut Criterion) {
         );
 
         for &threads in &THREADS {
+            let mut workers = scratches(threads);
             g.bench_function(format!("{kind:?}/x{threads}"), |b| {
-                b.iter(|| core.try_par_query_batch(vref, &id_pairs, threads).unwrap())
+                b.iter(|| {
+                    core.try_query_batch_into(&mut workers, vref, &id_pairs, &mut out).unwrap()
+                })
             });
         }
     }

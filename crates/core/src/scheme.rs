@@ -4,10 +4,10 @@
 use crate::codec::LabelCodec;
 use crate::decode::{pi_with, structural, DecodeCtx, QueryScratch};
 use crate::error::FvlError;
-use crate::label::{DataLabel, LabelRef};
+use crate::label::DataLabel;
 use crate::labeler::RunLabeler;
 use crate::viewlabel::{VariantKind, ViewLabel};
-use crate::visibility::{is_visible, is_visible_ref};
+use crate::visibility::is_visible;
 use std::sync::Arc;
 use wf_analysis::{classify_with, ProdGraph, RecursionClass};
 use wf_model::{ModuleId, Spec, View, ViewSpec};
@@ -147,23 +147,11 @@ impl<'a> Fvl<'a> {
     }
 
     /// Raw π without the visibility pre-check (benchmark hot path; only
-    /// meaningful for visible items). One-shot convenience form.
+    /// meaningful for visible items). One-shot form: builds the decode
+    /// context and scratch per call, like [`Fvl::query`].
     pub fn query_unchecked(&self, vl: &ViewLabel, d1: &DataLabel, d2: &DataLabel) -> Option<bool> {
-        let mut scratch = QueryScratch::new();
-        self.query_unchecked_with(vl, &mut scratch, d1, d2)
-    }
-
-    /// [`Fvl::query_unchecked`] with caller-owned scratch state (same
-    /// share-freely semantics as [`Fvl::query_with`]).
-    pub fn query_unchecked_with(
-        &self,
-        vl: &ViewLabel,
-        scratch: &mut QueryScratch,
-        d1: &DataLabel,
-        d2: &DataLabel,
-    ) -> Option<bool> {
         let ctx = DecodeCtx::new(&self.spec.get().grammar, &self.pg, vl);
-        pi_with(&ctx, scratch, d1.to_ref(), d2.to_ref())
+        pi_with(&ctx, &mut QueryScratch::new(), d1.to_ref(), d2.to_ref())
     }
 
     /// Builds the Matrix-Free structural index for a black-box view (§6.4).
@@ -214,23 +202,15 @@ impl<'s> FvlSession<'s> {
 
     /// π with the visibility pre-check (see [`Fvl::query`]).
     pub fn query(&mut self, d1: &DataLabel, d2: &DataLabel) -> Option<bool> {
-        self.query_ref(d1.to_ref(), d2.to_ref())
+        if !is_visible(d1, self.ctx.vl, self.ctx.pg) || !is_visible(d2, self.ctx.vl, self.ctx.pg) {
+            return None;
+        }
+        pi_with(&self.ctx, &mut self.scratch, d1.to_ref(), d2.to_ref())
     }
 
     /// Raw π without the visibility pre-check.
     pub fn query_unchecked(&mut self, d1: &DataLabel, d2: &DataLabel) -> Option<bool> {
         pi_with(&self.ctx, &mut self.scratch, d1.to_ref(), d2.to_ref())
-    }
-
-    /// [`FvlSession::query`] over borrowed labels (what interned label
-    /// stores feed in without materializing owned labels).
-    pub fn query_ref(&mut self, d1: LabelRef<'_>, d2: LabelRef<'_>) -> Option<bool> {
-        if !is_visible_ref(d1, self.ctx.vl, self.ctx.pg)
-            || !is_visible_ref(d2, self.ctx.vl, self.ctx.pg)
-        {
-            return None;
-        }
-        pi_with(&self.ctx, &mut self.scratch, d1, d2)
     }
 
     /// Session scratch diagnostics: (pooled matrices, memoized powers).

@@ -22,7 +22,7 @@ pub enum EngineError {
     /// Compiling a registered view failed (for example, the view is unsafe
     /// for the requested variant). The registration itself stands.
     Compile(FvlError),
-    /// A parallel batch was handed no worker scratch to run on.
+    /// A non-empty batch or sweep was handed no worker scratch to run on.
     NoWorkerScratch,
     /// The item id is not an index into this engine's label store.
     ItemOutOfRange { item: ItemId, len: usize },
@@ -76,7 +76,7 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::Compile(e) => write!(f, "view compilation failed: {e}"),
             EngineError::NoWorkerScratch => {
-                write!(f, "a parallel batch needs at least one worker scratch")
+                write!(f, "a non-empty batch or sweep needs at least one worker scratch")
             }
             EngineError::ItemOutOfRange { item, len } => {
                 write!(f, "item {:?} is out of range for a store of {len} labels", item)

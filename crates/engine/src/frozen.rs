@@ -16,12 +16,13 @@
 //!   never share scratches, so there is no locking anywhere on the query
 //!   path; each worker's memo warms up independently and stays warm.
 //!
-//! [`EngineCore::try_par_query_batch`] and [`EngineCore::try_par_all_pairs`]
-//! fan a workload out across `std::thread::scope` workers over contiguous
-//! shards and merge deterministically: results are written into (or
-//! concatenated in) shard order, so the output is element-for-element
-//! identical to the sequential path no matter the thread count or
-//! scheduling.
+//! [`EngineCore::try_query_batch_into`] and [`EngineCore::try_all_pairs_into`]
+//! take one scratch or a slice of them. One scratch answers inline; `k`
+//! scratches split the input into contiguous chunks, each run by the same
+//! kernel with its own scratch on a `std::thread::scope` worker, and merge
+//! in chunk order — batch answers land in disjoint slices of the output,
+//! sweep hits are concatenated — so the output is element-for-element
+//! identical to one scratch no matter the scratch count or scheduling.
 
 use crate::error::EngineError;
 use crate::registry::{ViewRef, ViewRegistry};
@@ -30,9 +31,11 @@ use wf_core::{is_visible_ref, pi_with, DecodeCtx, Fvl, QueryScratch};
 use wf_profile::Stage;
 use wf_run::EdgeLabel;
 
-/// One worker's mutable query state: scratch (pool + memo) and the label
-/// path buffers. Create one per thread — construction is cheap and the
-/// buffers warm up within a handful of queries.
+/// One worker's mutable query state: scratch (pool + memo), the label
+/// path buffers and the reusable batch buffers. Keep one per worker and
+/// pass it to every query, or pass a slice of them to fan a batch or sweep
+/// out — construction is cheap and the buffers warm up within a handful of
+/// queries.
 #[derive(Default)]
 pub struct WorkerScratch {
     pub(crate) scratch: QueryScratch,
@@ -42,6 +45,9 @@ pub struct WorkerScratch {
     pub(crate) buf_i2: Vec<EdgeLabel>,
     /// Evaluation-order indices for grouped batches (reused across calls).
     pub(crate) order: Vec<u32>,
+    /// This worker's rows of a fanned-out all-pairs sweep (reused across
+    /// calls; read only when this scratch ran in the current call).
+    hits: Vec<(ItemId, ItemId)>,
 }
 
 impl WorkerScratch {
@@ -61,8 +67,14 @@ impl WorkerScratch {
     }
 }
 
-/// Visibility pre-check + π over store-interned items — the per-pair
-/// kernel shared by the sequential and parallel paths.
+/// One scratch is a one-worker slice, so the batch methods take either.
+impl AsMut<[WorkerScratch]> for WorkerScratch {
+    fn as_mut(&mut self) -> &mut [WorkerScratch] {
+        std::slice::from_mut(self)
+    }
+}
+
+/// Visibility pre-check + π over store-interned items: one query.
 pub(crate) fn query_pair(
     store: &LabelStore,
     ctx: &DecodeCtx<'_>,
@@ -83,10 +95,61 @@ pub(crate) fn query_pair(
     pi_with(ctx, &mut ws.scratch, r1, r2)
 }
 
+/// The grouped batch kernel: answers `pairs` into the same-length `out`,
+/// fetching and visibility-checking each distinct first item once (see
+/// [`EngineCore::try_query_batch_into`]). One kernel for the inline batch
+/// and every fanned-out chunk, so the two can never drift apart.
+fn query_grouped(
+    store: &LabelStore,
+    ctx: &DecodeCtx<'_>,
+    ws: &mut WorkerScratch,
+    pairs: &[(ItemId, ItemId)],
+    out: &mut [Option<bool>],
+) {
+    let _batch = wf_profile::scope(Stage::Batch);
+    let WorkerScratch { scratch, buf_o1, buf_i1, buf_o2, buf_i2, order, .. } = ws;
+    order.clear();
+    order.extend(0..pairs.len() as u32);
+    order.sort_unstable_by_key(|&i| {
+        let (a, b) = pairs[i as usize];
+        (a.0, b.0)
+    });
+    let mut at = 0;
+    while at < order.len() {
+        let a = pairs[order[at] as usize].0;
+        let r1 = {
+            let _f = wf_profile::scope(Stage::LabelFetch);
+            store.label_ref(a, buf_o1, buf_i1)
+        };
+        let visible1 = is_visible_ref(r1, ctx.vl, ctx.pg);
+        while at < order.len() {
+            let slot = order[at] as usize;
+            let (a2, b) = pairs[slot];
+            if a2 != a {
+                break;
+            }
+            out[slot] = if !visible1 {
+                None
+            } else {
+                let r2 = {
+                    let _f = wf_profile::scope(Stage::LabelFetch);
+                    store.label_ref(b, buf_o2, buf_i2)
+                };
+                if is_visible_ref(r2, ctx.vl, ctx.pg) {
+                    pi_with(ctx, scratch, r1, r2)
+                } else {
+                    None
+                }
+            };
+            at += 1;
+        }
+    }
+}
+
 /// The all-pairs row sweep: every `rows × items` ordered pair with both
 /// endpoints visible and `π == true`, pushed onto `out` in row-major
-/// order. One kernel for the sequential path (`rows == items`) and each
-/// parallel shard, so the two can never drift apart semantically.
+/// order. One kernel for the inline sweep (`rows == items`) and every
+/// fanned-out row range, so the two can never drift apart.
 fn sweep_rows(
     store: &LabelStore,
     ctx: &DecodeCtx<'_>,
@@ -95,6 +158,7 @@ fn sweep_rows(
     items: &[ItemId],
     out: &mut Vec<(ItemId, ItemId)>,
 ) {
+    let _batch = wf_profile::scope(Stage::Batch);
     for &a in rows {
         let r1 = {
             let _f = wf_profile::scope(Stage::LabelFetch);
@@ -193,23 +257,32 @@ impl<'e> EngineCore<'e> {
         Ok(query_pair(self.store, &ctx, ws, a, b))
     }
 
-    /// Answers a batch of pairs into `out` (cleared first), reusing one
-    /// worker's scratch across the whole batch; steady state performs no
-    /// allocation. Validates the view and every item before answering
-    /// anything, so a failed call leaves `out` empty rather than partial.
+    /// Answers a batch of pairs into `out` (cleared first). `workers` is one
+    /// [`WorkerScratch`] or a slice of them. One scratch answers the batch
+    /// inline, and steady state performs no allocation. `k > 1` scratches
+    /// split it into contiguous chunks of ⌈n/k⌉ pairs, each answered by
+    /// its own scratch on a `std::thread::scope` worker into a disjoint
+    /// slice of `out`; trailing scratches idle when there are fewer chunks.
     ///
-    /// Evaluation is *grouped*, not in input order: the batch is sorted
-    /// (through a reused index buffer) by `(a, b)` item id, so every run of
-    /// pairs sharing a first item fetches and visibility-checks `a`'s label
-    /// once, and neighboring ids — interned in insertion order, so sharing
-    /// production-path prefixes and store shards — keep the scratch's
-    /// chain-power memo and the store's trie nodes hot. Results are written
-    /// back through the index, so `out` is element-for-element identical to
-    /// input-order evaluation (π is pure per pair; see
-    /// `grouped_batch_matches_per_call_queries` in `tests/serving.rs`).
-    pub fn try_query_batch_into(
+    /// Validates the view and every item before answering anything, so a
+    /// failed call leaves `out` empty rather than partial. An empty batch
+    /// needs no scratch; a non-empty one handed none is
+    /// [`EngineError::NoWorkerScratch`].
+    ///
+    /// Evaluation is *grouped*, not in input order: each chunk is sorted
+    /// (through its scratch's reused index buffer) by `(a, b)` item id, so
+    /// every run of pairs sharing a first item fetches and
+    /// visibility-checks `a`'s label once, and neighboring ids — interned
+    /// in insertion order, so sharing production-path prefixes and store
+    /// shards — keep the scratch's chain-power memo and the store's trie
+    /// nodes hot. Results are written back through the index, so `out` is
+    /// element-for-element identical to input-order evaluation for any
+    /// scratch count (π is pure per pair; see
+    /// `grouped_batch_matches_per_call_queries` in `tests/serving.rs` and
+    /// the `parallel` suite).
+    pub fn try_query_batch_into<W: AsMut<[WorkerScratch]> + ?Sized>(
         &self,
-        ws: &mut WorkerScratch,
+        workers: &mut W,
         view: ViewRef,
         pairs: &[(ItemId, ItemId)],
         out: &mut Vec<Option<bool>>,
@@ -220,53 +293,41 @@ impl<'e> EngineCore<'e> {
             self.check_item(a)?;
             self.check_item(b)?;
         }
-        let _batch = wf_profile::scope(Stage::Batch);
+        if pairs.is_empty() {
+            return Ok(());
+        }
+        let workers = workers.as_mut();
+        if workers.is_empty() {
+            return Err(EngineError::NoWorkerScratch);
+        }
+        let chunk = pairs.len().div_ceil(workers.len());
         out.resize(pairs.len(), None);
-        let WorkerScratch { scratch, buf_o1, buf_i1, buf_o2, buf_i2, order } = ws;
-        order.clear();
-        order.extend(0..pairs.len() as u32);
-        order.sort_unstable_by_key(|&i| {
-            let (a, b) = pairs[i as usize];
-            (a.0, b.0)
-        });
-        let mut at = 0;
-        while at < order.len() {
-            let a = pairs[order[at] as usize].0;
-            let r1 = {
-                let _f = wf_profile::scope(Stage::LabelFetch);
-                self.store.label_ref(a, buf_o1, buf_i1)
-            };
-            let visible1 = is_visible_ref(r1, ctx.vl, ctx.pg);
-            while at < order.len() {
-                let slot = order[at] as usize;
-                let (a2, b) = pairs[slot];
-                if a2 != a {
-                    break;
+        let (store, ctx) = (self.store, &ctx);
+        if chunk == pairs.len() {
+            query_grouped(store, ctx, &mut workers[0], pairs, out);
+        } else {
+            std::thread::scope(|s| {
+                for ((pairs, out), ws) in
+                    pairs.chunks(chunk).zip(out.chunks_mut(chunk)).zip(workers)
+                {
+                    s.spawn(move || query_grouped(store, ctx, ws, pairs, out));
                 }
-                out[slot] = if !visible1 {
-                    None
-                } else {
-                    let r2 = {
-                        let _f = wf_profile::scope(Stage::LabelFetch);
-                        self.store.label_ref(b, buf_o2, buf_i2)
-                    };
-                    if is_visible_ref(r2, ctx.vl, ctx.pg) {
-                        pi_with(&ctx, scratch, r1, r2)
-                    } else {
-                        None
-                    }
-                };
-                at += 1;
-            }
+            });
         }
         Ok(())
     }
 
     /// Sweeps every ordered pair of `items`, collecting the dependent ones
     /// (`Some(true)`) into `out` (cleared first), in row-major order.
-    pub fn try_all_pairs_into(
+    /// `workers` and validation work as in
+    /// [`EngineCore::try_query_batch_into`]: one scratch sweeps inline;
+    /// `k > 1` scratches each sweep a contiguous range of ⌈n/k⌉ rows
+    /// against all of `items` into a hit buffer kept in that scratch, and
+    /// the buffers of the scratches that ran are appended to `out` in row
+    /// order, so the output is the one-scratch sweep exactly.
+    pub fn try_all_pairs_into<W: AsMut<[WorkerScratch]> + ?Sized>(
         &self,
-        ws: &mut WorkerScratch,
+        workers: &mut W,
         view: ViewRef,
         items: &[ItemId],
         out: &mut Vec<(ItemId, ItemId)>,
@@ -276,119 +337,33 @@ impl<'e> EngineCore<'e> {
         for &a in items {
             self.check_item(a)?;
         }
-        let _batch = wf_profile::scope(Stage::Batch);
-        sweep_rows(self.store, &ctx, ws, items, items, out);
-        Ok(())
-    }
-
-    /// [`EngineCore::try_query_batch_into`] fanned out across `threads`
-    /// scoped workers. The pair slice is split into contiguous chunks, each
-    /// worker answers its chunk with its own [`WorkerScratch`] into a
-    /// disjoint slice of the output, and one shared [`DecodeCtx`] serves
-    /// them all — the result is element-for-element identical to the
-    /// sequential batch regardless of thread count or scheduling.
-    ///
-    /// `threads` is clamped to `1..=pairs.len()`; pass
-    /// `std::thread::available_parallelism()` for a sensible default.
-    pub fn try_par_query_batch(
-        &self,
-        view: ViewRef,
-        pairs: &[(ItemId, ItemId)],
-        threads: usize,
-    ) -> Result<Vec<Option<bool>>, EngineError> {
-        let mut scratches: Vec<WorkerScratch> =
-            (0..threads.clamp(1, pairs.len().max(1))).map(|_| WorkerScratch::new()).collect();
-        self.try_par_query_batch_with(&mut scratches, view, pairs)
-    }
-
-    /// [`EngineCore::try_par_query_batch`] over caller-owned worker
-    /// scratches — the steady-state serving form. One worker runs per
-    /// scratch; a service that keeps `scratches` alive across batches gets
-    /// the same allocation-free, memo-warm steady state per worker that
-    /// the sequential batch path has, instead of re-warming pools and
-    /// chain-power memos on every call. A non-empty batch with no scratch
-    /// to run on is [`EngineError::NoWorkerScratch`] (checked after the
-    /// view and items).
-    pub fn try_par_query_batch_with(
-        &self,
-        scratches: &mut [WorkerScratch],
-        view: ViewRef,
-        pairs: &[(ItemId, ItemId)],
-    ) -> Result<Vec<Option<bool>>, EngineError> {
-        let ctx = self.context(view)?;
-        for &(a, b) in pairs {
-            self.check_item(a)?;
-            self.check_item(b)?;
+        if items.is_empty() {
+            return Ok(());
         }
-        let mut out = vec![None; pairs.len()];
-        if pairs.is_empty() {
-            return Ok(out);
-        }
-        if scratches.is_empty() {
+        let workers = workers.as_mut();
+        if workers.is_empty() {
             return Err(EngineError::NoWorkerScratch);
         }
-        let chunk = pairs.len().div_ceil(scratches.len());
-        let store = self.store;
-        let ctx = &ctx;
-        std::thread::scope(|s| {
-            // `zip` pairs each input chunk with its disjoint output chunk
-            // (and its own scratch); writes land exactly where the
-            // sequential loop would put them. With fewer pairs than
-            // scratches, trailing scratches simply idle this batch.
-            for ((in_chunk, out_chunk), ws) in
-                pairs.chunks(chunk).zip(out.chunks_mut(chunk)).zip(scratches.iter_mut())
-            {
-                s.spawn(move || {
-                    let _batch = wf_profile::scope(Stage::Batch);
-                    for (slot, &(a, b)) in out_chunk.iter_mut().zip(in_chunk) {
-                        *slot = query_pair(store, ctx, ws, a, b);
-                    }
-                });
-            }
-        });
-        Ok(out)
-    }
-
-    /// [`EngineCore::try_all_pairs_into`] sharded by *rows* across scoped
-    /// workers: each worker sweeps a contiguous range of `items` against
-    /// all of `items`, collecting its dependent pairs locally; shards are
-    /// concatenated in order, which is exactly the sequential row-major
-    /// output.
-    pub fn try_par_all_pairs(
-        &self,
-        view: ViewRef,
-        items: &[ItemId],
-        threads: usize,
-    ) -> Result<Vec<(ItemId, ItemId)>, EngineError> {
-        let ctx = self.context(view)?;
-        for &a in items {
-            self.check_item(a)?;
-        }
-        if items.is_empty() {
-            return Ok(Vec::new());
-        }
-        let threads = threads.clamp(1, items.len());
-        let chunk = items.len().div_ceil(threads);
-        let store = self.store;
-        let ctx = &ctx;
-        let shards = std::thread::scope(|s| {
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .map(|rows| {
+        let chunk = items.len().div_ceil(workers.len());
+        let (store, ctx) = (self.store, &ctx);
+        if chunk == items.len() {
+            sweep_rows(store, ctx, &mut workers[0], items, items, out);
+        } else {
+            let ran = &mut workers[..items.len().div_ceil(chunk)];
+            std::thread::scope(|s| {
+                for (rows, ws) in items.chunks(chunk).zip(ran.iter_mut()) {
                     s.spawn(move || {
-                        let _batch = wf_profile::scope(Stage::Batch);
-                        let mut ws = WorkerScratch::new();
-                        let mut local = Vec::new();
-                        sweep_rows(store, ctx, &mut ws, rows, items, &mut local);
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("all-pairs worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        Ok(shards.concat())
+                        let mut hits = std::mem::take(&mut ws.hits);
+                        hits.clear();
+                        sweep_rows(store, ctx, ws, rows, items, &mut hits);
+                        ws.hits = hits;
+                    });
+                }
+            });
+            for ws in ran.iter() {
+                out.extend_from_slice(&ws.hits);
+            }
+        }
+        Ok(())
     }
 }

@@ -130,8 +130,9 @@ impl EngineGeneration {
     }
 
     /// The generation as a frozen serving core — the lock-free, `Sync`,
-    /// `&self` read path and the generation's only query surface, including
-    /// the `try_par_*` fan-outs. Building one is free.
+    /// `&self` read path and the generation's only query surface: one
+    /// query, one batch and one all-pairs sweep, the last two fanned out
+    /// when handed several scratches. Building one is free.
     pub fn core(&self) -> EngineCore<'_> {
         EngineCore::new(self.fvl.as_ref(), &self.registry, &self.store)
     }

@@ -416,29 +416,20 @@ impl Default for PublishPolicy {
     }
 }
 
-/// How the retry layer should treat one storage failure.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SinkErrorClass {
-    /// Worth retrying after a backoff (interruption, contention, timeout).
-    Transient,
-    /// Retrying cannot help (bad data, permissions, a full disk, …).
-    Fatal,
-}
-
-/// Classify a storage `io::Error` for the [`RetryPolicy`]. The
-/// transient set is deliberately small — kinds that mean "the world was
-/// busy", not "the world is broken": `Interrupted`, `WouldBlock`,
-/// `TimedOut`. Everything else is fatal and surfaces immediately.
-pub fn classify_io_error(e: &io::Error) -> SinkErrorClass {
-    match e.kind() {
-        io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
-            SinkErrorClass::Transient
-        }
-        _ => SinkErrorClass::Fatal,
-    }
+/// Whether a storage failure is worth retrying (see [`RetryPolicy`]).
+fn is_transient(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
 /// Bounded retry-with-backoff for transient persistence failures.
+///
+/// The transient set is deliberately small — `io::Error` kinds that mean
+/// "the world was busy", not "the world is broken": `Interrupted`,
+/// `WouldBlock` and `TimedOut`. Every other error is fatal and surfaces
+/// immediately.
 ///
 /// Attempt `n` (0-based) sleeps `initial_backoff * 2^n`, capped at
 /// `max_backoff`, before retrying; a fatal error or an exhausted budget
@@ -483,8 +474,7 @@ impl RetryPolicy {
             match op() {
                 Ok(v) => return Ok(v),
                 Err(e) => {
-                    let giving_up = classify_io_error(&e) == SinkErrorClass::Fatal
-                        || attempt + 1 >= self.max_attempts.max(1);
+                    let giving_up = !is_transient(&e) || attempt + 1 >= self.max_attempts.max(1);
                     if giving_up {
                         return Err(e);
                     }

@@ -17,9 +17,10 @@
 //!   through the scratch-aware decode path ([`wf_core::pi_with`]), so
 //!   steady-state serving performs no heap allocation and Default-variant
 //!   recursion chains are exponentiated once per distinct exponent, not
-//!   per query; `try_par_query_batch` / `try_par_all_pairs` shard a
-//!   workload across `std::thread::scope` workers and merge
-//!   deterministically, answering exactly like the sequential path;
+//!   per query; handed a slice of scratches instead of one, the batch and
+//!   the sweep split their input into one contiguous chunk per scratch on
+//!   `std::thread::scope` workers and merge in chunk order, answering
+//!   exactly like one scratch;
 //! * [`EngineGeneration`] / [`EngineWriter`] / [`LiveEngine`] — the one
 //!   write path: owned, immutable generations published by atomic `Arc`
 //!   swap, a copy-on-write staging writer, and a lock-free reader fast
@@ -104,9 +105,8 @@ pub use error::EngineError;
 pub use frozen::{EngineCore, WorkerScratch};
 pub use generation::{EngineGeneration, EngineWriter, LiveEngine};
 pub use ingest::{
-    classify_io_error, IngestError, IngestOp, IngestOutcome, IngestPipeline, IngestQueue,
-    IngestStats, PipelineOptions, PipelineReport, PublishPolicy, RetryPolicy, SinkErrorClass,
-    Ticket,
+    IngestError, IngestOp, IngestOutcome, IngestPipeline, IngestQueue, IngestStats,
+    PipelineOptions, PipelineReport, PublishPolicy, RetryPolicy, Ticket,
 };
 pub use registry::{ViewId, ViewRef, ViewRegistry};
 pub use store::{ItemId, LabelStore};

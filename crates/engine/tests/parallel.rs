@@ -1,7 +1,8 @@
-//! The parallel read path must be indistinguishable from the sequential
-//! one: same answers, element for element, for every variant and any
-//! thread count — and concurrent workers with separate scratches must stay
-//! sound even when they interleave views arbitrarily.
+//! A batch or sweep fanned out over several worker scratches must be
+//! indistinguishable from the same call on one: same answers, element for
+//! element, for every variant and any scratch count — and concurrent
+//! workers with separate scratches must stay sound even when they
+//! interleave views arbitrarily.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -17,17 +18,20 @@ fn shared_fvl(w: &Workload) -> Arc<Fvl<'static>> {
     Arc::new(Fvl::from_arc(Arc::new(w.spec.clone())).unwrap())
 }
 
+fn scratches(count: usize) -> Vec<WorkerScratch> {
+    (0..count).map(|_| WorkerScratch::new()).collect()
+}
+
 const VARIANTS: [VariantKind; 3] =
     [VariantKind::SpaceEfficient, VariantKind::Default, VariantKind::QueryEfficient];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// `try_par_query_batch` agrees element-wise with the sequential batch for
-    /// all three variants and thread counts {1, 2, 4} (including counts
-    /// exceeding the pair count, which the clamp handles).
+    /// `try_query_batch_into` over {1, 2, 4} scratches, fresh or warm,
+    /// agrees element-wise with one scratch for all three variants.
     #[test]
-    fn par_query_batch_agrees_with_sequential(
+    fn batch_over_many_scratches_matches_one(
         seed in 0u64..300,
         run_size in 60usize..300,
         view_size in 2usize..10,
@@ -52,27 +56,28 @@ proptest! {
             pairs.iter().map(|&(a, b)| (items[a.0 as usize], items[b.0 as usize])).collect();
 
         // One set of worker scratches reused across every variant and
-        // thread count below: warm, cross-view scratch reuse must be as
-        // sound in the parallel path as it is sequentially.
-        let mut warm: Vec<_> = (0..4).map(|_| WorkerScratch::new()).collect();
-        let mut sequential = Vec::new();
+        // scratch count below: warm, cross-view scratch reuse must be as
+        // sound fanned out as it is on one scratch.
+        let mut warm = scratches(4);
+        let (mut one, mut many) = (Vec::new(), Vec::new());
         for vref in vrefs {
             let kind = vref.kind;
-            core.try_query_batch_into(&mut ws, vref, &id_pairs, &mut sequential).unwrap();
-            for threads in [1usize, 2, 4] {
-                let parallel = core.try_par_query_batch(vref, &id_pairs, threads).unwrap();
-                prop_assert_eq!(&parallel, &sequential, "{:?} x{} threads", kind, threads);
-                let reused =
-                    core.try_par_query_batch_with(&mut warm[..threads], vref, &id_pairs).unwrap();
-                prop_assert_eq!(&reused, &sequential, "{:?} x{} warm scratches", kind, threads);
+            core.try_query_batch_into(&mut ws, vref, &id_pairs, &mut one).unwrap();
+            for k in [1usize, 2, 4] {
+                core.try_query_batch_into(&mut scratches(k), vref, &id_pairs, &mut many).unwrap();
+                prop_assert_eq!(&many, &one, "{:?} x{} fresh scratches", kind, k);
+                core.try_query_batch_into(&mut warm[..k], vref, &id_pairs, &mut many).unwrap();
+                prop_assert_eq!(&many, &one, "{:?} x{} warm scratches", kind, k);
             }
         }
     }
 
-    /// Row-sharded `try_par_all_pairs` returns exactly the sequential sweep —
-    /// same pairs, same (row-major) order.
+    /// `try_all_pairs_into` over {1, 2, 4} scratches returns exactly the
+    /// one-scratch sweep — same pairs, same (row-major) order — and so do
+    /// warm scratches reused as a shorter slice, or idling with stale hits
+    /// from an earlier sweep.
     #[test]
-    fn par_all_pairs_agrees_with_sequential(
+    fn sweep_over_many_scratches_matches_one(
         seed in 0u64..300,
         run_size in 40usize..160,
     ) {
@@ -88,15 +93,25 @@ proptest! {
         let items = writer.try_insert_labels(labeler.labels()).unwrap();
         let vref = writer.register_view(view, VariantKind::Default).unwrap();
         let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
+        let core = gen.core();
         let subset: Vec<_> = items.iter().copied().step_by(2).collect();
-        let mut sequential = Vec::new();
-        gen.core()
-            .try_all_pairs_into(&mut WorkerScratch::new(), vref, &subset, &mut sequential)
-            .unwrap();
-        for threads in [1usize, 2, 4] {
-            let parallel = gen.core().try_par_all_pairs(vref, &subset, threads).unwrap();
-            prop_assert_eq!(&parallel, &sequential, "x{} threads", threads);
+        let (mut one, mut many) = (Vec::new(), Vec::new());
+        core.try_all_pairs_into(&mut WorkerScratch::new(), vref, &subset, &mut one).unwrap();
+        for k in [1usize, 2, 4] {
+            core.try_all_pairs_into(&mut scratches(k), vref, &subset, &mut many).unwrap();
+            prop_assert_eq!(&many, &one, "x{} fresh scratches", k);
         }
+        let mut warm = scratches(4);
+        core.try_all_pairs_into(&mut warm, vref, &subset, &mut many).unwrap();
+        prop_assert_eq!(&many, &one, "x4 warm scratches");
+        core.try_all_pairs_into(&mut warm[..3], vref, &subset, &mut many).unwrap();
+        prop_assert_eq!(&many, &one, "x3 of 4 warm scratches");
+        // Five rows over four scratches run three chunks of two: the idle
+        // fourth scratch still holds hits from the sweeps above.
+        let few = &subset[..5.min(subset.len())];
+        core.try_all_pairs_into(&mut WorkerScratch::new(), vref, few, &mut one).unwrap();
+        core.try_all_pairs_into(&mut warm, vref, few, &mut many).unwrap();
+        prop_assert_eq!(&many, &one, "{} rows over 4 warm scratches", few.len());
     }
 }
 
@@ -158,8 +173,8 @@ fn interleaved_views_across_threads_stay_sound() {
     });
 }
 
-/// The query API surfaces caller mistakes as typed values, on the
-/// sequential and the parallel paths alike.
+/// The query API surfaces caller mistakes as typed values, inline and
+/// fanned out alike, and leaves the output empty on every error.
 #[test]
 fn try_api_reports_uncompiled_views_and_bad_items() {
     let w = bioaid(2);
@@ -177,55 +192,75 @@ fn try_api_reports_uncompiled_views_and_bad_items() {
     let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
     let core = gen.core();
     let mut ws = WorkerScratch::new();
+    let mut two = scratches(2);
+    let mut none: [WorkerScratch; 0] = [];
 
     // A handle for a variant that was never compiled.
     let uncompiled = ViewRef { id: vid, kind: VariantKind::QueryEfficient };
-    assert_eq!(
-        core.try_query(&mut ws, uncompiled, items[0], items[1]),
-        Err(EngineError::ViewNotCompiled { view: uncompiled })
-    );
-    let mut out = Vec::new();
-    out.push(Some(true)); // must be cleared, not appended to, on error
+    let not_compiled = EngineError::ViewNotCompiled { view: uncompiled };
+    assert_eq!(core.try_query(&mut ws, uncompiled, items[0], items[1]), Err(not_compiled.clone()));
+    // Outputs start dirty: an error must clear them, not append to them.
+    let (mut out, mut hits) = (vec![Some(true)], vec![(items[0], items[0])]);
     let batch = [(items[0], items[1])];
-    assert!(core.try_query_batch_into(&mut ws, uncompiled, &batch, &mut out).is_err());
+    assert_eq!(
+        core.try_query_batch_into(&mut ws, uncompiled, &batch, &mut out),
+        Err(not_compiled.clone())
+    );
     assert!(out.is_empty(), "failed batch must leave the output empty");
+    assert_eq!(
+        core.try_all_pairs_into(&mut two, uncompiled, &items[..4], &mut hits),
+        Err(not_compiled.clone())
+    );
+    assert!(hits.is_empty(), "failed sweep must leave the output empty");
 
     // An item id from some other engine's store.
     let alien = ItemId(items.len() as u32 + 7);
+    let out_of_range = EngineError::ItemOutOfRange { item: alien, len: items.len() };
+    assert_eq!(core.try_query(&mut ws, compiled, items[0], alien), Err(out_of_range.clone()));
+    out.push(None);
     assert_eq!(
-        core.try_query(&mut ws, compiled, items[0], alien),
-        Err(EngineError::ItemOutOfRange { item: alien, len: items.len() })
+        core.try_query_batch_into(&mut two, compiled, &[(alien, items[0])], &mut out),
+        Err(out_of_range.clone())
     );
-    assert!(core.try_par_query_batch(compiled, &[(alien, items[0])], 2).is_err());
-    assert_eq!(
-        core.try_par_all_pairs(uncompiled, &items[..4], 2),
-        Err(EngineError::ViewNotCompiled { view: uncompiled })
-    );
+    assert!(out.is_empty());
 
-    // Caller-owned scratches: none for a non-empty batch is an error too,
-    // reported after the view check; an empty batch needs none.
-    let no_scratch = core.try_par_query_batch_with(&mut [], compiled, &batch);
-    assert_eq!(no_scratch, Err(EngineError::NoWorkerScratch));
-    assert_eq!(
-        core.try_par_query_batch_with(&mut [], uncompiled, &batch),
-        Err(EngineError::ViewNotCompiled { view: uncompiled })
-    );
-    assert_eq!(core.try_par_query_batch_with(&mut [], compiled, &[]), Ok(Vec::new()));
+    // No scratch for a non-empty input is an error too, reported after the
+    // view and item checks; an empty input needs none (see below).
+    for (view, item, want) in [
+        (uncompiled, items[0], not_compiled),
+        (compiled, alien, out_of_range.clone()),
+        (compiled, items[0], EngineError::NoWorkerScratch),
+    ] {
+        out.push(None);
+        assert_eq!(
+            core.try_query_batch_into(&mut none, view, &[(item, items[1])], &mut out),
+            Err(want.clone())
+        );
+        assert!(out.is_empty());
+        hits.push((items[0], items[0]));
+        assert_eq!(
+            core.try_all_pairs_into(&mut none, view, &[items[1], item], &mut hits),
+            Err(want)
+        );
+        assert!(hits.is_empty());
+    }
 
     // Errors render for operators.
-    let msg = EngineError::ItemOutOfRange { item: alien, len: items.len() }.to_string();
+    let msg = out_of_range.to_string();
     assert!(msg.contains("out of range"), "{msg}");
 
     // Valid input still answers through every path.
     let got = core.try_query(&mut ws, compiled, items[0], items[1]).unwrap();
     core.try_query_batch_into(&mut ws, compiled, &batch, &mut out).unwrap();
     assert_eq!(out, [got]);
-    assert_eq!(core.try_par_query_batch(compiled, &batch, 2), Ok(vec![got]));
+    core.try_query_batch_into(&mut two, compiled, &batch, &mut out).unwrap();
+    assert_eq!(out, [got]);
 }
 
-/// Empty inputs are served, not special-cased away.
+/// Empty inputs are served for any scratch count, none included, and
+/// clear the output.
 #[test]
-fn parallel_paths_handle_empty_inputs() {
+fn empty_inputs_answer_for_any_scratch_count() {
     let w = bioaid(4);
     let fvl = shared_fvl(&w);
     let pg = ProdGraph::new(&w.spec.grammar);
@@ -235,9 +270,15 @@ fn parallel_paths_handle_empty_inputs() {
     let view = views::random_safe_view(&w, &mut rng, 6);
 
     let mut writer = EngineWriter::from_fvl(fvl.clone());
-    writer.try_insert_labels(labeler.labels()).unwrap();
+    let items = writer.try_insert_labels(labeler.labels()).unwrap();
     let vref = writer.register_view(view, VariantKind::Default).unwrap();
     let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
-    assert!(gen.core().try_par_query_batch(vref, &[], 4).unwrap().is_empty());
-    assert!(gen.core().try_par_all_pairs(vref, &[], 4).unwrap().is_empty());
+    let core = gen.core();
+    for k in [0usize, 1, 2, 4] {
+        let (mut out, mut hits) = (vec![Some(true)], vec![(items[0], items[0])]);
+        assert_eq!(core.try_query_batch_into(&mut scratches(k), vref, &[], &mut out), Ok(()));
+        assert!(out.is_empty(), "x{k}");
+        assert_eq!(core.try_all_pairs_into(&mut scratches(k), vref, &[], &mut hits), Ok(()));
+        assert!(hits.is_empty(), "x{k}");
+    }
 }

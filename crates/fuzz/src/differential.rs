@@ -79,11 +79,12 @@ fn fail_ctx(seed: u64, shape: &SpecShape) -> String {
     format!("case seed {seed:#x} (shape {shape:?})")
 }
 
-/// `gen`'s batch answers for `pairs` into `out`. The harness issues only
-/// handles it owns, so an engine error here is a divergence under `ctx`.
+/// `gen`'s batch answers for `pairs` into `out`, fanned out when `ws` holds
+/// more than one scratch. The harness issues only handles it owns, so an
+/// engine error here is a divergence under `ctx`.
 fn answer_batch(
     gen: &EngineGeneration,
-    ws: &mut WorkerScratch,
+    ws: &mut [WorkerScratch],
     view: ViewRef,
     pairs: &[(ItemId, ItemId)],
     out: &mut Vec<Option<bool>>,
@@ -98,7 +99,7 @@ fn answer_batch(
 /// [`answer_batch`]).
 fn sweep_all_pairs(
     gen: &EngineGeneration,
-    ws: &mut WorkerScratch,
+    ws: &mut [WorkerScratch],
     view: ViewRef,
     items: &[ItemId],
     out: &mut Vec<(ItemId, ItemId)>,
@@ -158,7 +159,9 @@ fn check_workload(
     // element-wise.
     let mut engine = EngineWriter::from_fvl(fvl.clone());
     let engine_live = LiveEngine::new(engine.base().clone());
-    let mut ws = WorkerScratch::new();
+    // Odd case seeds answer every engine batch through two scratches, so
+    // the fan-out is checked against the oracle too.
+    let mut ws: Vec<_> = (0..1 + seed % 2).map(|_| WorkerScratch::new()).collect();
     let items = match engine.try_insert_labels(&labels) {
         Ok(items) => items,
         Err(e) => diverge!("{}: engine rejected the run's labels: {e}", fail_ctx(seed, shape)),
@@ -344,7 +347,7 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
     let publish_every = rng.gen_range(1..=5usize);
 
     let mut out = DiffOutcome::default();
-    let mut ws = WorkerScratch::new();
+    let mut ws = [WorkerScratch::new()];
     let (mut got, mut expected) = (Vec::new(), Vec::new());
     let mut since_publish = 0usize;
     for (opix, op) in stream.iter().enumerate() {
@@ -479,13 +482,16 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
     }
     let all_items: Vec<ItemId> = (0..published_len as u32).map(ItemId).collect();
     let (mut got, mut expected) = (Vec::new(), Vec::new());
+    // The live and replayed sweeps fan out over two scratches; the
+    // reference sweeps on one.
+    let mut two = [WorkerScratch::new(), WorkerScratch::new()];
     for &vref in &compiled {
         sweep_all_pairs(&reference_gen, &mut ws, vref, &all_items, &mut expected, &ctx)?;
-        sweep_all_pairs(&final_gen, &mut ws, vref, &all_items, &mut got, &ctx)?;
+        sweep_all_pairs(&final_gen, &mut two, vref, &all_items, &mut got, &ctx)?;
         if got != expected {
             diverge!("{}: final generation diverges on {vref:?}", fail_ctx(seed, &shape));
         }
-        sweep_all_pairs(&replayed, &mut ws, vref, &all_items, &mut got, &ctx)?;
+        sweep_all_pairs(&replayed, &mut two, vref, &all_items, &mut got, &ctx)?;
         if got != expected {
             diverge!("{}: warm replay diverges on {vref:?}", fail_ctx(seed, &shape));
         }
@@ -548,7 +554,7 @@ fn producer_run(
     stream: &[ChurnOp],
     base_vref: ViewRef,
 ) -> Result<(Vec<(Ticket, ProducerOp)>, u64), String> {
-    let mut ws = WorkerScratch::new();
+    let mut ws = [WorkerScratch::new()];
     let mut got = Vec::new();
     let mut cursor = start;
     let mut recorded = Vec::new();
@@ -807,7 +813,7 @@ pub fn check_multi_producer(
     // op that resolved with seqno ≤ s to the sequential reference (ops a
     // dedup made no-ops resolve with an older seqno and are no-ops in the
     // reference too, so the early application is harmless).
-    let mut ws = WorkerScratch::new();
+    let mut ws = [WorkerScratch::new()];
     let (mut got, mut expected) = (Vec::new(), Vec::new());
     let mut compiled: Vec<ViewRef> = vec![base_vref];
     let mut ptr = 0usize;

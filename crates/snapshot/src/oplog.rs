@@ -20,12 +20,11 @@
 //! op tag is rejected as [`SnapshotError::Malformed`] before any payload
 //! bit is interpreted.
 
-use crate::delta::write_label;
 use crate::error::SnapshotError;
 use crate::view::{read_view, write_view};
 use wf_analysis::ProdGraph;
 use wf_bitio::{BitReader, BitWriter};
-use wf_core::{DataLabel, LabelCodec, ViewLabel};
+use wf_core::ViewLabel;
 use wf_model::{Grammar, View};
 
 /// Op tag: a contiguous run of data labels interned at the store tail.
@@ -53,15 +52,6 @@ pub enum OplogOp {
 pub fn write_insert_header(w: &mut BitWriter, count: usize) {
     w.write_bits(OP_INSERT_LABELS as u64, 8);
     w.write_gamma(count as u64 + 1);
-}
-
-/// [`write_insert_header`] plus its payload, for callers that already hold
-/// the labels as a slice.
-pub fn write_insert_labels(w: &mut BitWriter, codec: &LabelCodec, labels: &[DataLabel]) {
-    write_insert_header(w, labels.len());
-    for d in labels {
-        write_label(w, codec, d);
-    }
 }
 
 /// Frames one view registration: the id replay must land on, then the
@@ -110,7 +100,7 @@ pub fn read_op(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::read_label;
+    use crate::delta::{read_label, write_label};
     use wf_core::{Fvl, VariantKind};
     use wf_model::fixtures::paper_example;
     use wf_run::fixtures::figure3_run;
@@ -124,7 +114,10 @@ mod tests {
         let cycles = fvl.prod_graph().cycles().unwrap();
 
         let mut w = BitWriter::new();
-        write_insert_labels(&mut w, fvl.codec(), &labels);
+        write_insert_header(&mut w, labels.len());
+        for d in &labels {
+            write_label(&mut w, fvl.codec(), d);
+        }
         let bits = w.finish();
         let mut r = BitReader::new(&bits);
         match read_op(&mut r, &ex.spec.grammar, fvl.prod_graph()).unwrap() {

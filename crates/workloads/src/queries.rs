@@ -115,9 +115,9 @@ pub fn sample_mix(run: &Run, rng: &mut impl Rng, count: usize, spec: &MixSpec) -
 /// streams of `per_worker` pairs each, all drawn from `dist`. Streams are
 /// materialized worker-by-worker from the single `rng`, so the whole
 /// workload is deterministic per seed while no two workers share a stream
-/// — the shape a parallel read path (`wf-engine`'s `try_par_query_batch` /
-/// per-thread `WorkerScratch` serving) is driven with. An empty run yields
-/// `workers` empty streams.
+/// — the shape a parallel read path (`wf-engine`'s `try_query_batch_into`
+/// over several scratches, or per-thread `WorkerScratch` serving) is
+/// driven with. An empty run yields `workers` empty streams.
 pub fn worker_streams(
     run: &Run,
     rng: &mut impl Rng,

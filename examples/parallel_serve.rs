@@ -4,9 +4,9 @@
 //! shows the parallel one: a published generation is an immutable, `Sync`
 //! [`EngineCore`] that any number of worker threads query concurrently
 //! through their own [`WorkerScratch`]es — no locks anywhere on the read
-//! path — and the one-call fan-outs `try_par_query_batch` / `try_par_all_pairs`
-//! shard a workload across scoped threads with answers *identical* to the
-//! sequential path.
+//! path — and `try_query_batch_into` / `try_all_pairs_into`, handed a
+//! slice of scratches, split a workload across scoped threads, one chunk
+//! per scratch, with answers *identical* to one scratch.
 //!
 //! [`EngineCore`]: wfprov::engine::EngineCore
 //!
@@ -42,7 +42,7 @@ fn main() {
     let core = gen.core();
     let mut ws = WorkerScratch::new();
 
-    // --- One-call fan-out: parallel batch == sequential batch, always. ---
+    // --- Fan-out: many scratches answer exactly like one, always. --------
     let dist = PairDist::HotKey { hot_items: 64, hot_prob: 0.5 };
     let pairs: Vec<_> = worker_streams(&run, &mut rng, 1, 4_096, dist)
         .remove(0)
@@ -52,13 +52,15 @@ fn main() {
     let mut sequential = Vec::new();
     core.try_query_batch_into(&mut ws, ra, &pairs, &mut sequential).unwrap();
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let parallel = core.try_par_query_batch(ra, &pairs, threads).unwrap();
+    let mut workers: Vec<_> = (0..threads.max(2)).map(|_| WorkerScratch::new()).collect();
+    let mut parallel = Vec::new();
+    core.try_query_batch_into(&mut workers, ra, &pairs, &mut parallel).unwrap();
     assert_eq!(parallel, sequential, "sharded answers must be bit-identical");
     let dependent = parallel.iter().filter(|r| **r == Some(true)).count();
     println!(
-        "try_par_query_batch: {} pairs over {} threads, {} dependent — identical to sequential",
+        "try_query_batch_into: {} pairs over {} scratches, {} dependent — identical to one scratch",
         pairs.len(),
-        threads,
+        workers.len(),
         dependent
     );
 
@@ -103,24 +105,27 @@ fn main() {
         served
     );
 
-    // --- All-pairs sweeps shard by rows, same order as sequential. ------
+    // --- All-pairs sweeps shard by rows, same order as one scratch. -----
     let subset: Vec<_> = items.iter().copied().step_by(37).collect();
     let mut seq_sweep = Vec::new();
     core.try_all_pairs_into(&mut ws, rb, &subset, &mut seq_sweep).unwrap();
-    let par_sweep = core.try_par_all_pairs(rb, &subset, threads).unwrap();
-    assert_eq!(par_sweep, seq_sweep, "row-sharded sweep must match sequentially");
+    let mut par_sweep = Vec::new();
+    core.try_all_pairs_into(&mut workers, rb, &subset, &mut par_sweep).unwrap();
+    assert_eq!(par_sweep, seq_sweep, "row-sharded sweep must match one scratch");
     println!(
-        "try_par_all_pairs: {}x{} sweep, {} dependent pairs — identical order to sequential",
+        "try_all_pairs_into: {}x{} sweep over {} scratches, {} dependent pairs — identical order \
+         to one scratch",
         subset.len(),
         subset.len(),
+        workers.len(),
         par_sweep.len()
     );
 
     // The typed API refuses foreign handles instead of panicking.
     let bogus =
         wfprov::engine::ViewRef { id: wfprov::engine::ViewId(99), kind: VariantKind::Default };
-    match core.try_par_query_batch(bogus, &pairs, threads) {
+    match core.try_query_batch_into(&mut workers, bogus, &pairs, &mut parallel) {
         Err(e) => println!("typed rejection of a foreign handle: {e}"),
-        Ok(_) => unreachable!("view 99 was never registered"),
+        Ok(()) => unreachable!("view 99 was never registered"),
     }
 }
