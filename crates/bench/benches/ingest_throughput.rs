@@ -30,16 +30,16 @@
 //!   atomic swaps, so paced ingest must cost the readers approximately
 //!   nothing (`qps_ratio_ingest_vs_idle`).
 //!
-//! The run writes `BENCH_ingest_throughput.json` (workspace root); CI's
+//! The run writes `BENCH_ingest_throughput.txt` (workspace root); CI's
 //! bench-smoke step regenerates it in `--test` mode and `bench_check`
 //! gates the shape, the 4-producer scaling claim (wall ≥ 1.5× on hosts
 //! with ≥ 4 cores, bounded CPU-overhead ratio elsewhere) and the reader
 //! ratio.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use wf_bench::report::{host_cores, Report};
 use wf_bench::{process_cpu_ns, Bench, LatencyHistogram};
 use wf_bitio::{BitReader, BitVec, BitWriter};
 use wf_core::{DataLabel, Fvl, VariantKind};
@@ -227,18 +227,6 @@ fn pace_ingest(
     }
 }
 
-fn hist_json(h: &LatencyHistogram) -> String {
-    format!(
-        "{{ \"mean\": {:.0}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"p999\": {}, \"cycles\": {} }}",
-        h.mean(),
-        h.percentile(0.5),
-        h.percentile(0.95),
-        h.percentile(0.99),
-        h.percentile(0.999),
-        h.count()
-    )
-}
-
 fn bench_ingest_throughput(c: &mut Criterion) {
     let quick = std::env::args().any(|a| a == "--test");
     // Same total at every fleet width, divisible by every width × chunk.
@@ -303,76 +291,57 @@ fn bench_ingest_throughput(c: &mut Criterion) {
     let load_report = pipeline.shutdown();
     let ratio = ingest_qps / idle_qps;
 
-    // --- JSON report. ---------------------------------------------------
-    let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"ingest_throughput\",");
-    let _ = writeln!(json, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(json, "  \"chunk\": {CHUNK},");
-    let _ = writeln!(json, "  \"total_labels\": {total_labels},");
-    let _ = writeln!(json, "  \"queue_capacity\": {},", PublishPolicy::default().queue_capacity);
-    let _ = writeln!(json, "  \"max_batch_ops\": {},", PublishPolicy::default().max_batch_ops);
-    let _ = writeln!(
-        json,
-        "  \"metric_note\": \"Per fleet width (same {total_labels} labels at every width): \
-         producers decode+validate labels from the delta wire form ({CHUNK}/op) and feed the \
-         ingest pipeline; labels_per_s is end-to-end wall throughput until every ticket resolved \
-         and the pipeline drained; labels_per_cpu_s divides by process CPU time (the per-label \
-         overhead axis — meaningful even when host_cores < producers, where wall cannot scale); \
-         publish_lag_ns is push-to-publish latency as producers saw it, per-producer histograms \
-         folded with LatencyHistogram::merge. reader: one thread, batched hot-key queries over a \
-         {reader_items}-item store via the lock-free read path, idle vs the pipeline ingesting \
-         {paced_rate} chunks/s — publishes are atomic swaps, so the ratio should be ~1.\","
+    let mut rep = Report::new("ingest_throughput");
+    rep.metric("host_cores", host_cores() as f64);
+    rep.metric("chunk", CHUNK as f64);
+    rep.metric("total_labels", total_labels as f64);
+    rep.metric("queue_capacity", PublishPolicy::default().queue_capacity as f64);
+    rep.metric("max_batch_ops", PublishPolicy::default().max_batch_ops as f64);
+    rep.info(
+        "metric_note",
+        format!(
+            "Per fleet width (same {total_labels} labels at every width): producers \
+             decode+validate labels from the delta wire form ({CHUNK}/op) and feed the ingest \
+             pipeline; labels_per_s is end-to-end wall throughput until every ticket resolved \
+             and the pipeline drained; labels_per_cpu_s divides by process CPU time (the \
+             per-label overhead axis — meaningful even when host_cores < producers, where wall \
+             cannot scale); publish_lag_ns is push-to-publish latency as producers saw it, \
+             per-producer histograms folded with LatencyHistogram::merge. reader: one thread, \
+             batched hot-key queries over a {reader_items}-item store via the lock-free read \
+             path, idle vs the pipeline ingesting {paced_rate} chunks/s — publishes are atomic \
+             swaps, so the ratio should be ~1."
+        ),
     );
-    let _ = writeln!(json, "  \"fleet\": [");
     for (i, row) in rows.iter().enumerate() {
-        let per_s = row.labels as f64 / row.wall_s;
-        let (cpu_ms, per_cpu_s) = match row.cpu_s {
-            Some(cpu) => (format!("{:.1}", cpu * 1e3), format!("{:.0}", row.labels as f64 / cpu)),
-            None => ("null".into(), "null".into()),
-        };
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"producers\": {},", row.producers);
-        let _ = writeln!(json, "      \"labels\": {},", row.labels);
-        let _ = writeln!(json, "      \"wall_ms\": {:.1},", row.wall_s * 1e3);
-        let _ = writeln!(json, "      \"labels_per_s\": {per_s:.0},");
-        let _ = writeln!(json, "      \"cpu_ms\": {cpu_ms},");
-        let _ = writeln!(json, "      \"labels_per_cpu_s\": {per_cpu_s},");
-        let _ = writeln!(json, "      \"publishes\": {},", row.publishes);
-        let _ = writeln!(json, "      \"publish_lag_ns\": {}", hist_json(&row.lag));
-        let _ = writeln!(json, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
+        let at = |field: &str| format!("fleet.{i}.{field}");
+        rep.metric(&at("producers"), row.producers as f64);
+        rep.metric(&at("labels"), row.labels as f64);
+        rep.metric(&at("wall_ms"), row.wall_s * 1e3);
+        rep.metric(&at("labels_per_s"), row.labels as f64 / row.wall_s);
+        if let Some(cpu) = row.cpu_s {
+            rep.metric(&at("cpu_ms"), cpu * 1e3);
+            rep.metric(&at("labels_per_cpu_s"), row.labels as f64 / cpu);
+        }
+        rep.metric(&at("publishes"), row.publishes as f64);
+        rep.hist(&at("publish_lag_ns"), &row.lag);
     }
-    let _ = writeln!(json, "  ],");
     let one = rows.iter().find(|r| r.producers == 1).expect("fleet sweep covers 1");
     let four = rows.iter().find(|r| r.producers == 4).expect("fleet sweep covers 4");
-    let wall_speedup = one.wall_s / four.wall_s;
-    let cpu_ratio = match (one.cpu_s, four.cpu_s) {
-        (Some(a), Some(b)) if a > 0.0 && b > 0.0 => {
-            format!("{:.3}", (four.labels as f64 / b) / (one.labels as f64 / a))
+    rep.metric("scaling.wall_speedup_4v1", one.wall_s / four.wall_s);
+    if let (Some(a), Some(b)) = (one.cpu_s, four.cpu_s) {
+        if a > 0.0 && b > 0.0 {
+            let cpu_ratio = (four.labels as f64 / b) / (one.labels as f64 / a);
+            rep.metric("scaling.labels_per_cpu_s_ratio_4v1", cpu_ratio);
         }
-        _ => "null".into(),
-    };
-    let _ = writeln!(json, "  \"scaling\": {{");
-    let _ = writeln!(json, "    \"wall_speedup_4v1\": {wall_speedup:.3},");
-    let _ = writeln!(json, "    \"labels_per_cpu_s_ratio_4v1\": {cpu_ratio}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"reader\": {{");
-    let _ = writeln!(json, "    \"batch\": {BATCH},");
-    let _ = writeln!(json, "    \"items\": {reader_items},");
-    let _ = writeln!(json, "    \"idle_qps\": {idle_qps:.0},");
-    let _ = writeln!(json, "    \"ingest_qps\": {ingest_qps:.0},");
-    let _ = writeln!(json, "    \"paced_chunks_per_s\": {paced_rate},");
-    let _ = writeln!(json, "    \"publishes_under_load\": {},", load_report.stats.publishes);
-    let _ = writeln!(json, "    \"qps_ratio_ingest_vs_idle\": {ratio:.3}");
-    let _ = writeln!(json, "  }}");
-    let _ = writeln!(json, "}}");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingest_throughput.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
     }
+    rep.metric("reader.batch", BATCH as f64);
+    rep.metric("reader.items", reader_items as f64);
+    rep.metric("reader.idle_qps", idle_qps);
+    rep.metric("reader.ingest_qps", ingest_qps);
+    rep.metric("reader.paced_chunks_per_s", paced_rate as f64);
+    rep.metric("reader.publishes_under_load", load_report.stats.publishes as f64);
+    rep.metric("reader.qps_ratio_ingest_vs_idle", ratio);
+    rep.write();
 
     // --- Criterion entries: the per-chunk pipeline round trip. ----------
     let writer = EngineWriter::from_fvl(fvl.clone());

@@ -4,7 +4,7 @@
 //! scratch on `std::thread::scope` workers.
 //!
 //! Besides the Criterion printout, the run writes
-//! `BENCH_parallel_throughput.json` (workspace root) with the scaling
+//! `BENCH_parallel_throughput.txt` (workspace root) with the scaling
 //! curve. Two rates are reported per (variant, threads) point:
 //!
 //! * `wall_qps` — total queries / wall seconds. This is end-to-end
@@ -24,9 +24,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
+use wf_bench::report::{host_cores, Report};
 use wf_bench::{process_cpu_ns, Bench};
 use wf_core::{Fvl, VariantKind};
 use wf_engine::{EngineWriter, LiveEngine, WorkerScratch};
@@ -77,28 +77,23 @@ fn bench_parallel_throughput(c: &mut Criterion) {
     let id_pairs: Vec<_> =
         pairs.iter().map(|&(a, b)| (items[a.0 as usize], items[b.0 as usize])).collect();
 
-    let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let mut rep = Report::new("parallel_throughput");
+    rep.metric("pairs", PAIRS as f64);
+    rep.metric("host_cores", host_cores() as f64);
     // Whether aggregate_qps figures below are CPU-normalized (true) or a
     // wall-rate fallback (false, no process CPU clock): bench_check only
     // trusts the aggregate gate on a small host when this is true.
-    let cpu_clock = process_cpu_ns().is_some();
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"parallel_throughput\",");
-    let _ = writeln!(json, "  \"pairs\": {PAIRS},");
-    let _ = writeln!(json, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(json, "  \"cpu_clock\": {cpu_clock},");
-    let _ = writeln!(json, "  \"unit\": \"queries_per_sec\",");
-    let _ = writeln!(
-        json,
-        "  \"metric_note\": \"aggregate_qps = threads x queries/process-CPU-second (lock-free \
-         shards, so this is the rate with one core per worker; equals wall_qps when host_cores \
-         >= threads). wall_qps is end-to-end and capped by host_cores.\","
+    rep.info("cpu_clock", process_cpu_ns().is_some());
+    rep.info("unit", "queries_per_sec");
+    rep.info(
+        "metric_note",
+        "aggregate_qps = threads x queries/process-CPU-second (lock-free shards, so this is the \
+         rate with one core per worker; equals wall_qps when host_cores >= threads). wall_qps is \
+         end-to-end and capped by host_cores.",
     );
-    let _ = writeln!(json, "  \"variants\": {{");
 
     let mut g = c.benchmark_group("parallel_throughput");
-    for (vi, (kind, vref)) in variants.into_iter().zip(vrefs).enumerate() {
+    for (kind, vref) in variants.into_iter().zip(vrefs) {
         // Guard: every scratch count must reproduce the one-scratch batch
         // exactly before its throughput may be reported.
         let (mut sequential, mut out) = (Vec::new(), Vec::new());
@@ -109,7 +104,6 @@ fn bench_parallel_throughput(c: &mut Criterion) {
             assert_eq!(out, sequential, "{kind:?} x{threads} diverges from the one-scratch batch");
         }
 
-        let _ = writeln!(json, "    \"{kind:?}\": {{");
         let mut agg_by_threads = Vec::new();
         for &threads in &THREADS {
             // Persistent per-worker scratches: the steady-state serving
@@ -140,17 +134,14 @@ fn bench_parallel_throughput(c: &mut Criterion) {
                 None => (wall_qps, wall_qps),
             };
             agg_by_threads.push(aggregate_qps);
-            let _ = writeln!(
-                json,
-                "      \"{threads}\": {{ \"wall_qps\": {wall_qps:.0}, \"cpu_qps\": {cpu_qps:.0}, \
-                 \"aggregate_qps\": {aggregate_qps:.0} }},",
-            );
+            let at = |field: &str| format!("variants.{kind:?}.{threads}.{field}");
+            rep.metric(&at("wall_qps"), wall_qps);
+            rep.metric(&at("cpu_qps"), cpu_qps);
+            rep.metric(&at("aggregate_qps"), aggregate_qps);
         }
-        let speedup_4v1 = agg_by_threads[2] / agg_by_threads[0];
-        let _ = writeln!(
-            json,
-            "      \"aggregate_speedup_4v1\": {speedup_4v1:.2}\n    }}{}",
-            if vi + 1 < variants.len() { "," } else { "" }
+        rep.metric(
+            &format!("variants.{kind:?}.aggregate_speedup_4v1"),
+            agg_by_threads[2] / agg_by_threads[0],
         );
 
         for &threads in &THREADS {
@@ -163,15 +154,7 @@ fn bench_parallel_throughput(c: &mut Criterion) {
         }
     }
     g.finish();
-
-    let _ = writeln!(json, "  }}");
-    let _ = writeln!(json, "}}");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel_throughput.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
+    rep.write();
 }
 
 criterion_group!(benches, bench_parallel_throughput);

@@ -5,15 +5,15 @@
 //! (the seed repo's only mode); the session path reuses one
 //! [`wf_core::FvlSession`]; the batched path goes through a published
 //! `wf-engine` generation (registry + interned label store). Besides the
-//! Criterion printout, the run writes `BENCH_query_throughput.json` into
+//! Criterion printout, the run writes `BENCH_query_throughput.txt` into
 //! the workspace root; `bench_check` gates its shape and the same-host
 //! ordering batched ≤ per-call for every variant.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fmt::Write as _;
 use std::sync::Arc;
+use wf_bench::report::Report;
 use wf_bench::{ns_per, Bench};
 use wf_core::{Fvl, VariantKind};
 use wf_engine::{EngineWriter, LiveEngine, WorkerScratch};
@@ -45,15 +45,12 @@ fn bench_query_throughput(c: &mut Criterion) {
     let id_pairs: Vec<_> =
         pairs.iter().map(|&(a, b)| (items[a.0 as usize], items[b.0 as usize])).collect();
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"query_throughput\",");
-    let _ = writeln!(json, "  \"pairs\": {PAIRS},");
-    let _ = writeln!(json, "  \"unit\": \"ns_per_query\",");
-    let _ = writeln!(json, "  \"variants\": {{");
+    let mut rep = Report::new("query_throughput");
+    rep.metric("pairs", PAIRS as f64);
+    rep.info("unit", "ns_per_query");
 
     let mut g = c.benchmark_group("query_throughput");
-    for (vi, (kind, vref)) in variants.into_iter().zip(vrefs).enumerate() {
+    for (kind, vref) in variants.into_iter().zip(vrefs) {
         let vl = fvl.label_view(&view, kind).unwrap();
 
         // Guard: the fast paths must agree with the reference before any
@@ -68,7 +65,7 @@ fn bench_query_throughput(c: &mut Criterion) {
             assert_eq!(s, reference, "{kind:?} session diverges at pair {i}");
         }
 
-        // JSON numbers via the shared timer (independent of Criterion's
+        // Report numbers via the shared timer (independent of Criterion's
         // adaptive batching), then the Criterion printout.
         let per_call = ns_per(pairs.len(), |i| {
             let (a, b) = pairs[i % pairs.len()];
@@ -87,11 +84,9 @@ fn bench_query_throughput(c: &mut Criterion) {
         let rounds = 8usize;
         let batch_ns = ns_per(rounds, |_| batch_into(&mut out)) / id_pairs.len() as f64;
 
-        let _ = writeln!(
-            json,
-            "    \"{kind:?}\": {{ \"per_call\": {per_call:.1}, \"session\": {session_ns:.1}, \"batched\": {batch_ns:.1} }}{}",
-            if vi + 1 < variants.len() { "," } else { "" }
-        );
+        rep.metric(&format!("variants.{kind:?}.per_call"), per_call);
+        rep.metric(&format!("variants.{kind:?}.session"), session_ns);
+        rep.metric(&format!("variants.{kind:?}.batched"), batch_ns);
 
         let mut i = 0usize;
         g.bench_function(format!("{kind:?}/per_call"), |b| {
@@ -113,17 +108,7 @@ fn bench_query_throughput(c: &mut Criterion) {
         g.bench_function(format!("{kind:?}/batch{PAIRS}"), |b| b.iter(|| batch_into(&mut out)));
     }
     g.finish();
-
-    let _ = writeln!(json, "  }}");
-    let _ = writeln!(json, "}}");
-    // Anchor at the workspace root regardless of the bench's working
-    // directory (cargo runs benches from the package dir).
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_query_throughput.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
+    rep.write();
 }
 
 criterion_group!(benches, bench_query_throughput);

@@ -22,16 +22,16 @@
 //! append) and asserts recovery heals it losing **zero acknowledged
 //! ops** (`acked_ops_lost` is gated to 0).
 //!
-//! Writes `BENCH_recovery.json` (workspace root); CI regenerates it in
+//! Writes `BENCH_recovery.txt` (workspace root); CI regenerates it in
 //! `--test` mode and `bench_check` gates the claims above.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 use wf_analysis::ProdGraph;
+use wf_bench::report::Report;
 use wf_core::{Fvl, VariantKind};
 use wf_engine::{serialize_base, DurableEngine, EngineWriter, LiveEngine, RecoveryReport};
 use wf_snapshot::{encode_frame, MemStorage};
@@ -125,51 +125,38 @@ fn bench_recovery(c: &mut Criterion) {
     // Every *acknowledged* op survives; only the torn unacked frame drops.
     let acked_ops_lost = final_gen.seqno().saturating_sub(torn_report.recovered_seqno);
 
-    // --- JSON report. ---------------------------------------------------
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"recovery\",");
-    let _ = writeln!(json, "  \"items\": {ITEMS},");
-    let _ = writeln!(json, "  \"publishes\": {PUBLISHES},");
-    let _ = writeln!(json, "  \"log_bytes\": {log_bytes},");
-    let _ = writeln!(json, "  \"base_bytes\": {},", base.len());
-    let _ = writeln!(
-        json,
-        "  \"metric_note\": \"One durable run: {ITEMS} labels acknowledged across {PUBLISHES} \
-         framed op-log appends (one compiled view). full_replay reopens from the bootstrap base \
-         plus the whole log (per-frame decode + copy-on-write apply); compacted reopens after \
-         install_base folded the head into a fresh trie-interned base image (atomic rename), \
-         log truncated to the covered point. torn_tail appends half an unacknowledged frame to \
-         the full log: recovery must heal it (dropped_bytes > 0) losing zero acked ops. Times \
-         are min-of-{repeats} DurableEngine::open calls over in-memory storage — pure \
-         recovery-compute, no disk variance.\","
+    let mut rep = Report::new("recovery");
+    rep.metric("items", ITEMS as f64);
+    rep.metric("publishes", PUBLISHES as f64);
+    rep.metric("log_bytes", log_bytes as f64);
+    rep.metric("base_bytes", base.len() as f64);
+    rep.info(
+        "metric_note",
+        format!(
+            "One durable run: {ITEMS} labels acknowledged across {PUBLISHES} framed op-log \
+             appends (one compiled view). full_replay reopens from the bootstrap base plus the \
+             whole log (per-frame decode + copy-on-write apply); compacted reopens after \
+             install_base folded the head into a fresh trie-interned base image (atomic \
+             rename), log truncated to the covered point. torn_tail appends half an \
+             unacknowledged frame to the full log: recovery must heal it (dropped_bytes > 0) \
+             losing zero acked ops. Times are min-of-{repeats} DurableEngine::open calls over \
+             in-memory storage — pure recovery-compute, no disk variance."
+        ),
     );
-    let _ = writeln!(json, "  \"full_replay\": {{");
-    let _ = writeln!(json, "    \"ms\": {full_ms:.2},");
-    let _ = writeln!(json, "    \"frames\": {},", full_report.replayed_frames);
-    let _ = writeln!(json, "    \"recovered_seqno\": {}", full_report.recovered_seqno);
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"compacted\": {{");
-    let _ = writeln!(json, "    \"ms\": {compact_ms:.2},");
-    let _ = writeln!(json, "    \"frames\": {},", compact_report.replayed_frames);
-    let _ = writeln!(json, "    \"reclaimed_bytes\": {},", stats.reclaimed_bytes);
-    let _ = writeln!(json, "    \"recovered_seqno\": {}", compact_report.recovered_seqno);
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"speedup_compacted_vs_full\": {speedup:.2},");
-    let _ = writeln!(json, "  \"torn_tail\": {{");
-    let _ = writeln!(json, "    \"ms\": {torn_ms:.2},");
-    let _ = writeln!(json, "    \"dropped_bytes\": {},", torn_report.dropped_bytes);
-    let _ = writeln!(json, "    \"acked_seqno\": {},", final_gen.seqno());
-    let _ = writeln!(json, "    \"recovered_seqno\": {},", torn_report.recovered_seqno);
-    let _ = writeln!(json, "    \"acked_ops_lost\": {acked_ops_lost}");
-    let _ = writeln!(json, "  }}");
-    let _ = writeln!(json, "}}");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recovery.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
+    rep.metric("full_replay.ms", full_ms);
+    rep.metric("full_replay.frames", full_report.replayed_frames as f64);
+    rep.metric("full_replay.recovered_seqno", full_report.recovered_seqno as f64);
+    rep.metric("compacted.ms", compact_ms);
+    rep.metric("compacted.frames", compact_report.replayed_frames as f64);
+    rep.metric("compacted.reclaimed_bytes", stats.reclaimed_bytes as f64);
+    rep.metric("compacted.recovered_seqno", compact_report.recovered_seqno as f64);
+    rep.metric("speedup_compacted_vs_full", speedup);
+    rep.metric("torn_tail.ms", torn_ms);
+    rep.metric("torn_tail.dropped_bytes", torn_report.dropped_bytes as f64);
+    rep.metric("torn_tail.acked_seqno", final_gen.seqno() as f64);
+    rep.metric("torn_tail.recovered_seqno", torn_report.recovered_seqno as f64);
+    rep.metric("torn_tail.acked_ops_lost", acked_ops_lost as f64);
+    rep.write();
 
     // --- Criterion entries: the two recovery paths at a small size. -----
     // (The headline numbers above come from the single 10^5 run; these

@@ -7,7 +7,7 @@
 //! reported as a mean. This sweep drives a real engine at each size
 //! through:
 //!
-//! * `seq_query_ns` — per-query latency (p50/p99/p999/max via
+//! * `seq_query_ns` — per-query latency (mean/p50/p95/p99/p999/max via
 //!   [`wf_bench::LatencyHistogram`]) of the batched sequential path, one
 //!   `Instant` pair per query, hot-key pair mix over the full population;
 //! * `par_query_ns` — the same workload fanned out across `par_workers`
@@ -30,20 +30,20 @@
 //!   …), hottest first, top-3 named. CI runs this bench with the feature
 //!   on so `bench_check` can gate on the report being present.
 //!
-//! Writes `BENCH_scale_sweep.json` (workspace root); `--test` shrinks the
+//! Writes `BENCH_scale_sweep.txt` (workspace root); `--test` shrinks the
 //! sweep to a 10⁴ top size for CI's bench-smoke.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
+use wf_bench::report::{host_cores, Report};
 use wf_bench::{current_rss_bytes, ms, peak_rss_bytes, profile, Bench, LatencyHistogram};
 use wf_core::{Fvl, VariantKind};
 use wf_engine::{EngineGeneration, EngineWriter, ItemId, LiveEngine, WorkerScratch};
 
-/// Parallel fan-out width (recorded in the JSON next to `host_cores`).
+/// Parallel fan-out width (recorded in the report next to `host_cores`).
 const PAR_WORKERS: usize = 4;
 
 /// One measured sweep point.
@@ -77,18 +77,6 @@ fn query_pairs(rng: &mut StdRng, items: &[ItemId], count: usize) -> Vec<(ItemId,
             (draw(rng), draw(rng))
         })
         .collect()
-}
-
-fn hist_json(h: &LatencyHistogram) -> String {
-    format!(
-        "{{ \"mean\": {:.0}, \"p50\": {}, \"p99\": {}, \"p999\": {}, \"max\": {}, \"count\": {} }}",
-        h.mean(),
-        h.p(0.5),
-        h.p(0.99),
-        h.p(0.999),
-        h.max(),
-        h.count()
-    )
 }
 
 fn bench_scale_sweep(c: &mut Criterion) {
@@ -214,60 +202,43 @@ fn bench_scale_sweep(c: &mut Criterion) {
 
     let peak_rss = peak_rss_bytes().unwrap_or(0);
 
-    // --- JSON report. ---------------------------------------------------
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"scale_sweep\",");
-    let _ = writeln!(
-        json,
-        "  \"host_cores\": {},",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    let mut rep = Report::new("scale_sweep");
+    rep.metric("host_cores", host_cores() as f64);
+    rep.metric("par_workers", PAR_WORKERS as f64);
+    rep.metric("queries_per_size", queries as f64);
+    rep.info(
+        "metric_note",
+        format!(
+            "Figure 26-style scale sweep over real sampled runs. Per size: cold_build_ms = \
+             FVL-label the run + intern every label + compile the Default view + publish \
+             (everything a cold start repeats; run sampling itself is untimed); seq_query_ns = \
+             per-query wall latency through EngineCore::try_query (hot-key mix, one \
+             WorkerScratch); par_query_ns = same workload across {PAR_WORKERS} scoped workers \
+             sharing the frozen core, per-worker histograms merged (on host_cores < par_workers \
+             the tail includes time-slicing, by design); warm_load_ms = EngineGeneration::load \
+             from a save() snapshot — no relabeling — gated <= cold_build_ms at >= 5·10^5 \
+             items and <= 1.5x cold_build_ms below; rss_bytes = VmRSS after the build. profile \
+             = per-stage counters of the largest size's measured queries, present when built \
+             with --features profile (CI does)."
+        ),
     );
-    let _ = writeln!(json, "  \"par_workers\": {PAR_WORKERS},");
-    let _ = writeln!(json, "  \"queries_per_size\": {queries},");
-    let _ = writeln!(
-        json,
-        "  \"metric_note\": \"Figure 26-style scale sweep over real sampled runs. Per size: \
-         cold_build_ms = FVL-label the run + intern every label + compile the Default view + \
-         publish (everything a cold start repeats; run sampling itself is untimed); seq_query_ns = \
-         per-query wall latency through EngineCore::try_query (hot-key mix, one WorkerScratch); \
-         par_query_ns = same workload across {PAR_WORKERS} scoped workers sharing the frozen \
-         core, per-worker histograms merged (on host_cores < par_workers the tail includes \
-         time-slicing, by design); warm_load_ms = EngineGeneration::load from a save() \
-         snapshot — no relabeling — gated <= cold_build_ms; rss_bytes = VmRSS after the \
-         build. profile = per-stage counters of the largest size's measured queries, \
-         present when built with --features profile (CI does).\","
-    );
-    let _ = writeln!(json, "  \"sweep\": [");
     for (i, row) in rows.iter().enumerate() {
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"items\": {},", row.items);
-        let _ = writeln!(json, "      \"cold_build_ms\": {:.1},", row.cold_build_ms);
-        let _ = writeln!(json, "      \"seq_query_ns\": {},", hist_json(&row.seq));
-        let _ = writeln!(json, "      \"seq_qps\": {:.0},", row.seq_qps);
-        let _ = writeln!(json, "      \"par_query_ns\": {},", hist_json(&row.par));
-        let _ = writeln!(json, "      \"par_wall_qps\": {:.0},", row.par_wall_qps);
-        let _ = writeln!(json, "      \"save_ms\": {:.1},", row.save_ms);
-        let _ = writeln!(json, "      \"warm_load_ms\": {:.1},", row.warm_load_ms);
-        let _ = writeln!(
-            json,
-            "      \"warm_vs_cold_speedup\": {:.2},",
-            row.cold_build_ms / row.warm_load_ms.max(0.001)
-        );
-        let _ = writeln!(json, "      \"snapshot_bytes\": {},", row.snapshot_bytes);
-        let _ = writeln!(json, "      \"rss_bytes\": {}", row.rss_bytes);
-        let _ = writeln!(json, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
+        let at = |field: &str| format!("sweep.{i}.{field}");
+        rep.metric(&at("items"), row.items as f64);
+        rep.metric(&at("cold_build_ms"), row.cold_build_ms);
+        rep.hist(&at("seq_query_ns"), &row.seq);
+        rep.metric(&at("seq_qps"), row.seq_qps);
+        rep.hist(&at("par_query_ns"), &row.par);
+        rep.metric(&at("par_wall_qps"), row.par_wall_qps);
+        rep.metric(&at("save_ms"), row.save_ms);
+        rep.metric(&at("warm_load_ms"), row.warm_load_ms);
+        rep.metric(&at("warm_vs_cold_speedup"), row.cold_build_ms / row.warm_load_ms.max(0.001));
+        rep.metric(&at("snapshot_bytes"), row.snapshot_bytes as f64);
+        rep.metric(&at("rss_bytes"), row.rss_bytes as f64);
     }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"peak_rss_bytes\": {peak_rss},");
-    let _ = writeln!(json, "  \"profile\": {}", profile::report_json(&profile_report, "  "));
-    let _ = writeln!(json, "}}");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale_sweep.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
+    rep.metric("peak_rss_bytes", peak_rss as f64);
+    profile::record(&profile_report, &mut rep);
+    rep.write();
 
     // --- Criterion entries (human-readable printout) at the smallest
     // size, so the group stays cheap under `--test`. ---------------------

@@ -8,20 +8,20 @@
 //! `EngineGeneration::save` / `EngineGeneration::load`, plus the
 //! snapshot's storage efficiency — the trie-interned store's bits/label
 //! against the §5 per-label codec bound. Besides the Criterion printout,
-//! the run writes `BENCH_snapshot.json` into the workspace root;
-//! `bench_check` gates its shape, warm load ≤ cold build, and the store
-//! staying within the codec bound.
+//! the run writes `BENCH_snapshot_roundtrip.txt` into the workspace root;
+//! `bench_check` gates its shape, warm load ≤ 1.5× the cold build, and the
+//! store staying within the codec bound.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::fmt::Write as _;
 use std::sync::Arc;
+use wf_bench::report::Report;
 use wf_bench::{ms, Bench};
 use wf_bitio::BitWriter;
 use wf_core::{Fvl, VariantKind};
 use wf_engine::{EngineGeneration, EngineWriter, LiveEngine, WorkerScratch};
 
 const ITEMS: usize = 8_000;
-/// Repeats behind each median timing in the JSON.
+/// Repeats behind each median timing in the report.
 const REPEATS: usize = 5;
 
 const VARIANTS: [VariantKind; 3] =
@@ -91,7 +91,7 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
     let store_bpl = store_bits as f64 / store.len() as f64;
     let codec_bpl = codec_bits as f64 / store.len() as f64;
 
-    // Timings for the JSON (medians of a few repeats, independent of
+    // Timings for the report (medians of a few repeats, independent of
     // Criterion's adaptive batching).
     let median = |mut xs: Vec<f64>| {
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -108,21 +108,18 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
     );
     let load_ms = median((0..REPEATS).map(|_| ms(|| std::mem::drop(load()))).collect());
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"snapshot_roundtrip\",");
-    let _ = writeln!(json, "  \"items\": {},", store.len());
-    let _ = writeln!(json, "  \"views\": 1,");
-    let _ = writeln!(json, "  \"variants_compiled\": 3,");
-    let _ = writeln!(json, "  \"repeats\": {REPEATS},");
-    let _ = writeln!(json, "  \"snapshot_bytes\": {},", bytes.len());
-    let _ = writeln!(json, "  \"cold_build_ms\": {cold_ms:.2},");
-    let _ = writeln!(json, "  \"save_ms\": {save_ms:.2},");
-    let _ = writeln!(json, "  \"load_ms\": {load_ms:.2},");
-    let _ = writeln!(json, "  \"warm_start_speedup\": {:.1},", cold_ms / load_ms);
-    let _ = writeln!(json, "  \"store_bits_per_label\": {store_bpl:.1},");
-    let _ = writeln!(json, "  \"codec_bits_per_label\": {codec_bpl:.1}");
-    let _ = writeln!(json, "}}");
+    let mut rep = Report::new("snapshot_roundtrip");
+    rep.metric("items", store.len() as f64);
+    rep.metric("views", 1.0);
+    rep.metric("variants_compiled", 3.0);
+    rep.metric("repeats", REPEATS as f64);
+    rep.metric("snapshot_bytes", bytes.len() as f64);
+    rep.metric("cold_build_ms", cold_ms);
+    rep.metric("save_ms", save_ms);
+    rep.metric("load_ms", load_ms);
+    rep.metric("warm_start_speedup", cold_ms / load_ms);
+    rep.metric("store_bits_per_label", store_bpl);
+    rep.metric("codec_bits_per_label", codec_bpl);
 
     let mut g = c.benchmark_group("snapshot_roundtrip");
     g.bench_function("cold_build", |b| b.iter(&build_cold));
@@ -136,12 +133,7 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
     g.bench_function("load", |b| b.iter(|| load().store().len()));
     g.finish();
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_snapshot.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
+    rep.write();
 }
 
 criterion_group!(benches, bench_snapshot_roundtrip);

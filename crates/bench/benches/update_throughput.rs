@@ -11,8 +11,9 @@
 //!
 //! * `publish_ns` — one stage-and-publish cycle (stage a 16-label chunk,
 //!   freeze, Arc-swap) on the sharded store: mean / p50 / p95 / p99 /
-//!   p999 over ≥100 cycles (fixed-bucket histogram, `wf_bench::LatencyHistogram`),
-//!   plus the mean number of shards each cycle touched.
+//!   p999 / max and the cycle count over ≥100 cycles (fixed-bucket
+//!   histogram, `wf_bench::LatencyHistogram`), plus the mean number of
+//!   shards each cycle touched.
 //! * `publish_baseline_ns` — the same cycles against a store built with
 //!   `shard_capacity = u32::MAX`: one ever-growing shard, i.e. exactly
 //!   the pre-shard (PR 5) store whose clone is O(n). This column is the
@@ -27,17 +28,17 @@
 //!   is O(directory), so 1 Hz must sit within a few percent of 0 Hz at
 //!   *every* size (`qps_ratio_1hz_vs_0hz`).
 //!
-//! The run writes `BENCH_update_throughput.json` (workspace root); CI's
+//! The run writes `BENCH_update_throughput.txt` (workspace root); CI's
 //! bench-smoke step regenerates it in `--test` mode and `bench_check`
 //! asserts the sweep shape plus the scaling sanity bound (sharded publish
 //! p50 at the largest size ≤ 3× the smallest — an accidental O(n)
 //! regression fails CI even on a noisy one-core container).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use wf_bench::report::{host_cores, Report};
 use wf_bench::{Bench, LatencyHistogram};
 use wf_core::{DataLabel, Fvl, VariantKind};
 use wf_engine::{EngineWriter, ItemId, LabelStore, LiveEngine, ViewRef, WorkerScratch};
@@ -175,22 +176,10 @@ fn reader_qps_at<'a>(
 /// feed the Criterion entries.
 type LargestSurvivor = (EngineWriter, LiveEngine, Vec<(ItemId, ItemId)>, ViewRef);
 
-fn hist_json(h: &LatencyHistogram) -> String {
-    format!(
-        "{{ \"mean\": {:.0}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"p999\": {}, \"cycles\": {} }}",
-        h.mean(),
-        h.percentile(0.5),
-        h.percentile(0.95),
-        h.percentile(0.99),
-        h.percentile(0.999),
-        h.count()
-    )
-}
-
 fn bench_update_throughput(c: &mut Criterion) {
     let quick = std::env::args().any(|a| a == "--test");
     // The quick sweep still spans ≥4 sizes up to ≥256k: CI's bench-smoke
-    // regenerates the JSON in `--test` mode, and `bench_check` asserts the
+    // regenerates the report in `--test` mode, and `bench_check` asserts the
     // sweep shape on whatever the last run wrote.
     let sizes: &[usize] = if quick {
         &[4_096, 32_768, 131_072, 262_144]
@@ -321,77 +310,55 @@ fn bench_update_throughput(c: &mut Criterion) {
         last = Some((writer, live, pairs, vref));
     }
 
-    // --- JSON report. ---------------------------------------------------
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"update_throughput\",");
-    let _ = writeln!(json, "  \"shard_capacity\": {},", LabelStore::DEFAULT_SHARD_CAPACITY);
-    let _ = writeln!(json, "  \"insert_chunk\": {CHUNK},");
-    let _ = writeln!(json, "  \"skew_burst\": {BURST},");
-    let _ = writeln!(json, "  \"batch\": {BATCH},");
-    let _ = writeln!(
-        json,
-        "  \"host_cores\": {},",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    let mut rep = Report::new("update_throughput");
+    rep.metric("shard_capacity", LabelStore::DEFAULT_SHARD_CAPACITY as f64);
+    rep.metric("insert_chunk", CHUNK as f64);
+    rep.metric("skew_burst", BURST as f64);
+    rep.metric("batch", BATCH as f64);
+    rep.metric("host_cores", host_cores() as f64);
+    rep.info(
+        "metric_note",
+        format!(
+            "Per swept store size: publish_ns = stage {CHUNK} labels + freeze + Arc swap on the \
+             sharded (capacity {}) store; publish_baseline_ns = identical cycles on a \
+             single-shard (capacity = u32::MAX, i.e. pre-shard O(n) clone) store; \
+             publish_skewed_ns = cycles whose insert sizes are log-uniform bursts up to \
+             {BURST}x chunk (InsertLocality::Skewed), moving the touched-shards axis. reader_qps \
+             = one reader thread, batched hot-key queries via the lock-free LiveEngine::read \
+             fast path, while the writer publishes at the keyed rate (Hz); best of {trials} \
+             trial(s). Sharded p50 should stay roughly flat across sizes while the baseline \
+             grows linearly.",
+            LabelStore::DEFAULT_SHARD_CAPACITY
+        ),
     );
-    let _ = writeln!(
-        json,
-        "  \"metric_note\": \"Per swept store size: publish_ns = stage {CHUNK} labels + freeze + \
-         Arc swap on the sharded (capacity {}) store; publish_baseline_ns = identical cycles on a \
-         single-shard (capacity = u32::MAX, i.e. pre-shard O(n) clone) store; publish_skewed_ns = \
-         cycles whose insert sizes are log-uniform bursts up to {BURST}x chunk \
-         (InsertLocality::Skewed), moving the touched-shards axis. reader_qps = one reader \
-         thread, batched hot-key queries via the lock-free LiveEngine::read fast path, while the \
-         writer publishes at the keyed rate (Hz); best of {trials} trial(s). Sharded p50 should \
-         stay roughly flat across sizes while the baseline grows linearly.\",",
-        LabelStore::DEFAULT_SHARD_CAPACITY
-    );
-    let _ = writeln!(json, "  \"sweep\": [");
     for (i, row) in rows.iter().enumerate() {
-        let ratio = row.qps[1].1 / row.qps[0].1;
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"items\": {},", row.items);
-        let _ = writeln!(json, "      \"shards\": {},", row.shards);
-        let _ = writeln!(json, "      \"publish_ns\": {},", hist_json(&row.publish));
-        let _ = writeln!(
-            json,
-            "      \"publish_touched_shards_mean\": {:.2},",
-            row.publish_touched_mean
-        );
-        let _ = writeln!(json, "      \"publish_baseline_ns\": {},", hist_json(&row.baseline));
-        let _ = writeln!(json, "      \"publish_skewed_ns\": {},", hist_json(&row.skewed));
-        let _ =
-            writeln!(json, "      \"skewed_touched_shards_mean\": {:.2},", row.skewed_touched_mean);
-        let _ = writeln!(json, "      \"reader_qps\": {{");
-        for (j, (rate, qps, publishes)) in row.qps.iter().enumerate() {
-            let _ = writeln!(
-                json,
-                "        \"{rate}\": {{ \"qps\": {qps:.0}, \"publishes\": {publishes} }}{}",
-                if j + 1 < row.qps.len() { "," } else { "" }
-            );
+        let at = |field: &str| format!("sweep.{i}.{field}");
+        rep.metric(&at("items"), row.items as f64);
+        rep.metric(&at("shards"), row.shards as f64);
+        rep.hist(&at("publish_ns"), &row.publish);
+        rep.metric(&at("publish_touched_shards_mean"), row.publish_touched_mean);
+        rep.hist(&at("publish_baseline_ns"), &row.baseline);
+        rep.hist(&at("publish_skewed_ns"), &row.skewed);
+        rep.metric(&at("skewed_touched_shards_mean"), row.skewed_touched_mean);
+        for &(rate, qps, publishes) in &row.qps {
+            rep.metric(&at(&format!("reader_qps.{rate}.qps")), qps);
+            rep.metric(&at(&format!("reader_qps.{rate}.publishes")), publishes as f64);
         }
-        let _ = writeln!(json, "      }},");
-        let _ = writeln!(json, "      \"qps_ratio_1hz_vs_0hz\": {ratio:.3}");
-        let _ = writeln!(json, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
+        rep.metric(&at("qps_ratio_1hz_vs_0hz"), row.qps[1].1 / row.qps[0].1);
     }
-    let _ = writeln!(json, "  ],");
     let (first, last_row) = (&rows[0], &rows[rows.len() - 1]);
-    let scale = last_row.publish.percentile(0.5) as f64 / first.publish.percentile(0.5) as f64;
-    let scale_baseline =
-        last_row.baseline.percentile(0.5) as f64 / first.baseline.percentile(0.5) as f64;
-    let _ = writeln!(json, "  \"scaling\": {{");
-    let _ = writeln!(json, "    \"smallest_items\": {},", first.items);
-    let _ = writeln!(json, "    \"largest_items\": {},", last_row.items);
-    let _ = writeln!(json, "    \"publish_p50_ratio_largest_vs_smallest\": {scale:.3},");
-    let _ = writeln!(json, "    \"baseline_p50_ratio_largest_vs_smallest\": {scale_baseline:.3}");
-    let _ = writeln!(json, "  }}");
-    let _ = writeln!(json, "}}");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_update_throughput.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
+    let p50 = |h: &LatencyHistogram| h.percentile(0.5) as f64;
+    rep.metric("scaling.smallest_items", first.items as f64);
+    rep.metric("scaling.largest_items", last_row.items as f64);
+    rep.metric(
+        "scaling.publish_p50_ratio_largest_vs_smallest",
+        p50(&last_row.publish) / p50(&first.publish),
+    );
+    rep.metric(
+        "scaling.baseline_p50_ratio_largest_vs_smallest",
+        p50(&last_row.baseline) / p50(&first.baseline),
+    );
+    rep.write();
 
     // --- Criterion entries (for the human-readable printout), at the
     // largest swept size — where flat publishing is hardest. -------------

@@ -2,18 +2,23 @@
 //! bench writes and asserts its scaling claims.
 //!
 //! `cargo run --release -p wf-bench --bin bench_check [path ...]` — with
-//! no arguments it checks `BENCH_update_throughput.json`,
-//! `BENCH_ingest_throughput.json`, `BENCH_recovery.json`,
-//! `BENCH_parallel_throughput.json`, `BENCH_scale_sweep.json`,
-//! `BENCH_query_throughput.json` and `BENCH_snapshot.json` in the
-//! current directory (the workspace root, where bench-smoke runs). Each
-//! document dispatches on its `"bench"` field:
+//! no arguments it checks the eight `BENCH_<bench>.txt` reports in the
+//! current directory (the workspace root, where bench-smoke runs):
+//! `update_throughput`, `ingest_throughput`, `recovery`,
+//! `parallel_throughput`, `scale_sweep`, `query_throughput`,
+//! `snapshot_roundtrip` and `fuzz_coverage`. Every report is a
+//! [`wf_bench::report::Report`] — `info <key>=<text>` and
+//! `metric <name> <value>` lines, nested values under dotted names
+//! (`sweep.0.publish_ns.p50`) — and a missing, empty or unparsable file
+//! fails. Each report dispatches on its `info bench=` line, exactly; a
+//! bench with no gate below fails too:
 //!
 //! **`update_throughput`** — exit 0 iff:
 //!
 //! * the sweep has ≥ 4 sizes, strictly increasing, the largest ≥ 262144;
-//! * every sweep entry carries `publish_ns` with p50/p99/p999 and ≥ 100
-//!   cycles, a `publish_baseline_ns` column, and reader qps at 0 and 1 Hz;
+//! * every sweep entry carries `publish_ns` with p50/p99/p999 and a
+//!   `count` of ≥ 100 cycles, a `publish_baseline_ns` column, and reader
+//!   qps at 0 and 1 Hz;
 //! * sharded publish p50 at the largest size ≤ 3× the smallest — an
 //!   accidental O(n) publish regression fails CI here (the recorded
 //!   baseline column shows what linear looks like: ~80× over the same
@@ -78,212 +83,55 @@
 //! bound (`store_bits_per_label` ≤ `codec_bits_per_label`, a size
 //! property of the fixed workload, identical on every host).
 //!
-//! No serde in this workspace (offline shims only), so the JSON is parsed
-//! by the little recursive-descent reader below — it handles exactly the
-//! JSON subset our benches emit (objects, arrays, numbers, strings,
-//! booleans), which is all the gate needs.
+//! **`fuzz_coverage`** (written by `examples/fuzz_sweep.rs`) — exit 0 iff
+//! the sweep found nothing (`divergences`, `mutant_panics` and
+//! `mutant_silent_corruption` are 0), every campaign ran (spec, live,
+//! multi-producer and crash cases, mutants and crash points all > 0),
+//! every mutant is classified exactly once (`mutants` = valid-prefix +
+//! forged + panics + silent corruptions + Σ `rejections.*`), and
+//! `rejection_classes` counts the `rejections.*` names. These hold on any
+//! host.
 
-use std::collections::BTreeMap;
 use std::process::ExitCode;
+use wf_bench::report::Report;
 
-/// A parsed JSON value (the subset the bench reports use).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
+/// The reports checked when no path is given, as `BENCH_<bench>.txt`.
+const REPORTS: [&str; 8] = [
+    "update_throughput",
+    "ingest_throughput",
+    "recovery",
+    "parallel_throughput",
+    "scale_sweep",
+    "query_throughput",
+    "snapshot_roundtrip",
+    "fuzz_coverage",
+];
+
+/// The metric `name` if `ok` accepts it; otherwise an error naming the
+/// metric, its value and what the rule needs.
+fn need(doc: &Report, name: &str, ok: impl Fn(f64) -> bool, needs: &str) -> Result<f64, String> {
+    let v = doc.num(name)?;
+    ok(v).then_some(v).ok_or_else(|| format!("{name} is {v}, need {needs}"))
 }
 
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    fn num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
+/// The metric `name`, which must be positive.
+fn positive(doc: &Report, name: &str) -> Result<f64, String> {
+    need(doc, name, |v| v > 0.0, "> 0")
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self { bytes: text.as_bytes(), pos: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied().ok_or_else(|| "unexpected end of input".into())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        let got = self.peek()?;
-        if got != b {
-            return Err(format!(
-                "expected '{}' at byte {}, found '{}'",
-                b as char, self.pos, got as char
-            ));
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            map.insert(key, self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                other => return Err(format!("expected ',' or '}}', found '{}'", other as char)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            out.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(out));
-                }
-                other => return Err(format!("expected ',' or ']', found '{}'", other as char)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self.bytes.get(self.pos).ok_or_else(|| String::from("unterminated string"))?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| String::from("unterminated escape"))?;
-                    self.pos += 1;
-                    out.push(match esc {
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        other => other as char, // \uXXXX never appears in our reports
-                    });
-                }
-                other => out.push(other as char),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-}
-
-fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser::new(text);
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes at {}", p.pos));
-    }
-    Ok(v)
-}
-
-/// Dispatches a parsed report to its gate by the `"bench"` field.
-/// Returns the human-readable summary on success, the failure on error.
-fn check(doc: &Json) -> Result<String, String> {
-    match doc.get("bench") {
-        Some(Json::Str(name)) if name == "ingest_throughput" => check_ingest(doc),
-        Some(Json::Str(name)) if name == "recovery" => check_recovery(doc),
-        Some(Json::Str(name)) if name == "parallel_throughput" => check_parallel(doc),
-        Some(Json::Str(name)) if name == "scale_sweep" => check_scale_sweep(doc),
-        Some(Json::Str(name)) if name == "query_throughput" => check_query_throughput(doc),
-        Some(Json::Str(name)) if name == "snapshot_roundtrip" => check_snapshot(doc),
-        // `update_throughput` and older reports without the field.
-        _ => check_update(doc),
+/// Dispatches a report to its gate by its `info bench=` line. Returns the
+/// human-readable summary on success, the failure on error.
+fn check(doc: &Report) -> Result<String, String> {
+    match doc.bench() {
+        "update_throughput" => check_update(doc),
+        "ingest_throughput" => check_ingest(doc),
+        "recovery" => check_recovery(doc),
+        "parallel_throughput" => check_parallel(doc),
+        "scale_sweep" => check_scale_sweep(doc),
+        "query_throughput" => check_query_throughput(doc),
+        "snapshot_roundtrip" => check_snapshot(doc),
+        "fuzz_coverage" => check_fuzz(doc),
+        other => Err(format!("no gate for bench {other:?}")),
     }
 }
 
@@ -292,43 +140,23 @@ fn check(doc: &Json) -> Result<String, String> {
 /// wall gate is *skipped with a message* (never silently passed) and the
 /// CPU-normalized aggregate curve is gated instead, which requires the
 /// report to have been measured with a process CPU clock (`cpu_clock`).
-fn check_parallel(doc: &Json) -> Result<String, String> {
-    let host_cores =
-        doc.get("host_cores").and_then(Json::num).ok_or("missing or invalid host_cores")?;
-    doc.get("pairs")
-        .and_then(Json::num)
-        .filter(|&p| p >= 1024.0)
-        .ok_or("missing pairs (need >= 1024 per batch)")?;
-    let cpu_clock = match doc.get("cpu_clock") {
-        Some(Json::Bool(b)) => *b,
+fn check_parallel(doc: &Report) -> Result<String, String> {
+    let host_cores = doc.num("host_cores")?;
+    need(doc, "pairs", |p| p >= 1024.0, ">= 1024 per batch")?;
+    let cpu_clock = match doc.text("cpu_clock") {
+        Some("true") => true,
+        Some("false") => false,
         _ => return Err("missing cpu_clock flag (regenerate the report)".into()),
     };
-    let variants = match doc.get("variants") {
-        Some(obj @ Json::Obj(m)) if !m.is_empty() => {
-            if m.get("Default").is_none() {
-                return Err("variants must include Default".into());
-            }
-            (obj, m)
-        }
-        _ => return Err("missing or empty variants object".into()),
-    };
-    let (_, variant_map) = variants;
+    let variants = doc.children("variants");
+    if !variants.contains(&"Default") {
+        return Err("variants must include Default".into());
+    }
     let mut summary = String::from("variant          wall_qps@4   aggregate_4v1\n");
-    for (name, entry) in variant_map {
-        let qps_at = |threads: &str| {
-            entry
-                .get(threads)
-                .and_then(|t| t.get("wall_qps"))
-                .and_then(Json::num)
-                .filter(|&q| q > 0.0)
-                .ok_or_else(|| format!("{name}: missing or zero wall_qps at {threads} threads"))
-        };
-        let w1 = qps_at("1")?;
-        let w4 = qps_at("4")?;
-        let agg = entry
-            .get("aggregate_speedup_4v1")
-            .and_then(Json::num)
-            .ok_or_else(|| format!("{name}: missing aggregate_speedup_4v1"))?;
+    for name in variants {
+        let w1 = positive(doc, &format!("variants.{name}.1.wall_qps"))?;
+        let w4 = positive(doc, &format!("variants.{name}.4.wall_qps"))?;
+        let agg = doc.num(&format!("variants.{name}.aggregate_speedup_4v1"))?;
         if host_cores >= 4.0 {
             let wall_speedup = w4 / w1;
             if wall_speedup < 1.5 {
@@ -372,65 +200,42 @@ fn check_parallel(doc: &Json) -> Result<String, String> {
 /// sane tail-latency histograms at every point, warm restarts that beat
 /// cold rebuilds, positive memory accounting, and a profile report naming
 /// the top hot stages (the sweep must be run with `--features profile`).
-fn check_scale_sweep(doc: &Json) -> Result<String, String> {
-    doc.get("host_cores").and_then(Json::num).ok_or("missing or invalid host_cores")?;
-    doc.get("par_workers")
-        .and_then(Json::num)
-        .filter(|&w| w >= 2.0)
-        .ok_or("missing par_workers (need >= 2)")?;
-    let sweep = doc.get("sweep").and_then(Json::arr).ok_or("missing sweep array")?;
+fn check_scale_sweep(doc: &Report) -> Result<String, String> {
+    doc.num("host_cores")?;
+    need(doc, "par_workers", |w| w >= 2.0, ">= 2")?;
+    let sweep = doc.children("sweep");
     if sweep.len() < 3 {
         return Err(format!("sweep has {} sizes, need >= 3", sweep.len()));
     }
     let mut prev_items = 0f64;
     let mut summary = String::from("items      seq_p50  seq_p999  par_p999  warm/cold\n");
-    for (i, entry) in sweep.iter().enumerate() {
-        let items = entry
-            .get("items")
-            .and_then(Json::num)
-            .ok_or_else(|| format!("sweep[{i}]: missing items"))?;
+    for row in sweep {
+        let at = |field: &str| format!("sweep.{row}.{field}");
+        let items = doc.num(&at("items"))?;
         if items <= prev_items {
-            return Err(format!("sweep[{i}]: sizes must be strictly increasing"));
+            return Err(format!("sweep.{row}: sizes must be strictly increasing"));
         }
         prev_items = items;
-        for (hist_name, field) in [("seq_query_ns", "seq_qps"), ("par_query_ns", "par_wall_qps")] {
-            let hist =
-                entry.get(hist_name).ok_or_else(|| format!("sweep[{i}]: missing {hist_name}"))?;
-            let quantile = |q: &str| {
-                hist.get(q)
-                    .and_then(Json::num)
-                    .ok_or_else(|| format!("sweep[{i}]: {hist_name} missing {q}"))
-            };
+        for (hist, field) in [("seq_query_ns", "seq_qps"), ("par_query_ns", "par_wall_qps")] {
+            let quantile = |q: &str| doc.num(&at(&format!("{hist}.{q}")));
             let count = quantile("count")?;
             if count < 1000.0 {
                 return Err(format!(
-                    "sweep[{i}]: {hist_name} has {count} samples, need >= 1000 for a p999"
+                    "sweep.{row}: {hist} has {count} samples, need >= 1000 for a p999"
                 ));
             }
             let (p50, p99, p999, max) =
                 (quantile("p50")?, quantile("p99")?, quantile("p999")?, quantile("max")?);
             if !(p50 <= p99 && p99 <= p999 && p999 <= max) {
                 return Err(format!(
-                    "sweep[{i}]: {hist_name} quantiles disordered (p50 {p50}, p99 {p99}, p999 \
+                    "sweep.{row}: {hist} quantiles disordered (p50 {p50}, p99 {p99}, p999 \
                      {p999}, max {max})"
                 ));
             }
-            entry
-                .get(field)
-                .and_then(Json::num)
-                .filter(|&q| q > 0.0)
-                .ok_or_else(|| format!("sweep[{i}]: missing or zero {field}"))?;
+            positive(doc, &at(field))?;
         }
-        let cold = entry
-            .get("cold_build_ms")
-            .and_then(Json::num)
-            .filter(|&ms| ms > 0.0)
-            .ok_or_else(|| format!("sweep[{i}]: missing or zero cold_build_ms"))?;
-        let warm = entry
-            .get("warm_load_ms")
-            .and_then(Json::num)
-            .filter(|&ms| ms > 0.0)
-            .ok_or_else(|| format!("sweep[{i}]: missing or zero warm_load_ms"))?;
+        let cold = positive(doc, &at("cold_build_ms"))?;
+        let warm = positive(doc, &at("warm_load_ms"))?;
         // The restart claim: loading a snapshot skips relabeling, so it
         // must strictly beat the cold rebuild where labeling dominates
         // (measured 31x at 10^6 items). Below that, snapshot load
@@ -440,45 +245,31 @@ fn check_scale_sweep(doc: &Json) -> Result<String, String> {
         let slack = if items >= 500_000.0 { 1.0 } else { 1.5 };
         if warm > cold * slack {
             return Err(format!(
-                "sweep[{i}]: warm restart ({warm} ms) is slower than the cold rebuild ({cold} \
+                "sweep.{row}: warm restart ({warm} ms) is slower than the cold rebuild ({cold} \
                  ms x {slack} slack) at {items} items: snapshots no longer pay for themselves"
             ));
         }
-        for field in ["snapshot_bytes", "rss_bytes"] {
-            entry
-                .get(field)
-                .and_then(Json::num)
-                .filter(|&v| v > 0.0)
-                .ok_or_else(|| format!("sweep[{i}]: missing or zero {field}"))?;
-        }
-        let grab = |h: &str, q: &str| {
-            entry.get(h).and_then(|v| v.get(q)).and_then(Json::num).unwrap_or(0.0)
-        };
+        positive(doc, &at("snapshot_bytes"))?;
+        positive(doc, &at("rss_bytes"))?;
         summary.push_str(&format!(
             "{items:<10} {:<8} {:<9} {:<9} {:.2}x\n",
-            grab("seq_query_ns", "p50"),
-            grab("seq_query_ns", "p999"),
-            grab("par_query_ns", "p999"),
+            doc.num(&at("seq_query_ns.p50"))?,
+            doc.num(&at("seq_query_ns.p999"))?,
+            doc.num(&at("par_query_ns.p999"))?,
             cold / warm,
         ));
     }
     if prev_items < 10_000.0 {
         return Err(format!("largest swept size is {prev_items}, need >= 10000 (the 10^4 point)"));
     }
-    doc.get("peak_rss_bytes")
-        .and_then(Json::num)
-        .filter(|&v| v > 0.0)
-        .ok_or("missing or zero peak_rss_bytes")?;
-    let profile = doc.get("profile").ok_or("missing profile object")?;
-    match profile.get("enabled") {
-        Some(Json::Bool(true)) => {}
-        _ => {
-            return Err("profile.enabled must be true — run the sweep with --features profile so \
-                        the report carries per-stage counters"
-                .into());
-        }
+    positive(doc, "peak_rss_bytes")?;
+    if doc.text("profile.enabled") != Some("true") {
+        return Err("profile.enabled must be true — run the sweep with --features profile so the \
+                    report carries per-stage counters"
+            .into());
     }
-    let top = profile.get("top").and_then(Json::arr).ok_or("profile: missing top array")?;
+    let top: Vec<&str> =
+        doc.text("profile.top").unwrap_or("").split(',').filter(|s| !s.is_empty()).collect();
     if top.len() < 3 {
         return Err(format!(
             "profile.top names {} hot stages, need >= 3 (the sweep must exercise the decode \
@@ -486,14 +277,7 @@ fn check_scale_sweep(doc: &Json) -> Result<String, String> {
             top.len()
         ));
     }
-    let top_names: Vec<&str> = top
-        .iter()
-        .filter_map(|t| match t {
-            Json::Str(s) => Some(s.as_str()),
-            _ => None,
-        })
-        .collect();
-    summary.push_str(&format!("top stages: {} — ok\n", top_names.join(" > ")));
+    summary.push_str(&format!("top stages: {} — ok\n", top.join(" > ")));
     Ok(summary)
 }
 
@@ -501,41 +285,17 @@ fn check_scale_sweep(doc: &Json) -> Result<String, String> {
 /// (compacted recovery ≥ 3× faster than full-log replay at the 10^5-item
 /// point), and a torn tail may cost exactly the unacknowledged suffix —
 /// never an acknowledged op.
-fn check_recovery(doc: &Json) -> Result<String, String> {
-    let items =
-        doc.get("items").and_then(Json::num).filter(|&n| n >= 100_000.0).ok_or_else(|| {
-            "recovery must be measured at >= 100000 items (the 10^5 point)".to_string()
-        })?;
-    let publishes = doc
-        .get("publishes")
-        .and_then(Json::num)
-        .filter(|&n| n >= 1_000.0)
-        .ok_or("missing publishes (need >= 1000 framed appends)")?;
-    let full = doc.get("full_replay").ok_or("missing full_replay object")?;
-    let compacted = doc.get("compacted").ok_or("missing compacted object")?;
-    for (name, obj) in [("full_replay", full), ("compacted", compacted)] {
-        obj.get("ms")
-            .and_then(Json::num)
-            .filter(|&ms| ms > 0.0)
-            .ok_or_else(|| format!("{name}: missing or zero ms"))?;
-        obj.get("recovered_seqno")
-            .and_then(Json::num)
-            .filter(|&s| s == publishes)
-            .ok_or_else(|| format!("{name}: must recover all {publishes} publishes"))?;
+fn check_recovery(doc: &Report) -> Result<String, String> {
+    let items = need(doc, "items", |n| n >= 1e5, ">= 100000 items (the 10^5 point)")?;
+    let publishes = need(doc, "publishes", |n| n >= 1000.0, ">= 1000 framed appends")?;
+    let all = format!("{publishes} (every publish)");
+    for path in ["full_replay", "compacted"] {
+        positive(doc, &format!("{path}.ms"))?;
+        need(doc, &format!("{path}.recovered_seqno"), |s| s == publishes, &all)?;
     }
-    full.get("frames")
-        .and_then(Json::num)
-        .filter(|&f| f == publishes)
-        .ok_or("full_replay must replay every frame")?;
-    compacted
-        .get("frames")
-        .and_then(Json::num)
-        .filter(|&f| f == 0.0)
-        .ok_or("compacted recovery must replay zero frames (the base covers the log)")?;
-    let speedup = doc
-        .get("speedup_compacted_vs_full")
-        .and_then(Json::num)
-        .ok_or("missing speedup_compacted_vs_full")?;
+    need(doc, "full_replay.frames", |f| f == publishes, &all)?;
+    need(doc, "compacted.frames", |f| f == 0.0, "0 (the base covers the log)")?;
+    let speedup = doc.num("speedup_compacted_vs_full")?;
     if speedup < 3.0 {
         return Err(format!(
             "compacted recovery is only {speedup:.2}x faster than full-log replay at {items} \
@@ -543,15 +303,8 @@ fn check_recovery(doc: &Json) -> Result<String, String> {
              thresholds spend"
         ));
     }
-    let torn = doc.get("torn_tail").ok_or("missing torn_tail object")?;
-    torn.get("dropped_bytes")
-        .and_then(Json::num)
-        .filter(|&d| d > 0.0)
-        .ok_or("torn_tail: recovery must have healed a nonzero torn suffix")?;
-    let lost = torn
-        .get("acked_ops_lost")
-        .and_then(Json::num)
-        .ok_or("torn_tail: missing acked_ops_lost")?;
+    need(doc, "torn_tail.dropped_bytes", |d| d > 0.0, "> 0 (a healed torn suffix)")?;
+    let lost = doc.num("torn_tail.acked_ops_lost")?;
     if lost != 0.0 {
         return Err(format!(
             "a torn tail lost {lost} acknowledged ops: the fsync ack barrier is broken"
@@ -563,29 +316,16 @@ fn check_recovery(doc: &Json) -> Result<String, String> {
     ))
 }
 
-/// A positive number at `key`, or the error naming it.
-fn positive(obj: &Json, key: &str, what: &str) -> Result<f64, String> {
-    obj.get(key)
-        .and_then(Json::num)
-        .filter(|&v| v > 0.0)
-        .ok_or_else(|| format!("{what}: missing or non-positive {key}"))
-}
-
 /// The `query_throughput` gate: shape, sample count, and batched ≤
 /// per-call for every variant.
-fn check_query_throughput(doc: &Json) -> Result<String, String> {
-    let pairs = doc
-        .get("pairs")
-        .and_then(Json::num)
-        .filter(|&n| n >= 1000.0)
-        .ok_or("query_throughput must time >= 1000 pairs")?;
-    let variants = doc.get("variants").ok_or("missing variants object")?;
+fn check_query_throughput(doc: &Report) -> Result<String, String> {
+    let pairs = need(doc, "pairs", |n| n >= 1000.0, ">= 1000 pairs")?;
     let mut summary = String::new();
     for name in ["SpaceEfficient", "Default", "QueryEfficient"] {
-        let v = variants.get(name).ok_or_else(|| format!("missing variant {name}"))?;
-        let per_call = positive(v, "per_call", name)?;
-        positive(v, "session", name)?;
-        let batched = positive(v, "batched", name)?;
+        let ns = |path: &str| positive(doc, &format!("variants.{name}.{path}"));
+        let per_call = ns("per_call")?;
+        ns("session")?;
+        let batched = ns("batched")?;
         if batched > per_call {
             return Err(format!(
                 "{name}: batched {batched:.1} ns/query is slower than per-call {per_call:.1} \
@@ -602,36 +342,23 @@ fn check_query_throughput(doc: &Json) -> Result<String, String> {
 
 /// The `snapshot_roundtrip` gate: shape, repeats, warm load ≤ 1.5× cold
 /// build, and the store within the per-label codec bound.
-fn check_snapshot(doc: &Json) -> Result<String, String> {
-    let items = doc
-        .get("items")
-        .and_then(Json::num)
-        .filter(|&n| n >= 1000.0)
-        .ok_or("snapshot_roundtrip must cover >= 1000 items")?;
-    doc.get("views")
-        .and_then(Json::num)
-        .filter(|&n| n >= 1.0)
-        .ok_or("missing views (need >= 1)")?;
-    doc.get("variants_compiled")
-        .and_then(Json::num)
-        .filter(|&n| n == 3.0)
-        .ok_or("all 3 variants must be compiled into the snapshot")?;
-    doc.get("repeats")
-        .and_then(Json::num)
-        .filter(|&n| n >= 3.0)
-        .ok_or("timings must be medians of >= 3 repeats")?;
-    positive(doc, "snapshot_bytes", "snapshot_roundtrip")?;
-    positive(doc, "save_ms", "snapshot_roundtrip")?;
-    let cold = positive(doc, "cold_build_ms", "snapshot_roundtrip")?;
-    let load = positive(doc, "load_ms", "snapshot_roundtrip")?;
+fn check_snapshot(doc: &Report) -> Result<String, String> {
+    let items = need(doc, "items", |n| n >= 1000.0, ">= 1000 items")?;
+    need(doc, "views", |n| n >= 1.0, ">= 1")?;
+    need(doc, "variants_compiled", |n| n == 3.0, "all 3 variants compiled in")?;
+    need(doc, "repeats", |n| n >= 3.0, "medians of >= 3 repeats")?;
+    positive(doc, "snapshot_bytes")?;
+    positive(doc, "save_ms")?;
+    let cold = positive(doc, "cold_build_ms")?;
+    let load = positive(doc, "load_ms")?;
     if load > 1.5 * cold {
         return Err(format!(
             "warm load {load:.2} ms costs more than 1.5x the cold build {cold:.2} ms at {items} \
              items: restoring a snapshot must not lose catastrophically to relabeling"
         ));
     }
-    let store = positive(doc, "store_bits_per_label", "snapshot_roundtrip")?;
-    let codec = positive(doc, "codec_bits_per_label", "snapshot_roundtrip")?;
+    let store = positive(doc, "store_bits_per_label")?;
+    let codec = positive(doc, "codec_bits_per_label")?;
     if store > codec {
         return Err(format!(
             "the trie-interned store takes {store:.1} bits/label, over the per-label codec \
@@ -646,72 +373,46 @@ fn check_snapshot(doc: &Json) -> Result<String, String> {
 
 /// The `update_throughput` gate: sweep shape + the O(touched) publish
 /// scaling claim.
-fn check_update(doc: &Json) -> Result<String, String> {
-    doc.get("shard_capacity")
-        .and_then(Json::num)
-        .filter(|&c| c >= 1.0)
-        .ok_or("missing or invalid shard_capacity")?;
-    let sweep = doc.get("sweep").and_then(Json::arr).ok_or("missing sweep array")?;
+fn check_update(doc: &Report) -> Result<String, String> {
+    need(doc, "shard_capacity", |c| c >= 1.0, ">= 1")?;
+    let sweep = doc.children("sweep");
     if sweep.len() < 4 {
         return Err(format!("sweep has {} sizes, need >= 4", sweep.len()));
     }
     let mut prev_items = 0f64;
     let mut p50s: Vec<(f64, f64)> = Vec::new();
     let mut summary = String::from("items      shards  publish_p50  baseline_p50  qps_1hz/0hz\n");
-    for (i, entry) in sweep.iter().enumerate() {
-        let items = entry
-            .get("items")
-            .and_then(Json::num)
-            .ok_or_else(|| format!("sweep[{i}]: missing items"))?;
+    for row in sweep {
+        let at = |field: &str| format!("sweep.{row}.{field}");
+        let items = doc.num(&at("items"))?;
         if items <= prev_items {
-            return Err(format!("sweep[{i}]: sizes must be strictly increasing"));
+            return Err(format!("sweep.{row}: sizes must be strictly increasing"));
         }
         prev_items = items;
-        let publish =
-            entry.get("publish_ns").ok_or_else(|| format!("sweep[{i}]: missing publish_ns"))?;
-        for field in ["mean", "p50", "p99", "p999"] {
-            publish
-                .get(field)
-                .and_then(Json::num)
-                .ok_or_else(|| format!("sweep[{i}]: publish_ns missing {field}"))?;
+        for q in ["mean", "p99", "p999"] {
+            doc.num(&at(&format!("publish_ns.{q}")))?;
         }
-        let cycles = publish
-            .get("cycles")
-            .and_then(Json::num)
-            .ok_or_else(|| format!("sweep[{i}]: publish_ns missing cycles"))?;
+        let p50 = doc.num(&at("publish_ns.p50"))?;
+        let cycles = doc.num(&at("publish_ns.count"))?;
         if cycles < 100.0 {
-            return Err(format!("sweep[{i}]: {cycles} publish cycles, need >= 100"));
+            return Err(format!("sweep.{row}: {cycles} publish cycles, need >= 100"));
         }
-        let baseline = entry
-            .get("publish_baseline_ns")
-            .and_then(|b| b.get("p50"))
-            .and_then(Json::num)
-            .ok_or_else(|| format!("sweep[{i}]: missing publish_baseline_ns.p50"))?;
-        let qps =
-            entry.get("reader_qps").ok_or_else(|| format!("sweep[{i}]: missing reader_qps"))?;
+        let baseline = doc.num(&at("publish_baseline_ns.p50"))?;
         for rate in ["0", "1"] {
-            qps.get(rate)
-                .and_then(|r| r.get("qps"))
-                .and_then(Json::num)
-                .ok_or_else(|| format!("sweep[{i}]: missing reader_qps at {rate} Hz"))?;
+            doc.num(&at(&format!("reader_qps.{rate}.qps")))?;
         }
-        let ratio = entry
-            .get("qps_ratio_1hz_vs_0hz")
-            .and_then(Json::num)
-            .ok_or_else(|| format!("sweep[{i}]: missing qps_ratio_1hz_vs_0hz"))?;
-        let p50 = publish.get("p50").and_then(Json::num).expect("validated above");
+        let ratio = doc.num(&at("qps_ratio_1hz_vs_0hz"))?;
         p50s.push((items, p50));
         summary.push_str(&format!(
-            "{items:<10} {:<7} {p50:<12} {baseline:<13} {ratio}\n",
-            entry.get("shards").and_then(Json::num).unwrap_or(0.0),
+            "{items:<10} {:<7} {p50:<12} {baseline:<13} {ratio:.3}\n",
+            doc.num(&at("shards")).unwrap_or(0.0),
         ));
     }
-    let largest = p50s.last().expect("sweep is non-empty");
+    let (smallest, largest) = (p50s[0], p50s[p50s.len() - 1]);
     if largest.0 < 262_144.0 {
         return Err(format!("largest swept size is {}, need >= 262144", largest.0));
     }
     // The scaling sanity check: flat-ish publish cost in total store size.
-    let smallest = p50s[0];
     let scale = largest.1 / smallest.1;
     if scale > 3.0 {
         return Err(format!(
@@ -731,10 +432,9 @@ fn check_update(doc: &Json) -> Result<String, String> {
 /// The `ingest_throughput` gate: fleet shape, the multi-producer scaling
 /// claim (host-aware: wall clock where the cores exist to show it,
 /// CPU-normalized overhead elsewhere), and the reader-isolation bound.
-fn check_ingest(doc: &Json) -> Result<String, String> {
-    let host_cores =
-        doc.get("host_cores").and_then(Json::num).ok_or("missing or invalid host_cores")?;
-    let fleet = doc.get("fleet").and_then(Json::arr).ok_or("missing fleet array")?;
+fn check_ingest(doc: &Report) -> Result<String, String> {
+    let host_cores = doc.num("host_cores")?;
+    let fleet = doc.children("fleet");
     if fleet.len() < 3 {
         return Err(format!("fleet sweep has {} widths, need >= 3", fleet.len()));
     }
@@ -742,66 +442,42 @@ fn check_ingest(doc: &Json) -> Result<String, String> {
     let mut first_labels = None;
     let mut widths: Vec<f64> = Vec::new();
     let mut summary = String::from("producers  labels   labels_per_s  lag_p50_ns\n");
-    for (i, entry) in fleet.iter().enumerate() {
-        let producers = entry
-            .get("producers")
-            .and_then(Json::num)
-            .ok_or_else(|| format!("fleet[{i}]: missing producers"))?;
+    for row in fleet {
+        let at = |field: &str| format!("fleet.{row}.{field}");
+        let producers = doc.num(&at("producers"))?;
         if producers <= prev_producers {
-            return Err(format!("fleet[{i}]: widths must be strictly increasing"));
+            return Err(format!("fleet.{row}: widths must be strictly increasing"));
         }
         prev_producers = producers;
         widths.push(producers);
-        let labels = entry
-            .get("labels")
-            .and_then(Json::num)
-            .filter(|&l| l > 0.0)
-            .ok_or_else(|| format!("fleet[{i}]: missing or zero labels"))?;
+        let labels = positive(doc, &at("labels"))?;
         match first_labels {
             None => first_labels = Some(labels),
             Some(l) if l != labels => {
                 return Err(format!(
-                    "fleet[{i}]: ingested {labels} labels, other widths {l} — the sweep must \
+                    "fleet.{row}: ingested {labels} labels, other widths {l} — the sweep must \
                      move the same total at every width"
                 ));
             }
             Some(_) => {}
         }
-        let per_s = entry
-            .get("labels_per_s")
-            .and_then(Json::num)
-            .filter(|&q| q > 0.0)
-            .ok_or_else(|| format!("fleet[{i}]: missing or zero labels_per_s"))?;
-        let lag = entry
-            .get("publish_lag_ns")
-            .ok_or_else(|| format!("fleet[{i}]: missing publish_lag_ns"))?;
-        for field in ["mean", "p50", "p99", "p999"] {
-            lag.get(field)
-                .and_then(Json::num)
-                .ok_or_else(|| format!("fleet[{i}]: publish_lag_ns missing {field}"))?;
+        let per_s = positive(doc, &at("labels_per_s"))?;
+        for q in ["mean", "p99", "p999"] {
+            doc.num(&at(&format!("publish_lag_ns.{q}")))?;
         }
-        let cycles = lag
-            .get("cycles")
-            .and_then(Json::num)
-            .ok_or_else(|| format!("fleet[{i}]: publish_lag_ns missing cycles"))?;
-        if cycles < 100.0 {
-            return Err(format!("fleet[{i}]: {cycles} lag samples, need >= 100"));
+        let lag_p50 = doc.num(&at("publish_lag_ns.p50"))?;
+        let samples = doc.num(&at("publish_lag_ns.count"))?;
+        if samples < 100.0 {
+            return Err(format!("fleet.{row}: {samples} lag samples, need >= 100"));
         }
-        summary.push_str(&format!(
-            "{producers:<10} {labels:<8} {per_s:<13} {}\n",
-            lag.get("p50").and_then(Json::num).expect("validated above"),
-        ));
+        summary.push_str(&format!("{producers:<10} {labels:<8} {per_s:<13.0} {lag_p50}\n"));
     }
     for needed in [1.0, 4.0] {
         if !widths.contains(&needed) {
             return Err(format!("fleet sweep must include {needed} producers"));
         }
     }
-    let scaling = doc.get("scaling").ok_or("missing scaling object")?;
-    let wall = scaling
-        .get("wall_speedup_4v1")
-        .and_then(Json::num)
-        .ok_or("scaling: missing wall_speedup_4v1")?;
+    let wall = doc.num("scaling.wall_speedup_4v1")?;
     if host_cores >= 4.0 {
         if wall < 1.5 {
             return Err(format!(
@@ -813,10 +489,7 @@ fn check_ingest(doc: &Json) -> Result<String, String> {
     } else {
         // Too few cores for wall clock to show scaling; bound the
         // CPU-normalized per-label overhead instead.
-        let cpu_ratio = scaling
-            .get("labels_per_cpu_s_ratio_4v1")
-            .and_then(Json::num)
-            .ok_or("scaling: missing labels_per_cpu_s_ratio_4v1 (required when host_cores < 4)")?;
+        let cpu_ratio = doc.num("scaling.labels_per_cpu_s_ratio_4v1")?;
         if cpu_ratio < 0.5 {
             return Err(format!(
                 "labels per CPU-second at 4 producers is {cpu_ratio:.2}x the 1-producer figure \
@@ -828,18 +501,9 @@ fn check_ingest(doc: &Json) -> Result<String, String> {
              {host_cores} core(s)) — ok\n"
         ));
     }
-    let reader = doc.get("reader").ok_or("missing reader object")?;
-    for field in ["idle_qps", "ingest_qps"] {
-        reader
-            .get(field)
-            .and_then(Json::num)
-            .filter(|&q| q > 0.0)
-            .ok_or_else(|| format!("reader: missing or zero {field}"))?;
-    }
-    let ratio = reader
-        .get("qps_ratio_ingest_vs_idle")
-        .and_then(Json::num)
-        .ok_or("reader: missing qps_ratio_ingest_vs_idle")?;
+    positive(doc, "reader.idle_qps")?;
+    positive(doc, "reader.ingest_qps")?;
+    let ratio = doc.num("reader.qps_ratio_ingest_vs_idle")?;
     if ratio < 0.9 {
         return Err(format!(
             "reader qps under paced ingest is {ratio:.3}x idle (need >= 0.9x): concurrent \
@@ -850,49 +514,71 @@ fn check_ingest(doc: &Json) -> Result<String, String> {
     Ok(summary)
 }
 
-fn check_path(path: &str) -> Result<(), ()> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("bench_check: cannot read {path}: {e}");
-            return Err(());
-        }
-    };
-    let doc = match parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("bench_check: {path} is not valid JSON: {e}");
-            return Err(());
-        }
-    };
-    match check(&doc) {
-        Ok(summary) => {
-            println!("bench_check: {path} ok\n{summary}");
-            Ok(())
-        }
-        Err(e) => {
-            eprintln!("bench_check: {path}: {e}");
-            Err(())
-        }
+/// The `fuzz_coverage` gate: the adversarial sweep found nothing, ran
+/// every campaign, and accounted for every mutant exactly once.
+fn check_fuzz(doc: &Report) -> Result<String, String> {
+    for name in ["divergences", "mutant_panics", "mutant_silent_corruption"] {
+        need(doc, name, |n| n == 0.0, "0 (a clean sweep)")?;
     }
+    for name in
+        ["spec_cases", "live_cases", "multi_cases", "crash_cases", "mutants", "crash_points"]
+    {
+        need(doc, name, |n| n > 0.0, "> 0 (every campaign runs)")?;
+    }
+    let classes = doc.children("rejections");
+    let mut classified = 0.0;
+    for name in [
+        "mutants_ok_valid_prefix",
+        "mutants_ok_forged",
+        "mutant_panics",
+        "mutant_silent_corruption",
+    ] {
+        classified += doc.num(name)?;
+    }
+    for class in &classes {
+        classified += doc.num(&format!("rejections.{class}"))?;
+    }
+    let mutants = doc.num("mutants")?;
+    if classified != mutants {
+        return Err(format!(
+            "{classified} mutant outcomes for {mutants} mutants: every mutant must be classified \
+             exactly once"
+        ));
+    }
+    let listed = format!("{} (the rejections.* classes listed)", classes.len());
+    need(doc, "rejection_classes", |n| n == classes.len() as f64, &listed)?;
+    Ok(format!(
+        "fuzz coverage: {} spec, {} live, {} multi-producer cases, {} crash points, {mutants} \
+         mutants in {} rejection classes, 0 divergences — ok\n",
+        doc.num("spec_cases")?,
+        doc.num("live_cases")?,
+        doc.num("multi_cases")?,
+        doc.num("crash_points")?,
+        classes.len()
+    ))
+}
+
+/// Reads, parses and gates the report at `path`.
+fn check_path(path: &str) -> Result<String, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let doc = Report::parse(&text).map_err(|e| format!("{path} is not a report: {e}"))?;
+    check(&doc).map_err(|e| format!("{path}: {e}"))
 }
 
 fn main() -> ExitCode {
     let mut paths: Vec<String> = std::env::args().skip(1).collect();
     if paths.is_empty() {
-        paths = vec![
-            "BENCH_update_throughput.json".into(),
-            "BENCH_ingest_throughput.json".into(),
-            "BENCH_recovery.json".into(),
-            "BENCH_parallel_throughput.json".into(),
-            "BENCH_scale_sweep.json".into(),
-            "BENCH_query_throughput.json".into(),
-            "BENCH_snapshot.json".into(),
-        ];
+        paths = REPORTS.iter().map(|bench| format!("BENCH_{bench}.txt")).collect();
     }
     let mut failed = false;
     for path in &paths {
-        failed |= check_path(path).is_err();
+        match check_path(path) {
+            Ok(summary) => println!("bench_check: {path} ok\n{summary}"),
+            Err(e) => {
+                eprintln!("bench_check: {e}");
+                failed = true;
+            }
+        }
     }
     if failed {
         ExitCode::FAILURE
@@ -905,37 +591,65 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn sweep_entry(items: u64, p50: u64, cycles: u64) -> String {
-        format!(
-            r#"{{"items": {items}, "shards": {}, "publish_ns": {{"mean": {p50}, "p50": {p50}, "p95": {p50}, "p99": {p50}, "p999": {p50}, "cycles": {cycles}}}, "publish_baseline_ns": {{"p50": {}}}, "reader_qps": {{"0": {{"qps": 1000000}}, "1": {{"qps": 990000}}}}, "qps_ratio_1hz_vs_0hz": 0.99}}"#,
-            items / 1024,
-            items * 10
-        )
+    fn report(text: &str) -> Report {
+        Report::parse(text).expect("test fixture parses")
     }
 
-    fn doc(entries: &[String]) -> Json {
-        parse(&format!(r#"{{"shard_capacity": 1024, "sweep": [{}]}}"#, entries.join(",")))
-            .expect("test fixture parses")
+    /// A committed report at the workspace root, which must be canonical
+    /// writer output.
+    fn committed(bench: &str) -> Report {
+        let path = format!("{}/../../BENCH_{bench}.txt", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).expect("committed report exists");
+        let doc = Report::parse(&text).expect("committed report parses");
+        assert_eq!(doc.to_string(), text, "{bench}: not canonical writer output");
+        doc
+    }
+
+    /// `(items, publish p50, publish cycles)` per sweep row.
+    fn doc(rows: &[(u64, u64, u64)]) -> Report {
+        let mut text = String::from("info bench=update_throughput\nmetric shard_capacity 1024\n");
+        for (i, &(items, p50, count)) in rows.iter().enumerate() {
+            let m = format!("metric sweep.{i}");
+            text += &format!("{m}.items {items}\n{m}.shards {}\n", items / 1024);
+            for q in ["mean", "p50", "p95", "p99", "p999", "max"] {
+                text += &format!("{m}.publish_ns.{q} {p50}\n");
+            }
+            text += &format!(
+                "{m}.publish_ns.count {count}\n{m}.publish_baseline_ns.p50 {}\n\
+                 {m}.reader_qps.0.qps 1000000\n{m}.reader_qps.1.qps 990000\n\
+                 {m}.qps_ratio_1hz_vs_0hz 0.99\n",
+                items * 10
+            );
+        }
+        report(&text)
     }
 
     #[test]
-    fn parses_the_benchs_own_output_shape() {
-        let v = parse(r#"{"a": [1, 2.5, -3e2], "b": {"s": "x\n\"y\"", "t": true, "n": null}}"#)
-            .unwrap();
-        assert_eq!(v.get("a").and_then(Json::arr).map(<[Json]>::len), Some(3));
-        assert_eq!(v.get("a").unwrap().arr().unwrap()[2], Json::Num(-300.0));
-        assert_eq!(v.get("b").unwrap().get("s"), Some(&Json::Str("x\n\"y\"".into())));
-        assert!(parse("{").is_err());
-        assert!(parse("{}extra").is_err());
+    fn rejects_missing_empty_and_unknown_reports() {
+        let dir = std::env::temp_dir();
+        let path = |name: &str| {
+            dir.join(format!("bench_check_{}_{name}.txt", std::process::id()))
+                .to_string_lossy()
+                .into_owned()
+        };
+        let missing = path("missing");
+        assert!(check_path(&missing).unwrap_err().contains("cannot read"));
+        let empty = path("empty");
+        std::fs::write(&empty, "").unwrap();
+        let err = check_path(&empty).unwrap_err();
+        std::fs::remove_file(&empty).unwrap();
+        assert!(err.contains("starts with info bench="), "{err}");
+        let unknown = report("info bench=update\nmetric shard_capacity 1024\n");
+        assert!(check(&unknown).unwrap_err().contains("no gate for bench \"update\""));
     }
 
     #[test]
     fn accepts_a_flat_sweep() {
         let d = doc(&[
-            sweep_entry(4096, 9000, 150),
-            sweep_entry(65536, 9500, 150),
-            sweep_entry(262144, 11000, 150),
-            sweep_entry(1048576, 13000, 150),
+            (4096, 9000, 150),
+            (65536, 9500, 150),
+            (262144, 11000, 150),
+            (1048576, 13000, 150),
         ]);
         let summary = check(&d).expect("a flat sweep passes");
         assert!(summary.contains("ok"));
@@ -944,10 +658,10 @@ mod tests {
     #[test]
     fn rejects_linear_scaling() {
         let d = doc(&[
-            sweep_entry(4096, 9000, 150),
-            sweep_entry(65536, 90000, 150),
-            sweep_entry(262144, 400000, 150),
-            sweep_entry(1048576, 1600000, 150),
+            (4096, 9000, 150),
+            (65536, 90000, 150),
+            (262144, 400000, 150),
+            (1048576, 1600000, 150),
         ]);
         let err = check(&d).expect_err("an O(n) curve must fail");
         assert!(err.contains("limit 3x"), "{err}");
@@ -956,72 +670,66 @@ mod tests {
     #[test]
     fn rejects_structural_shortfalls() {
         // Too few sizes.
-        let d = doc(&[sweep_entry(4096, 9000, 150), sweep_entry(262144, 9000, 150)]);
+        let d = doc(&[(4096, 9000, 150), (262144, 9000, 150)]);
         assert!(check(&d).unwrap_err().contains(">= 4"));
         // Largest size too small.
-        let d = doc(&[
-            sweep_entry(1024, 9000, 150),
-            sweep_entry(2048, 9000, 150),
-            sweep_entry(4096, 9000, 150),
-            sweep_entry(8192, 9000, 150),
-        ]);
+        let d = doc(&[(1024, 9000, 150), (2048, 9000, 150), (4096, 9000, 150), (8192, 9000, 150)]);
         assert!(check(&d).unwrap_err().contains(">= 262144"));
         // Too few cycles.
-        let d = doc(&[
-            sweep_entry(4096, 9000, 6),
-            sweep_entry(65536, 9000, 150),
-            sweep_entry(262144, 9000, 150),
-            sweep_entry(1048576, 9000, 150),
-        ]);
+        let d =
+            doc(&[(4096, 9000, 6), (65536, 9000, 150), (262144, 9000, 150), (1048576, 9000, 150)]);
         assert!(check(&d).unwrap_err().contains(">= 100"));
         // Sizes must increase.
-        let d = doc(&[
-            sweep_entry(4096, 9000, 150),
-            sweep_entry(4096, 9000, 150),
-            sweep_entry(262144, 9000, 150),
-            sweep_entry(1048576, 9000, 150),
-        ]);
+        let d =
+            doc(&[(4096, 9000, 150), (4096, 9000, 150), (262144, 9000, 150), (1048576, 9000, 150)]);
         assert!(check(&d).unwrap_err().contains("increasing"));
         // Missing sweep entirely.
-        let bare = parse(r#"{"shard_capacity": 1024}"#).unwrap();
+        let bare = report("info bench=update_throughput\nmetric shard_capacity 1024\n");
         assert!(check(&bare).unwrap_err().contains("sweep"));
     }
 
     #[test]
     fn accepts_the_committed_report() {
-        // The workspace-root JSON this gate guards in CI: whatever is
+        // The workspace-root report this gate guards in CI: whatever is
         // committed must pass its own gate.
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_update_throughput.json");
-        let text = std::fs::read_to_string(path).expect("committed bench report exists");
-        let doc = parse(&text).expect("committed bench report parses");
-        check(&doc).expect("committed bench report passes the gate");
+        check(&committed("update_throughput")).expect("committed bench report passes the gate");
     }
 
     // --- ingest_throughput gate fixtures. -------------------------------
 
-    fn fleet_entry(producers: u64, labels: u64, per_s: u64, cycles: u64) -> String {
-        format!(
-            r#"{{"producers": {producers}, "labels": {labels}, "labels_per_s": {per_s}, "publish_lag_ns": {{"mean": 900000, "p50": 800000, "p95": 2000000, "p99": 3000000, "p999": 4000000, "cycles": {cycles}}}}}"#
-        )
+    /// `(producers, labels, labels_per_s, lag samples)` per fleet row.
+    fn ingest_doc(
+        cores: u64,
+        fleet: &[(u64, u64, u64, u64)],
+        wall: f64,
+        cpu: f64,
+        ratio: f64,
+    ) -> Report {
+        let mut text = format!("info bench=ingest_throughput\nmetric host_cores {cores}\n");
+        for (i, &(producers, labels, per_s, count)) in fleet.iter().enumerate() {
+            let m = format!("metric fleet.{i}");
+            text += &format!(
+                "{m}.producers {producers}\n{m}.labels {labels}\n{m}.labels_per_s {per_s}\n\
+                 {m}.publish_lag_ns.mean 900000\n{m}.publish_lag_ns.p50 800000\n\
+                 {m}.publish_lag_ns.p95 2000000\n{m}.publish_lag_ns.p99 3000000\n\
+                 {m}.publish_lag_ns.p999 4000000\n{m}.publish_lag_ns.max 4000000\n\
+                 {m}.publish_lag_ns.count {count}\n"
+            );
+        }
+        text += &format!(
+            "metric scaling.wall_speedup_4v1 {wall}\nmetric scaling.labels_per_cpu_s_ratio_4v1 {cpu}\n\
+             metric reader.idle_qps 5000000\nmetric reader.ingest_qps 4900000\n\
+             metric reader.qps_ratio_ingest_vs_idle {ratio}\n"
+        );
+        report(&text)
     }
 
-    fn ingest_doc(cores: u64, entries: &[String], wall: f64, cpu: f64, ratio: f64) -> Json {
-        parse(&format!(
-            r#"{{"bench": "ingest_throughput", "host_cores": {cores}, "fleet": [{}],
-                 "scaling": {{"wall_speedup_4v1": {wall}, "labels_per_cpu_s_ratio_4v1": {cpu}}},
-                 "reader": {{"idle_qps": 5000000, "ingest_qps": 4900000,
-                             "qps_ratio_ingest_vs_idle": {ratio}}}}}"#,
-            entries.join(",")
-        ))
-        .expect("test fixture parses")
-    }
-
-    fn ingest_fleet() -> Vec<String> {
+    fn ingest_fleet() -> Vec<(u64, u64, u64, u64)> {
         vec![
-            fleet_entry(1, 24576, 500000, 1536),
-            fleet_entry(2, 24576, 800000, 1536),
-            fleet_entry(4, 24576, 1200000, 1536),
-            fleet_entry(8, 24576, 1300000, 1536),
+            (1, 24576, 500000, 1536),
+            (2, 24576, 800000, 1536),
+            (4, 24576, 1200000, 1536),
+            (8, 24576, 1300000, 1536),
         ]
     }
 
@@ -1052,109 +760,83 @@ mod tests {
     #[test]
     fn rejects_ingest_structural_shortfalls() {
         // Too few fleet widths.
-        let two = vec![fleet_entry(1, 24576, 500000, 1536), fleet_entry(4, 24576, 900000, 1536)];
+        let two = [(1, 24576, 500000, 1536), (4, 24576, 900000, 1536)];
         assert!(check(&ingest_doc(8, &two, 2.0, 0.9, 0.99)).unwrap_err().contains(">= 3"));
         // Missing the 4-producer point.
-        let no_four = vec![
-            fleet_entry(1, 24576, 500000, 1536),
-            fleet_entry(2, 24576, 800000, 1536),
-            fleet_entry(8, 24576, 1300000, 1536),
-        ];
+        let no_four =
+            [(1, 24576, 500000, 1536), (2, 24576, 800000, 1536), (8, 24576, 1300000, 1536)];
         assert!(check(&ingest_doc(8, &no_four, 2.0, 0.9, 0.99))
             .unwrap_err()
             .contains("include 4 producers"));
         // Widths must increase.
-        let dup = vec![
-            fleet_entry(1, 24576, 500000, 1536),
-            fleet_entry(1, 24576, 500000, 1536),
-            fleet_entry(4, 24576, 900000, 1536),
-        ];
+        let dup = [(1, 24576, 500000, 1536), (1, 24576, 500000, 1536), (4, 24576, 900000, 1536)];
         assert!(check(&ingest_doc(8, &dup, 2.0, 0.9, 0.99)).unwrap_err().contains("increasing"));
         // Different label totals across widths.
-        let uneven = vec![
-            fleet_entry(1, 24576, 500000, 1536),
-            fleet_entry(2, 12288, 800000, 1536),
-            fleet_entry(4, 24576, 900000, 1536),
-        ];
+        let uneven = [(1, 24576, 500000, 1536), (2, 12288, 800000, 1536), (4, 24576, 900000, 1536)];
         assert!(check(&ingest_doc(8, &uneven, 2.0, 0.9, 0.99)).unwrap_err().contains("same total"));
         // Too few lag samples.
-        let thin = vec![
-            fleet_entry(1, 24576, 500000, 10),
-            fleet_entry(2, 24576, 800000, 1536),
-            fleet_entry(4, 24576, 900000, 1536),
-        ];
+        let thin = [(1, 24576, 500000, 10), (2, 24576, 800000, 1536), (4, 24576, 900000, 1536)];
         assert!(check(&ingest_doc(8, &thin, 2.0, 0.9, 0.99)).unwrap_err().contains(">= 100"));
     }
 
     #[test]
     fn accepts_the_committed_ingest_report() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingest_throughput.json");
-        let text = std::fs::read_to_string(path).expect("committed ingest report exists");
-        let doc = parse(&text).expect("committed ingest report parses");
-        check(&doc).expect("committed ingest report passes the gate");
+        check(&committed("ingest_throughput")).expect("committed ingest report passes the gate");
     }
 
     // --- recovery gate fixtures. ----------------------------------------
 
-    fn recovery_doc(speedup: f64, dropped: u64, lost: u64) -> Json {
-        parse(&format!(
-            r#"{{"bench": "recovery", "items": 100000, "publishes": 6250,
-                 "full_replay": {{"ms": 150.0, "frames": 6250, "recovered_seqno": 6250}},
-                 "compacted": {{"ms": 42.0, "frames": 0, "recovered_seqno": 6250}},
-                 "speedup_compacted_vs_full": {speedup},
-                 "torn_tail": {{"ms": 160.0, "dropped_bytes": {dropped},
-                                "acked_seqno": 6250, "recovered_seqno": 6250,
-                                "acked_ops_lost": {lost}}}}}"#
+    fn recovery_doc(items: u64, speedup: f64, dropped: u64, lost: u64) -> Report {
+        report(&format!(
+            "info bench=recovery\nmetric items {items}\nmetric publishes 6250\n\
+             metric full_replay.ms 150\nmetric full_replay.frames 6250\n\
+             metric full_replay.recovered_seqno 6250\nmetric compacted.ms 42\n\
+             metric compacted.frames 0\nmetric compacted.recovered_seqno 6250\n\
+             metric speedup_compacted_vs_full {speedup}\nmetric torn_tail.ms 160\n\
+             metric torn_tail.dropped_bytes {dropped}\nmetric torn_tail.acked_seqno 6250\n\
+             metric torn_tail.recovered_seqno 6250\nmetric torn_tail.acked_ops_lost {lost}\n"
         ))
-        .expect("test fixture parses")
     }
 
     #[test]
     fn accepts_a_paying_compaction_and_a_lossless_torn_tail() {
-        let summary = check(&recovery_doc(3.5, 2064, 0)).expect("recovery report passes");
+        let summary = check(&recovery_doc(100000, 3.5, 2064, 0)).expect("recovery report passes");
         assert!(summary.contains("torn tail lost 0 acked ops"));
     }
 
     #[test]
     fn rejects_recovery_regressions() {
         // Compaction stopped paying for itself.
-        assert!(check(&recovery_doc(1.4, 2064, 0)).unwrap_err().contains("no longer pays"));
+        assert!(check(&recovery_doc(100000, 1.4, 2064, 0)).unwrap_err().contains("no longer pays"));
         // A torn tail ate an acknowledged op: the ack barrier is broken.
-        assert!(check(&recovery_doc(3.5, 2064, 1)).unwrap_err().contains("ack barrier"));
+        assert!(check(&recovery_doc(100000, 3.5, 2064, 1)).unwrap_err().contains("ack barrier"));
         // The torn row didn't actually tear anything.
-        assert!(check(&recovery_doc(3.5, 0, 0)).unwrap_err().contains("torn suffix"));
-        // Structural shortfalls: too small a run, frames left behind.
-        let small = parse(
-            r#"{"bench": "recovery", "items": 1000, "publishes": 6250,
-                "full_replay": {"ms": 1, "frames": 6250, "recovered_seqno": 6250},
-                "compacted": {"ms": 0.2, "frames": 0, "recovered_seqno": 6250},
-                "speedup_compacted_vs_full": 5.0,
-                "torn_tail": {"dropped_bytes": 10, "acked_ops_lost": 0}}"#,
-        )
-        .unwrap();
-        assert!(check(&small).unwrap_err().contains("10^5"));
+        assert!(check(&recovery_doc(100000, 3.5, 0, 0)).unwrap_err().contains("torn suffix"));
+        // Structural shortfall: too small a run.
+        assert!(check(&recovery_doc(1000, 5.0, 10, 0)).unwrap_err().contains("10^5"));
     }
 
     #[test]
     fn accepts_the_committed_recovery_report() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recovery.json");
-        let text = std::fs::read_to_string(path).expect("committed recovery report exists");
-        let doc = parse(&text).expect("committed recovery report parses");
-        check(&doc).expect("committed recovery report passes the gate");
+        check(&committed("recovery")).expect("committed recovery report passes the gate");
     }
 
     // --- parallel_throughput gate fixtures. -----------------------------
 
-    fn parallel_doc(cores: u64, cpu_clock: bool, w1: u64, w4: u64, agg: f64) -> Json {
-        parse(&format!(
-            r#"{{"bench": "parallel_throughput", "pairs": 8192, "host_cores": {cores},
-                 "cpu_clock": {cpu_clock},
-                 "variants": {{"Default": {{
-                     "1": {{"wall_qps": {w1}, "cpu_qps": {w1}, "aggregate_qps": {w1}}},
-                     "4": {{"wall_qps": {w4}, "cpu_qps": {w4}, "aggregate_qps": {w4}}},
-                     "aggregate_speedup_4v1": {agg}}}}}}}"#
-        ))
-        .expect("test fixture parses")
+    fn parallel_text(cores: u64, w1: u64, w4: u64, agg: f64) -> String {
+        let mut text = format!(
+            "info bench=parallel_throughput\nmetric pairs 8192\nmetric host_cores {cores}\n"
+        );
+        for (threads, qps) in [(1, w1), (4, w4)] {
+            for rate in ["wall_qps", "cpu_qps", "aggregate_qps"] {
+                text += &format!("metric variants.Default.{threads}.{rate} {qps}\n");
+            }
+        }
+        text + &format!("metric variants.Default.aggregate_speedup_4v1 {agg}\n")
+    }
+
+    fn parallel_doc(cores: u64, cpu_clock: bool, w1: u64, w4: u64, agg: f64) -> Report {
+        report(&format!("{}info cpu_clock={cpu_clock}\n", parallel_text(cores, w1, w4, agg)))
     }
 
     #[test]
@@ -1177,54 +859,58 @@ mod tests {
         let d = parallel_doc(1, false, 1_000_000, 1_000_000, 3.9);
         assert!(check(&d).unwrap_err().contains("CPU clock"));
         // Old reports without the cpu_clock flag must be regenerated.
-        let stale = parse(
-            r#"{"bench": "parallel_throughput", "pairs": 8192, "host_cores": 1,
-                "variants": {"Default": {"1": {"wall_qps": 1}, "4": {"wall_qps": 1},
-                                          "aggregate_speedup_4v1": 4.0}}}"#,
-        )
-        .unwrap();
+        let stale = report(&parallel_text(1, 1, 1, 4.0));
         assert!(check(&stale).unwrap_err().contains("cpu_clock"));
     }
 
     // --- scale_sweep gate fixtures. --------------------------------------
 
-    fn sweep_row(items: u64, p50: u64, p99: u64, p999: u64, cold: f64, warm: f64) -> String {
-        format!(
-            r#"{{"items": {items}, "cold_build_ms": {cold},
-                 "seq_query_ns": {{"mean": {p50}, "p50": {p50}, "p99": {p99}, "p999": {p999}, "max": {}, "count": 4000}},
-                 "seq_qps": 1000000,
-                 "par_query_ns": {{"mean": {p50}, "p50": {p50}, "p99": {p99}, "p999": {p999}, "max": {}, "count": 4000}},
-                 "par_wall_qps": 900000,
-                 "save_ms": 1.0, "warm_load_ms": {warm}, "warm_vs_cold_speedup": 2.0,
-                 "snapshot_bytes": 10000, "rss_bytes": 5000000}}"#,
-            p999 * 2,
-            p999 * 2
+    fn sweep_row(
+        i: usize,
+        items: u64,
+        p50: u64,
+        p99: u64,
+        p999: u64,
+        cold: f64,
+        warm: f64,
+    ) -> String {
+        let m = format!("metric sweep.{i}");
+        let mut text = format!("{m}.items {items}\n{m}.cold_build_ms {cold}\n");
+        for (hist, qps) in
+            [("seq_query_ns", "seq_qps 1000000"), ("par_query_ns", "par_wall_qps 900000")]
+        {
+            text += &format!(
+                "{m}.{hist}.mean {p50}\n{m}.{hist}.p50 {p50}\n{m}.{hist}.p95 {p99}\n\
+                 {m}.{hist}.p99 {p99}\n{m}.{hist}.p999 {p999}\n{m}.{hist}.max {}\n\
+                 {m}.{hist}.count 4000\n{m}.{qps}\n",
+                p999 * 2
+            );
+        }
+        text + &format!(
+            "{m}.save_ms 1\n{m}.warm_load_ms {warm}\n{m}.warm_vs_cold_speedup 2\n\
+             {m}.snapshot_bytes 10000\n{m}.rss_bytes 5000000\n"
         )
     }
 
-    fn sweep_doc(rows: &[String], profile: &str) -> Json {
-        parse(&format!(
-            r#"{{"bench": "scale_sweep", "host_cores": 1, "par_workers": 4,
-                 "queries_per_size": 4000,
-                 "sweep": [{}],
-                 "peak_rss_bytes": 8000000,
-                 "profile": {profile}}}"#,
-            rows.join(",")
+    fn sweep_doc(rows: &[String], profile: &str) -> Report {
+        report(&format!(
+            "info bench=scale_sweep\nmetric host_cores 1\nmetric par_workers 4\n\
+             metric queries_per_size 4000\n{}metric peak_rss_bytes 8000000\n{profile}",
+            rows.concat()
         ))
-        .expect("test fixture parses")
     }
 
     fn sweep_rows() -> Vec<String> {
         vec![
-            sweep_row(1000, 300, 2000, 5000, 1.5, 0.7),
-            sweep_row(10000, 400, 2300, 6000, 8.0, 5.0),
-            sweep_row(100000, 500, 2600, 9000, 200.0, 60.0),
+            sweep_row(0, 1000, 300, 2000, 5000, 1.5, 0.7),
+            sweep_row(1, 10000, 400, 2300, 6000, 8.0, 5.0),
+            sweep_row(2, 100000, 500, 2600, 9000, 200.0, 60.0),
         ]
     }
 
-    const PROFILE_OK: &str = r#"{"enabled": true,
-        "top": ["pi", "label_fetch", "chain_eval"],
-        "stages": {"pi": {"calls": 8000, "ns": 4000000}}}"#;
+    const PROFILE_OK: &str =
+        "info profile.enabled=true\ninfo profile.top=pi,label_fetch,chain_eval\n\
+        metric profile.stages.pi.calls 8000\nmetric profile.stages.pi.ns 4000000\n";
 
     #[test]
     fn accepts_a_sound_scale_sweep() {
@@ -1237,20 +923,20 @@ mod tests {
     fn rejects_sweep_slo_regressions() {
         // Disordered quantiles (p999 < p99).
         let mut rows = sweep_rows();
-        rows[1] = sweep_row(10000, 400, 6000, 2300, 8.0, 5.0);
+        rows[1] = sweep_row(1, 10000, 400, 6000, 2300, 8.0, 5.0);
         assert!(check(&sweep_doc(&rows, PROFILE_OK)).unwrap_err().contains("disordered"));
         // Warm restart slower than the cold rebuild at 10^6, where
         // labeling dominates and the bound is strict.
         let mut rows = sweep_rows();
-        rows.push(sweep_row(1000000, 900, 4500, 17000, 500.0, 600.0));
+        rows.push(sweep_row(3, 1000000, 900, 4500, 17000, 500.0, 600.0));
         assert!(check(&sweep_doc(&rows, PROFILE_OK)).unwrap_err().contains("pay for themselves"));
         // ...but a small row gets the 1.5x comparable-cost bound: near
         // parity passes, a catastrophic loss does not.
         let mut rows = sweep_rows();
-        rows[0] = sweep_row(1000, 300, 2000, 5000, 1.0, 1.2);
+        rows[0] = sweep_row(0, 1000, 300, 2000, 5000, 1.0, 1.2);
         assert!(check(&sweep_doc(&rows, PROFILE_OK)).is_ok());
         let mut rows = sweep_rows();
-        rows[0] = sweep_row(1000, 300, 2000, 5000, 1.0, 2.0);
+        rows[0] = sweep_row(0, 1000, 300, 2000, 5000, 1.0, 2.0);
         assert!(check(&sweep_doc(&rows, PROFILE_OK)).unwrap_err().contains("pay for themselves"));
     }
 
@@ -1261,77 +947,72 @@ mod tests {
         assert!(check(&sweep_doc(&two, PROFILE_OK)).unwrap_err().contains(">= 3"));
         // Largest size below the 10^4 point.
         let small = vec![
-            sweep_row(100, 300, 2000, 5000, 1.0, 0.5),
-            sweep_row(1000, 300, 2000, 5000, 1.5, 0.7),
-            sweep_row(5000, 400, 2300, 6000, 4.0, 2.0),
+            sweep_row(0, 100, 300, 2000, 5000, 1.0, 0.5),
+            sweep_row(1, 1000, 300, 2000, 5000, 1.5, 0.7),
+            sweep_row(2, 5000, 400, 2300, 6000, 4.0, 2.0),
         ];
         assert!(check(&sweep_doc(&small, PROFILE_OK)).unwrap_err().contains(">= 10000"));
         // Too few samples for an honest p999.
-        let thin = sweep_rows()[..2]
-            .iter()
-            .cloned()
-            .chain([sweep_rows()[2].replace("\"count\": 4000", "\"count\": 50")])
-            .collect::<Vec<_>>();
+        let mut thin = sweep_rows();
+        thin[2] = thin[2].replace("seq_query_ns.count 4000", "seq_query_ns.count 50");
         assert!(check(&sweep_doc(&thin, PROFILE_OK)).unwrap_err().contains(">= 1000"));
         // A profile-less run (default features) must not pass the gate.
-        let d = sweep_doc(&sweep_rows(), r#"{"enabled": false, "top": []}"#);
+        let d = sweep_doc(&sweep_rows(), "info profile.enabled=false\ninfo profile.top=\n");
         assert!(check(&d).unwrap_err().contains("--features profile"));
         // An enabled profile that somehow names < 3 stages is also a fail.
-        let d = sweep_doc(&sweep_rows(), r#"{"enabled": true, "top": ["pi"]}"#);
+        let d = sweep_doc(&sweep_rows(), "info profile.enabled=true\ninfo profile.top=pi\n");
         assert!(check(&d).unwrap_err().contains("hot stages"));
     }
 
     #[test]
     fn accepts_the_committed_parallel_and_sweep_reports() {
-        for name in ["BENCH_parallel_throughput.json", "BENCH_scale_sweep.json"] {
-            let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
-            let text = std::fs::read_to_string(&path).expect("committed report exists");
-            let doc = parse(&text).expect("committed report parses");
-            check(&doc).unwrap_or_else(|e| panic!("{name} fails its own gate: {e}"));
+        for bench in ["parallel_throughput", "scale_sweep"] {
+            check(&committed(bench)).unwrap_or_else(|e| panic!("{bench} fails its own gate: {e}"));
         }
     }
 
     // --- query_throughput / snapshot_roundtrip gate fixtures. ----------
 
-    fn query_doc(pairs: u64, qe_batched: f64) -> Json {
-        parse(&format!(
-            r#"{{"bench": "query_throughput", "pairs": {pairs}, "unit": "ns_per_query",
-                 "variants": {{
-                   "SpaceEfficient": {{ "per_call": 5682.2, "session": 914.9, "batched": 808.7 }},
-                   "Default": {{ "per_call": 1701.8, "session": 471.9, "batched": 388.5 }},
-                   "QueryEfficient": {{ "per_call": 479.5, "session": 256.6, "batched": {qe_batched} }}
-                 }}}}"#
-        ))
-        .expect("test fixture parses")
+    fn query_text(pairs: u64, qe_batched: f64) -> String {
+        format!(
+            "info bench=query_throughput\nmetric pairs {pairs}\ninfo unit=ns_per_query\n\
+             metric variants.SpaceEfficient.per_call 5682.2\n\
+             metric variants.SpaceEfficient.session 914.9\n\
+             metric variants.SpaceEfficient.batched 808.7\n\
+             metric variants.Default.per_call 1701.8\nmetric variants.Default.session 471.9\n\
+             metric variants.Default.batched 388.5\n\
+             metric variants.QueryEfficient.per_call 479.5\n\
+             metric variants.QueryEfficient.session 256.6\n\
+             metric variants.QueryEfficient.batched {qe_batched}\n"
+        )
     }
 
     #[test]
     fn accepts_batched_at_or_under_per_call() {
-        assert!(check(&query_doc(4096, 324.5)).expect("batched wins").contains("ok"));
+        assert!(check(&report(&query_text(4096, 324.5))).expect("batched wins").contains("ok"));
     }
 
     #[test]
     fn rejects_batched_slower_than_per_call_and_thin_samples() {
-        assert!(check(&query_doc(4096, 612.0)).unwrap_err().contains("slower than per-call"));
-        assert!(check(&query_doc(64, 324.5)).unwrap_err().contains(">= 1000 pairs"));
-        let no_qe = parse(
-            r#"{"bench": "query_throughput", "pairs": 4096, "variants": {
-                 "SpaceEfficient": { "per_call": 2.0, "session": 1.0, "batched": 1.0 },
-                 "Default": { "per_call": 2.0, "session": 1.0, "batched": 1.0 }}}"#,
-        )
-        .unwrap();
-        assert!(check(&no_qe).unwrap_err().contains("QueryEfficient"));
+        let err = check(&report(&query_text(4096, 612.0))).unwrap_err();
+        assert!(err.contains("slower than per-call"), "{err}");
+        assert!(check(&report(&query_text(64, 324.5))).unwrap_err().contains(">= 1000 pairs"));
+        let no_qe: String = query_text(4096, 324.5)
+            .lines()
+            .filter(|l| !l.contains("QueryEfficient"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert!(check(&report(&no_qe)).unwrap_err().contains("QueryEfficient"));
     }
 
-    fn snapshot_doc(repeats: u64, cold: f64, load: f64, store_bpl: f64) -> Json {
-        parse(&format!(
-            r#"{{"bench": "snapshot_roundtrip", "items": 8070, "views": 1,
-                 "variants_compiled": 3, "repeats": {repeats}, "snapshot_bytes": 81988,
-                 "cold_build_ms": {cold}, "save_ms": 3.52, "load_ms": {load},
-                 "warm_start_speedup": 0.8, "store_bits_per_label": {store_bpl},
-                 "codec_bits_per_label": 81.7}}"#
+    fn snapshot_doc(repeats: u64, cold: f64, load: f64, store_bpl: f64) -> Report {
+        report(&format!(
+            "info bench=snapshot_roundtrip\nmetric items 8070\nmetric views 1\n\
+             metric variants_compiled 3\nmetric repeats {repeats}\nmetric snapshot_bytes 81988\n\
+             metric cold_build_ms {cold}\nmetric save_ms 3.52\nmetric load_ms {load}\n\
+             metric warm_start_speedup 0.8\nmetric store_bits_per_label {store_bpl}\n\
+             metric codec_bits_per_label 81.7\n"
         ))
-        .expect("test fixture parses")
     }
 
     #[test]
@@ -1348,11 +1029,54 @@ mod tests {
 
     #[test]
     fn accepts_the_committed_query_and_snapshot_reports() {
-        for name in ["BENCH_query_throughput.json", "BENCH_snapshot.json"] {
-            let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
-            let text = std::fs::read_to_string(&path).expect("committed report exists");
-            let doc = parse(&text).expect("committed report parses");
-            check(&doc).unwrap_or_else(|e| panic!("{name} fails its own gate: {e}"));
+        for bench in ["query_throughput", "snapshot_roundtrip"] {
+            check(&committed(bench)).unwrap_or_else(|e| panic!("{bench} fails its own gate: {e}"));
         }
+    }
+
+    // --- fuzz_coverage gate fixtures. ------------------------------------
+
+    const FUZZ_OK: &str = "info bench=fuzz_coverage\ninfo seed=61474\nmetric spec_cases 10000\n\
+        metric live_cases 200\nmetric multi_cases 30\nmetric views_checked 41441\n\
+        metric queries_checked 3268398\nmetric items_labeled 469684\nmetric divergences 0\n\
+        metric crash_cases 6\nmetric crash_points 7590\nmetric crash_torn_tails 7444\n\
+        metric crash_stale_frames 58\nmetric mutants 10000\nmetric mutant_panics 0\n\
+        metric mutant_silent_corruption 0\nmetric mutants_ok_valid_prefix 1920\n\
+        metric mutants_ok_forged 1\nmetric rejection_classes 2\n\
+        metric rejections.bad_magic 945\nmetric rejections.truncated 7134\n";
+
+    fn fuzz_doc(from: &str, to: &str) -> Report {
+        assert!(FUZZ_OK.contains(from), "{from} is not in the fixture");
+        report(&FUZZ_OK.replace(from, to))
+    }
+
+    #[test]
+    fn accepts_a_clean_fully_classified_fuzz_sweep() {
+        let summary = check(&report(FUZZ_OK)).expect("a clean sweep passes");
+        assert!(summary.contains("10000 mutants in 2 rejection classes"), "{summary}");
+    }
+
+    #[test]
+    fn rejects_fuzz_findings_skipped_campaigns_and_lost_mutants() {
+        for finding in ["divergences", "mutant_panics", "mutant_silent_corruption"] {
+            let d = fuzz_doc(&format!("{finding} 0\n"), &format!("{finding} 1\n"));
+            assert!(check(&d).unwrap_err().contains("clean sweep"), "{finding}");
+        }
+        for campaign in ["spec_cases 10000", "live_cases 200", "crash_points 7590"] {
+            let name = campaign.split(' ').next().unwrap();
+            let d = fuzz_doc(campaign, &format!("{name} 0"));
+            assert!(check(&d).unwrap_err().contains("every campaign runs"), "{campaign}");
+        }
+        let d = fuzz_doc("mutants 10000", "mutants 10001");
+        assert!(check(&d).unwrap_err().contains("exactly once"));
+        let d = fuzz_doc("rejections.truncated 7134", "rejections.truncated 7133");
+        assert!(check(&d).unwrap_err().contains("exactly once"));
+        let d = fuzz_doc("rejection_classes 2", "rejection_classes 7");
+        assert!(check(&d).unwrap_err().contains("need 2 (the rejections.* classes listed)"));
+    }
+
+    #[test]
+    fn accepts_the_committed_fuzz_report() {
+        check(&committed("fuzz_coverage")).expect("committed fuzz report passes the gate");
     }
 }

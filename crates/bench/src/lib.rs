@@ -17,7 +17,11 @@
 //!
 //! Exported helpers: [`Bench`] (one prepared workload + production graph,
 //! with seeded runs, views and query pairs), the [`ms`]/[`ns_per`] timers,
-//! and the label-size accessors [`label_bits_stats`] / [`query_ns`].
+//! the label-size accessors [`label_bits_stats`] / [`query_ns`], and
+//! [`report::Report`], the one format every `BENCH_*.txt` report is written
+//! in and `src/bin/bench_check.rs` reads.
+
+pub mod report;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -197,13 +201,6 @@ impl LatencyHistogram {
         }
         self.max
     }
-
-    /// Terse alias for [`LatencyHistogram::percentile`] — `h.p(0.999)`
-    /// reads like the SLO it gates.
-    #[inline]
-    pub fn p(&self, q: f64) -> u64 {
-        self.percentile(q)
-    }
 }
 
 impl Default for LatencyHistogram {
@@ -237,51 +234,30 @@ fn proc_status_bytes(field: &str) -> Option<u64> {
 
 pub mod profile {
     //! The bench-facing surface of the hot-path profiler: re-exports
-    //! `wf-profile` (scopes, stages, [`take_report`]) plus the JSON
-    //! formatting benches embed in their reports.
+    //! `wf-profile` (scopes, stages, [`take_report`]) plus [`record`], which
+    //! files a report's stages in a bench [`Report`].
     //!
     //! Build benches with `--features profile` to light the counters up
     //! end to end (`wf-bench/profile` forwards through engine → core →
-    //! boolmat); without it every scope is a no-op and
-    //! [`report_json`] says `"enabled": false`.
+    //! boolmat); without it every scope is a no-op and [`record`] writes
+    //! `profile.enabled=false`.
 
+    use crate::report::Report;
     pub use wf_profile::{count, is_enabled, scope, take_report, ProfileReport, Stage, STAGES};
 
-    /// Formats a report as a JSON object: an `enabled` flag, per-stage
-    /// `{calls, ns}` rows (hottest first), and a `top` array naming the
-    /// three hottest stages — what `bench_check` gates on.
-    pub fn report_json(r: &ProfileReport, indent: &str) -> String {
-        let ranked = r.ranked();
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("{indent}  \"enabled\": {},\n", is_enabled()));
-        let top: Vec<String> = ranked
-            .iter()
-            .filter(|&&st| r.calls_of(st) > 0)
-            .take(3)
-            .map(|st| format!("\"{}\"", st.name()))
-            .collect();
-        s.push_str(&format!("{indent}  \"top\": [{}],\n", top.join(", ")));
-        s.push_str(&format!("{indent}  \"stages\": {{\n"));
-        let rows: Vec<String> = ranked
-            .iter()
-            .filter(|&&st| r.calls_of(st) > 0)
-            .map(|st| {
-                format!(
-                    "{indent}    \"{}\": {{ \"calls\": {}, \"ns\": {} }}",
-                    st.name(),
-                    r.calls_of(*st),
-                    r.ns_of(*st)
-                )
-            })
-            .collect();
-        s.push_str(&rows.join(",\n"));
-        if !rows.is_empty() {
-            s.push('\n');
+    /// Appends `r` to `rep`: `info profile.enabled`, `info profile.top`
+    /// naming the three hottest stages (what `bench_check` gates on), and
+    /// `profile.stages.<stage>.{calls,ns}` for every stage that ran,
+    /// hottest first.
+    pub fn record(r: &ProfileReport, rep: &mut Report) {
+        let ran: Vec<Stage> = r.ranked().into_iter().filter(|&st| r.calls_of(st) > 0).collect();
+        rep.info("profile.enabled", is_enabled());
+        let top: Vec<&str> = ran.iter().take(3).map(|st| st.name()).collect();
+        rep.info("profile.top", top.join(","));
+        for st in ran {
+            rep.metric(&format!("profile.stages.{}.calls", st.name()), r.calls_of(st) as f64);
+            rep.metric(&format!("profile.stages.{}.ns", st.name()), r.ns_of(st) as f64);
         }
-        s.push_str(&format!("{indent}  }}\n"));
-        s.push_str(&format!("{indent}}}"));
-        s
     }
 }
 
@@ -456,27 +432,11 @@ mod tests {
         assert_eq!(target.percentile(0.5), h.percentile(0.5));
     }
 
-    /// `p()` is the documented alias of `percentile()`; pin them equal on
-    /// a multi-octave stream so the alias can never drift.
-    #[test]
-    fn p_is_an_exact_alias_of_percentile() {
-        let mut h = LatencyHistogram::new();
-        let mut v = 88u64;
-        for _ in 0..10_000 {
-            v = v.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            h.record(v >> (v % 48));
-        }
-        for q in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
-            assert_eq!(h.p(q), h.percentile(q));
-        }
-        assert!(h.p(1.0) <= h.max(), "top quantile never exceeds the observed max");
-    }
-
     /// The exact/log-linear seam sits at 64 (= `2 * HIST_SUB`), and every
     /// octave boundary is a power of two: values on either side of those
     /// edges must land in distinct buckets, stay exact below the seam, and
     /// respect the ~3% relative-error bound above it — including at the
-    /// extreme quantiles `p(0.0)`/`p(1.0)` and `max()`.
+    /// extreme quantiles `percentile(0.0)`/`percentile(1.0)` and `max()`.
     #[test]
     fn quantiles_at_bucket_boundaries() {
         // Below the seam: single-value histograms are exact at every q.
@@ -484,7 +444,7 @@ mod tests {
             let mut h = LatencyHistogram::new();
             h.record(v);
             for q in [0.0, 0.5, 0.999, 1.0] {
-                assert_eq!(h.p(q), v, "exact bucket for {v} at q={q}");
+                assert_eq!(h.percentile(q), v, "exact bucket for {v} at q={q}");
             }
             assert_eq!(h.max(), v);
         }
@@ -493,8 +453,8 @@ mod tests {
         for v in [64u64, 65, 127, 128, 2047, 2048, 1 << 40] {
             let mut h = LatencyHistogram::new();
             h.record(v);
-            assert_eq!(h.p(0.0), v, "min-clamp at {v}");
-            assert_eq!(h.p(1.0), v, "max-clamp at {v}");
+            assert_eq!(h.percentile(0.0), v, "min-clamp at {v}");
+            assert_eq!(h.percentile(1.0), v, "max-clamp at {v}");
             assert_eq!(h.max(), v);
         }
         // Adjacent values straddling the seam and an octave edge must be
@@ -506,11 +466,11 @@ mod tests {
         for _ in 0..10 {
             h.record(64);
         }
-        assert_eq!(h.p(0.5), 63, "median is in the exact range");
-        assert_eq!(h.p(0.99), 63);
+        assert_eq!(h.percentile(0.5), 63, "median is in the exact range");
+        assert_eq!(h.percentile(0.99), 63);
         assert_eq!(h.max(), 64);
         // p999 rank (ceil(0.999*1010) = 1010) falls on the 64-bucket.
-        assert_eq!(h.p(0.999), 64);
+        assert_eq!(h.percentile(0.999), 64);
         // Ordering sanity on a mixed stream: quantiles are monotone in q.
         let mut m = LatencyHistogram::new();
         let mut v = 3u64;
@@ -518,7 +478,7 @@ mod tests {
             v = v.wrapping_mul(48271) % 0x7FFF_FFFF;
             m.record(v);
         }
-        let (p50, p99, p999) = (m.p(0.5), m.p(0.99), m.p(0.999));
+        let (p50, p99, p999) = (m.percentile(0.5), m.percentile(0.99), m.percentile(0.999));
         assert!(p50 <= p99 && p99 <= p999 && p999 <= m.max());
     }
 
@@ -534,21 +494,26 @@ mod tests {
         assert!(peak > 0);
     }
 
-    /// The JSON formatting of a profile report is shape-stable: an
-    /// `enabled` flag, a `top` array, and hottest-first stage rows.
+    /// A profile lands in a report as an `enabled` flag, a `top` list and
+    /// hottest-first stage rows.
     #[test]
-    fn profile_report_json_shape() {
+    fn profile_record_shape() {
         let mut r = profile::ProfileReport::default();
         r.calls[profile::Stage::Matmul as usize] = 10;
         r.ns[profile::Stage::Matmul as usize] = 5_000;
         r.calls[profile::Stage::Pi as usize] = 4;
         r.ns[profile::Stage::Pi as usize] = 9_000;
         r.calls[profile::Stage::PowMemoHit as usize] = 2;
-        let json = profile::report_json(&r, "  ");
-        assert!(json.contains("\"top\": [\"pi\", \"matmul\", \"pow_memo_hit\"]"), "{json}");
-        assert!(json.contains("\"matmul\": { \"calls\": 10, \"ns\": 5000 }"), "{json}");
-        let empty = profile::report_json(&profile::ProfileReport::default(), "");
-        assert!(empty.contains("\"top\": []"), "{empty}");
+        let mut rep = report::Report::new("scale_sweep");
+        profile::record(&r, &mut rep);
+        assert_eq!(rep.text("profile.top"), Some("pi,matmul,pow_memo_hit"));
+        assert_eq!(rep.children("profile.stages"), ["pi", "matmul", "pow_memo_hit"]);
+        assert_eq!(rep.num("profile.stages.matmul.calls"), Ok(10.0));
+        assert_eq!(rep.num("profile.stages.matmul.ns"), Ok(5_000.0));
+        let mut empty = report::Report::new("scale_sweep");
+        profile::record(&profile::ProfileReport::default(), &mut empty);
+        assert_eq!(empty.text("profile.top"), Some(""));
+        assert!(empty.children("profile.stages").is_empty());
     }
 
     #[test]

@@ -27,12 +27,16 @@ pub fn write_mat(w: &mut BitWriter, m: &BoolMat) {
 }
 
 /// Reads a matrix (inverse of [`write_mat`]). Rejects dimensions outside
-/// [`BoolMat`]'s representable range *before* constructing anything.
+/// [`BoolMat`]'s representable range, and a `rows × cols` payload longer
+/// than the bits left in `r`, *before* constructing anything.
 pub fn read_mat(r: &mut BitReader<'_>) -> Result<BoolMat, ReadError> {
     let rows = (r.read_gamma()? - 1) as usize;
     let cols = (r.read_gamma()? - 1) as usize;
     if cols > 64 || rows > u16::MAX as usize {
         return Err(ReadError::Malformed);
+    }
+    if rows * cols > r.remaining() {
+        return Err(ReadError::OutOfBits);
     }
     let mut m = BoolMat::zeros(rows, cols);
     for row in 0..rows {

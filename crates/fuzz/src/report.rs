@@ -1,11 +1,10 @@
-//! Corpus/divergence accounting and the `BENCH_fuzz_coverage.json`
-//! emission the CI fuzz-smoke job checks (same hand-rolled JSON
-//! convention as the `wf-bench` suites — the container has no serde).
+//! Corpus/divergence accounting: what a sweep covered and what it found.
+//! `examples/fuzz_sweep.rs` files it as `BENCH_fuzz_coverage.txt`, which
+//! `bench_check` gates.
 
 use crate::crash::CrashStats;
 use crate::differential::DiffOutcome;
 use crate::mutate::MutationStats;
-use std::fmt::Write as _;
 
 /// Aggregated sweep results: what the corpus covered and what it found.
 #[derive(Clone, Debug, Default)]
@@ -65,58 +64,5 @@ impl FuzzReport {
         self.crash_points += stats.crashes;
         self.crash_torn_tails += stats.torn_tails;
         self.crash_stale_frames += stats.stale_frames;
-    }
-
-    /// Serializes the report (stable key order, valid JSON).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"suite\": \"fuzz_coverage\",");
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"spec_cases\": {},", self.spec_cases);
-        let _ = writeln!(s, "  \"live_cases\": {},", self.live_cases);
-        let _ = writeln!(s, "  \"multi_cases\": {},", self.multi_cases);
-        let _ = writeln!(s, "  \"views_checked\": {},", self.views);
-        let _ = writeln!(s, "  \"queries_checked\": {},", self.queries);
-        let _ = writeln!(s, "  \"items_labeled\": {},", self.items);
-        let _ = writeln!(s, "  \"divergences\": {},", self.divergences);
-        let _ = writeln!(s, "  \"crash_cases\": {},", self.crash_cases);
-        let _ = writeln!(s, "  \"crash_points\": {},", self.crash_points);
-        let _ = writeln!(s, "  \"crash_torn_tails\": {},", self.crash_torn_tails);
-        let _ = writeln!(s, "  \"crash_stale_frames\": {},", self.crash_stale_frames);
-        let _ = writeln!(s, "  \"mutants\": {},", self.mutation.mutants);
-        let _ = writeln!(s, "  \"mutant_panics\": {},", self.mutation.panics);
-        let _ = writeln!(s, "  \"mutant_silent_corruption\": {},", self.mutation.wrong);
-        let _ = writeln!(s, "  \"mutants_ok_valid_prefix\": {},", self.mutation.ok_valid_prefix);
-        let _ = writeln!(s, "  \"mutants_ok_forged\": {},", self.mutation.ok_forged);
-        let _ = writeln!(s, "  \"rejection_classes\": {},", self.mutation.classes());
-        let _ = writeln!(s, "  \"rejections\": {{");
-        let n = self.mutation.rejected.len();
-        for (i, (class, count)) in self.mutation.rejected.iter().enumerate() {
-            let comma = if i + 1 == n { "" } else { "," };
-            let _ = writeln!(s, "    \"{class}\": {count}{comma}");
-        }
-        let _ = writeln!(s, "  }}");
-        let _ = writeln!(s, "}}");
-        s
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_shape_is_stable_and_balanced() {
-        let mut r = FuzzReport { seed: 7, ..FuzzReport::default() };
-        r.absorb_spec(&DiffOutcome { views: 4, queries: 100, items: 12 });
-        *r.mutation.rejected.entry("truncated").or_default() += 3;
-        *r.mutation.rejected.entry("bad_magic").or_default() += 1;
-        r.mutation.mutants = 4;
-        let j = r.to_json();
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(j.contains("\"queries_checked\": 100,"));
-        assert!(j.contains("\"bad_magic\": 1,"));
-        assert!(j.contains("\"truncated\": 3\n"));
     }
 }

@@ -28,12 +28,13 @@
 //!    with a typed error or recover to a provably pristine prefix state.
 //!
 //! Every failure prints the case seed; rerun just that case with
-//! `--case <seed>`. The sweep writes `BENCH_fuzz_coverage.json` at the
-//! workspace root (checked by the CI fuzz-smoke job).
+//! `--case <seed>`. The sweep writes `BENCH_fuzz_coverage.txt` at the
+//! workspace root, which `bench_check` gates.
 //!
 //! Run with: `cargo run --release --example fuzz_sweep -- --specs 10000 --mutants 10000`
 
 use std::process::ExitCode;
+use wf_bench::report::Report;
 use wfprov::fuzz::{
     case_seed, check_live_churn, check_multi_producer, check_spec, crash_campaign, mutation_corpus,
     mutation_round, FuzzReport,
@@ -79,6 +80,38 @@ fn parse_args() -> Args {
         }
     }
     a
+}
+
+/// The sweep's coverage and findings as the `fuzz_coverage` bench report.
+fn coverage_report(report: &FuzzReport) -> Report {
+    let m = &report.mutation;
+    let mut rep = Report::new("fuzz_coverage");
+    rep.info("seed", report.seed);
+    for (name, n) in [
+        ("spec_cases", report.spec_cases),
+        ("live_cases", report.live_cases),
+        ("multi_cases", report.multi_cases),
+        ("views_checked", report.views),
+        ("queries_checked", report.queries),
+        ("items_labeled", report.items),
+        ("divergences", report.divergences),
+        ("crash_cases", report.crash_cases),
+        ("crash_points", report.crash_points),
+        ("crash_torn_tails", report.crash_torn_tails),
+        ("crash_stale_frames", report.crash_stale_frames),
+        ("mutants", m.mutants),
+        ("mutant_panics", m.panics),
+        ("mutant_silent_corruption", m.wrong),
+        ("mutants_ok_valid_prefix", m.ok_valid_prefix),
+        ("mutants_ok_forged", m.ok_forged),
+        ("rejection_classes", m.classes() as u64),
+    ] {
+        rep.metric(name, n as f64);
+    }
+    for (class, n) in &m.rejected {
+        rep.metric(&format!("rejections.{class}"), *n as f64);
+    }
+    rep
 }
 
 /// Fleet width for multi-producer case `i`: cycle 1 → 2 → 4 so every
@@ -194,11 +227,9 @@ fn main() -> ExitCode {
     let corpus = mutation_corpus(args.seed);
     report.mutation = mutation_round(args.seed ^ 0xD0D0, &corpus, args.mutants);
 
-    let json = report.to_json();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_fuzz_coverage.json");
-    std::fs::write(path, &json).expect("write BENCH_fuzz_coverage.json");
-    print!("{json}");
-    println!("wrote {path}");
+    let coverage = coverage_report(&report);
+    print!("{coverage}");
+    coverage.write();
 
     let m = &report.mutation;
     if report.divergences > 0 || m.panics > 0 || m.wrong > 0 {
