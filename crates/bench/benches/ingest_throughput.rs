@@ -274,7 +274,12 @@ fn bench_ingest_throughput(c: &mut Criterion) {
     let idle_qps = reader_qps(&live, vref, &pairs, window, trials);
 
     // The same reader while the pipeline ingests at a paced rate.
-    let pipeline = IngestPipeline::spawn(writer, live.clone(), PublishPolicy::default());
+    let pipeline = IngestPipeline::spawn_with(
+        writer,
+        live.clone(),
+        PublishPolicy::default(),
+        PipelineOptions::default(),
+    );
     let mut ingest_qps = 0.0f64;
     std::thread::scope(|s| {
         let (live, pairs) = (&live, &pairs);
@@ -349,7 +354,7 @@ fn bench_ingest_throughput(c: &mut Criterion) {
     // One op per publish so the round trip measures the pipeline, not the
     // batching deadline.
     let policy = PublishPolicy { max_batch_ops: 1, ..PublishPolicy::default() };
-    let pipeline = IngestPipeline::spawn(writer, live, policy);
+    let pipeline = IngestPipeline::spawn_with(writer, live, policy, PipelineOptions::default());
     let mut g = c.benchmark_group("ingest_throughput");
     g.bench_function("decode_chunk", |b| {
         let mut i = 0usize;

@@ -26,13 +26,15 @@ pub fn write_mat(w: &mut BitWriter, m: &BoolMat) {
     }
 }
 
-/// Reads a matrix (inverse of [`write_mat`]). Rejects dimensions outside
-/// [`BoolMat`]'s representable range, and a `rows × cols` payload longer
-/// than the bits left in `r`, *before* constructing anything.
+/// Reads a matrix (inverse of [`write_mat`]). Rejects more columns than
+/// [`BoolMat`] holds, more rows than a module has ports (a port count is a
+/// `u8`, and every persisted matrix maps ports to ports), and a
+/// `rows × cols` payload longer than the bits left in `r`, *before*
+/// constructing anything.
 pub fn read_mat(r: &mut BitReader<'_>) -> Result<BoolMat, ReadError> {
     let rows = (r.read_gamma()? - 1) as usize;
     let cols = (r.read_gamma()? - 1) as usize;
-    if cols > 64 || rows > u16::MAX as usize {
+    if cols > 64 || rows > u8::MAX as usize {
         return Err(ReadError::Malformed);
     }
     if rows * cols > r.remaining() {

@@ -1,7 +1,9 @@
-//! `read_mat` bounds its allocation by the bits actually present: a forged
-//! 65 535 × 64 header over a 4-bit payload is rejected before the
-//! 524 280-byte matrix is allocated. This is its own test binary because
-//! the counting allocator below sees every allocation in the process.
+//! `read_mat` bounds its allocation before making it: a forged 65 535-row
+//! header is rejected before its 524 280-byte matrix is allocated, whether
+//! it claims 64 columns over a 4-bit payload or zero columns (which carry
+//! no payload bits at all), because no module has more than 255 ports. This
+//! is its own test binary because the counting allocator below sees every
+//! allocation in the process.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,14 +43,26 @@ fn header(rows: u64, cols: u64, payload_bits: usize) -> wf_bitio::BitVec {
     w.finish()
 }
 
+/// `read_mat` over `bits`, with the largest allocation it made.
+fn read_counted(bits: &wf_bitio::BitVec) -> (Result<wf_boolmat::BoolMat, ReadError>, usize) {
+    LARGEST.store(0, Ordering::Relaxed);
+    let got = read_mat(&mut BitReader::new(bits));
+    (got, LARGEST.load(Ordering::Relaxed))
+}
+
 #[test]
 fn a_forged_matrix_header_is_rejected_before_allocating() {
-    let forged = header(65_535, 64, 4);
-    LARGEST.store(0, Ordering::Relaxed);
-    let got = read_mat(&mut BitReader::new(&forged));
-    let largest = LARGEST.load(Ordering::Relaxed);
+    for (rows, cols, bits) in [(65_535, 64, 4), (65_535, 0, 0)] {
+        let (got, largest) = read_counted(&header(rows, cols, bits));
+        assert_eq!(got, Err(ReadError::Malformed), "{rows} x {cols}");
+        assert!(largest < 64 * 1024, "read_mat allocated {largest} bytes for {rows} x {cols}");
+    }
+
+    // Within the port bound, a payload shorter than the header claims is
+    // refused before the matrix is built.
+    let (got, largest) = read_counted(&header(255, 64, 4));
     assert_eq!(got, Err(ReadError::OutOfBits));
-    assert!(largest < 64 * 1024, "read_mat allocated {largest} bytes for a 4-bit payload");
+    assert!(largest < 1024, "read_mat allocated {largest} bytes for a 4-bit payload");
 
     // A payload that exactly fills the stream still reads.
     let exact = header(3, 5, 15);

@@ -28,7 +28,8 @@
 use crate::generation::{EngineGeneration, LiveEngine};
 use crate::store::check_shard_capacity;
 use std::io;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, SyncSender};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use wf_bitio::BitReader;
 use wf_core::Fvl;
@@ -235,8 +236,8 @@ impl DurableEngine {
 }
 
 /// A shared, poison-tolerant handle on a [`DurableEngine`] — the
-/// publisher appends through it while the [`CompactionDriver`] swaps
-/// bases behind it.
+/// publisher appends through it while background compaction swaps bases
+/// behind it.
 pub type SharedDurable = Arc<Mutex<DurableEngine>>;
 
 /// Wrap a recovered engine for pipeline use.
@@ -247,7 +248,7 @@ pub fn shared_durable(engine: DurableEngine) -> SharedDurable {
 /// Lock a [`SharedDurable`] even if a previous holder panicked: the
 /// on-disk state is always an append prefix plus atomic swaps, so the
 /// worst a poisoned counter can do is mistime a compaction trigger.
-pub fn lock_durable(durable: &SharedDurable) -> std::sync::MutexGuard<'_, DurableEngine> {
+pub(crate) fn lock_durable(durable: &SharedDurable) -> MutexGuard<'_, DurableEngine> {
     durable.lock().unwrap_or_else(|p| p.into_inner())
 }
 
@@ -264,100 +265,62 @@ pub struct CompactionTotals {
     pub last_error: Option<String>,
 }
 
-struct DriverState {
-    pending: bool,
-    stop: bool,
-    totals: CompactionTotals,
-}
-
-struct DriverShared {
-    state: Mutex<DriverState>,
-    cv: Condvar,
-}
-
-impl DriverShared {
-    fn lock(&self) -> std::sync::MutexGuard<'_, DriverState> {
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
-    }
-}
-
-/// The background compaction thread: parked until triggered, then folds
-/// the *current* published generation into a fresh base. Serialization
-/// happens against the immutable generation with no lock held; only the
-/// file swap briefly serializes with the publisher's appends.
-pub struct CompactionDriver {
-    shared: Arc<DriverShared>,
-    handle: JoinHandle<()>,
+/// The background compaction thread. It waits on a one-slot trigger
+/// channel, and each trigger it receives is one pass folding the *current*
+/// published generation into a fresh base. Serialization happens against
+/// the immutable generation with no lock held; only the file swap briefly
+/// serializes with the publisher's appends.
+pub(crate) struct CompactionDriver {
+    policy: CompactionPolicy,
+    trigger: SyncSender<()>,
+    handle: JoinHandle<CompactionTotals>,
 }
 
 impl CompactionDriver {
     /// Spawn the driver over a shared durable store, compacting to
     /// whatever `live` serves when a trigger fires.
-    pub fn spawn(durable: SharedDurable, live: Arc<LiveEngine>) -> Self {
-        let shared = Arc::new(DriverShared {
-            state: Mutex::new(DriverState {
-                pending: false,
-                stop: false,
-                totals: CompactionTotals::default(),
-            }),
-            cv: Condvar::new(),
-        });
-        let sh = shared.clone();
+    pub(crate) fn spawn(
+        durable: SharedDurable,
+        live: Arc<LiveEngine>,
+        policy: CompactionPolicy,
+    ) -> Self {
+        let (trigger, passes) = mpsc::sync_channel(1);
         let handle = std::thread::Builder::new()
             .name("wf-compaction".into())
             .spawn(move || {
-                loop {
-                    let work = {
-                        let mut st = sh.lock();
-                        while !st.pending && !st.stop {
-                            st = sh.cv.wait(st).unwrap_or_else(|p| p.into_inner());
+                let mut totals = CompactionTotals::default();
+                // Ends once the sender is gone and a pending trigger has run.
+                for () in passes {
+                    match compact_once(&durable, &live) {
+                        Ok(Some(stats)) => {
+                            totals.compactions += 1;
+                            totals.reclaimed_bytes += stats.reclaimed_bytes;
                         }
-                        if st.pending {
-                            // Clear before working: a trigger landing while
-                            // we compact schedules another pass.
-                            st.pending = false;
-                            true
-                        } else {
-                            false
-                        }
-                    };
-                    if work {
-                        let outcome = compact_once(&durable, &live);
-                        let mut st = sh.lock();
-                        match outcome {
-                            Ok(Some(stats)) => {
-                                st.totals.compactions += 1;
-                                st.totals.reclaimed_bytes += stats.reclaimed_bytes;
-                            }
-                            Ok(None) => {}
-                            Err(e) => st.totals.last_error = Some(e),
-                        }
-                        continue;
+                        Ok(None) => {}
+                        Err(e) => totals.last_error = Some(e),
                     }
-                    break;
                 }
+                totals
             })
             .expect("spawning the compaction thread failed");
-        Self { shared, handle }
+        Self { policy, trigger, handle }
     }
 
-    /// Ask for a compaction pass (cheap; coalesces with a pending one).
-    pub fn trigger(&self) {
-        let mut st = self.shared.lock();
-        st.pending = true;
-        self.shared.cv.notify_one();
+    /// Ask for a pass if a log of this size is due one. The channel's one
+    /// slot coalesces triggers: one landing during a pass schedules
+    /// exactly one more, and later ones fold into it.
+    pub(crate) fn after_append(&self, log: LogStatus) {
+        if self.policy.due(log) {
+            // `Full` is that coalescing; `Disconnected` means the thread
+            // panicked, which `shutdown` surfaces.
+            let _ = self.trigger.try_send(());
+        }
     }
 
     /// Finish any pending pass and join the thread.
-    pub fn shutdown(self) -> CompactionTotals {
-        {
-            let mut st = self.shared.lock();
-            st.stop = true;
-            self.shared.cv.notify_one();
-        }
-        self.handle.join().expect("compaction thread panicked");
-        let st = self.shared.lock();
-        st.totals.clone()
+    pub(crate) fn shutdown(self) -> CompactionTotals {
+        drop(self.trigger);
+        self.handle.join().expect("compaction thread panicked")
     }
 }
 
@@ -375,4 +338,60 @@ fn compact_once(
     }
     let bytes = serialize_base(&gen).map_err(|e| e.to_string())?;
     lock_durable(durable).install_base(&bytes, gen.seqno()).map_err(|e| e.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::generation::EngineWriter;
+    use wf_model::fixtures::paper_example;
+    use wf_run::fixtures::figure3_run;
+    use wf_snapshot::MemStorage;
+
+    #[test]
+    fn driver_compacts_only_when_due_and_shutdown_runs_the_pending_pass() {
+        let ex = paper_example();
+        let fvl = Arc::new(Fvl::from_arc(Arc::new(ex.spec.clone())).unwrap());
+        let labels = fvl.labeler(&figure3_run(&ex).0).labels().to_vec();
+        let (first, rest) = labels.split_at(labels.len() / 2);
+        let storage = MemStorage::new();
+        let (durable, gen0, _) = DurableEngine::open(fvl, Box::new(storage.clone()), 64).unwrap();
+        let live = Arc::new(LiveEngine::new(gen0.clone()));
+        let shared = shared_durable(durable);
+        let mut writer = EngineWriter::new(gen0);
+        let mut publish = |labels: &[wf_core::DataLabel]| {
+            writer.try_insert_labels(labels).unwrap();
+            let mut durable = lock_durable(&shared);
+            writer.publish_durable(&live, &mut durable).unwrap();
+            durable.status()
+        };
+        let log = publish(first);
+
+        let idle =
+            CompactionDriver::spawn(shared.clone(), live.clone(), CompactionPolicy::default());
+        idle.after_append(log);
+        assert_eq!(idle.shutdown().compactions, 0, "a log under the bounds is left alone");
+
+        // Due at any size. The first pass runs while the driver lives on.
+        let policy = CompactionPolicy { max_log_bytes: 0, max_log_frames: 0 };
+        let driver = CompactionDriver::spawn(shared.clone(), live.clone(), policy);
+        driver.after_append(log);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while lock_durable(&shared).base_seqno() < 1 {
+            assert!(std::time::Instant::now() < deadline, "the triggered pass never ran");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        // Then a burst of triggers and an immediate shutdown: the trigger
+        // still waiting in the channel runs before the thread ends, and the
+        // rest coalesce into it or find the generation already folded.
+        let log = publish(rest);
+        for _ in 0..3 {
+            driver.after_append(log);
+        }
+        let totals = driver.shutdown();
+        assert_eq!(totals.compactions, 2);
+        assert!(totals.last_error.is_none(), "{:?}", totals.last_error);
+        assert_eq!(lock_durable(&shared).base_seqno(), 2);
+        assert!(storage.contents().1.is_empty(), "the covered frames were dropped");
+    }
 }

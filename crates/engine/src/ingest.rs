@@ -5,11 +5,11 @@
 //! into the *back end* of a three-stage pipeline so any number of producer
 //! threads can feed the same generation chain:
 //!
-//! 1. **[`IngestQueue`]** — a bounded MPSC ring (hand-rolled: a fixed slot
-//!    array under one `Mutex`, two `Condvar`s, no dependencies). Producers
-//!    submit typed [`IngestOp`]s and get back a [`Ticket`] that resolves
-//!    to the seqno of the generation that published their op. A full queue
-//!    is *backpressure*, never silent loss: [`IngestQueue::try_push`]
+//! 1. **[`IngestQueue`]** — a bounded MPSC queue (a `VecDeque` under one
+//!    `Mutex`, two `Condvar`s). Producers submit typed [`IngestOp`]s and
+//!    get back a [`Ticket`] that resolves to the seqno of the generation
+//!    that published their op. A full queue is *backpressure*, never
+//!    silent loss: [`IngestQueue::try_push`]
 //!    returns [`EngineError::IngestBackpressure`] and
 //!    [`IngestQueue::push`] blocks until a slot frees.
 //! 2. **Publisher** — one background thread ([`IngestPipeline`]) draining
@@ -18,15 +18,17 @@
 //!    one id-range (and un-share each copy-on-write shard once per cycle,
 //!    however many ops landed in it), duplicate view registrations and
 //!    compilations collapse to no-ops. Publishes fire on a configurable
-//!    cadence ([`PublishPolicy`]: ops, staged bytes, or deadline) and each
-//!    one atomically swaps the next generation into the [`LiveEngine`] —
+//!    cadence ([`PublishPolicy`]: op count or deadline) and each one
+//!    atomically swaps the next generation into the [`LiveEngine`] —
 //!    readers never block, exactly as with a direct writer.
 //! 3. **Op-log persistence** — with durable storage attached, every
 //!    publish goes through [`crate::EngineWriter::publish_durable`]: its
 //!    delta record (the op-log wire form, [`wf_snapshot::oplog`]) is
 //!    framed, appended and fsynced before the swap, so recovery from
 //!    `base ‖ frames` lands on byte-identical generations no matter how
-//!    many producers raced.
+//!    many producers raced. A transient storage error (`Interrupted`,
+//!    `WouldBlock`, `TimedOut`) is retried up to five attempts, backing off
+//!    from 500 µs doubling to at most 20 ms; any other error is fatal.
 //!
 //! Ordering and atomicity guarantees, precisely:
 //!
@@ -49,8 +51,9 @@ use crate::durability::{
 };
 use crate::error::EngineError;
 use crate::generation::{EngineGeneration, EngineWriter, LiveEngine};
+use std::collections::VecDeque;
 use std::io;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use wf_core::{DataLabel, VariantKind};
@@ -165,11 +168,6 @@ impl Ticket {
         st.apply_index = Some(index);
     }
 
-    /// The outcome if already resolved (non-blocking).
-    pub fn try_outcome(&self) -> Option<IngestOutcome> {
-        self.lock().outcome.clone()
-    }
-
     /// Blocks until the publisher resolves this ticket.
     pub fn wait(&self) -> IngestOutcome {
         let mut st = self.lock();
@@ -227,39 +225,22 @@ enum Drained {
     Closed,
 }
 
-struct Ring {
-    slots: Box<[Option<(IngestOp, Ticket)>]>,
-    head: usize,
-    len: usize,
+struct QueueState {
+    ops: VecDeque<(IngestOp, Ticket)>,
     closed: bool,
-}
-
-impl Ring {
-    fn pop(&mut self) -> (IngestOp, Ticket) {
-        let e = self.slots[self.head].take().expect("ring slot empty at head");
-        self.head = (self.head + 1) % self.slots.len();
-        self.len -= 1;
-        e
-    }
-
-    fn push(&mut self, e: (IngestOp, Ticket)) {
-        let tail = (self.head + self.len) % self.slots.len();
-        debug_assert!(self.slots[tail].is_none(), "ring slot occupied at tail");
-        self.slots[tail] = Some(e);
-        self.len += 1;
-    }
 }
 
 /// The bounded MPSC hand-off between producers and the publisher.
 ///
-/// A fixed ring of slots under one `Mutex`; `not_full` parks producers
-/// when every slot is taken, `not_empty` parks the publisher when none
-/// is. Capacity is the backpressure contract: the queue holds at most
-/// `capacity` in-flight ops, and what it accepts it never drops — every
-/// accepted op is eventually applied (or its ticket resolved with a typed
-/// error), even across [`IngestQueue::close`].
+/// A `VecDeque` under one `Mutex`, never longer than `capacity`;
+/// `not_full` parks producers while it is full, `not_empty` parks the
+/// publisher while it is empty. Capacity is the backpressure contract: the
+/// queue holds at most `capacity` in-flight ops, and what it accepts it
+/// never drops — every accepted op is eventually applied (or its ticket
+/// resolved with a typed error), even across [`IngestQueue::close`].
 pub struct IngestQueue {
-    ring: Mutex<Ring>,
+    capacity: usize,
+    state: Mutex<QueueState>,
     not_full: Condvar,
     not_empty: Condvar,
 }
@@ -267,43 +248,31 @@ pub struct IngestQueue {
 impl IngestQueue {
     /// A queue of at most `capacity` in-flight ops (`capacity ≥ 1`).
     pub fn with_capacity(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        let mut slots = Vec::with_capacity(capacity);
-        slots.resize_with(capacity, || None);
         Self {
-            ring: Mutex::new(Ring {
-                slots: slots.into_boxed_slice(),
-                head: 0,
-                len: 0,
-                closed: false,
-            }),
+            capacity: capacity.max(1),
+            state: Mutex::new(QueueState { ops: VecDeque::new(), closed: false }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
         }
     }
 
-    pub fn capacity(&self) -> usize {
-        self.ring.lock().expect("ingest queue mutex poisoned").slots.len()
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().expect("ingest queue mutex poisoned")
     }
 
     /// Ops currently queued (racy by nature; for monitoring).
     pub fn len(&self) -> usize {
-        self.ring.lock().expect("ingest queue mutex poisoned").len
+        self.lock().ops.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    pub fn is_closed(&self) -> bool {
-        self.ring.lock().expect("ingest queue mutex poisoned").closed
-    }
-
     /// Closes the queue: subsequent pushes fail with
     /// [`EngineError::IngestClosed`]; already-queued ops still drain.
     pub fn close(&self) {
-        let mut ring = self.ring.lock().expect("ingest queue mutex poisoned");
-        ring.closed = true;
+        self.lock().closed = true;
         // Parked producers must re-check and fail; the publisher must see
         // closed-and-empty to finish.
         self.not_full.notify_all();
@@ -313,19 +282,11 @@ impl IngestQueue {
     /// Blocking submit: parks while the queue is full, fails only if the
     /// queue is (or becomes) closed. Never drops an op.
     pub fn push(&self, op: IngestOp) -> Result<Ticket, EngineError> {
-        let mut ring = self.ring.lock().expect("ingest queue mutex poisoned");
-        loop {
-            if ring.closed {
-                return Err(EngineError::IngestClosed);
-            }
-            if ring.len < ring.slots.len() {
-                let ticket = Ticket::new();
-                ring.push((op, ticket.clone()));
-                self.not_empty.notify_one();
-                return Ok(ticket);
-            }
-            ring = self.not_full.wait(ring).expect("ingest queue mutex poisoned");
-        }
+        let st = self
+            .not_full
+            .wait_while(self.lock(), |st| !st.closed && st.ops.len() >= self.capacity)
+            .expect("ingest queue mutex poisoned");
+        self.enqueue(st, op)
     }
 
     /// Non-blocking submit: a full queue surfaces
@@ -333,15 +294,24 @@ impl IngestQueue {
     /// was **not** accepted, so the producer can retry, shed, or fall back
     /// to the blocking [`IngestQueue::push`].
     pub fn try_push(&self, op: IngestOp) -> Result<Ticket, EngineError> {
-        let mut ring = self.ring.lock().expect("ingest queue mutex poisoned");
-        if ring.closed {
+        let st = self.lock();
+        if !st.closed && st.ops.len() >= self.capacity {
+            return Err(EngineError::IngestBackpressure { queued: st.ops.len() });
+        }
+        self.enqueue(st, op)
+    }
+
+    /// Appends `op` under a lock its caller found not full.
+    fn enqueue(
+        &self,
+        mut st: MutexGuard<'_, QueueState>,
+        op: IngestOp,
+    ) -> Result<Ticket, EngineError> {
+        if st.closed {
             return Err(EngineError::IngestClosed);
         }
-        if ring.len == ring.slots.len() {
-            return Err(EngineError::IngestBackpressure { queued: ring.len });
-        }
         let ticket = Ticket::new();
-        ring.push((op, ticket.clone()));
+        st.ops.push_back((op, ticket.clone()));
         self.not_empty.notify_one();
         Ok(ticket)
     }
@@ -354,137 +324,62 @@ impl IngestQueue {
         max: usize,
         timeout: Option<Duration>,
     ) -> Drained {
-        let deadline = timeout.map(|t| Instant::now() + t);
-        let mut ring = self.ring.lock().expect("ingest queue mutex poisoned");
-        loop {
-            if ring.len > 0 {
-                let n = ring.len.min(max.max(1));
-                for _ in 0..n {
-                    out.push(ring.pop());
-                }
-                self.not_full.notify_all();
-                return Drained::Ops;
+        let idle = |st: &mut QueueState| st.ops.is_empty() && !st.closed;
+        let mut st = match timeout {
+            None => {
+                self.not_empty.wait_while(self.lock(), idle).expect("ingest queue mutex poisoned")
             }
-            if ring.closed {
-                return Drained::Closed;
+            Some(t) => {
+                let waited = self.not_empty.wait_timeout_while(self.lock(), t, idle);
+                waited.expect("ingest queue mutex poisoned").0
             }
-            match deadline {
-                None => ring = self.not_empty.wait(ring).expect("ingest queue mutex poisoned"),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return Drained::TimedOut;
-                    }
-                    let (g, _) = self
-                        .not_empty
-                        .wait_timeout(ring, d - now)
-                        .expect("ingest queue mutex poisoned");
-                    ring = g;
-                }
-            }
+        };
+        if st.ops.is_empty() {
+            return if st.closed { Drained::Closed } else { Drained::TimedOut };
         }
+        let n = st.ops.len().min(max.max(1));
+        out.extend(st.ops.drain(..n));
+        self.not_full.notify_all();
+        Drained::Ops
     }
 }
 
 /// When the publisher freezes staged ops into the next generation.
 ///
-/// A publish fires as soon as *any* trigger is met — ops applied since the
-/// last publish, staged label payload (encoded size, the same bits the
-/// delta record will carry), or time since the first unpublished op — and
-/// always on shutdown. Small deadlines bound publish lag; large op/byte
-/// budgets amortize the per-cycle copy-on-write and container costs.
+/// A publish fires as soon as *either* trigger is met — ops applied since
+/// the last publish, or time since the first unpublished op — and always
+/// on shutdown. Small deadlines bound publish lag; large op budgets
+/// amortize the per-cycle copy-on-write and container costs.
 #[derive(Clone, Copy, Debug)]
 pub struct PublishPolicy {
     /// Queue capacity (in-flight ops) — the backpressure bound.
     pub queue_capacity: usize,
     /// Publish after this many applied ops.
     pub max_batch_ops: usize,
-    /// Publish once staged labels reach this encoded size in bytes.
-    pub max_batch_bytes: usize,
     /// Publish when the oldest unpublished op has waited this long.
     pub max_delay: Duration,
 }
 
 impl Default for PublishPolicy {
     fn default() -> Self {
-        Self {
-            queue_capacity: 1024,
-            max_batch_ops: 256,
-            max_batch_bytes: 1 << 20,
-            max_delay: Duration::from_millis(2),
-        }
+        Self { queue_capacity: 1024, max_batch_ops: 256, max_delay: Duration::from_millis(2) }
     }
 }
 
-/// Whether a storage failure is worth retrying (see [`RetryPolicy`]).
+/// Attempts at one durable publish before a transient failure is fatal.
+const PERSIST_ATTEMPTS: u32 = 5;
+/// Sleep before the first retry; each later retry doubles it.
+const FIRST_BACKOFF: Duration = Duration::from_micros(500);
+/// Ceiling of the doubling backoff.
+const MAX_BACKOFF: Duration = Duration::from_millis(20);
+
+/// Whether a storage failure is worth retrying: the `io::Error` kinds that
+/// mean "the world was busy", not "the world is broken".
 fn is_transient(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
     )
-}
-
-/// Bounded retry-with-backoff for transient persistence failures.
-///
-/// The transient set is deliberately small — `io::Error` kinds that mean
-/// "the world was busy", not "the world is broken": `Interrupted`,
-/// `WouldBlock` and `TimedOut`. Every other error is fatal and surfaces
-/// immediately.
-///
-/// Attempt `n` (0-based) sleeps `initial_backoff * 2^n`, capped at
-/// `max_backoff`, before retrying; a fatal error or an exhausted budget
-/// surfaces the last error — in the pipeline that resolves every covered
-/// ticket `Err(Persist)` and stops the publisher, never hangs it.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Total attempts (1 = no retries).
-    pub max_attempts: u32,
-    /// Backoff before the first retry.
-    pub initial_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 5,
-            initial_backoff: Duration::from_micros(500),
-            max_backoff: Duration::from_millis(20),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The backoff to sleep after failed attempt `attempt` (0-based).
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let exp = self.initial_backoff.saturating_mul(1u32 << attempt.min(20));
-        exp.min(self.max_backoff)
-    }
-
-    /// Run `op` under this policy, sleeping between transient failures.
-    /// `on_retry` is called once per retry (the pipeline counts them).
-    pub fn run<T>(
-        &self,
-        mut op: impl FnMut() -> io::Result<T>,
-        mut on_retry: impl FnMut(&io::Error),
-    ) -> io::Result<T> {
-        let mut attempt = 0u32;
-        loop {
-            match op() {
-                Ok(v) => return Ok(v),
-                Err(e) => {
-                    let giving_up = !is_transient(&e) || attempt + 1 >= self.max_attempts.max(1);
-                    if giving_up {
-                        return Err(e);
-                    }
-                    on_retry(&e);
-                    std::thread::sleep(self.backoff(attempt));
-                    attempt += 1;
-                }
-            }
-        }
-    }
 }
 
 /// Publish-notification callback, invoked with each published generation.
@@ -501,12 +396,10 @@ pub struct PipelineOptions {
     /// framed, appended and fsynced here before the swap, making the
     /// fsync the acknowledgement barrier.
     pub durable: Option<SharedDurable>,
-    /// With [`PipelineOptions::durable`] set, spawn a background
-    /// [`CompactionDriver`] and trigger it whenever the op-log exceeds
-    /// these bounds. Ignored without durable storage.
+    /// With [`PipelineOptions::durable`] set, run a background compaction
+    /// thread and trigger it whenever the op-log exceeds these bounds.
+    /// Ignored without durable storage.
     pub compaction: Option<CompactionPolicy>,
-    /// Retry-with-backoff for transient failures of the `durable` append.
-    pub retry: RetryPolicy,
 }
 
 /// Publisher-side counters, returned in the [`PipelineReport`].
@@ -520,7 +413,7 @@ pub struct IngestStats {
     pub publishes: u64,
     /// Data labels interned.
     pub labels_ingested: u64,
-    /// Transient persistence failures absorbed by the [`RetryPolicy`].
+    /// Transient persistence failures absorbed by retrying the append.
     pub persist_retries: u64,
 }
 
@@ -542,7 +435,9 @@ pub struct PipelineReport {
 /// ```
 /// use std::sync::Arc;
 /// use wf_core::{Fvl, VariantKind};
-/// use wf_engine::{EngineWriter, IngestOp, IngestPipeline, LiveEngine, PublishPolicy};
+/// use wf_engine::{
+///     EngineWriter, IngestOp, IngestPipeline, LiveEngine, PipelineOptions, PublishPolicy,
+/// };
 /// use wf_model::fixtures::paper_example;
 /// use wf_run::fixtures::figure3_run;
 ///
@@ -552,7 +447,12 @@ pub struct PipelineReport {
 ///
 /// let writer = EngineWriter::from_fvl(fvl);
 /// let live = Arc::new(LiveEngine::new(writer.base().clone()));
-/// let pipeline = IngestPipeline::spawn(writer, live.clone(), PublishPolicy::default());
+/// let pipeline = IngestPipeline::spawn_with(
+///     writer,
+///     live.clone(),
+///     PublishPolicy::default(),
+///     PipelineOptions::default(),
+/// );
 ///
 /// // Any thread with a queue handle is a producer:
 /// let q = pipeline.queue().clone();
@@ -571,13 +471,9 @@ pub struct IngestPipeline {
 }
 
 impl IngestPipeline {
-    /// Spawns the publisher thread over `writer`, publishing into `live`.
-    pub fn spawn(writer: EngineWriter, live: Arc<LiveEngine>, policy: PublishPolicy) -> Self {
-        Self::spawn_with(writer, live, policy, PipelineOptions::default())
-    }
-
-    /// [`IngestPipeline::spawn`] with durable storage, compaction and/or a
-    /// publish hook.
+    /// Spawns the publisher thread over `writer`, publishing into `live`
+    /// with whatever durable storage, compaction and publish hook
+    /// `options` attaches.
     pub fn spawn_with(
         writer: EngineWriter,
         live: Arc<LiveEngine>,
@@ -618,12 +514,13 @@ fn publisher_loop(
     let mut batch: Vec<(IngestOp, Ticket)> = Vec::new();
     let mut pending: Vec<Ticket> = Vec::new();
     let mut staged_ops = 0usize;
-    let mut staged_bits = 0u64;
     let mut deadline: Option<Instant> = None;
     let mut apply_index = 0u64;
     let mut persist_error: Option<String> = None;
     let driver = match (&options.durable, options.compaction) {
-        (Some(durable), Some(_)) => Some(CompactionDriver::spawn(durable.clone(), live.clone())),
+        (Some(durable), Some(policy)) => {
+            Some(CompactionDriver::spawn(durable.clone(), live.clone(), policy))
+        }
         _ => None,
     };
 
@@ -637,7 +534,7 @@ fn publisher_loop(
             ticket.mark_applied(apply_index);
             apply_index += 1;
             staged_ops += 1;
-            match apply_op(&mut writer, op, &mut staged_bits, &mut stats) {
+            match apply_op(&mut writer, op, &mut stats) {
                 Ok(()) => {
                     stats.ops_applied += 1;
                     pending.push(ticket);
@@ -656,15 +553,14 @@ fn publisher_loop(
         }
 
         let closing = matches!(status, Drained::Closed);
-        let due = closing
-            || matches!(status, Drained::TimedOut)
-            || staged_ops >= policy.max_batch_ops
-            || (staged_bits / 8) as usize >= policy.max_batch_bytes;
+        let due =
+            closing || matches!(status, Drained::TimedOut) || staged_ops >= policy.max_batch_ops;
 
         if due && staged_ops > 0 {
             if writer.has_staged_changes() {
+                let durable = options.durable.as_ref();
                 let published =
-                    publish_batch(&mut writer, &live, &options, &mut stats, driver.as_ref());
+                    publish_batch(&mut writer, &live, durable, driver.as_ref(), &mut stats);
                 match published {
                     Ok(gen) => {
                         stats.publishes += 1;
@@ -696,7 +592,6 @@ fn publisher_loop(
                 }
             }
             staged_ops = 0;
-            staged_bits = 0;
             deadline = None;
         } else if matches!(status, Drained::TimedOut) {
             deadline = None;
@@ -729,35 +624,39 @@ fn publisher_loop(
 }
 
 /// Publish one staged batch. With durable storage this is
-/// [`EngineWriter::publish_durable`] (frame + append + fsync, then swap)
-/// retried under the [`RetryPolicy`] for transient errors, and the
+/// [`EngineWriter::publish_durable`] (frame + append + fsync, then swap),
+/// retried with a doubling backoff while the failure is transient, and the
 /// resulting log size may trigger a compaction. `Err` consumes nothing:
 /// the staged state survives for the caller's persist-failure path.
 fn publish_batch(
     writer: &mut EngineWriter,
     live: &LiveEngine,
-    options: &PipelineOptions,
-    stats: &mut IngestStats,
+    durable: Option<&SharedDurable>,
     driver: Option<&CompactionDriver>,
+    stats: &mut IngestStats,
 ) -> Result<Arc<EngineGeneration>, String> {
-    let Some(durable) = options.durable.as_ref() else {
+    let Some(durable) = durable else {
         return Ok(writer.publish(live));
     };
-    let (gen, log) = options
-        .retry
-        .run(
-            || {
-                let mut durable = lock_durable(durable);
-                let gen = writer.publish_durable(live, &mut durable)?;
-                Ok((gen, durable.status()))
-            },
-            |_e| stats.persist_retries += 1,
-        )
-        .map_err(|e| e.to_string())?;
-    if let (Some(driver), Some(policy)) = (driver, options.compaction) {
-        if policy.due(log) {
-            driver.trigger();
+    let (mut attempt, mut backoff) = (1, FIRST_BACKOFF);
+    let (gen, log) = loop {
+        let published = {
+            let mut durable = lock_durable(durable);
+            writer.publish_durable(live, &mut durable).map(|gen| (gen, durable.status()))
+        };
+        match published {
+            Ok(done) => break done,
+            Err(e) if is_transient(&e) && attempt < PERSIST_ATTEMPTS => {
+                stats.persist_retries += 1;
+                std::thread::sleep(backoff);
+                backoff = (backoff * 2).min(MAX_BACKOFF);
+                attempt += 1;
+            }
+            Err(e) => return Err(e.to_string()),
         }
+    };
+    if let Some(driver) = driver {
+        driver.after_append(log);
     }
     Ok(gen)
 }
@@ -765,25 +664,16 @@ fn publish_batch(
 fn apply_op(
     writer: &mut EngineWriter,
     op: IngestOp,
-    staged_bits: &mut u64,
     stats: &mut IngestStats,
 ) -> Result<(), IngestError> {
     match op {
         IngestOp::InsertLabels(labels) => {
-            // Encoded sizes first (immutable borrow), insert second: the
-            // staged-bytes trigger counts exactly the stored prefix.
-            let bits: Vec<u64> = {
-                let codec = writer.base().fvl().codec();
-                labels.iter().map(|d| codec.encoded_bits(d) as u64).collect()
-            };
             let r = writer.try_insert_labels(&labels);
-            let inserted = match &r {
-                Ok(ids) => ids.len(),
-                Err(EngineError::BatchStoreFull { index, .. }) => *index,
+            stats.labels_ingested += match &r {
+                Ok(ids) => ids.len() as u64,
+                Err(EngineError::BatchStoreFull { index, .. }) => *index as u64,
                 Err(_) => 0,
             };
-            stats.labels_ingested += inserted as u64;
-            *staged_bits += bits[..inserted].iter().sum::<u64>();
             r.map(|_| ()).map_err(IngestError::Engine)
         }
         IngestOp::AddView(view) => {
@@ -872,7 +762,12 @@ mod tests {
 
         let writer = EngineWriter::from_fvl(fvl);
         let live = Arc::new(LiveEngine::new(writer.base().clone()));
-        let pipeline = IngestPipeline::spawn(writer, live.clone(), PublishPolicy::default());
+        let pipeline = IngestPipeline::spawn_with(
+            writer,
+            live.clone(),
+            PublishPolicy::default(),
+            PipelineOptions::default(),
+        );
         let q = pipeline.queue().clone();
 
         let t1 = q.push(IngestOp::InsertLabels(labels.clone())).unwrap();
@@ -906,14 +801,14 @@ mod tests {
         let fvl = shared_fvl();
         let writer = EngineWriter::from_fvl(fvl);
         let live = Arc::new(LiveEngine::new(writer.base().clone()));
-        // Op/byte budgets far out of reach: only the deadline can fire.
+        // The op budget far out of reach: only the deadline can fire.
         let policy = PublishPolicy {
             max_batch_ops: 1_000_000,
-            max_batch_bytes: usize::MAX,
             max_delay: Duration::from_millis(5),
             ..PublishPolicy::default()
         };
-        let pipeline = IngestPipeline::spawn(writer, live.clone(), policy);
+        let pipeline =
+            IngestPipeline::spawn_with(writer, live.clone(), policy, PipelineOptions::default());
         let t = pipeline.queue().push(IngestOp::AddView(ex.view_u1())).unwrap();
         let seq = t.wait().expect("deadline publish resolves the ticket");
         assert_eq!(live.seqno(), seq);
@@ -926,7 +821,12 @@ mod tests {
         let fvl = shared_fvl();
         let writer = EngineWriter::from_fvl(fvl);
         let live = Arc::new(LiveEngine::new(writer.base().clone()));
-        let pipeline = IngestPipeline::spawn(writer, live.clone(), PublishPolicy::default());
+        let pipeline = IngestPipeline::spawn_with(
+            writer,
+            live.clone(),
+            PublishPolicy::default(),
+            PipelineOptions::default(),
+        );
         let q = pipeline.queue().clone();
 
         // An unsafe compile fails its ticket with the compile error…

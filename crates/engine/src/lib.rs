@@ -29,14 +29,15 @@
 //!   ingest over that same writer: producers submit typed [`IngestOp`]s
 //!   into a bounded MPSC queue (typed backpressure, never silent drops)
 //!   and a publisher thread batches, coalesces and publishes them on a
-//!   [`PublishPolicy`] cadence;
-//! * [`DurableEngine`] / [`CompactionDriver`] — the one log: every
+//!   [`PublishPolicy`] cadence (op count or deadline);
+//! * [`DurableEngine`] / [`CompactionPolicy`] — the one log: every
 //!   persisted publish ([`EngineWriter::publish_durable`]) is a framed,
 //!   checksummed, fsynced append — the acknowledgement barrier — before
 //!   its generation swap; a recovery reader heals torn tails and skips
-//!   compaction-stale frames, background compaction folds the replayed
-//!   head into a fresh base by atomic rename, and a [`RetryPolicy`]
-//!   absorbs transient storage faults.
+//!   compaction-stale frames, a background compaction thread folds the
+//!   replayed head into a fresh base by atomic rename once the log
+//!   outgrows the policy, and the pipeline retries transient storage
+//!   faults with a bounded backoff.
 //!
 //! Generations persist themselves: [`EngineGeneration::save`] writes the
 //! interned store, the registered views and every compiled label (power
@@ -98,15 +99,15 @@ mod staging;
 mod store;
 
 pub use durability::{
-    lock_durable, serialize_base, shared_durable, CompactionDriver, CompactionPolicy,
-    CompactionStats, CompactionTotals, DurableEngine, LogStatus, RecoveryReport, SharedDurable,
+    serialize_base, shared_durable, CompactionPolicy, CompactionStats, CompactionTotals,
+    DurableEngine, LogStatus, RecoveryReport, SharedDurable,
 };
 pub use error::EngineError;
 pub use frozen::{EngineCore, WorkerScratch};
 pub use generation::{EngineGeneration, EngineWriter, LiveEngine};
 pub use ingest::{
     IngestError, IngestOp, IngestOutcome, IngestPipeline, IngestQueue, IngestStats,
-    PipelineOptions, PipelineReport, PublishPolicy, RetryPolicy, Ticket,
+    PipelineOptions, PipelineReport, PublishPolicy, Ticket,
 };
 pub use registry::{ViewId, ViewRef, ViewRegistry};
 pub use store::{ItemId, LabelStore};

@@ -331,6 +331,55 @@ fn stale_writer_is_rejected_before_any_byte_is_written() {
     assert_eq!(save_bytes(&recovered), save_bytes(&g2));
 }
 
+/// A short write inside the second frame fails that publish, and the
+/// append rolls the torn prefix back: the log is byte for byte what it was,
+/// the staged batch survives, and retrying the publish lands it as if the
+/// fault never happened.
+#[test]
+fn a_short_write_rolls_the_append_back_and_the_retry_lands() {
+    let w = bioaid(4);
+    let fvl = shared_fvl(&w);
+    let pg = ProdGraph::new(&w.spec.grammar);
+    let mut rng = StdRng::seed_from_u64(77);
+    let (_, run) = sample::sample_run(&w, &pg, &mut rng, 60);
+    let labels = fvl.labeler(&run).labels().to_vec();
+    let (first, rest) = labels.split_at(labels.len() / 2);
+    // One durable publish of `first` over `storage`.
+    let publish_first = |storage: &MemStorage| {
+        let (mut durable, gen0, _) =
+            DurableEngine::open(fvl.clone(), Box::new(storage.clone()), 64).unwrap();
+        let live = LiveEngine::new(gen0.clone());
+        let mut writer = EngineWriter::new(gen0);
+        writer.try_insert_labels(first).unwrap();
+        writer.publish_durable(&live, &mut durable).unwrap();
+        (durable, live, writer)
+    };
+    let first_frame = publish_first(&MemStorage::new()).0.status().bytes;
+
+    let cut = first_frame + 40;
+    let storage = MemStorage::with_plan(FaultPlan::new().at_byte(cut, FaultKind::ShortWrite));
+    let (mut durable, live, mut writer) = publish_first(&storage);
+    let (_, log_before) = storage.contents();
+    assert_eq!(log_before.len() as u64, first_frame);
+
+    writer.try_insert_labels(rest).unwrap();
+    let Err(err) = writer.publish_durable(&live, &mut durable) else {
+        panic!("a short write must fail the publish");
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
+    assert_eq!(storage.contents().1, log_before, "the torn prefix was rolled back");
+    assert!(writer.has_staged_changes(), "a failed publish consumes nothing");
+    assert_eq!(live.seqno(), 1, "a failed publish swaps nothing");
+
+    let g2 = writer.publish_durable(&live, &mut durable).expect("the retried publish lands");
+    assert_eq!((g2.seqno(), g2.store().len()), (2, labels.len()));
+    assert!(storage.contents().1.len() as u64 > cut, "the fault fell inside the second frame");
+    let (_, recovered, report) =
+        DurableEngine::open(fvl, Box::new(storage.survivor()), 64).expect("store reopens");
+    assert_eq!((recovered.seqno(), report.dropped_bytes), (2, 0));
+    assert_eq!(save_bytes(&recovered), save_bytes(&g2));
+}
+
 /// `wait_timeout` bounds waiting on a stalled pipeline: `None` while the
 /// op is in flight, the real outcome once the publisher gets to it.
 #[test]
@@ -342,11 +391,10 @@ fn wait_timeout_bounds_stalled_waits() {
     // A policy that effectively never publishes on its own.
     let policy = PublishPolicy {
         max_batch_ops: usize::MAX,
-        max_batch_bytes: usize::MAX,
         max_delay: Duration::from_secs(3600),
         ..PublishPolicy::default()
     };
-    let pipeline = IngestPipeline::spawn(writer, live, policy);
+    let pipeline = IngestPipeline::spawn_with(writer, live, policy, PipelineOptions::default());
     let t = pipeline
         .queue()
         .push(IngestOp::AddView(views::random_safe_view(&w, &mut StdRng::seed_from_u64(9), 3)))

@@ -51,7 +51,6 @@ fn racing_producers_converge_and_the_oplog_recovers_byte_identically() {
         queue_capacity: 64,
         max_batch_ops: 16,
         max_delay: std::time::Duration::from_millis(1),
-        ..PublishPolicy::default()
     };
     let options =
         PipelineOptions { durable: Some(shared_durable(durable)), ..PipelineOptions::default() };
@@ -176,9 +175,9 @@ fn backpressure_sheds_typed_and_shutdown_drains_every_accepted_op() {
         queue_capacity: 2,
         max_batch_ops: 64,
         max_delay: std::time::Duration::from_millis(1),
-        ..PublishPolicy::default()
     };
-    let pipeline = IngestPipeline::spawn(writer, live.clone(), policy);
+    let pipeline =
+        IngestPipeline::spawn_with(writer, live.clone(), policy, PipelineOptions::default());
 
     let mut accepted = Vec::new();
     let mut backpressured = 0usize;

@@ -723,12 +723,11 @@ pub fn check_multi_producer(
     let reference_live = LiveEngine::new(reference.base().clone());
 
     // Publish cadence is fuzzed too: tiny op budgets force publishes to
-    // split producer batches; tiny byte budgets and short deadlines race
-    // the coalescing window against the producers.
+    // split producer batches; short deadlines race the coalescing window
+    // against the producers.
     let policy = PublishPolicy {
         queue_capacity: rng.gen_range(2..24),
         max_batch_ops: rng.gen_range(1..24),
-        max_batch_bytes: 1usize << rng.gen_range(8..20u32),
         max_delay: std::time::Duration::from_micros(rng.gen_range(100..2000)),
     };
     // Every published generation, in publish order.

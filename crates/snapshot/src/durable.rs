@@ -63,7 +63,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Encode one frame (header + payload) ready to append.
+/// Encode one frame (header + payload) ready to append. The length field
+/// holds 4 bytes, so the payload must be shorter than 4 GiB
+/// ([`DurableLog::append`] refuses a longer one).
 pub fn encode_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
     frame.extend_from_slice(&FRAME_MAGIC);
@@ -300,7 +302,6 @@ pub struct DurableLog {
     storage: Box<dyn Storage>,
     log_bytes: u64,
     frames: u64,
-    last_seq: Option<u64>,
 }
 
 impl DurableLog {
@@ -317,17 +318,16 @@ impl DurableLog {
         }
         let records: Vec<(u64, Vec<u8>)> =
             scan.frames.iter().map(|f| (f.seq, raw[f.payload.clone()].to_vec())).collect();
-        let log = Self {
-            storage,
-            log_bytes: scan.valid_len,
-            frames: scan.frames.len() as u64,
-            last_seq: scan.frames.last().map(|f| f.seq),
-        };
+        let log = Self { storage, log_bytes: scan.valid_len, frames: scan.frames.len() as u64 };
         Ok((log, LogOpen { base, records, dropped_bytes: scan.dropped_bytes }))
     }
 
     /// Append one framed record and fsync. When this returns `Ok` the
     /// record is durable — this is the only acknowledgement barrier.
+    ///
+    /// A payload too long for the frame's 4-byte length field is
+    /// [`io::ErrorKind::InvalidInput`], refused before any byte is written:
+    /// a truncated length would make the log unreadable past this frame.
     ///
     /// On failure the tail is rolled back to the last frame boundary
     /// (best effort) so a *retry* of the append starts clean instead of
@@ -335,6 +335,7 @@ impl DurableLog {
     /// the final bytes of the log. If even the rollback fails, the retry
     /// will fail too, and reopening heals the tail the normal way.
     pub fn append(&mut self, seq: u64, payload: &[u8]) -> io::Result<()> {
+        check_payload_len(payload.len() as u64)?;
         let frame = encode_frame(seq, payload);
         let appended = self.storage.append_log(&frame).and_then(|()| self.storage.sync_log());
         if let Err(e) = appended {
@@ -343,7 +344,6 @@ impl DurableLog {
         }
         self.log_bytes += frame.len() as u64;
         self.frames += 1;
-        self.last_seq = Some(seq);
         Ok(())
     }
 
@@ -382,11 +382,17 @@ impl DurableLog {
     pub fn frames(&self) -> u64 {
         self.frames
     }
+}
 
-    /// Seqno tag of the most recently appended frame, if any.
-    pub fn last_seq(&self) -> Option<u64> {
-        self.last_seq
+/// Whether a payload of `len` bytes fits a frame's 4-byte length field.
+fn check_payload_len(len: u64) -> io::Result<()> {
+    if u32::try_from(len).is_err() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("a {len}-byte delta record does not fit a frame's 4-byte length field"),
+        ));
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -517,10 +523,20 @@ mod tests {
         assert_eq!(open.base.as_deref(), Some(&b"BASEBYTES"[..]));
         assert_eq!(open.records.len(), 3);
         assert_eq!(open.dropped_bytes, (partial.len() - 3) as u64);
-        assert_eq!(log.last_seq(), Some(3));
+        assert_eq!(log.frames(), 3);
 
         log.append(4, b"retry").expect("append resumes");
         assert_eq!(log.frames(), 4);
+    }
+
+    #[test]
+    fn payload_length_is_bounded_by_the_frame_field() {
+        assert!(check_payload_len(0).is_ok());
+        assert!(check_payload_len(u32::MAX.into()).is_ok());
+        // One byte past the field's range, checked without allocating it.
+        let err = check_payload_len(u64::from(u32::MAX) + 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("4294967296-byte"), "{err}");
     }
 
     #[test]

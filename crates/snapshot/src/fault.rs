@@ -4,8 +4,7 @@
 //!
 //! * [`FaultPlan`] — a script of faults, each firing at the N-th append
 //!   call or the N-th byte of the cumulative appended stream: fail with a
-//!   chosen [`std::io::ErrorKind`], short-write, or crash (every later
-//!   append fails).
+//!   chosen [`std::io::ErrorKind`] or short-write.
 //! * [`MemStorage`] — a fault-injectable in-memory
 //!   [`crate::durable::Storage`] that *counts mutation points* (every
 //!   appended byte, every atomic rename/truncate, every fsync) and can
@@ -23,15 +22,12 @@ use crate::durable::Storage;
 pub enum FaultKind {
     /// Return `Err` of this kind; the append lands nothing.
     /// `ErrorKind::Interrupted` / `WouldBlock` / `TimedOut` model
-    /// transient failures a retry policy should absorb.
+    /// transient failures the ingest pipeline retries.
     Fail(io::ErrorKind),
     /// Land only the bytes up to the trigger, then fail the append with
-    /// `ErrorKind::WriteZero`.
+    /// `ErrorKind::WriteZero`. (Crashes, which fail everything after them,
+    /// are [`MemStorage::crash_at_point`]'s job.)
     ShortWrite,
-    /// Like `Fail` with `ErrorKind::Other`, but permanent: every
-    /// subsequent append fails too. (Byte-exact kill points are
-    /// [`MemStorage::crash_at_point`]'s job.)
-    Crash,
 }
 
 /// When a planned fault fires.
@@ -50,13 +46,12 @@ struct PlannedFault {
 }
 
 /// A deterministic script of injected faults. One-shot: each fault is
-/// consumed when it fires (a `Crash` stays latched instead).
+/// consumed when it fires.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     faults: Vec<PlannedFault>,
     calls: u64,
     bytes: u64,
-    crashed: bool,
 }
 
 /// What the plan decided for one write attempt.
@@ -96,16 +91,9 @@ impl FaultPlan {
         self
     }
 
-    fn crash_error() -> io::Error {
-        io::Error::other("injected crash: storage is gone")
-    }
-
     /// Decide what happens to a write of `len` bytes, advancing the call
     /// and byte counters.
     fn on_write(&mut self, len: usize) -> FaultAction {
-        if self.crashed {
-            return FaultAction::Fail { error: Self::crash_error() };
-        }
         let call = self.calls;
         self.calls += 1;
         // Earliest applicable fault wins: call faults fire before any
@@ -127,23 +115,18 @@ impl FaultPlan {
             self.bytes += len as u64;
             return FaultAction::Pass;
         };
-        let kind = self.faults[idx].kind;
         self.bytes += accept as u64;
-        match kind {
+        match self.faults.remove(idx).kind {
             FaultKind::Fail(ek) => {
-                self.faults.remove(idx);
                 FaultAction::Fail { error: io::Error::new(ek, "injected fault") }
             }
-            FaultKind::ShortWrite => {
-                self.faults.remove(idx);
-                FaultAction::Short { accept }
-            }
-            FaultKind::Crash => {
-                self.crashed = true;
-                FaultAction::Fail { error: Self::crash_error() }
-            }
+            FaultKind::ShortWrite => FaultAction::Short { accept },
         }
     }
+}
+
+fn crash_error() -> io::Error {
+    io::Error::other("injected crash: storage is gone")
 }
 
 /// Shared inner state of a [`MemStorage`].
@@ -238,11 +221,11 @@ impl MemInner {
     /// Execute one atomic mutation point (or crash there).
     fn step(&mut self) -> io::Result<()> {
         if self.crashed {
-            return Err(FaultPlan::crash_error());
+            return Err(crash_error());
         }
         if self.crash_at == Some(self.points) {
             self.crashed = true;
-            return Err(FaultPlan::crash_error());
+            return Err(crash_error());
         }
         self.points += 1;
         Ok(())
@@ -253,7 +236,7 @@ impl Storage for MemStorage {
     fn read_base(&mut self) -> io::Result<Option<Vec<u8>>> {
         let inner = self.lock();
         if inner.crashed {
-            return Err(FaultPlan::crash_error());
+            return Err(crash_error());
         }
         Ok(inner.base.clone())
     }
@@ -269,7 +252,7 @@ impl Storage for MemStorage {
     fn read_log(&mut self) -> io::Result<Vec<u8>> {
         let inner = self.lock();
         if inner.crashed {
-            return Err(FaultPlan::crash_error());
+            return Err(crash_error());
         }
         Ok(inner.log.clone())
     }
@@ -277,7 +260,7 @@ impl Storage for MemStorage {
     fn append_log(&mut self, bytes: &[u8]) -> io::Result<()> {
         let mut inner = self.lock();
         if inner.crashed {
-            return Err(FaultPlan::crash_error());
+            return Err(crash_error());
         }
         match inner.plan.on_write(bytes.len()) {
             FaultAction::Fail { error } => return Err(error),
@@ -339,16 +322,6 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);
         s.append_log(b"two").unwrap();
         assert_eq!(s.read_log().unwrap(), b"onetwo");
-    }
-
-    #[test]
-    fn crash_fault_latches_every_later_append() {
-        let plan = FaultPlan::new().at_byte(5, FaultKind::Crash);
-        let mut s = MemStorage::with_plan(plan);
-        let err = s.append_log(b"0123456789").unwrap_err();
-        assert_eq!(err.to_string(), FaultPlan::crash_error().to_string());
-        assert!(s.read_log().unwrap().is_empty(), "a failed append lands nothing");
-        assert!(s.append_log(b"later").is_err(), "the crash stays latched");
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!    Every acknowledged ticket is covered by an append+fsync *before*
 //!    its generation is swapped live.
 //! 2. **Survive faults** — the same pipeline over a fault-injecting
-//!    storage: transient I/O errors on the append path are absorbed by
-//!    the typed [`RetryPolicy`] (counted, acked); a fatal error resolves
-//!    every in-flight ticket `Err` and surfaces in the report — never a
-//!    hang, never a silent drop.
+//!    storage: transient I/O errors on the append path are retried with
+//!    a bounded backoff (counted, acked); a fatal error resolves every
+//!    in-flight ticket `Err` and surfaces in the report — never a hang,
+//!    never a silent drop.
 //! 3. **Crash mid-compaction** — a metered storage is killed between the
 //!    base rename and the log rewrite; reopening recovers the full acked
 //!    state by skipping the frames the fresh base already covers.
@@ -93,7 +93,7 @@ fn main() {
 
     // --- Act 2: fault injection on the append path. ----------------------
     // Transient faults: three consecutive injected I/O errors, absorbed by
-    // the retry policy — the op is still acknowledged.
+    // retrying the append — the op is still acknowledged.
     let mem = MemStorage::with_plan(FaultPlan::new().transient_calls(0, 3));
     let (durable, gen0, _) = DurableEngine::open(fvl.clone(), Box::new(mem), 1024).unwrap();
     let live2 = Arc::new(LiveEngine::new(gen0.clone()));
@@ -108,7 +108,7 @@ fn main() {
     let rep = pipeline.shutdown();
     assert!(rep.stats.persist_retries >= 1);
     println!(
-        "act 2: {} transient append fault(s) absorbed by the retry policy, op still acked",
+        "act 2: {} transient append fault(s) absorbed by retrying, op still acked",
         rep.stats.persist_retries
     );
 

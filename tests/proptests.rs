@@ -264,11 +264,12 @@ proptest! {
         // must still match the sequential reference continued in its
         // ticket order.
         let live2 = Arc::new(LiveEngine::new(reloaded));
-        let pipeline2 =
-            IngestPipeline::spawn(EngineWriter::new(live2.snapshot()), live2.clone(), PublishPolicy {
-                max_batch_ops: 8,
-                ..PublishPolicy::default()
-            });
+        let pipeline2 = IngestPipeline::spawn_with(
+            EngineWriter::new(live2.snapshot()),
+            live2.clone(),
+            PublishPolicy { max_batch_ops: 8, ..PublishPolicy::default() },
+            PipelineOptions::default(),
+        );
         let mut tickets2 = race(&pipeline2, &pool, producers * PER);
         pipeline2.shutdown();
         for (t, _) in &tickets2 {
