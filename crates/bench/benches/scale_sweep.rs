@@ -23,12 +23,7 @@
 //!   labels without relabeling), with warm answers spot-checked against
 //!   cold;
 //! * memory — `rss_bytes` (`VmRSS`) after each size's build, plus the
-//!   process-wide `peak_rss_bytes` (`VmHWM`) after the largest;
-//! * `profile` — when built with `--features profile`, the per-stage
-//!   [`wf_bench::profile::ProfileReport`] of the largest size's query
-//!   traffic (label fetch / port-graph walk / matmul / pow-memo hit+miss /
-//!   …), hottest first, top-3 named. CI runs this bench with the feature
-//!   on so `bench_check` can gate on the report being present.
+//!   process-wide `peak_rss_bytes` (`VmHWM`) after the largest.
 //!
 //! Writes `BENCH_scale_sweep.txt` (workspace root); `--test` shrinks the
 //! sweep to a 10⁴ top size for CI's bench-smoke.
@@ -39,7 +34,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Instant;
 use wf_bench::report::{host_cores, Report};
-use wf_bench::{current_rss_bytes, ms, peak_rss_bytes, profile, Bench, LatencyHistogram};
+use wf_bench::{current_rss_bytes, ms, peak_rss_bytes, Bench, LatencyHistogram};
 use wf_core::{Fvl, VariantKind};
 use wf_engine::{EngineGeneration, EngineWriter, ItemId, LiveEngine, WorkerScratch};
 
@@ -92,7 +87,6 @@ fn bench_scale_sweep(c: &mut Criterion) {
     let view = bench.safe_view(7, 8);
 
     let mut rows: Vec<SweepRow> = Vec::new();
-    let mut profile_report = profile::ProfileReport::default();
 
     for &size in sizes {
         // A real run of this size — sampled outside the cold-build timer
@@ -122,7 +116,6 @@ fn bench_scale_sweep(c: &mut Criterion) {
         for &(a, b) in pairs.iter().take(256) {
             std::hint::black_box(core.try_query(&mut ws, vref, a, b).unwrap());
         }
-        let _ = profile::take_report(); // profile the measured traffic only
         let mut seq = LatencyHistogram::new();
         let t_seq = Instant::now();
         for &(a, b) in &pairs {
@@ -163,8 +156,6 @@ fn bench_scale_sweep(c: &mut Criterion) {
         for h in &worker_hists {
             par.merge(h);
         }
-        // The largest size's measured traffic is the profile that matters.
-        profile_report = profile::take_report();
 
         // --- Warm restart: snapshot round-trip vs the cold build. -------
         let mut snapshot = Vec::new();
@@ -217,9 +208,7 @@ fn bench_scale_sweep(c: &mut Criterion) {
              sharing the frozen core, per-worker histograms merged (on host_cores < par_workers \
              the tail includes time-slicing, by design); warm_load_ms = EngineGeneration::load \
              from a save() snapshot — no relabeling — gated <= cold_build_ms at >= 5·10^5 \
-             items and <= 1.5x cold_build_ms below; rss_bytes = VmRSS after the build. profile \
-             = per-stage counters of the largest size's measured queries, present when built \
-             with --features profile (CI does)."
+             items and <= 1.5x cold_build_ms below; rss_bytes = VmRSS after the build."
         ),
     );
     for (i, row) in rows.iter().enumerate() {
@@ -237,7 +226,6 @@ fn bench_scale_sweep(c: &mut Criterion) {
         rep.metric(&at("rss_bytes"), row.rss_bytes as f64);
     }
     rep.metric("peak_rss_bytes", peak_rss as f64);
-    profile::record(&profile_report, &mut rep);
     rep.write();
 
     // --- Criterion entries (human-readable printout) at the smallest

@@ -232,35 +232,6 @@ fn proc_status_bytes(field: &str) -> Option<u64> {
     Some(kb * 1024)
 }
 
-pub mod profile {
-    //! The bench-facing surface of the hot-path profiler: re-exports
-    //! `wf-profile` (scopes, stages, [`take_report`]) plus [`record`], which
-    //! files a report's stages in a bench [`Report`].
-    //!
-    //! Build benches with `--features profile` to light the counters up
-    //! end to end (`wf-bench/profile` forwards through engine → core →
-    //! boolmat); without it every scope is a no-op and [`record`] writes
-    //! `profile.enabled=false`.
-
-    use crate::report::Report;
-    pub use wf_profile::{count, is_enabled, scope, take_report, ProfileReport, Stage, STAGES};
-
-    /// Appends `r` to `rep`: `info profile.enabled`, `info profile.top`
-    /// naming the three hottest stages (what `bench_check` gates on), and
-    /// `profile.stages.<stage>.{calls,ns}` for every stage that ran,
-    /// hottest first.
-    pub fn record(r: &ProfileReport, rep: &mut Report) {
-        let ran: Vec<Stage> = r.ranked().into_iter().filter(|&st| r.calls_of(st) > 0).collect();
-        rep.info("profile.enabled", is_enabled());
-        let top: Vec<&str> = ran.iter().take(3).map(|st| st.name()).collect();
-        rep.info("profile.top", top.join(","));
-        for st in ran {
-            rep.metric(&format!("profile.stages.{}.calls", st.name()), r.calls_of(st) as f64);
-            rep.metric(&format!("profile.stages.{}.ns", st.name()), r.ns_of(st) as f64);
-        }
-    }
-}
-
 /// Average and maximum encoded data-label size, in bits.
 pub fn label_bits_stats(fvl: &Fvl<'_>, labels: &[DataLabel]) -> (f64, usize) {
     let mut total = 0usize;
@@ -492,28 +463,6 @@ mod tests {
         assert!(cur > 0, "a running process has resident pages");
         assert!(peak >= cur / 2, "HWM cannot be far below current RSS (peak {peak}, cur {cur})");
         assert!(peak > 0);
-    }
-
-    /// A profile lands in a report as an `enabled` flag, a `top` list and
-    /// hottest-first stage rows.
-    #[test]
-    fn profile_record_shape() {
-        let mut r = profile::ProfileReport::default();
-        r.calls[profile::Stage::Matmul as usize] = 10;
-        r.ns[profile::Stage::Matmul as usize] = 5_000;
-        r.calls[profile::Stage::Pi as usize] = 4;
-        r.ns[profile::Stage::Pi as usize] = 9_000;
-        r.calls[profile::Stage::PowMemoHit as usize] = 2;
-        let mut rep = report::Report::new("scale_sweep");
-        profile::record(&r, &mut rep);
-        assert_eq!(rep.text("profile.top"), Some("pi,matmul,pow_memo_hit"));
-        assert_eq!(rep.children("profile.stages"), ["pi", "matmul", "pow_memo_hit"]);
-        assert_eq!(rep.num("profile.stages.matmul.calls"), Ok(10.0));
-        assert_eq!(rep.num("profile.stages.matmul.ns"), Ok(5_000.0));
-        let mut empty = report::Report::new("scale_sweep");
-        profile::record(&profile::ProfileReport::default(), &mut empty);
-        assert_eq!(empty.text("profile.top"), Some(""));
-        assert!(empty.children("profile.stages").is_empty());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! ```text
 //! info bench=scale_sweep
 //! metric sweep.0.seq_query_ns.p99 2208
-//! info profile.top=label_fetch,pi,chain_eval
+//! info metric_note=Figure 26-style scale sweep
 //! ```
 //!
 //! `info <key>=<text>` carries provenance (names, notes, booleans, comma-joined

@@ -194,7 +194,6 @@ impl BoolMat {
     /// The product kernel behind [`BoolMat::matmul`] and
     /// [`BoolMat::matmul_into`] (`out` already reset to the result shape).
     fn matmul_bits(&self, other: &BoolMat, out: &mut BoolMat) {
-        let _t = wf_profile::scope(wf_profile::Stage::Matmul);
         let full = Self::col_mask(other.cols as usize);
         for (i, &row) in self.data.iter().enumerate() {
             // All-zero source rows contribute nothing; `out` is freshly
@@ -239,7 +238,6 @@ impl BoolMat {
     /// [`BoolMat::transpose_into`]: scatter each set bit `(r, c)` to
     /// `(c, r)` of the reset `out`.
     fn transpose_bits(&self, out: &mut BoolMat) {
-        let _t = wf_profile::scope(wf_profile::Stage::Transpose);
         for r in 0..self.rows as usize {
             let mut bits = self.data[r];
             while bits != 0 {

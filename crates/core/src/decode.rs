@@ -21,7 +21,6 @@ use std::sync::OnceLock;
 use wf_analysis::{i_matrix_with, o_matrix_with, production_port_graph, z_matrix_with, ProdGraph};
 use wf_boolmat::{BoolMat, MatPool, PowMemo};
 use wf_model::{Grammar, PortGraph, ProdId};
-use wf_profile::Stage;
 use wf_run::EdgeLabel;
 
 /// Reusable per-session query state: a [`MatPool`] of matrix buffers plus a
@@ -102,10 +101,8 @@ impl<'a> DecodeCtx<'a> {
         let slots = self.se_graphs.get_or_init(|| {
             (0..self.grammar.production_count()).map(|_| OnceLock::new()).collect()
         });
-        slots[k.index()].get_or_init(|| {
-            let _t = wf_profile::scope(Stage::PortGraphWalk);
-            production_port_graph(self.grammar, k, self.vl.lambda_star())
-        })
+        slots[k.index()]
+            .get_or_init(|| production_port_graph(self.grammar, k, self.vl.lambda_star()))
     }
 
     /// `I(k, i)` or `O(k, i)`: borrowed from the label when materialized,
@@ -119,7 +116,6 @@ impl<'a> DecodeCtx<'a> {
             return Some(Cow::Borrowed(mat));
         }
         let g = self.searched_graph(k);
-        let _t = wf_profile::scope(Stage::PortGraphWalk);
         Some(Cow::Owned(if inputs {
             i_matrix_with(g, self.grammar, k, i as usize)
         } else {
@@ -136,7 +132,6 @@ impl<'a> DecodeCtx<'a> {
             return Some(Cow::Borrowed(&m.z_mats[i as usize][j as usize]));
         }
         let g = self.searched_graph(k);
-        let _t = wf_profile::scope(Stage::PortGraphWalk);
         Some(Cow::Owned(z_matrix_with(g, self.grammar, k, i as usize, j as usize)))
     }
 
@@ -239,7 +234,6 @@ impl<'a> DecodeCtx<'a> {
         inputs: bool,
         out: &mut BoolMat,
     ) -> Option<()> {
-        let _t_stage = wf_profile::scope(Stage::ChainEval);
         let cycle = self.pg.cycles().ok()?.get(s as usize)?;
         let l = cycle.len();
         let t = t % l;
@@ -250,7 +244,6 @@ impl<'a> DecodeCtx<'a> {
         }
         // Query-Efficient: O(1) via prefix products + power cache (§4.4.3).
         if let Some(cache) = self.vl.cycle_cache(s) {
-            wf_profile::count(Stage::PowMemoHit);
             let q = count / l as u64;
             let r = (count % l as u64) as usize;
             let (power, prefix) = if inputs {
@@ -272,7 +265,6 @@ impl<'a> DecodeCtx<'a> {
         let key = (self.vl.uid(), s, t as u32, inputs);
         // Ensure X_t^q is memoized, computing X_t only on a miss.
         if scratch.memo.get(&key).and_then(|m| m.cached(q)).is_none() {
-            wf_profile::count(Stage::PowMemoMiss);
             let mut x_t = scratch.pool.take();
             let built = self.partial_into(scratch, s, t, l, inputs, &mut x_t).map(|()| {
                 let QueryScratch { pool, memo } = scratch;
@@ -280,8 +272,6 @@ impl<'a> DecodeCtx<'a> {
             });
             scratch.pool.put(x_t);
             built?;
-        } else {
-            wf_profile::count(Stage::PowMemoHit);
         }
         let mut prefix = scratch.pool.take();
         let res = self.partial_into(scratch, s, t, r, inputs, &mut prefix).map(|()| {
@@ -362,7 +352,6 @@ pub fn pi_with(
     d1: LabelRef<'_>,
     d2: LabelRef<'_>,
 ) -> Option<bool> {
-    let _t = wf_profile::scope(Stage::Pi);
     // Case I: d1 is a final output or d2 is an initial input.
     let Some(i1) = d1.inp else { return Some(false) };
     let Some(o2) = d2.out else { return Some(false) };

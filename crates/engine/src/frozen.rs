@@ -28,7 +28,6 @@ use crate::error::EngineError;
 use crate::registry::{ViewRef, ViewRegistry};
 use crate::store::{ItemId, LabelStore};
 use wf_core::{is_visible_ref, pi_with, DecodeCtx, Fvl, QueryScratch};
-use wf_profile::Stage;
 use wf_run::EdgeLabel;
 
 /// One worker's mutable query state: scratch (pool + memo), the label
@@ -82,13 +81,8 @@ pub(crate) fn query_pair(
     a: ItemId,
     b: ItemId,
 ) -> Option<bool> {
-    let (r1, r2) = {
-        let _f = wf_profile::scope(Stage::LabelFetch);
-        (
-            store.label_ref(a, &mut ws.buf_o1, &mut ws.buf_i1),
-            store.label_ref(b, &mut ws.buf_o2, &mut ws.buf_i2),
-        )
-    };
+    let r1 = store.label_ref(a, &mut ws.buf_o1, &mut ws.buf_i1);
+    let r2 = store.label_ref(b, &mut ws.buf_o2, &mut ws.buf_i2);
     if !is_visible_ref(r1, ctx.vl, ctx.pg) || !is_visible_ref(r2, ctx.vl, ctx.pg) {
         return None;
     }
@@ -106,7 +100,6 @@ fn query_grouped(
     pairs: &[(ItemId, ItemId)],
     out: &mut [Option<bool>],
 ) {
-    let _batch = wf_profile::scope(Stage::Batch);
     let WorkerScratch { scratch, buf_o1, buf_i1, buf_o2, buf_i2, order, .. } = ws;
     order.clear();
     order.extend(0..pairs.len() as u32);
@@ -117,10 +110,7 @@ fn query_grouped(
     let mut at = 0;
     while at < order.len() {
         let a = pairs[order[at] as usize].0;
-        let r1 = {
-            let _f = wf_profile::scope(Stage::LabelFetch);
-            store.label_ref(a, buf_o1, buf_i1)
-        };
+        let r1 = store.label_ref(a, buf_o1, buf_i1);
         let visible1 = is_visible_ref(r1, ctx.vl, ctx.pg);
         while at < order.len() {
             let slot = order[at] as usize;
@@ -131,10 +121,7 @@ fn query_grouped(
             out[slot] = if !visible1 {
                 None
             } else {
-                let r2 = {
-                    let _f = wf_profile::scope(Stage::LabelFetch);
-                    store.label_ref(b, buf_o2, buf_i2)
-                };
+                let r2 = store.label_ref(b, buf_o2, buf_i2);
                 if is_visible_ref(r2, ctx.vl, ctx.pg) {
                     pi_with(ctx, scratch, r1, r2)
                 } else {
@@ -158,20 +145,13 @@ fn sweep_rows(
     items: &[ItemId],
     out: &mut Vec<(ItemId, ItemId)>,
 ) {
-    let _batch = wf_profile::scope(Stage::Batch);
     for &a in rows {
-        let r1 = {
-            let _f = wf_profile::scope(Stage::LabelFetch);
-            store.label_ref(a, &mut ws.buf_o1, &mut ws.buf_i1)
-        };
+        let r1 = store.label_ref(a, &mut ws.buf_o1, &mut ws.buf_i1);
         if !is_visible_ref(r1, ctx.vl, ctx.pg) {
             continue;
         }
         for &b in items {
-            let r2 = {
-                let _f = wf_profile::scope(Stage::LabelFetch);
-                store.label_ref(b, &mut ws.buf_o2, &mut ws.buf_i2)
-            };
+            let r2 = store.label_ref(b, &mut ws.buf_o2, &mut ws.buf_i2);
             if !is_visible_ref(r2, ctx.vl, ctx.pg) {
                 continue;
             }

@@ -27,8 +27,9 @@
 //!    framed, appended and fsynced before the swap, so recovery from
 //!    `base ‖ frames` lands on byte-identical generations no matter how
 //!    many producers raced. A transient storage error (`Interrupted`,
-//!    `WouldBlock`, `TimedOut`) is retried up to five attempts, backing off
-//!    from 500 µs doubling to at most 20 ms; any other error is fatal.
+//!    `WouldBlock`, `TimedOut`) is retried up to five attempts in all,
+//!    sleeping 0.5, 1, 2 and 4 ms before the four retries; any other error
+//!    is fatal.
 //!
 //! Ordering and atomicity guarantees, precisely:
 //!
@@ -219,7 +220,8 @@ impl Ticket {
 enum Drained {
     /// At least one op was moved into the batch.
     Ops,
-    /// The wait deadline passed with the queue still empty.
+    /// The wait deadline passed: it had already expired on entry, or the
+    /// queue stayed empty until it did.
     TimedOut,
     /// Queue closed and empty — the pipeline can finish.
     Closed,
@@ -258,15 +260,6 @@ impl IngestQueue {
 
     fn lock(&self) -> MutexGuard<'_, QueueState> {
         self.state.lock().expect("ingest queue mutex poisoned")
-    }
-
-    /// Ops currently queued (racy by nature; for monitoring).
-    pub fn len(&self) -> usize {
-        self.lock().ops.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Closes the queue: subsequent pushes fail with
@@ -317,7 +310,9 @@ impl IngestQueue {
     }
 
     /// Publisher side: moves up to `max` ops into `out`, waiting (bounded
-    /// by `timeout`, unbounded without one) while the queue is empty.
+    /// by `timeout`, unbounded without one) while the queue is empty. An
+    /// expired `timeout` (zero) moves nothing, so a due publish goes out
+    /// before more work is taken, however busy the queue.
     fn drain_into(
         &self,
         out: &mut Vec<(IngestOp, Ticket)>,
@@ -326,6 +321,7 @@ impl IngestQueue {
     ) -> Drained {
         let idle = |st: &mut QueueState| st.ops.is_empty() && !st.closed;
         let mut st = match timeout {
+            Some(t) if t.is_zero() => return Drained::TimedOut,
             None => {
                 self.not_empty.wait_while(self.lock(), idle).expect("ingest queue mutex poisoned")
             }
@@ -370,8 +366,6 @@ impl Default for PublishPolicy {
 const PERSIST_ATTEMPTS: u32 = 5;
 /// Sleep before the first retry; each later retry doubles it.
 const FIRST_BACKOFF: Duration = Duration::from_micros(500);
-/// Ceiling of the doubling backoff.
-const MAX_BACKOFF: Duration = Duration::from_millis(20);
 
 /// Whether a storage failure is worth retrying: the `io::Error` kinds that
 /// mean "the world was busy", not "the world is broken".
@@ -649,7 +643,7 @@ fn publish_batch(
             Err(e) if is_transient(&e) && attempt < PERSIST_ATTEMPTS => {
                 stats.persist_retries += 1;
                 std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(MAX_BACKOFF);
+                backoff *= 2;
                 attempt += 1;
             }
             Err(e) => return Err(e.to_string()),
@@ -713,28 +707,32 @@ mod tests {
     #[test]
     fn try_push_surfaces_backpressure_and_push_blocks_without_dropping() {
         let q = Arc::new(IngestQueue::with_capacity(2));
-        let t_a = q.try_push(IngestOp::InsertLabels(Vec::new())).unwrap();
-        let _t_b = q.try_push(IngestOp::AddView(paper_example().view_u1())).unwrap();
+        let fill = |q: &IngestQueue| {
+            q.try_push(IngestOp::InsertLabels(Vec::new())).unwrap();
+            q.try_push(IngestOp::AddView(paper_example().view_u1())).unwrap();
+        };
+        fill(&q);
         // Full: the typed error reports the depth and accepts nothing.
         match q.try_push(IngestOp::InsertLabels(Vec::new())) {
             Err(EngineError::IngestBackpressure { queued }) => assert_eq!(queued, 2),
             Err(other) => panic!("expected backpressure, got {other:?}"),
             Ok(_) => panic!("a full queue must not accept ops"),
         }
-        assert_eq!(q.len(), 2, "a rejected try_push must not consume a slot");
+        let mut out = Vec::new();
+        assert!(matches!(q.drain_into(&mut out, usize::MAX, None), Drained::Ops));
+        assert_eq!(out.len(), 2, "a rejected try_push must not consume a slot");
 
         // The blocking push parks until the publisher side makes room,
         // then lands its op — nothing is dropped on either path.
+        fill(&q);
         let q2 = q.clone();
         let blocked = std::thread::spawn(move || {
             q2.push(IngestOp::InsertLabels(Vec::new())).unwrap();
         });
         std::thread::sleep(Duration::from_millis(20));
         assert!(!blocked.is_finished(), "push on a full queue must block, not drop");
-        let mut out = Vec::new();
         assert!(matches!(q.drain_into(&mut out, 1, None), Drained::Ops));
         blocked.join().unwrap();
-        assert_eq!(q.len(), 2, "the parked push claimed the freed slot");
 
         // Closing fails producers but keeps queued ops drainable.
         q.close();
@@ -748,9 +746,20 @@ mod tests {
         ));
         out.clear();
         assert!(matches!(q.drain_into(&mut out, usize::MAX, None), Drained::Ops));
-        assert_eq!(out.len(), 2);
+        assert_eq!(out.len(), 2, "the parked push claimed the freed slot");
         assert!(matches!(q.drain_into(&mut out, usize::MAX, None), Drained::Closed));
-        drop(t_a);
+    }
+
+    #[test]
+    fn expired_deadline_drains_nothing() {
+        let q = IngestQueue::with_capacity(4);
+        q.push(IngestOp::InsertLabels(Vec::new())).unwrap();
+        let mut out = Vec::new();
+        let expired = q.drain_into(&mut out, usize::MAX, Some(Duration::ZERO));
+        assert!(matches!(expired, Drained::TimedOut), "a due publish goes before more work");
+        assert!(out.is_empty());
+        assert!(matches!(q.drain_into(&mut out, usize::MAX, None), Drained::Ops));
+        assert_eq!(out.len(), 1, "the op stayed queued");
     }
 
     #[test]
