@@ -207,8 +207,8 @@ fn bench_scale_sweep(c: &mut Criterion) {
              WorkerScratch); par_query_ns = same workload across {PAR_WORKERS} scoped workers \
              sharing the frozen core, per-worker histograms merged (on host_cores < par_workers \
              the tail includes time-slicing, by design); warm_load_ms = EngineGeneration::load \
-             from a save() snapshot — no relabeling — gated <= cold_build_ms at >= 5·10^5 \
-             items and <= 1.5x cold_build_ms below; rss_bytes = VmRSS after the build."
+             from a save() snapshot — no relabeling, each stored trie node copied once — \
+             gated <= cold_build_ms at every size; rss_bytes = VmRSS after the build."
         ),
     );
     for (i, row) in rows.iter().enumerate() {

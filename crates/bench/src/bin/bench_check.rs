@@ -61,9 +61,9 @@
 //! strictly increasing sizes topping out ≥ 10^4; per size, ≥ 1000-sample
 //! latency histograms with ordered quantiles (p50 ≤ p99 ≤ p999 ≤ max) on
 //! both the sequential and parallel paths; warm restart ≤ cold rebuild
-//! (strict at ≥ 5·10^5 items where labeling dominates the cold cost,
-//! a 1.5× no-catastrophe bound below, where snapshot re-interning and
-//! labeling cost about the same); and positive snapshot/RSS accounting.
+//! at every size (loading copies each stored trie node once and hashes
+//! no label, so it stays well under relabeling plus interning); and
+//! positive snapshot/RSS accounting.
 //!
 //! **`query_throughput`** — exit 0 iff all three §6.3 variants report
 //! positive per-call / session / batched ns-per-query over ≥ 1000 pairs,
@@ -74,10 +74,9 @@
 //!
 //! **`snapshot_roundtrip`** — exit 0 iff the report covers ≥ 1000 items,
 //! ≥ 1 view and all 3 compiled variants with ≥ 3 timing repeats and
-//! positive byte/time fields; the warm load costs ≤ 1.5× the cold build
-//! on the same host (the no-catastrophe bound `scale_sweep` applies below
-//! 5·10^5 items — at this size loading and relabeling cost about the
-//! same); and the trie-interned store stays within the §5 per-label codec
+//! positive byte/time fields; the warm load costs no more than the cold
+//! build on the same host (the bound `scale_sweep` applies at every
+//! size); and the trie-interned store stays within the §5 per-label codec
 //! bound (`store_bits_per_label` ≤ `codec_bits_per_label`, a size
 //! property of the fixed workload, identical on every host).
 //!
@@ -233,17 +232,13 @@ fn check_scale_sweep(doc: &Report) -> Result<String, String> {
         }
         let cold = positive(doc, &at("cold_build_ms"))?;
         let warm = positive(doc, &at("warm_load_ms"))?;
-        // The restart claim: loading a snapshot skips relabeling, so it
-        // must strictly beat the cold rebuild where labeling dominates
-        // (measured 31x at 10^6 items). Below that, snapshot load
-        // re-interns every label — roughly what labeling + interning cost
-        // at small sizes — so warm and cold are comparable and the gate
-        // only forbids a catastrophic (> 1.5x) loss.
-        let slack = if items >= 500_000.0 { 1.0 } else { 1.5 };
-        if warm > cold * slack {
+        // The restart claim: loading a snapshot skips relabeling and
+        // copies each stored trie node once instead of hashing every raw
+        // path edge, so it must beat the cold rebuild at every size.
+        if warm > cold {
             return Err(format!(
                 "sweep.{row}: warm restart ({warm} ms) is slower than the cold rebuild ({cold} \
-                 ms x {slack} slack) at {items} items: snapshots no longer pay for themselves"
+                 ms) at {items} items: snapshots no longer pay for themselves"
             ));
         }
         positive(doc, &at("snapshot_bytes"))?;
@@ -253,7 +248,7 @@ fn check_scale_sweep(doc: &Report) -> Result<String, String> {
             doc.num(&at("seq_query_ns.p50"))?,
             doc.num(&at("seq_query_ns.p999"))?,
             doc.num(&at("par_query_ns.p999"))?,
-            cold / warm,
+            warm / cold,
         ));
     }
     if prev_items < 10_000.0 {
@@ -322,8 +317,8 @@ fn check_query_throughput(doc: &Report) -> Result<String, String> {
     Ok(summary)
 }
 
-/// The `snapshot_roundtrip` gate: shape, repeats, warm load ≤ 1.5× cold
-/// build, and the store within the per-label codec bound.
+/// The `snapshot_roundtrip` gate: shape, repeats, warm load ≤ cold build,
+/// and the store within the per-label codec bound.
 fn check_snapshot(doc: &Report) -> Result<String, String> {
     let items = need(doc, "items", |n| n >= 1000.0, ">= 1000 items")?;
     need(doc, "views", |n| n >= 1.0, ">= 1")?;
@@ -333,10 +328,10 @@ fn check_snapshot(doc: &Report) -> Result<String, String> {
     positive(doc, "save_ms")?;
     let cold = positive(doc, "cold_build_ms")?;
     let load = positive(doc, "load_ms")?;
-    if load > 1.5 * cold {
+    if load > cold {
         return Err(format!(
-            "warm load {load:.2} ms costs more than 1.5x the cold build {cold:.2} ms at {items} \
-             items: restoring a snapshot must not lose catastrophically to relabeling"
+            "warm load {load:.2} ms costs more than the cold build {cold:.2} ms at {items} \
+             items: restoring a snapshot must beat relabeling"
         ));
     }
     let store = positive(doc, "store_bits_per_label")?;
@@ -348,8 +343,8 @@ fn check_snapshot(doc: &Report) -> Result<String, String> {
         ));
     }
     Ok(format!(
-        "snapshot at {items} items: warm load {load:.2} ms vs cold build {cold:.2} ms (limit \
-         1.5x), store {store:.1} <= codec {codec:.1} bits/label — ok\n"
+        "snapshot at {items} items: warm load {load:.2} ms <= cold build {cold:.2} ms, store \
+         {store:.1} <= codec {codec:.1} bits/label — ok\n"
     ))
 }
 
@@ -907,13 +902,13 @@ mod tests {
         let mut rows = sweep_rows();
         rows.push(sweep_row(3, 1000000, 900, 4500, 17000, 500.0, 600.0));
         assert!(check(&sweep_doc(&rows)).unwrap_err().contains("pay for themselves"));
-        // ...but a small row gets the 1.5x comparable-cost bound: near
-        // parity passes, a catastrophic loss does not.
+        // The bound is strict at small sizes too: a warm restart just
+        // under parity passes, and 1.2x the cold rebuild does not.
         let mut rows = sweep_rows();
-        rows[0] = sweep_row(0, 1000, 300, 2000, 5000, 1.0, 1.2);
+        rows[0] = sweep_row(0, 1000, 300, 2000, 5000, 1.0, 0.95);
         assert!(check(&sweep_doc(&rows)).is_ok());
         let mut rows = sweep_rows();
-        rows[0] = sweep_row(0, 1000, 300, 2000, 5000, 1.0, 2.0);
+        rows[0] = sweep_row(0, 1000, 300, 2000, 5000, 1.0, 1.2);
         assert!(check(&sweep_doc(&rows)).unwrap_err().contains("pay for themselves"));
     }
 
@@ -988,14 +983,15 @@ mod tests {
 
     #[test]
     fn accepts_a_warm_load_within_the_cold_build_bound() {
-        assert!(check(&snapshot_doc(5, 3.35, 4.0, 79.2)).expect("1.2x passes").contains("ok"));
+        assert!(check(&snapshot_doc(5, 3.35, 3.2, 79.2)).expect("0.96x passes").contains("ok"));
     }
 
     #[test]
-    fn rejects_a_catastrophic_load_a_bloated_store_and_thin_repeats() {
-        assert!(check(&snapshot_doc(5, 3.35, 5.5, 79.2)).unwrap_err().contains("1.5x"));
-        assert!(check(&snapshot_doc(5, 3.35, 4.0, 90.0)).unwrap_err().contains("codec"));
-        assert!(check(&snapshot_doc(1, 3.35, 4.0, 79.2)).unwrap_err().contains(">= 3 repeats"));
+    fn rejects_a_slow_load_a_bloated_store_and_thin_repeats() {
+        let err = check(&snapshot_doc(5, 3.35, 4.0, 79.2)).unwrap_err();
+        assert!(err.contains("more than the cold build"), "1.2x: {err}");
+        assert!(check(&snapshot_doc(5, 3.35, 2.0, 90.0)).unwrap_err().contains("codec"));
+        assert!(check(&snapshot_doc(1, 3.35, 2.0, 79.2)).unwrap_err().contains(">= 3 repeats"));
     }
 
     #[test]

@@ -75,15 +75,26 @@ impl<'a> BitReader<'a> {
         Ok(out)
     }
 
-    /// Reads a unary-coded value (inverse of `write_unary`).
+    /// Reads a unary-coded value (inverse of `write_unary`), a word at a
+    /// time: the zeros before the terminating 1 are counted with
+    /// `trailing_zeros`, masked to the end of the stream. A stream that
+    /// ends before the 1 is [`ReadError::OutOfBits`], with every remaining
+    /// bit consumed.
     pub fn read_unary(&mut self) -> Result<u64, ReadError> {
-        let mut n = 0u64;
-        loop {
-            if self.read_bit()? {
+        let words = self.bits.words();
+        let start = self.pos;
+        while self.pos < self.bits.len() {
+            let avail = word_tail(self.pos, self.bits.len());
+            let ones = (words[self.pos / 64] >> (self.pos % 64)) & mask(avail);
+            if ones != 0 {
+                let zeros = ones.trailing_zeros() as usize;
+                let n = (self.pos + zeros - start) as u64;
+                self.pos += zeros + 1;
                 return Ok(n);
             }
-            n += 1;
+            self.pos += avail as usize;
         }
+        Err(ReadError::OutOfBits)
     }
 
     /// Reads an Elias γ-coded value (inverse of `write_gamma`).
@@ -108,14 +119,22 @@ impl<'a> BitReader<'a> {
         Ok((1u64 << (nbits - 1)) | rest)
     }
 
-    /// Reads `width` bits MSB-first (γ/δ payloads are written MSB-first).
+    /// Reads `width` bits MSB-first (γ/δ payloads are written MSB-first):
+    /// one [`BitReader::read_bits`], bit-reversed into the low `width`.
     fn read_bits_msb(&mut self, width: u32) -> Result<u64, ReadError> {
-        let mut out = 0u64;
-        for _ in 0..width {
-            out = (out << 1) | self.read_bit()? as u64;
-        }
-        Ok(out)
+        let raw = self.read_bits(width)?;
+        Ok(if width == 0 { 0 } else { raw.reverse_bits() >> (64 - width) })
     }
+}
+
+/// How many bits of the word holding position `pos` lie at or past `pos`
+/// inside a stream of `len > pos` bits: up to the word's end, or fewer at
+/// the stream's end. The count is taken in `usize` before narrowing, so a
+/// stream of 2^32 bits or more cannot truncate it to 0 (a scan that would
+/// never advance).
+#[inline]
+fn word_tail(pos: usize, len: usize) -> u32 {
+    (64 - pos % 64).min(len - pos) as u32
 }
 
 #[inline]
@@ -162,6 +181,28 @@ mod tests {
         assert_eq!(r.read_bits(3), Err(ReadError::OutOfBits));
         // Position unchanged enough to retry smaller reads.
         assert_eq!(r.read_bits(2).unwrap(), 3);
+    }
+
+    /// Streams of 2^32 bits and more (512 MiB) are too large to build in a
+    /// test, so the width `read_unary` advances by is pinned directly at
+    /// remaining counts at, just above and far above that size.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn word_tail_survives_streams_past_u32_bits() {
+        let big = u32::MAX as usize + 1;
+        for (pos, len, want) in [
+            (0, big, 64),
+            (0, big + 1, 64),
+            (3, big + 3, 61),
+            (3, big + 4, 61),
+            (64 * 5 + 10, 64 * 5 + 10 + 2 * big + 5, 54),
+            (70, usize::MAX, 58),
+            (big - 2, big, 2),
+            (5, 9, 4),
+            (63, 64, 1),
+        ] {
+            assert_eq!(word_tail(pos, len), want, "pos {pos} len {len}");
+        }
     }
 
     #[test]

@@ -86,13 +86,8 @@ impl BitWriter {
     pub fn write_gamma(&mut self, n: u64) {
         assert!(n >= 1, "Elias gamma codes positive integers");
         let nbits = 64 - n.leading_zeros(); // ⌊log₂ n⌋ + 1
-        for _ in 0..nbits - 1 {
-            self.push_bit(false);
-        }
-        // MSB-first binary digits of n.
-        for i in (0..nbits).rev() {
-            self.push_bit((n >> i) & 1 == 1);
-        }
+        self.write_bits(0, nbits - 1);
+        self.write_bits(msb_first(n, nbits), nbits);
     }
 
     /// Appends `n >= 1` with the Elias δ code: γ(⌊log₂ n⌋ + 1) followed by
@@ -101,15 +96,22 @@ impl BitWriter {
         assert!(n >= 1, "Elias delta codes positive integers");
         let nbits = 64 - n.leading_zeros();
         self.write_gamma(nbits as u64);
-        for i in (0..nbits - 1).rev() {
-            self.push_bit((n >> i) & 1 == 1);
-        }
+        // The digits below the leading 1, which γ(nbits) already implies.
+        self.write_bits(msb_first(n, nbits) >> 1, nbits - 1);
     }
 
     /// Finalizes the stream.
     pub fn finish(self) -> BitVec {
         BitVec::from_raw(self.storage, self.len)
     }
+}
+
+/// The `nbits` binary digits of `n` (`nbits ≥ 1`, `n < 2^nbits`),
+/// bit-reversed into the low `nbits`, so that [`BitWriter::write_bits`],
+/// which appends LSB first, appends them MSB first.
+#[inline]
+fn msb_first(n: u64, nbits: u32) -> u64 {
+    n.reverse_bits() >> (64 - nbits)
 }
 
 #[cfg(test)]

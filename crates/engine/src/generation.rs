@@ -166,11 +166,12 @@ impl EngineGeneration {
     /// A single-generation snapshot from an older build (store and
     /// registry sections only) loads as seqno 0.
     ///
-    /// `ItemId`s and `ViewId`s are stable across save/load: the store's
-    /// interning map is rebuilt from the persisted node list in creation
-    /// order, and views keep their registration order. A warm start never
-    /// re-runs labeling, compilation or cycle-finding. Truncated,
-    /// corrupted or version-mismatched input yields a typed
+    /// `ItemId`s and `ViewId`s are stable across save/load: the store is
+    /// re-sharded from the persisted creation-order node list into the
+    /// shard layout a cold build produces (only the open tail shard gets
+    /// an interning map back), and views keep their registration order.
+    /// A warm start never re-runs labeling, compilation or cycle-finding.
+    /// Truncated, corrupted or version-mismatched input yields a typed
     /// [`SnapshotError`]; this constructor never panics on bad bytes.
     pub fn load(fvl: Arc<Fvl<'static>>, from: &mut impl Read) -> Result<Self, SnapshotError> {
         Self::load_with_shard_capacity(fvl, from, LabelStore::DEFAULT_SHARD_CAPACITY)

@@ -29,6 +29,10 @@
 //! * **Trie prefix sharing is per-shard.** Each shard interns its own
 //!   slice of the paths; nothing in a query ever reaches across shards,
 //!   so a shard is immutable the moment it fills.
+//! * **Only the tail shard interns.** The `(parent, edge) → node` map and
+//!   the prefix cursors live in the open tail shard alone; a shard drops
+//!   them when it fills (it is *sealed*), so a store keeps one interning
+//!   map however many shards it holds.
 //! * **Cloning is O(#shards), mutating is O(touched shards).** `Clone`
 //!   copies the directory (one refcount bump per shard); an insert batch
 //!   `Arc::make_mut`s only the tail shard(s) it lands in. This is what
@@ -36,15 +40,24 @@
 //!   an O(touched) increment — publish latency stays flat as the store
 //!   grows to millions of items (`update_throughput` bench).
 //!
+//! Labels arrive in run order, so consecutive labels share almost all of
+//! their path: an insert follows the previous label's node chain (the
+//! prefix cursor) over the shared prefix and hashes only the edges past
+//! it.
+//!
 //! The on-disk format is *unchanged* from the single-blob store:
-//! [`LabelStore::write_snapshot`] merges the per-shard tries back into the
-//! one creation-order trie of the §5 wire format (byte-identical to what
-//! the pre-shard store wrote, since labels are always interned in id
-//! order), and [`LabelStore::read_snapshot`] re-shards on load. Old
-//! streams load into sharded stores; new streams load in old readers.
+//! [`LabelStore::write_snapshot`] maps the per-shard tries node by node
+//! into the one creation-order trie of the §5 wire format (byte-identical
+//! to what the pre-shard store wrote, since labels are always interned in
+//! id order), and [`LabelStore::read_snapshot`] re-shards on load,
+//! rebuilding every shard's nodes in the order a cold build creates them.
+//! Save and load cost O(stored trie nodes + labels), not O(raw path
+//! edges). Old streams load into sharded stores; new streams load in old
+//! readers.
 
 use crate::error::EngineError;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::sync::Arc;
 use wf_analysis::ProdGraph;
@@ -64,10 +77,66 @@ const ROOT: u32 = u32::MAX;
 /// One stored label: `(path node, port)` per side, `None` mirroring
 /// [`DataLabel`]'s boundary cases. Path nodes index the owning shard's
 /// trie.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 struct StoredLabel {
     out: Option<(u32, u8)>,
     inp: Option<(u32, u8)>,
+}
+
+/// The interning state of the open tail shard: the `(parent, edge) → node`
+/// index plus one prefix cursor per label side.
+#[derive(Clone, Default)]
+struct Interner {
+    /// `(parent, edge) → node` — the interning index.
+    map: HashMap<(u32, EdgeLabel), u32>,
+    /// Per side (outputs, inputs): the `(edge, node)` chain of the last
+    /// path interned on that side, root first. Each entry's node is the
+    /// child of the previous entry's node along its edge, so the chain
+    /// stands in for the map over any prefix a new path shares with it.
+    cursors: [Vec<(EdgeLabel, u32)>; 2],
+}
+
+impl Interner {
+    /// The index of an existing trie (a loaded tail shard's), with empty
+    /// cursors.
+    fn of(nodes: &[(u32, EdgeLabel)]) -> Self {
+        let map = nodes.iter().enumerate().map(|(n, &key)| (key, n as u32)).collect();
+        Self { map, cursors: Default::default() }
+    }
+
+    /// Interns `path` through cursor `side`, appending any missing node to
+    /// `nodes` (which may hold at most `cap`); returns the path's node.
+    /// Only the edges past the prefix shared with the cursor are hashed.
+    fn try_intern(
+        &mut self,
+        nodes: &mut Vec<(u32, EdgeLabel)>,
+        side: usize,
+        path: &[EdgeLabel],
+        cap: u32,
+    ) -> Result<u32, EngineError> {
+        let cursor = &mut self.cursors[side];
+        let shared = cursor.iter().zip(path).take_while(|((c, _), e)| c == *e).count();
+        cursor.truncate(shared);
+        let mut cur = cursor.last().map_or(ROOT, |&(_, n)| n);
+        for &e in &path[shared..] {
+            cur = match self.map.entry((cur, e)) {
+                Entry::Occupied(o) => *o.get(),
+                Entry::Vacant(v) => {
+                    let n = nodes.len() as u32;
+                    if n >= cap {
+                        return Err(EngineError::StoreFull {
+                            what: "trie node",
+                            capacity: cap as u64,
+                        });
+                    }
+                    nodes.push((cur, e));
+                    *v.insert(n)
+                }
+            };
+            cursor.push((e, cur));
+        }
+        Ok(cur)
+    }
 }
 
 /// One fixed-capacity slice of the store: its labels plus the trie their
@@ -79,34 +148,47 @@ struct Shard {
     /// Trie node → (parent node, edge). Node ids are creation-ordered and
     /// local to this shard.
     nodes: Vec<(u32, EdgeLabel)>,
-    /// `(parent, edge) → node` — the interning index.
-    intern: HashMap<(u32, EdgeLabel), u32>,
+    /// The interning state while this shard is the open tail; `None` once
+    /// it is full (sealed), since only the tail is ever inserted into.
+    interner: Option<Interner>,
     labels: Vec<StoredLabel>,
     /// Total edges across this shard's labels *before* sharing (metric).
     raw_edges: usize,
 }
 
 impl Shard {
-    fn try_intern_path(&mut self, path: &[EdgeLabel], cap: u32) -> Result<u32, EngineError> {
-        let mut cur = ROOT;
-        for &e in path {
-            cur = match self.intern.get(&(cur, e)) {
-                Some(&n) => n,
-                None => {
-                    let n = self.nodes.len() as u32;
-                    if n >= cap {
-                        return Err(EngineError::StoreFull {
-                            what: "trie node",
-                            capacity: cap as u64,
-                        });
-                    }
-                    self.nodes.push((cur, e));
-                    self.intern.insert((cur, e), n);
-                    n
-                }
-            };
+    /// An empty shard, open for inserts.
+    fn open() -> Self {
+        Self { interner: Some(Interner::default()), ..Self::default() }
+    }
+
+    /// The local node of merged-trie node `node` while this shard is
+    /// rebuilt from a snapshot, creating the part of its path the shard
+    /// lacks top-down — the order a cold build's insert creates it in.
+    /// `local[m]` is `(stamp, local id)` for each merged node `m` already
+    /// copied; `stamp` identifies this shard. `chain` is scratch.
+    fn adopt(
+        &mut self,
+        node: u32,
+        stamp: u32,
+        merged: &[(u32, EdgeLabel)],
+        local: &mut [(u32, u32)],
+        chain: &mut Vec<u32>,
+    ) -> u32 {
+        chain.clear();
+        let mut top = node;
+        while top != ROOT && local[top as usize].0 != stamp {
+            chain.push(top);
+            top = merged[top as usize].0;
         }
-        Ok(cur)
+        let mut cur = if top == ROOT { ROOT } else { local[top as usize].1 };
+        for &m in chain.iter().rev() {
+            let n = self.nodes.len() as u32;
+            self.nodes.push((cur, merged[m as usize].1));
+            local[m as usize] = (stamp, n);
+            cur = n;
+        }
+        cur
     }
 
     /// Writes the root→node path into `buf` (cleared first). Reusable-buffer
@@ -220,19 +302,20 @@ impl LabelStore {
         // so every non-tail shard is exactly full and id→shard stays pure
         // arithmetic.
         if self.shards.last().is_none_or(|s| s.labels.len() as u64 >= self.shard_capacity as u64) {
-            self.shards.push(Arc::new(Shard::default()));
+            self.shards.push(Arc::new(Shard::open()));
         }
         let tail = self.shards.last_mut().expect("tail shard was just ensured");
         // The copy-on-write step: the first insert into a shard some
         // published generation still shares pays the copy; every later
         // insert finds the Arc unique and mutates in place.
         let shard = Arc::make_mut(tail);
+        let interner = shard.interner.as_mut().expect("the tail shard stays open until it fills");
         let out = match &d.out {
-            Some(p) => Some((shard.try_intern_path(&p.path, cap)?, p.port)),
+            Some(p) => Some((interner.try_intern(&mut shard.nodes, 0, &p.path, cap)?, p.port)),
             None => None,
         };
         let inp = match &d.inp {
-            Some(p) => Some((shard.try_intern_path(&p.path, cap)?, p.port)),
+            Some(p) => Some((interner.try_intern(&mut shard.nodes, 1, &p.path, cap)?, p.port)),
             None => None,
         };
         // Count raw edges only once the label is definitely stored, so a
@@ -240,6 +323,9 @@ impl LabelStore {
         shard.raw_edges +=
             d.out.as_ref().map_or(0, |p| p.path.len()) + d.inp.as_ref().map_or(0, |p| p.path.len());
         shard.labels.push(StoredLabel { out, inp });
+        if shard.labels.len() as u64 >= self.shard_capacity as u64 {
+            shard.interner = None;
+        }
         self.len += 1;
         Ok(id)
     }
@@ -319,36 +405,49 @@ impl LabelStore {
     /// nodes in creation order (so shared prefixes stay shared on disk —
     /// each node is its parent link plus one edge in the §5 wire format),
     /// then the dense label table, then the raw-edge metric. Per-shard
-    /// tries are merged back into one creation-order trie by re-interning
-    /// every label in id order — labels are only ever interned in id
-    /// order, so the merged trie is *identical* to what the pre-shard
-    /// store wrote and snapshots stay byte-compatible in both directions.
+    /// tries are merged into one creation-order trie by mapping each
+    /// shard's nodes, in creation order, through a local → merged table:
+    /// one lookup per stored node, and each label is then written through
+    /// that table with no path walk. Labels are only ever interned in id
+    /// order, so this merged trie is *identical* to the one re-interning
+    /// every label in id order builds — what the pre-shard store wrote —
+    /// and snapshots stay byte-compatible in both directions.
     /// Node references use a γ-coded `root+1 / node+2` scheme because a
     /// stored path can legitimately be the *empty* path (boundary items of
     /// the start production point at the trie root).
     pub fn write_snapshot(&self, codec: &LabelCodec, w: &mut BitWriter) {
-        let mut merged = Shard::default();
+        let mut merged: Vec<(u32, EdgeLabel)> = Vec::new();
+        let mut index: HashMap<(u32, EdgeLabel), u32> = HashMap::new();
+        let mut to_merged: Vec<u32> = Vec::new();
         let mut labels: Vec<StoredLabel> = Vec::with_capacity(self.len);
-        let mut buf = Vec::new();
         let mut raw_edges = 0usize;
         for shard in &self.shards {
             raw_edges += shard.raw_edges;
-            for l in &shard.labels {
-                let mut side = |side: Option<(u32, u8)>| {
-                    side.map(|(node, port)| {
-                        shard.write_path(node, &mut buf);
-                        let n = merged
-                            .try_intern_path(&buf, ROOT)
-                            .expect("merged trie cannot exceed the per-shard id space");
-                        (n, port)
-                    })
-                };
-                let (out, inp) = (side(l.out), side(l.inp));
-                labels.push(StoredLabel { out, inp });
+            to_merged.clear();
+            let map = |to_merged: &[u32], node: u32| {
+                if node == ROOT {
+                    ROOT
+                } else {
+                    to_merged[node as usize]
+                }
+            };
+            for &(parent, e) in &shard.nodes {
+                let key = (map(&to_merged, parent), e);
+                let next = merged.len() as u32;
+                let n = *index.entry(key).or_insert_with(|| {
+                    merged.push(key);
+                    next
+                });
+                to_merged.push(n);
             }
+            let side = |side: Option<(u32, u8)>| side.map(|(n, port)| (map(&to_merged, n), port));
+            labels.extend(
+                shard.labels.iter().map(|l| StoredLabel { out: side(l.out), inp: side(l.inp) }),
+            );
         }
-        w.write_gamma(merged.nodes.len() as u64 + 1);
-        for &(parent, e) in &merged.nodes {
+        assert!(merged.len() < ROOT as usize, "merged trie cannot exceed the node id space");
+        w.write_gamma(merged.len() as u64 + 1);
+        for &(parent, e) in &merged {
             w.write_gamma(node_code(parent));
             codec.write_edge(w, &e);
         }
@@ -378,16 +477,24 @@ impl LabelStore {
     }
 
     /// Inverse of [`LabelStore::write_snapshot`]. The wire format carries
-    /// one merged trie; the store is rebuilt by re-interning every decoded
-    /// label into shards of `shard_capacity` (insertion order is id order,
-    /// so ids come back identical). Decoding also validates the trie:
-    /// forward parent references and duplicate `(parent, edge)` keys are
-    /// rejected as malformed. Every edge's fields are range-checked
-    /// against the grammar and every stored port against its path's
-    /// terminal module, so nothing a later query indexes with can be out
-    /// of range — bad bytes fail *here*, typed, not inside π. A zero
-    /// `shard_capacity` is rejected before anything is read, as
-    /// [`SnapshotError::Io`] of kind [`io::ErrorKind::InvalidInput`].
+    /// one merged trie; the store is rebuilt into shards of
+    /// `shard_capacity` labels (in id order, so ids come back identical)
+    /// through a merged → local node table stamped per shard: each label
+    /// copies the part of its paths its shard lacks, top-down, so every
+    /// shard gets exactly the nodes, in exactly the order, a cold build
+    /// of the same labels creates. Nothing is hashed per label and no
+    /// path is materialized; only the tail shard, the one later inserts
+    /// reach, gets its interning map back. Decoding also validates the
+    /// trie: forward parent references and duplicate `(parent, edge)`
+    /// keys are rejected as malformed. Every edge's fields are
+    /// range-checked against the grammar and every stored port against
+    /// its path's terminal module, so nothing a later query indexes with
+    /// can be out of range — bad bytes fail *here*, typed, not inside π.
+    /// No container is reserved beyond what the remaining bits could
+    /// encode, nor beyond 2^20 slots, so a forged count fails before it
+    /// can allocate for it. A zero `shard_capacity` is rejected before
+    /// anything is read, as [`SnapshotError::Io`] of kind
+    /// [`io::ErrorKind::InvalidInput`].
     pub fn read_snapshot_with_capacity(
         r: &mut BitReader<'_>,
         codec: &LabelCodec,
@@ -403,12 +510,23 @@ impl LabelStore {
         if node_count >= ROOT as usize {
             return Err(SnapshotError::Malformed("trie larger than the id space"));
         }
-        let mut nodes = Vec::with_capacity(node_count.min(1 << 20));
-        let mut intern = HashMap::with_capacity(node_count.min(1 << 20));
-        // The module each trie node's path ends at — what its labels' ports
-        // index into (the empty path, i.e. the root, ends at the start
-        // module).
-        let mut node_module: Vec<ModuleId> = Vec::with_capacity(node_count.min(1 << 20));
+        // A node is at least a 1-bit γ parent code and a 1-bit edge tag;
+        // the absolute cap keeps a forged count over a large payload from
+        // reserving hundreds of bytes per payload byte.
+        let reserve = node_count.min(r.remaining() / 2).min(1 << 20);
+        let mut nodes = Vec::with_capacity(reserve);
+        let mut seen = HashSet::with_capacity(reserve);
+        // Per trie node: the module its path ends at — what its labels'
+        // ports index into (the empty path, i.e. the root, ends at the
+        // start module) — and its depth, the path's length in edges.
+        let mut node_info: Vec<(ModuleId, u32)> = Vec::with_capacity(reserve);
+        let info = |node_info: &[(ModuleId, u32)], node: u32| {
+            if node == ROOT {
+                (grammar.start(), 0)
+            } else {
+                node_info[node as usize]
+            }
+        };
         for n in 0..node_count {
             let parent = decode_node(r.read_gamma()?, n)?;
             let e = codec.read_edge(r)?;
@@ -416,30 +534,21 @@ impl LabelStore {
             // shared with the delta-label reader
             // ([`wf_snapshot::edge_target_module`]); without it a forged
             // trie would feed π mismatched matrix dimensions.
-            let parent_module =
-                if parent == ROOT { grammar.start() } else { node_module[parent as usize] };
+            let (parent_module, parent_depth) = info(&node_info, parent);
             let module = edge_target_module(grammar, cycles, parent_module, e)?;
-            if intern.insert((parent, e), n as u32).is_some() {
+            if !seen.insert((parent, e)) {
                 return Err(SnapshotError::Malformed("duplicate trie edge"));
             }
             nodes.push((parent, e));
-            node_module.push(module);
+            node_info.push((module, parent_depth + 1));
         }
-        let module_of =
-            |node: u32| if node == ROOT { grammar.start() } else { node_module[node as usize] };
-        let path_of = |mut node: u32| {
-            let mut path = Vec::new();
-            while node != ROOT {
-                let (parent, e) = nodes[node as usize];
-                path.push(e);
-                node = parent;
-            }
-            path.reverse();
-            path
-        };
+        drop(seen);
         let label_count = (r.read_gamma()? - 1) as usize;
-        let mut store = Self::with_shard_capacity(shard_capacity);
-        for _ in 0..label_count {
+        let mut shards: Vec<Shard> = Vec::new();
+        let mut local = vec![(u32::MAX, 0u32); nodes.len()];
+        let mut chain = Vec::new();
+        let mut raw_edges = 0usize;
+        for id in 0..label_count {
             let side = |r: &mut BitReader<'_>,
                         outputs: bool|
              -> Result<Option<(u32, u8)>, SnapshotError> {
@@ -448,7 +557,7 @@ impl LabelStore {
                 }
                 let node = decode_node(r.read_gamma()?, node_count)?;
                 let port = r.read_bits(8)? as u8;
-                let sig = grammar.sig(module_of(node));
+                let sig = grammar.sig(info(&node_info, node).0);
                 let arity = if outputs { sig.outputs() } else { sig.inputs() };
                 if port as usize >= arity {
                     return Err(SnapshotError::Malformed("label port out of range"));
@@ -460,22 +569,38 @@ impl LabelStore {
             if out.is_none() && inp.is_none() {
                 return Err(SnapshotError::Malformed("label with no endpoint"));
             }
-            let d = DataLabel {
-                out: out.map(|(node, port)| PortLabel::new(path_of(node), port)),
-                inp: inp.map(|(node, port)| PortLabel::new(path_of(node), port)),
+            if id >= ROOT as usize {
+                return Err(SnapshotError::Malformed("store overflow while re-sharding"));
+            }
+            if id % shard_capacity as usize == 0 {
+                shards.push(Shard::default());
+            }
+            let stamp = (shards.len() - 1) as u32;
+            let shard = shards.last_mut().expect("a shard was opened for this label");
+            let edges: usize =
+                [out, inp].into_iter().flatten().map(|(n, _)| info(&node_info, n).1 as usize).sum();
+            shard.raw_edges += edges;
+            raw_edges += edges;
+            let mut adopt = |side: Option<(u32, u8)>| {
+                side.map(|(n, port)| (shard.adopt(n, stamp, &nodes, &mut local, &mut chain), port))
             };
-            store
-                .try_insert(&d)
-                .map_err(|_| SnapshotError::Malformed("store overflow while re-sharding"))?;
+            let (out, inp) = (adopt(out), adopt(inp));
+            shard.labels.push(StoredLabel { out, inp });
         }
-        let raw_edges = (r.read_gamma()? - 1) as usize;
         // The metric is a pure function of the stored labels; a stream
         // whose recorded value disagrees with the labels it carries was
         // not written by any honest writer.
-        if store.edge_stats().1 != raw_edges {
+        if (r.read_gamma()? - 1) as usize != raw_edges {
             return Err(SnapshotError::Malformed("raw edge metric disagrees with stored labels"));
         }
-        Ok(store)
+        if let Some(tail) = shards.last_mut().filter(|s| s.labels.len() < shard_capacity as usize) {
+            tail.interner = Some(Interner::of(&tail.nodes));
+        }
+        Ok(Self {
+            shards: shards.into_iter().map(Arc::new).collect(),
+            shard_capacity,
+            len: label_count,
+        })
     }
 
     /// Rebuilds the owning [`DataLabel`] (allocates; diagnostics and tests).
@@ -537,9 +662,12 @@ fn decode_node(code: u64, bound: usize) -> Result<u32, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DurableEngine, EngineWriter, LiveEngine};
+    use rand::{rngs::StdRng, SeedableRng};
     use wf_core::Fvl;
     use wf_model::fixtures::paper_example;
     use wf_run::fixtures::figure3_run;
+    use wf_snapshot::MemStorage;
 
     #[test]
     fn roundtrips_every_figure3_label() {
@@ -883,5 +1011,243 @@ mod tests {
             stored * 2 < raw,
             "trie should at least halve path storage: {stored} stored vs {raw} raw"
         );
+    }
+
+    /// Figure 3's labels, and a sampled BioAID run large enough that every
+    /// capacity below tested up to the default 4096 crosses a shard
+    /// boundary.
+    fn corpora() -> Vec<(Fvl<'static>, Vec<DataLabel>)> {
+        let ex = paper_example();
+        let fig3 = Fvl::from_arc(Arc::new(ex.spec.clone())).unwrap();
+        let fig3_labels = fig3.labeler(&figure3_run(&ex).0).labels().to_vec();
+        let w = wf_workloads::bioaid(1);
+        let bio = Fvl::from_arc(Arc::new(w.spec.clone())).unwrap();
+        let mut rng = StdRng::seed_from_u64(7);
+        let (_, run) = wf_workloads::sample::sample_run(&w, bio.prod_graph(), &mut rng, 5000);
+        let bio_labels = bio.labeler(&run).labels().to_vec();
+        assert!(bio_labels.len() > 4096, "{} BioAID labels", bio_labels.len());
+        vec![(fig3, fig3_labels), (bio, bio_labels)]
+    }
+
+    /// Asserts only an open (not yet full) tail shard holds an interner.
+    fn assert_only_the_tail_interns(store: &LabelStore, what: &str) {
+        let last = store.shards.len().saturating_sub(1);
+        for (i, s) in store.shards.iter().enumerate() {
+            let open = i == last && (s.labels.len() as u64) < store.shard_capacity as u64;
+            assert_eq!(s.interner.is_some(), open, "{what}: shard {i} of {}", store.shards.len());
+        }
+    }
+
+    /// A loaded store is laid out exactly like the cold-built one — the
+    /// same nodes in the same order and the same label table in every
+    /// shard — so queries see an identical memory layout after a warm
+    /// start, and re-saving it writes the same bytes.
+    #[test]
+    fn a_loaded_store_has_the_cold_built_layout() {
+        for (fvl, labels) in corpora() {
+            for cap in [1u32, 3, 8, 4096, u32::MAX] {
+                let what = format!("{} labels at capacity {cap}", labels.len());
+                let mut cold = LabelStore::with_shard_capacity(cap);
+                cold.try_insert_all(&labels).unwrap();
+                let mut w = BitWriter::new();
+                cold.write_snapshot(fvl.codec(), &mut w);
+                let bits = w.finish();
+                let loaded = LabelStore::read_snapshot_with_capacity(
+                    &mut BitReader::new(&bits),
+                    fvl.codec(),
+                    &fvl.spec().grammar,
+                    fvl.prod_graph(),
+                    cap,
+                )
+                .unwrap();
+                assert_eq!(loaded.len(), cold.len(), "{what}");
+                assert_eq!(loaded.shard_count(), cold.shard_count(), "{what}");
+                for (i, (a, b)) in loaded.shards.iter().zip(&cold.shards).enumerate() {
+                    assert_eq!(a.nodes, b.nodes, "{what}: shard {i} nodes");
+                    assert_eq!(a.labels, b.labels, "{what}: shard {i} labels");
+                    assert_eq!(a.raw_edges, b.raw_edges, "{what}: shard {i} raw edges");
+                }
+                let mut again = BitWriter::new();
+                loaded.write_snapshot(fvl.codec(), &mut again);
+                assert_eq!(again.finish(), bits, "{what}: re-saved bytes");
+            }
+        }
+    }
+
+    /// Filling a shard seals it: its interning map and cursors go, on
+    /// every path that builds a store — batched and single inserts, a
+    /// snapshot load and a durable open's op-log replay.
+    #[test]
+    fn only_the_tail_shard_keeps_an_interner() {
+        let ex = paper_example();
+        let fvl = Arc::new(Fvl::from_arc(Arc::new(ex.spec.clone())).unwrap());
+        let labels = fvl.labeler(&figure3_run(&ex).0).labels().to_vec();
+        for cap in [1u32, 3, 8] {
+            let mut batched = LabelStore::with_shard_capacity(cap);
+            batched.try_insert_all(&labels).unwrap();
+            assert_only_the_tail_interns(&batched, "after try_insert_all");
+            let mut single = LabelStore::with_shard_capacity(cap);
+            for d in &labels {
+                single.try_insert(d).unwrap();
+                assert_only_the_tail_interns(&single, "after try_insert");
+            }
+            for n in [labels.len(), labels.len() - 1] {
+                let mut w = BitWriter::new();
+                let mut store = LabelStore::with_shard_capacity(cap);
+                store.try_insert_all(&labels[..n]).unwrap();
+                store.write_snapshot(fvl.codec(), &mut w);
+                let loaded = LabelStore::read_snapshot_with_capacity(
+                    &mut BitReader::new(&w.finish()),
+                    fvl.codec(),
+                    &fvl.spec().grammar,
+                    fvl.prod_graph(),
+                    cap,
+                )
+                .unwrap();
+                assert_only_the_tail_interns(&loaded, "after read_snapshot");
+            }
+        }
+
+        let storage = MemStorage::new();
+        let (mut durable, gen0, _) =
+            DurableEngine::open(fvl.clone(), Box::new(storage.clone()), 3).unwrap();
+        let live = LiveEngine::new(gen0.clone());
+        let mut writer = EngineWriter::new(gen0);
+        for chunk in labels.chunks(4) {
+            writer.try_insert_labels(chunk).unwrap();
+            writer.publish_durable(&live, &mut durable).unwrap();
+        }
+        drop(durable);
+        let (_, recovered, report) = DurableEngine::open(fvl, Box::new(storage), 3).unwrap();
+        assert_eq!(report.replayed_frames, labels.len().div_ceil(4) as u64);
+        assert_eq!(recovered.store().len(), labels.len());
+        assert_only_the_tail_interns(recovered.store(), "after DurableEngine::open replay");
+    }
+
+    /// The hash-every-edge interner the prefix cursor must agree with: a
+    /// plain `(parent, edge) → node` map per shard, under the store's
+    /// capacity rules.
+    struct Reference {
+        shard_capacity: usize,
+        shards: Vec<RefShard>,
+        stored: Vec<DataLabel>,
+    }
+
+    #[derive(Default)]
+    struct RefShard {
+        nodes: Vec<(u32, EdgeLabel)>,
+        map: HashMap<(u32, EdgeLabel), u32>,
+        labels: usize,
+    }
+
+    impl Reference {
+        /// Whether `d` was stored under the id and node budget `cap`.
+        fn insert(&mut self, d: &DataLabel, cap: u32) -> bool {
+            if self.stored.len() as u64 >= cap as u64 {
+                return false;
+            }
+            if self.shards.last().is_none_or(|s| s.labels >= self.shard_capacity) {
+                self.shards.push(RefShard::default());
+            }
+            let RefShard { nodes, map, labels } = self.shards.last_mut().unwrap();
+            for p in [&d.out, &d.inp].into_iter().flatten() {
+                let mut cur = ROOT;
+                for &e in &p.path {
+                    cur = match map.get(&(cur, e)) {
+                        Some(&n) => n,
+                        None if nodes.len() as u64 >= cap as u64 => return false,
+                        None => {
+                            nodes.push((cur, e));
+                            map.insert((cur, e), nodes.len() as u32 - 1);
+                            nodes.len() as u32 - 1
+                        }
+                    };
+                }
+            }
+            *labels += 1;
+            self.stored.push(d.clone());
+            true
+        }
+    }
+
+    /// Singles and batches of forward, reversed and repeated labels, a
+    /// bounded insert that fails mid-path and unbounded inserts after it:
+    /// the cursor-interned store builds exactly the reference's tries.
+    #[test]
+    fn the_prefix_cursor_matches_a_reference_interner() {
+        let ex = paper_example();
+        let fvl = Fvl::new(&ex.spec).unwrap();
+        let labels = fvl.labeler(&figure3_run(&ex).0).labels().to_vec();
+        let reversed: Vec<DataLabel> = labels.iter().rev().cloned().collect();
+        let repeated: Vec<DataLabel> =
+            labels[..3].iter().flat_map(|d| [d.clone(), d.clone()]).collect();
+        /// Inserts `batch` into both, one label at a time or as one batch.
+        fn insert(
+            store: &mut LabelStore,
+            reference: &mut Reference,
+            batch: &[DataLabel],
+            batched: bool,
+        ) {
+            if batched {
+                store.try_insert_all(batch).unwrap();
+            } else {
+                for d in batch {
+                    store.try_insert(d).unwrap();
+                }
+            }
+            for d in batch {
+                assert!(reference.insert(d, ROOT));
+            }
+        }
+        // A path that shares nothing with any run label: every edge is new.
+        let novel = |len: usize| {
+            let path = (0..len as u64).map(|i| EdgeLabel::Rec { s: 9, t: 9, i }).collect();
+            Some(PortLabel::new(path, 0))
+        };
+        for shard_capacity in [3u32, 8, u32::MAX] {
+            let mut store = LabelStore::with_shard_capacity(shard_capacity);
+            let mut reference = Reference {
+                shard_capacity: shard_capacity as usize,
+                shards: vec![],
+                stored: vec![],
+            };
+            let half = &labels[..labels.len() / 2];
+            let steps: [(&[DataLabel], bool); 6] = [
+                (half, false),
+                (&labels, true),
+                (&reversed, true),
+                (&labels[..3], true),
+                (&repeated, false),
+                (&reversed, false),
+            ];
+            for (batch, batched) in steps {
+                insert(&mut store, &mut reference, batch, batched);
+            }
+
+            // Both sides of this label are novel and the inputs side
+            // extends the outputs side, so whichever side exhausts the node
+            // budget, the nodes interned before it stay behind.
+            let tail = store.shards.last().unwrap();
+            let before = if tail.interner.is_some() { tail.nodes.len() } else { 0 };
+            let cap = (store.len().max(before) + 1) as u32;
+            let failing = DataLabel { out: novel(2), inp: novel(cap as usize + 2) };
+            let err = store.try_insert_bounded(&failing, cap).unwrap_err();
+            assert!(matches!(err, EngineError::StoreFull { what: "trie node", .. }), "{err:?}");
+            assert!(!reference.insert(&failing, cap));
+            assert!(store.shards.last().unwrap().nodes.len() > before, "no node left behind");
+
+            insert(&mut store, &mut reference, std::slice::from_ref(&failing), false);
+            insert(&mut store, &mut reference, &labels, true);
+
+            assert_eq!(store.shard_count(), reference.shards.len(), "cap {shard_capacity}");
+            for (i, (s, r)) in store.shards.iter().zip(&reference.shards).enumerate() {
+                assert_eq!(s.nodes, r.nodes, "cap {shard_capacity}: shard {i} nodes");
+                assert_eq!(s.labels.len(), r.labels, "cap {shard_capacity}: shard {i} labels");
+            }
+            assert_eq!(store.len(), reference.stored.len());
+            for (i, d) in reference.stored.iter().enumerate() {
+                assert_eq!(&store.materialize(ItemId(i as u32)), d, "cap {shard_capacity}: {i}");
+            }
+        }
     }
 }
