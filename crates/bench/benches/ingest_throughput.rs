@@ -36,7 +36,6 @@
 //! with ≥ 4 cores, bounded CPU-overhead ratio elsewhere) and the reader
 //! ratio.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wf_bench::report::{host_cores, Report};
@@ -227,7 +226,7 @@ fn pace_ingest(
     }
 }
 
-fn bench_ingest_throughput(c: &mut Criterion) {
+fn main() {
     let quick = std::env::args().any(|a| a == "--test");
     // Same total at every fleet width, divisible by every width × chunk.
     let total_labels = if quick { 24_576 } else { 98_304 };
@@ -347,36 +346,4 @@ fn bench_ingest_throughput(c: &mut Criterion) {
     rep.metric("reader.publishes_under_load", load_report.stats.publishes as f64);
     rep.metric("reader.qps_ratio_ingest_vs_idle", ratio);
     rep.write();
-
-    // --- Criterion entries: the per-chunk pipeline round trip. ----------
-    let writer = EngineWriter::from_fvl(fvl.clone());
-    let live = Arc::new(LiveEngine::new(writer.base().clone()));
-    // One op per publish so the round trip measures the pipeline, not the
-    // batching deadline.
-    let policy = PublishPolicy { max_batch_ops: 1, ..PublishPolicy::default() };
-    let pipeline = IngestPipeline::spawn_with(writer, live, policy, PipelineOptions::default());
-    let mut g = c.benchmark_group("ingest_throughput");
-    g.bench_function("decode_chunk", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let chunk = &encoded[(i * CHUNK) % (total_labels - CHUNK)..][..CHUNK];
-            i += 1;
-            std::hint::black_box(chunk.iter().map(|bits| decode(bits, &fvl)).collect::<Vec<_>>())
-        })
-    });
-    g.bench_function("pipeline_chunk_roundtrip", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let chunk = &encoded[(i * CHUNK) % (total_labels - CHUNK)..][..CHUNK];
-            i += 1;
-            let labels: Vec<DataLabel> = chunk.iter().map(|bits| decode(bits, &fvl)).collect();
-            let t = pipeline.queue().push(IngestOp::InsertLabels(labels)).expect("queue open");
-            t.wait().expect("bench ops never fail")
-        })
-    });
-    g.finish();
-    pipeline.shutdown();
 }
-
-criterion_group!(benches, bench_ingest_throughput);
-criterion_main!(benches);

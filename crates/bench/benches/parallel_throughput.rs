@@ -1,11 +1,18 @@
-//! Multi-core serving throughput: `EngineCore::try_query_batch_into` over
-//! 1/2/4/8 worker scratches, across the three §6.3 variants. One scratch
-//! answers the batch inline; more split it into one contiguous chunk per
-//! scratch on `std::thread::scope` workers.
+//! Serving throughput: the per-call and session reference paths, and
+//! `EngineCore::try_query_batch_into` over 1/2/4/8 worker scratches, across
+//! the three §6.3 variants. One scratch answers the batch inline; more
+//! split it into one contiguous chunk per scratch on `std::thread::scope`
+//! workers.
 //!
-//! Besides the Criterion printout, the run writes
-//! `BENCH_parallel_throughput.txt` (workspace root) with the scaling
-//! curve. Two rates are reported per (variant, threads) point:
+//! The run writes `BENCH_parallel_throughput.txt` (workspace root). Per
+//! variant it reports two reference latencies over the same hot-key pairs:
+//!
+//! * `per_call_ns` — `Fvl::query`, which rebuilds the decode context and
+//!   scratch on every query;
+//! * `session_ns` — one [`wf_core::FvlSession`], which builds the context
+//!   once and reuses its scratch.
+//!
+//! and two rates per (variant, threads) point:
 //!
 //! * `wall_qps` — total queries / wall seconds. This is end-to-end
 //!   throughput, and is bounded above by the host's core count: a 1-core
@@ -18,16 +25,21 @@
 //!   `host_cores` is recorded so readers can tell which regime a number
 //!   was measured in.
 //!
-//! Before anything is timed, every fanned-out result is asserted equal to
-//! the one-scratch batch — the scaling numbers are for the *same answers*.
+//! `bench_check` gates the scaling curve and, for every variant, the
+//! one-scratch batch at or under the per-call latency: the batch shares one
+//! decode context and scratch, so losing to per-call context rebuilds
+//! would be a regression of the serving layer.
+//!
+//! Before anything is timed, the one-scratch batch and the session must
+//! equal `Fvl::query` on every pair, and every fanned-out result must equal
+//! the one-scratch batch — the numbers are for the *same answers*.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Instant;
 use wf_bench::report::{host_cores, Report};
-use wf_bench::{process_cpu_ns, Bench};
+use wf_bench::{ns_per, process_cpu_ns, Bench};
 use wf_core::{Fvl, VariantKind};
 use wf_engine::{EngineWriter, LiveEngine, WorkerScratch};
 use wf_workloads::queries::{sample_pairs, PairDist};
@@ -56,11 +68,12 @@ fn timed(rounds: usize, mut f: impl FnMut()) -> (f64, Option<f64>) {
     (wall, cpu)
 }
 
-fn bench_parallel_throughput(c: &mut Criterion) {
+fn main() {
     let bench = Bench::fine(1);
     let fvl = Arc::new(Fvl::from_arc(Arc::new(bench.workload.spec.clone())).unwrap());
     let run = bench.run_of(42, 8_000);
     let labeler = fvl.labeler(&run);
+    let labels = labeler.labels();
     let view = bench.safe_view(7, 8);
 
     let mut rng = StdRng::seed_from_u64(9);
@@ -69,7 +82,7 @@ fn bench_parallel_throughput(c: &mut Criterion) {
 
     let variants = [VariantKind::SpaceEfficient, VariantKind::Default, VariantKind::QueryEfficient];
     let mut writer = EngineWriter::from_fvl(fvl.clone());
-    let items = writer.try_insert_labels(labeler.labels()).unwrap();
+    let items = writer.try_insert_labels(labels).unwrap();
     let vid = writer.add_view(view.clone());
     let vrefs = variants.map(|kind| writer.compile(vid, kind).unwrap());
     let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
@@ -87,22 +100,47 @@ fn bench_parallel_throughput(c: &mut Criterion) {
     rep.info("unit", "queries_per_sec");
     rep.info(
         "metric_note",
-        "aggregate_qps = threads x queries/process-CPU-second (lock-free shards, so this is the \
-         rate with one core per worker; equals wall_qps when host_cores >= threads). wall_qps is \
-         end-to-end and capped by host_cores.",
+        "per_call_ns = ns per Fvl::query (context rebuilt per call), session_ns = ns per query \
+         through one FvlSession. aggregate_qps = threads x queries/process-CPU-second (lock-free \
+         shards, so this is the rate with one core per worker; equals wall_qps when host_cores \
+         >= threads). wall_qps is end-to-end and capped by host_cores.",
     );
 
-    let mut g = c.benchmark_group("parallel_throughput");
     for (kind, vref) in variants.into_iter().zip(vrefs) {
-        // Guard: every scratch count must reproduce the one-scratch batch
-        // exactly before its throughput may be reported.
+        let vl = fvl.label_view(&view, kind).unwrap();
+        let pair_labels = |i: usize| {
+            let (a, b) = pairs[i];
+            (&labels[a.0 as usize], &labels[b.0 as usize])
+        };
+
+        // Guards: the one-scratch batch and a session must agree with the
+        // reference on every pair, and every scratch count must reproduce
+        // the one-scratch batch exactly, before any number is reported.
         let (mut sequential, mut out) = (Vec::new(), Vec::new());
         core.try_query_batch_into(&mut WorkerScratch::new(), vref, &id_pairs, &mut sequential)
             .unwrap();
+        let mut session = fvl.session(&vl);
+        for (i, &answer) in sequential.iter().enumerate() {
+            let (a, b) = pair_labels(i);
+            let reference = fvl.query(&vl, a, b);
+            assert_eq!(answer, reference, "{kind:?} batch diverges at pair {i}");
+            assert_eq!(session.query(a, b), reference, "{kind:?} session diverges at pair {i}");
+        }
         for threads in THREADS {
             core.try_query_batch_into(&mut scratches(threads), vref, &id_pairs, &mut out).unwrap();
             assert_eq!(out, sequential, "{kind:?} x{threads} diverges from the one-scratch batch");
         }
+
+        let per_call_ns = ns_per(pairs.len(), |i| {
+            let (a, b) = pair_labels(i);
+            fvl.query(&vl, a, b)
+        });
+        let session_ns = ns_per(pairs.len(), |i| {
+            let (a, b) = pair_labels(i);
+            session.query(a, b)
+        });
+        rep.metric(&format!("variants.{kind:?}.per_call_ns"), per_call_ns);
+        rep.metric(&format!("variants.{kind:?}.session_ns"), session_ns);
 
         let mut agg_by_threads = Vec::new();
         for &threads in &THREADS {
@@ -143,19 +181,6 @@ fn bench_parallel_throughput(c: &mut Criterion) {
             &format!("variants.{kind:?}.aggregate_speedup_4v1"),
             agg_by_threads[2] / agg_by_threads[0],
         );
-
-        for &threads in &THREADS {
-            let mut workers = scratches(threads);
-            g.bench_function(format!("{kind:?}/x{threads}"), |b| {
-                b.iter(|| {
-                    core.try_query_batch_into(&mut workers, vref, &id_pairs, &mut out).unwrap()
-                })
-            });
-        }
     }
-    g.finish();
     rep.write();
 }
-
-criterion_group!(benches, bench_parallel_throughput);
-criterion_main!(benches);

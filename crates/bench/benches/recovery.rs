@@ -25,7 +25,6 @@
 //! Writes `BENCH_recovery.txt` (workspace root); CI regenerates it in
 //! `--test` mode and `bench_check` gates the claims above.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -66,7 +65,7 @@ fn open_ms(
     (best, last)
 }
 
-fn bench_recovery(c: &mut Criterion) {
+fn main() {
     let quick = std::env::args().any(|a| a == "--test");
     let repeats = if quick { 3 } else { 7 };
 
@@ -157,26 +156,4 @@ fn bench_recovery(c: &mut Criterion) {
     rep.metric("torn_tail.recovered_seqno", torn_report.recovered_seqno as f64);
     rep.metric("torn_tail.acked_ops_lost", acked_ops_lost as f64);
     rep.write();
-
-    // --- Criterion entries: the two recovery paths at a small size. -----
-    // (The headline numbers above come from the single 10^5 run; these
-    // give Criterion's statistics on a size quick mode can afford.)
-    let mut g = c.benchmark_group("recovery");
-    g.sample_size(10);
-    g.bench_function("open_full_log", |b| {
-        b.iter(|| {
-            let storage = MemStorage::with_state(boot_base.clone(), full_log.clone());
-            DurableEngine::open(fvl.clone(), Box::new(storage), 1024).expect("recovers")
-        })
-    });
-    g.bench_function("open_compacted", |b| {
-        b.iter(|| {
-            let storage = MemStorage::with_state(compact_base.clone(), compact_log.clone());
-            DurableEngine::open(fvl.clone(), Box::new(storage), 1024).expect("recovers")
-        })
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench_recovery);
-criterion_main!(benches);

@@ -1,5 +1,6 @@
 //! Figure 26 at production scale: the query path swept 10⁴ → 10⁵ → 10⁶
-//! items with tail-latency SLOs, not just means.
+//! items with tail-latency SLOs, not just means, and the restart economics
+//! at every size.
 //!
 //! The paper's §6.5 scalability experiment sweeps workflow size and plots
 //! labeling/query cost curves; our publish-side benches already cover 10⁶
@@ -16,19 +17,24 @@
 //!   (`host_cores` is recorded: on a box with fewer cores than workers the
 //!   tail reflects time-slicing, which is exactly what an SLO on a small
 //!   host looks like);
-//! * restart economics — `cold_build_ms` (FVL-label the sampled run,
-//!   intern every label, compile the view, publish) vs
-//!   `save_ms`/`warm_load_ms` (snapshot round-trip through
-//!   [`wf_engine::EngineGeneration::save`]/`load`, which restores interned
-//!   labels without relabeling), with warm answers spot-checked against
-//!   cold;
-//! * memory — `rss_bytes` (`VmRSS`) after each size's build, plus the
-//!   process-wide `peak_rss_bytes` (`VmHWM`) after the largest.
+//! * restart economics — §6.1 reports labeling time apart from query time
+//!   because labels are computed once; a snapshot is what lets a serving
+//!   process bank that cost across restarts. `cold_build_ms` (FVL-label
+//!   the sampled run, intern every label, compile all three §6.3 variants
+//!   of the view, publish, free the labels) vs `save_ms`/`warm_load_ms`
+//!   (snapshot round-trip through [`wf_engine::EngineGeneration::save`]/
+//!   `load`, which restores interned labels and compiled view labels
+//!   without relabeling). Each is the median of `repeats` timings; cold
+//!   builds and warm loads alternate, and the generation each one returns
+//!   is dropped after its timer stops. Warm answers are spot-checked
+//!   against cold ones for every variant;
+//! * memory — `rss_bytes` (`VmRSS`) after each size's first build, plus
+//!   the process-wide `peak_rss_bytes` (`VmHWM`) after the largest.
 //!
 //! Writes `BENCH_scale_sweep.txt` (workspace root); `--test` shrinks the
-//! sweep to a 10⁴ top size for CI's bench-smoke.
+//! sweep to a 10⁴ top size for CI's bench-smoke. `bench_check` gates warm
+//! ≤ cold at every size.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -40,6 +46,11 @@ use wf_engine::{EngineGeneration, EngineWriter, ItemId, LiveEngine, WorkerScratc
 
 /// Parallel fan-out width (recorded in the report next to `host_cores`).
 const PAR_WORKERS: usize = 4;
+/// Timings behind each median restart figure.
+const REPEATS: usize = 5;
+
+const VARIANTS: [VariantKind; 3] =
+    [VariantKind::SpaceEfficient, VariantKind::Default, VariantKind::QueryEfficient];
 
 /// One measured sweep point.
 struct SweepRow {
@@ -74,7 +85,13 @@ fn query_pairs(rng: &mut StdRng, items: &[ItemId], count: usize) -> Vec<(ItemId,
         .collect()
 }
 
-fn bench_scale_sweep(c: &mut Criterion) {
+/// The middle value of `xs`.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+fn main() {
     let quick = std::env::args().any(|a| a == "--test");
     // Full mode is the committed Figure 26 axis; quick keeps the same
     // 3-point monotone shape with a 10⁴ top size for CI's bench-smoke.
@@ -94,18 +111,22 @@ fn bench_scale_sweep(c: &mut Criterion) {
         // start must repeat is labeling + interning + compiling).
         let run = bench.run_of(42 + size as u64, size);
 
-        // --- Cold build: label the run, intern every label, compile,
-        // publish. -------------------------------------------------------
-        let mut writer = EngineWriter::from_fvl(fvl.clone());
-        let t_build = Instant::now();
-        let labeler = fvl.labeler(&run);
-        let items = writer.try_insert_labels(labeler.labels()).unwrap();
-        let vref = writer.register_view(view.clone(), VariantKind::Default).unwrap();
-        let engine = writer.publish(&LiveEngine::new(writer.base().clone()));
-        let cold_build_ms = t_build.elapsed().as_secs_f64() * 1e3;
-        drop(labeler);
+        // --- Cold build: label the run, intern every label, compile every
+        // variant, publish. The labels are freed inside the build, as a
+        // load frees its decode tables inside the load; only each path's
+        // result, a generation, is dropped outside its timer. -------------
+        let build_cold = || {
+            let labeler = fvl.labeler(&run);
+            let mut writer = EngineWriter::from_fvl(fvl.clone());
+            let items = writer.try_insert_labels(labeler.labels()).unwrap();
+            let vid = writer.add_view(view.clone());
+            let vrefs = VARIANTS.map(|kind| writer.compile(vid, kind).unwrap());
+            (writer.publish(&LiveEngine::new(writer.base().clone())), items, vrefs)
+        };
+        let (engine, items, vrefs) = build_cold();
         let size = items.len(); // the sampler lands near, not on, the target
         let rss_bytes = current_rss_bytes().unwrap_or(0);
+        let vref = vrefs[1]; // Default, the variant the latency histograms time
 
         let pairs = query_pairs(&mut StdRng::seed_from_u64(9), &items, queries);
 
@@ -157,35 +178,53 @@ fn bench_scale_sweep(c: &mut Criterion) {
             par.merge(h);
         }
 
-        // --- Warm restart: snapshot round-trip vs the cold build. -------
+        // --- Warm restart: snapshot round-trip vs the cold build, medians
+        // of REPEATS, cold and warm alternating. --------------------------
         let mut snapshot = Vec::new();
-        let save_ms = ms(|| engine.save(&mut snapshot).unwrap());
-        let mut warm: Option<EngineGeneration> = None;
-        let warm_load_ms = ms(|| {
-            warm = Some(EngineGeneration::load(fvl.clone(), &mut snapshot.as_slice()).unwrap());
-        });
-        // The snapshot carries the compiled label: `vref` is valid as is.
-        let warm = warm.unwrap();
+        let save_ms = median(
+            (0..REPEATS)
+                .map(|_| {
+                    snapshot = Vec::new();
+                    ms(|| engine.save(&mut snapshot).unwrap())
+                })
+                .collect(),
+        );
+        let load = || EngineGeneration::load(fvl.clone(), &mut snapshot.as_slice()).unwrap();
         // Spot-check: the restarted generation answers exactly like the
-        // cold one on a slice of the workload.
+        // cold one, for every variant, on a slice of the workload. The
+        // snapshot carries the compiled labels: `vrefs` are valid as is.
+        let warm = load();
         let probe = &pairs[..pairs.len().min(200)];
         let (mut warm_answers, mut cold_answers) = (Vec::new(), Vec::new());
-        warm.core().try_query_batch_into(&mut ws, vref, probe, &mut warm_answers).unwrap();
-        core.try_query_batch_into(&mut ws, vref, probe, &mut cold_answers).unwrap();
-        assert_eq!(
-            warm_answers, cold_answers,
-            "warm restart must answer identically at size {size}"
-        );
+        for vref in vrefs {
+            warm.core().try_query_batch_into(&mut ws, vref, probe, &mut warm_answers).unwrap();
+            core.try_query_batch_into(&mut ws, vref, probe, &mut cold_answers).unwrap();
+            assert_eq!(
+                warm_answers, cold_answers,
+                "{:?}: warm restart must answer identically at size {size}",
+                vref.kind
+            );
+        }
+        drop(warm);
+        let (mut cold_ms, mut warm_ms) = (Vec::new(), Vec::new());
+        for _ in 0..REPEATS {
+            let mut cold = None;
+            cold_ms.push(ms(|| cold = Some(build_cold())));
+            drop(cold);
+            let mut warm = None;
+            warm_ms.push(ms(|| warm = Some(load())));
+            drop(warm);
+        }
 
         rows.push(SweepRow {
             items: size,
-            cold_build_ms,
+            cold_build_ms: median(cold_ms),
             seq,
             seq_qps,
             par,
             par_wall_qps,
             save_ms,
-            warm_load_ms,
+            warm_load_ms: median(warm_ms),
             snapshot_bytes: snapshot.len(),
             rss_bytes,
         });
@@ -197,18 +236,23 @@ fn bench_scale_sweep(c: &mut Criterion) {
     rep.metric("host_cores", host_cores() as f64);
     rep.metric("par_workers", PAR_WORKERS as f64);
     rep.metric("queries_per_size", queries as f64);
+    rep.metric("variants_compiled", VARIANTS.len() as f64);
+    rep.metric("repeats", REPEATS as f64);
     rep.info(
         "metric_note",
         format!(
             "Figure 26-style scale sweep over real sampled runs. Per size: cold_build_ms = \
-             FVL-label the run + intern every label + compile the Default view + publish \
-             (everything a cold start repeats; run sampling itself is untimed); seq_query_ns = \
-             per-query wall latency through EngineCore::try_query (hot-key mix, one \
-             WorkerScratch); par_query_ns = same workload across {PAR_WORKERS} scoped workers \
-             sharing the frozen core, per-worker histograms merged (on host_cores < par_workers \
-             the tail includes time-slicing, by design); warm_load_ms = EngineGeneration::load \
+             FVL-label the run + intern every label + compile all three variants of the view + \
+             publish + free the labels (everything a cold start repeats; run sampling itself is \
+             untimed); seq_query_ns = per-query wall latency through EngineCore::try_query \
+             (hot-key mix, one WorkerScratch); par_query_ns = same workload across \
+             {PAR_WORKERS} scoped workers sharing the frozen core, per-worker histograms merged \
+             (on host_cores < par_workers the tail includes time-slicing, by design); \
+             warm_load_ms = EngineGeneration::load \
              from a save() snapshot — no relabeling, each stored trie node copied once — \
-             gated <= cold_build_ms at every size; rss_bytes = VmRSS after the build."
+             gated <= cold_build_ms at every size; cold_build_ms, save_ms and warm_load_ms are \
+             medians of {REPEATS}, cold builds alternating with warm loads, each returned \
+             generation dropped after its timer; rss_bytes = VmRSS after the first build."
         ),
     );
     for (i, row) in rows.iter().enumerate() {
@@ -227,28 +271,4 @@ fn bench_scale_sweep(c: &mut Criterion) {
     }
     rep.metric("peak_rss_bytes", peak_rss as f64);
     rep.write();
-
-    // --- Criterion entries (human-readable printout) at the smallest
-    // size, so the group stays cheap under `--test`. ---------------------
-    let run = bench.run_of(42 + sizes[0] as u64, sizes[0]);
-    let mut writer = EngineWriter::from_fvl(fvl.clone());
-    let items = writer.try_insert_labels(fvl.labeler(&run).labels()).unwrap();
-    let vref = writer.register_view(view, VariantKind::Default).unwrap();
-    let engine = writer.publish(&LiveEngine::new(writer.base().clone()));
-    let pairs = query_pairs(&mut StdRng::seed_from_u64(9), &items, 1024);
-    let mut g = c.benchmark_group("scale_sweep");
-    g.bench_function("seq_query_at_smallest_size", |bch| {
-        let core = engine.core();
-        let mut ws = WorkerScratch::new();
-        let mut i = 0;
-        bch.iter(|| {
-            let (x, y) = pairs[i % pairs.len()];
-            i += 1;
-            std::hint::black_box(core.try_query(&mut ws, vref, x, y).unwrap())
-        })
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench_scale_sweep);
-criterion_main!(benches);

@@ -34,7 +34,6 @@
 //! p50 at the largest size ≤ 3× the smallest — an accidental O(n)
 //! regression fails CI even on a noisy one-core container).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -172,11 +171,7 @@ fn reader_qps_at<'a>(
     best
 }
 
-/// The largest swept size's writer/live/pairs/view survive the sweep to
-/// feed the Criterion entries.
-type LargestSurvivor = (EngineWriter, LiveEngine, Vec<(ItemId, ItemId)>, ViewRef);
-
-fn bench_update_throughput(c: &mut Criterion) {
+fn main() {
     let quick = std::env::args().any(|a| a == "--test");
     // The quick sweep still spans ≥4 sizes up to ≥256k: CI's bench-smoke
     // regenerates the report in `--test` mode, and `bench_check` asserts the
@@ -222,10 +217,6 @@ fn bench_update_throughput(c: &mut Criterion) {
             .collect();
 
     let mut rows: Vec<SweepRow> = Vec::new();
-    // The largest size's writer/live survive the sweep for the Criterion
-    // entries below — publish cost at 10⁶ items is the number that proves
-    // the point.
-    let mut last: Option<LargestSurvivor> = None;
 
     for &size in sizes {
         let mut pool = pool_labels.iter().cycle();
@@ -307,7 +298,6 @@ fn bench_update_throughput(c: &mut Criterion) {
             skewed_touched_mean: skew_touched_total as f64 / skew_counts.len() as f64,
             qps,
         });
-        last = Some((writer, live, pairs, vref));
     }
 
     let mut rep = Report::new("update_throughput");
@@ -359,27 +349,4 @@ fn bench_update_throughput(c: &mut Criterion) {
         p50(&last_row.baseline) / p50(&first.baseline),
     );
     rep.write();
-
-    // --- Criterion entries (for the human-readable printout), at the
-    // largest swept size — where flat publishing is hardest. -------------
-    let (mut writer, live, pairs, vref) = last.expect("the sweep is non-empty");
-    let mut pool = pool_labels.iter().cycle();
-    let mut g = c.benchmark_group("update_throughput");
-    g.bench_function("stage_chunk_and_publish_at_max_size", |b| {
-        b.iter(|| publish_cycle(&mut writer, &live, &mut pool, CHUNK))
-    });
-    g.bench_function("live_read_fast_path", |b| b.iter(|| std::hint::black_box(live.read())));
-    g.bench_function("read_query_batch_at_max_size", |b| {
-        let mut ws = WorkerScratch::new();
-        let mut out = Vec::new();
-        b.iter(|| {
-            let gen = live.read();
-            gen.core().try_query_batch_into(&mut ws, vref, &pairs, &mut out).unwrap();
-            std::hint::black_box(out.len())
-        })
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench_update_throughput);
-criterion_main!(benches);

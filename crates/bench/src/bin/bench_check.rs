@@ -2,12 +2,11 @@
 //! bench writes and asserts its scaling claims.
 //!
 //! `cargo run --release -p wf-bench --bin bench_check [path ...]` — with
-//! no arguments it checks the eight `BENCH_<bench>.txt` reports in the
+//! no arguments it checks the six `BENCH_<bench>.txt` reports in the
 //! current directory (the workspace root, where bench-smoke runs):
 //! `update_throughput`, `ingest_throughput`, `recovery`,
-//! `parallel_throughput`, `scale_sweep`, `query_throughput`,
-//! `snapshot_roundtrip` and `fuzz_coverage`. Every report is a
-//! [`wf_bench::report::Report`] — `info <key>=<text>` and
+//! `parallel_throughput`, `scale_sweep` and `fuzz_coverage`. Every report
+//! is a [`wf_bench::report::Report`] — `info <key>=<text>` and
 //! `metric <name> <value>` lines, nested values under dotted names
 //! (`sweep.0.publish_ns.p50`) — and a missing, empty or unparsable file
 //! fails. Each report dispatches on its `info bench=` line, exactly; a
@@ -48,37 +47,28 @@
 //! * the torn-tail row healed a nonzero suffix with `acked_ops_lost` of
 //!   exactly 0 — the append+fsync ack barrier never loses acked ops.
 //!
-//! **`parallel_throughput`** — exit 0 iff every variant scales: on hosts
-//! with ≥ 4 cores, 4-thread wall qps ≥ 1.5× single-thread; on smaller
-//! hosts the wall gate is *skipped with an explicit message* (a 1-core
-//! container cannot show wall scaling, and pretending it passed would be
-//! worse than saying why it can't run) and the CPU-normalized
-//! `aggregate_speedup_4v1` ≥ 1.5× is gated instead — which requires the
-//! report's `cpu_clock` flag, i.e. a process CPU clock at measurement
-//! time.
+//! **`parallel_throughput`** — exit 0 iff all three §6.3 variants report
+//! over ≥ 1024 pairs and every variant scales: on hosts with ≥ 4 cores,
+//! 4-thread wall qps ≥ 1.5× single-thread; on smaller hosts the wall gate
+//! is *skipped with an explicit message* (a 1-core container cannot show
+//! wall scaling, and pretending it passed would be worse than saying why
+//! it can't run) and the CPU-normalized `aggregate_speedup_4v1` ≥ 1.5× is
+//! gated instead — which requires the report's `cpu_clock` flag, i.e. a
+//! process CPU clock at measurement time. Per variant, the one-scratch
+//! batch must also be no slower than the per-call path on the same host
+//! (`1e9 / 1.wall_qps` ≤ `per_call_ns`, both positive, and a positive
+//! `session_ns`): the batch shares one decode context and scratch across
+//! the pairs, so losing to per-call context rebuilds would be a
+//! regression of the serving layer.
 //!
 //! **`scale_sweep`** — exit 0 iff the Figure 26 sweep holds up: ≥ 3
 //! strictly increasing sizes topping out ≥ 10^4; per size, ≥ 1000-sample
 //! latency histograms with ordered quantiles (p50 ≤ p99 ≤ p999 ≤ max) on
 //! both the sequential and parallel paths; warm restart ≤ cold rebuild
-//! at every size (loading copies each stored trie node once and hashes
-//! no label, so it stays well under relabeling plus interning); and
-//! positive snapshot/RSS accounting.
-//!
-//! **`query_throughput`** — exit 0 iff all three §6.3 variants report
-//! positive per-call / session / batched ns-per-query over ≥ 1000 pairs,
-//! and for every variant the batched path is no slower than the per-call
-//! path on the same host (batched ≤ per-call; the batched path shares one
-//! decode context and scratch across the batch, so losing to per-call
-//! context rebuilds would be a regression of the serving layer).
-//!
-//! **`snapshot_roundtrip`** — exit 0 iff the report covers ≥ 1000 items,
-//! ≥ 1 view and all 3 compiled variants with ≥ 3 timing repeats and
-//! positive byte/time fields; the warm load costs no more than the cold
-//! build on the same host (the bound `scale_sweep` applies at every
-//! size); and the trie-interned store stays within the §5 per-label codec
-//! bound (`store_bits_per_label` ≤ `codec_bits_per_label`, a size
-//! property of the fixed workload, identical on every host).
+//! at every size, both medians of ≥ 3 repeats with all 3 variants
+//! compiled (loading copies each stored trie node once and hashes no
+//! label, so it stays well under relabeling plus interning); and positive
+//! save time and snapshot/RSS accounting.
 //!
 //! **`fuzz_coverage`** (written by `examples/fuzz_sweep.rs`) — exit 0 iff
 //! the sweep found nothing (`divergences`, `mutant_panics` and
@@ -93,16 +83,17 @@ use std::process::ExitCode;
 use wf_bench::report::Report;
 
 /// The reports checked when no path is given, as `BENCH_<bench>.txt`.
-const REPORTS: [&str; 8] = [
+const REPORTS: [&str; 6] = [
     "update_throughput",
     "ingest_throughput",
     "recovery",
     "parallel_throughput",
     "scale_sweep",
-    "query_throughput",
-    "snapshot_roundtrip",
     "fuzz_coverage",
 ];
+
+/// The three §6.3 variants, as the reports name them.
+const VARIANTS: [&str; 3] = ["SpaceEfficient", "Default", "QueryEfficient"];
 
 /// The metric `name` if `ok` accepts it; otherwise an error naming the
 /// metric, its value and what the rule needs.
@@ -125,8 +116,6 @@ fn check(doc: &Report) -> Result<String, String> {
         "recovery" => check_recovery(doc),
         "parallel_throughput" => check_parallel(doc),
         "scale_sweep" => check_scale_sweep(doc),
-        "query_throughput" => check_query_throughput(doc),
-        "snapshot_roundtrip" => check_snapshot(doc),
         "fuzz_coverage" => check_fuzz(doc),
         other => Err(format!("no gate for bench {other:?}")),
     }
@@ -137,6 +126,7 @@ fn check(doc: &Report) -> Result<String, String> {
 /// wall gate is *skipped with a message* (never silently passed) and the
 /// CPU-normalized aggregate curve is gated instead, which requires the
 /// report to have been measured with a process CPU clock (`cpu_clock`).
+/// For every variant the one-scratch batch must not lose to per-call.
 fn check_parallel(doc: &Report) -> Result<String, String> {
     let host_cores = doc.num("host_cores")?;
     need(doc, "pairs", |p| p >= 1024.0, ">= 1024 per batch")?;
@@ -145,15 +135,22 @@ fn check_parallel(doc: &Report) -> Result<String, String> {
         Some("false") => false,
         _ => return Err("missing cpu_clock flag (regenerate the report)".into()),
     };
-    let variants = doc.children("variants");
-    if !variants.contains(&"Default") {
-        return Err("variants must include Default".into());
-    }
-    let mut summary = String::from("variant          wall_qps@4   aggregate_4v1\n");
-    for name in variants {
+    let mut summary =
+        String::from("variant          batch_ns  per_call_ns  wall_qps@4   aggregate_4v1\n");
+    for name in VARIANTS {
         let w1 = positive(doc, &format!("variants.{name}.1.wall_qps"))?;
         let w4 = positive(doc, &format!("variants.{name}.4.wall_qps"))?;
         let agg = doc.num(&format!("variants.{name}.aggregate_speedup_4v1"))?;
+        let per_call = positive(doc, &format!("variants.{name}.per_call_ns"))?;
+        positive(doc, &format!("variants.{name}.session_ns"))?;
+        let batched = 1e9 / w1;
+        if batched > per_call {
+            return Err(format!(
+                "{name}: batched {batched:.1} ns/query is slower than per-call {per_call:.1} \
+                 ns/query on the same host — the batch no longer amortizes context and scratch"
+            ));
+        }
+        summary.push_str(&format!("{name:<16} {batched:<9.1} {per_call:<12.1} "));
         if host_cores >= 4.0 {
             let wall_speedup = w4 / w1;
             if wall_speedup < 1.5 {
@@ -162,8 +159,7 @@ fn check_parallel(doc: &Report) -> Result<String, String> {
                      host (need >= 1.5x): the fan-out read path is not scaling"
                 ));
             }
-            summary
-                .push_str(&format!("{name:<16} {w4:<12.0} {agg:.2}x (wall {wall_speedup:.2}x)\n"));
+            summary.push_str(&format!("{w4:<12.0} {agg:.2}x (wall {wall_speedup:.2}x)\n"));
         } else {
             if !cpu_clock {
                 return Err(format!(
@@ -178,7 +174,7 @@ fn check_parallel(doc: &Report) -> Result<String, String> {
                      per-query CPU cost grows with the fan-out"
                 ));
             }
-            summary.push_str(&format!("{name:<16} {w4:<12.0} {agg:.2}x\n"));
+            summary.push_str(&format!("{w4:<12.0} {agg:.2}x\n"));
         }
     }
     if host_cores >= 4.0 {
@@ -199,6 +195,8 @@ fn check_parallel(doc: &Report) -> Result<String, String> {
 fn check_scale_sweep(doc: &Report) -> Result<String, String> {
     doc.num("host_cores")?;
     need(doc, "par_workers", |w| w >= 2.0, ">= 2")?;
+    need(doc, "variants_compiled", |n| n == 3.0, "all 3 variants compiled in")?;
+    need(doc, "repeats", |n| n >= 3.0, "medians of >= 3 repeats")?;
     let sweep = doc.children("sweep");
     if sweep.len() < 3 {
         return Err(format!("sweep has {} sizes, need >= 3", sweep.len()));
@@ -241,6 +239,7 @@ fn check_scale_sweep(doc: &Report) -> Result<String, String> {
                  ms) at {items} items: snapshots no longer pay for themselves"
             ));
         }
+        positive(doc, &at("save_ms"))?;
         positive(doc, &at("snapshot_bytes"))?;
         positive(doc, &at("rss_bytes"))?;
         summary.push_str(&format!(
@@ -290,61 +289,6 @@ fn check_recovery(doc: &Report) -> Result<String, String> {
     Ok(format!(
         "recovery at {items} items / {publishes} frames: compacted {speedup:.2}x faster than \
          full replay (need 3x), torn tail lost 0 acked ops — ok\n"
-    ))
-}
-
-/// The `query_throughput` gate: shape, sample count, and batched ≤
-/// per-call for every variant.
-fn check_query_throughput(doc: &Report) -> Result<String, String> {
-    let pairs = need(doc, "pairs", |n| n >= 1000.0, ">= 1000 pairs")?;
-    let mut summary = String::new();
-    for name in ["SpaceEfficient", "Default", "QueryEfficient"] {
-        let ns = |path: &str| positive(doc, &format!("variants.{name}.{path}"));
-        let per_call = ns("per_call")?;
-        ns("session")?;
-        let batched = ns("batched")?;
-        if batched > per_call {
-            return Err(format!(
-                "{name}: batched {batched:.1} ns/query is slower than per-call {per_call:.1} \
-                 ns/query on the same host — the batch no longer amortizes context and scratch"
-            ));
-        }
-        summary.push_str(&format!(
-            "{name}: batched {batched:.1} <= per-call {per_call:.1} ns/query over {pairs} pairs \
-             — ok\n"
-        ));
-    }
-    Ok(summary)
-}
-
-/// The `snapshot_roundtrip` gate: shape, repeats, warm load ≤ cold build,
-/// and the store within the per-label codec bound.
-fn check_snapshot(doc: &Report) -> Result<String, String> {
-    let items = need(doc, "items", |n| n >= 1000.0, ">= 1000 items")?;
-    need(doc, "views", |n| n >= 1.0, ">= 1")?;
-    need(doc, "variants_compiled", |n| n == 3.0, "all 3 variants compiled in")?;
-    need(doc, "repeats", |n| n >= 3.0, "medians of >= 3 repeats")?;
-    positive(doc, "snapshot_bytes")?;
-    positive(doc, "save_ms")?;
-    let cold = positive(doc, "cold_build_ms")?;
-    let load = positive(doc, "load_ms")?;
-    if load > cold {
-        return Err(format!(
-            "warm load {load:.2} ms costs more than the cold build {cold:.2} ms at {items} \
-             items: restoring a snapshot must beat relabeling"
-        ));
-    }
-    let store = positive(doc, "store_bits_per_label")?;
-    let codec = positive(doc, "codec_bits_per_label")?;
-    if store > codec {
-        return Err(format!(
-            "the trie-interned store takes {store:.1} bits/label, over the per-label codec \
-             bound {codec:.1}: prefix sharing stopped paying"
-        ));
-    }
-    Ok(format!(
-        "snapshot at {items} items: warm load {load:.2} ms <= cold build {cold:.2} ms, store \
-         {store:.1} <= codec {codec:.1} bits/label — ok\n"
     ))
 }
 
@@ -800,16 +744,23 @@ mod tests {
 
     // --- parallel_throughput gate fixtures. -----------------------------
 
+    /// The same curve for all three variants, each answering a per-call
+    /// query in 1500 ns and a session query in 500 ns.
     fn parallel_text(cores: u64, w1: u64, w4: u64, agg: f64) -> String {
         let mut text = format!(
             "info bench=parallel_throughput\nmetric pairs 8192\nmetric host_cores {cores}\n"
         );
-        for (threads, qps) in [(1, w1), (4, w4)] {
-            for rate in ["wall_qps", "cpu_qps", "aggregate_qps"] {
-                text += &format!("metric variants.Default.{threads}.{rate} {qps}\n");
+        for name in VARIANTS {
+            let m = format!("metric variants.{name}");
+            text += &format!("{m}.per_call_ns 1500\n{m}.session_ns 500\n");
+            for (threads, qps) in [(1, w1), (4, w4)] {
+                for rate in ["wall_qps", "cpu_qps", "aggregate_qps"] {
+                    text += &format!("{m}.{threads}.{rate} {qps}\n");
+                }
             }
+            text += &format!("{m}.aggregate_speedup_4v1 {agg}\n");
         }
-        text + &format!("metric variants.Default.aggregate_speedup_4v1 {agg}\n")
+        text
     }
 
     fn parallel_doc(cores: u64, cpu_clock: bool, w1: u64, w4: u64, agg: f64) -> Report {
@@ -838,6 +789,35 @@ mod tests {
         // Old reports without the cpu_clock flag must be regenerated.
         let stale = report(&parallel_text(1, 1, 1, 4.0));
         assert!(check(&stale).unwrap_err().contains("cpu_clock"));
+    }
+
+    #[test]
+    fn parallel_gate_needs_the_one_scratch_batch_at_or_under_per_call() {
+        let text = format!("{}info cpu_clock=true\n", parallel_text(8, 1_000_000, 2_500_000, 3.9));
+        // 1000 ns per batched query against 1500 ns per call passes, and so
+        // does parity.
+        let summary = check(&report(&text)).expect("the batch wins");
+        assert!(summary.contains("1000.0    1500.0"), "{summary}");
+        let parity = text.replace("per_call_ns 1500", "per_call_ns 1000");
+        assert!(check(&report(&parity)).is_ok());
+        for name in VARIANTS {
+            // A one-scratch row slower than per-call fails for any variant.
+            let slow = text
+                .replace(&format!("{name}.per_call_ns 1500"), &format!("{name}.per_call_ns 900"));
+            let err = check(&report(&slow)).unwrap_err();
+            assert!(err.contains(&format!("{name}: batched 1000.0 ns/query")), "{err}");
+            assert!(err.contains("slower than per-call 900.0"), "{err}");
+            // Every variant must report its per-call and session figures.
+            for field in ["per_call_ns 1500", "session_ns 500"] {
+                let line = format!("metric variants.{name}.{field}\n");
+                let err = check(&report(&text.replace(&line, ""))).unwrap_err();
+                let metric = field.split(' ').next().unwrap();
+                assert!(err.contains(&format!("missing metric variants.{name}.{metric}")), "{err}");
+            }
+        }
+        // A thin batch cannot stand for the serving shape.
+        let thin = text.replace("metric pairs 8192", "metric pairs 64");
+        assert!(check(&report(&thin)).unwrap_err().contains(">= 1024 per batch"));
     }
 
     // --- scale_sweep gate fixtures. --------------------------------------
@@ -869,12 +849,17 @@ mod tests {
         )
     }
 
-    fn sweep_doc(rows: &[String]) -> Report {
-        report(&format!(
+    fn sweep_text(rows: &[String]) -> String {
+        format!(
             "info bench=scale_sweep\nmetric host_cores 1\nmetric par_workers 4\n\
-             metric queries_per_size 4000\n{}metric peak_rss_bytes 8000000\n",
+             metric queries_per_size 4000\nmetric variants_compiled 3\nmetric repeats 5\n{}\
+             metric peak_rss_bytes 8000000\n",
             rows.concat()
-        ))
+        )
+    }
+
+    fn sweep_doc(rows: &[String]) -> Report {
+        report(&sweep_text(rows))
     }
 
     fn sweep_rows() -> Vec<String> {
@@ -928,75 +913,22 @@ mod tests {
         let mut thin = sweep_rows();
         thin[2] = thin[2].replace("seq_query_ns.count 4000", "seq_query_ns.count 50");
         assert!(check(&sweep_doc(&thin)).unwrap_err().contains(">= 1000"));
+        // Restart times from fewer than 3 repeats, or with fewer than all
+        // three variants compiled into the cold build.
+        let text = sweep_text(&sweep_rows());
+        let once = report(&text.replace("repeats 5", "repeats 2"));
+        assert!(check(&once).unwrap_err().contains(">= 3 repeats"));
+        let one_variant = report(&text.replace("variants_compiled 3", "variants_compiled 1"));
+        assert!(check(&one_variant).unwrap_err().contains("all 3 variants"));
+        // A save that was not timed.
+        let mut unsaved = sweep_rows();
+        unsaved[1] = unsaved[1].replace("save_ms 1", "save_ms 0");
+        assert!(check(&sweep_doc(&unsaved)).unwrap_err().contains("sweep.1.save_ms is 0"));
     }
 
     #[test]
     fn accepts_the_committed_parallel_and_sweep_reports() {
         for bench in ["parallel_throughput", "scale_sweep"] {
-            check(&committed(bench)).unwrap_or_else(|e| panic!("{bench} fails its own gate: {e}"));
-        }
-    }
-
-    // --- query_throughput / snapshot_roundtrip gate fixtures. ----------
-
-    fn query_text(pairs: u64, qe_batched: f64) -> String {
-        format!(
-            "info bench=query_throughput\nmetric pairs {pairs}\ninfo unit=ns_per_query\n\
-             metric variants.SpaceEfficient.per_call 5682.2\n\
-             metric variants.SpaceEfficient.session 914.9\n\
-             metric variants.SpaceEfficient.batched 808.7\n\
-             metric variants.Default.per_call 1701.8\nmetric variants.Default.session 471.9\n\
-             metric variants.Default.batched 388.5\n\
-             metric variants.QueryEfficient.per_call 479.5\n\
-             metric variants.QueryEfficient.session 256.6\n\
-             metric variants.QueryEfficient.batched {qe_batched}\n"
-        )
-    }
-
-    #[test]
-    fn accepts_batched_at_or_under_per_call() {
-        assert!(check(&report(&query_text(4096, 324.5))).expect("batched wins").contains("ok"));
-    }
-
-    #[test]
-    fn rejects_batched_slower_than_per_call_and_thin_samples() {
-        let err = check(&report(&query_text(4096, 612.0))).unwrap_err();
-        assert!(err.contains("slower than per-call"), "{err}");
-        assert!(check(&report(&query_text(64, 324.5))).unwrap_err().contains(">= 1000 pairs"));
-        let no_qe: String = query_text(4096, 324.5)
-            .lines()
-            .filter(|l| !l.contains("QueryEfficient"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert!(check(&report(&no_qe)).unwrap_err().contains("QueryEfficient"));
-    }
-
-    fn snapshot_doc(repeats: u64, cold: f64, load: f64, store_bpl: f64) -> Report {
-        report(&format!(
-            "info bench=snapshot_roundtrip\nmetric items 8070\nmetric views 1\n\
-             metric variants_compiled 3\nmetric repeats {repeats}\nmetric snapshot_bytes 81988\n\
-             metric cold_build_ms {cold}\nmetric save_ms 3.52\nmetric load_ms {load}\n\
-             metric warm_start_speedup 0.8\nmetric store_bits_per_label {store_bpl}\n\
-             metric codec_bits_per_label 81.7\n"
-        ))
-    }
-
-    #[test]
-    fn accepts_a_warm_load_within_the_cold_build_bound() {
-        assert!(check(&snapshot_doc(5, 3.35, 3.2, 79.2)).expect("0.96x passes").contains("ok"));
-    }
-
-    #[test]
-    fn rejects_a_slow_load_a_bloated_store_and_thin_repeats() {
-        let err = check(&snapshot_doc(5, 3.35, 4.0, 79.2)).unwrap_err();
-        assert!(err.contains("more than the cold build"), "1.2x: {err}");
-        assert!(check(&snapshot_doc(5, 3.35, 2.0, 90.0)).unwrap_err().contains("codec"));
-        assert!(check(&snapshot_doc(1, 3.35, 2.0, 79.2)).unwrap_err().contains(">= 3 repeats"));
-    }
-
-    #[test]
-    fn accepts_the_committed_query_and_snapshot_reports() {
-        for bench in ["query_throughput", "snapshot_roundtrip"] {
             check(&committed(bench)).unwrap_or_else(|e| panic!("{bench} fails its own gate: {e}"));
         }
     }

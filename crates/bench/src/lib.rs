@@ -1,19 +1,19 @@
 //! Benchmark harness for the paper's §6 evaluation.
 //!
 //! The library is a thin layer of shared fixtures and timers; the actual
-//! experiments live in the crate's binary and bench targets:
+//! experiments live in the crate's binaries and bench targets:
 //!
 //! * `src/bin/experiments.rs` — `cargo run --release --bin experiments
 //!   [fig17|…|fig25|tab1|ablation|all]` reprints every figure/table series
 //!   of §6 (label lengths, construction times, query times, multi-view
 //!   scaling) on the BioAID-like and synthetic workloads;
-//! * `benches/label_construction.rs` — Criterion micro-bench of dynamic
-//!   label construction, FVL vs DRL (Figures 17/18's time axis);
-//! * `benches/query.rs` — the constant-time query path across the three
-//!   FVL variants, Matrix-Free FVL and DRL (Figures 20/23);
-//! * `benches/ablation.rs` — prefix factoring of data labels and
-//!   recursion-chain evaluation strategies (power cache vs divide & conquer
-//!   vs naive).
+//! * `benches/` — five report benches (`update_throughput`,
+//!   `ingest_throughput`, `recovery`, `parallel_throughput` and
+//!   `scale_sweep`), each a plain `main` that writes its
+//!   `BENCH_<bench>.txt` report at the workspace root (`-- --test` runs
+//!   it shrunk, as CI's bench smoke does);
+//! * `src/bin/bench_check.rs` — the gate that reads those reports back and
+//!   checks each one's claims.
 //!
 //! Exported helpers: [`Bench`] (one prepared workload + production graph,
 //! with seeded runs, views and query pairs), the [`ms`]/[`ns_per`] timers,

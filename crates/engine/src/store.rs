@@ -382,6 +382,13 @@ impl LabelStore {
     /// materialized into `out_buf` / `inp_buf` (tiny: label paths are
     /// `O(|Δ|)` long, Lemma 4 — reachability matrices dwarf this). Shard
     /// lookup is one divide; the walk itself touches a single shard.
+    ///
+    /// # Panics
+    ///
+    /// If `id` is not below [`len`](Self::len): the id is not checked. An
+    /// id from outside the engine goes through
+    /// [`EngineCore::try_query`](crate::EngineCore::try_query), which
+    /// rejects it as a typed error first.
     pub fn label_ref<'b>(
         &self,
         id: ItemId,
@@ -604,6 +611,12 @@ impl LabelStore {
     }
 
     /// Rebuilds the owning [`DataLabel`] (allocates; diagnostics and tests).
+    ///
+    /// # Panics
+    ///
+    /// If `id` is not below [`len`](Self::len), as
+    /// [`label_ref`](Self::label_ref) does; the checked path is
+    /// [`EngineCore::try_query`](crate::EngineCore::try_query).
     pub fn materialize(&self, id: ItemId) -> DataLabel {
         let (shard, local) = self.locate(id);
         let stored = shard.labels[local];

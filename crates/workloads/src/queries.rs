@@ -7,7 +7,7 @@
 //! items (popular datasets, recent outputs) appear in most queries, and
 //! queries spread across a mix of views (each user group holds its own).
 //! This module generates those shapes deterministically per seed, to drive
-//! the `wf-engine` serving layer and the `query_throughput` bench.
+//! the `wf-engine` serving layer and the `parallel_throughput` bench.
 
 use rand::Rng;
 use wf_run::{DataId, Run};
