@@ -11,7 +11,7 @@
 //! exists for it (Theorem 1).
 
 use wf_boolmat::BoolMat;
-use wf_model::{DepAssignment, ModelError, ModuleId, PortGraph, PortRef, ProdId, Spec, ViewSpec};
+use wf_model::{DepAssignment, ModelError, ModuleId, PortGraph, ProdId, Spec, ViewSpec};
 
 /// Why a specification or view has no full dependency assignment.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -120,26 +120,6 @@ pub fn full_assignment_default(spec: &Spec) -> Result<DepAssignment, SafetyError
 /// Theorem 2's decision procedure: is the view safe?
 pub fn is_safe(vs: &ViewSpec<'_>) -> bool {
     full_assignment(vs).is_ok()
-}
-
-/// Checks that a *run-level* simple workflow is consistent with λ\* — used
-/// by tests to cross-validate Lemma 1 against brute-force expansion.
-pub fn lhs_matrix_of_workflow(
-    w: &wf_model::SimpleWorkflow,
-    input_map: &[wf_model::InPortRef],
-    output_map: &[wf_model::OutPortRef],
-    lambda: &DepAssignment,
-) -> BoolMat {
-    let pg = PortGraph::build(w, lambda);
-    let mut mat = BoolMat::zeros(input_map.len(), output_map.len());
-    for (x, &ip) in input_map.iter().enumerate() {
-        for (y, &op) in output_map.iter().enumerate() {
-            if pg.reaches(PortRef::In(ip), PortRef::Out(op)) {
-                mat.set(x, y, true);
-            }
-        }
-    }
-    mat
 }
 
 #[cfg(test)]

@@ -15,10 +15,11 @@
 //! * [`MatPool`] — a free list of such buffers, making query evaluation
 //!   allocation-free in steady state;
 //! * [`PowerCache`] — the `Xᵃ = Xᵇ` cycle detection behind constant-time
-//!   evaluation of long recursion chains (Query-Efficient FVL);
-//! * [`pow`] / [`pow_into`] — logarithmic-time exponentiation (Default
-//!   FVL's fallback), and [`PowMemo`] — a lazy squaring-ladder memo that
-//!   computes each distinct chain exponent once per serving session.
+//!   evaluation of long recursion chains: stored in Query-Efficient view
+//!   labels, and built on first use by Default and Space-Efficient serving
+//!   sessions;
+//! * [`pow`] — logarithmic-time exponentiation, the reference the cache is
+//!   tested against.
 
 mod mat;
 mod pool;
@@ -26,19 +27,19 @@ mod power;
 
 pub use mat::BoolMat;
 pub use pool::MatPool;
-pub use power::{pow, pow_into, PowMemo, PowerCache};
+pub use power::{pow, PowerCache};
 
-// Pools and memos are owned per worker scratch and move across threads
-// with it; matrices and power caches are additionally shared read-only
-// from frozen view labels. The parallel serving layer relies on these
-// bounds holding structurally (plain owned data, no interior mutability).
+// Pools and session power caches are owned per worker scratch and move
+// across threads with it; matrices and power caches are additionally
+// shared read-only from frozen view labels. The parallel serving layer
+// relies on these bounds holding structurally (plain owned data, no
+// interior mutability).
 const _: () = {
     const fn shared_across_threads<T: Send + Sync>() {}
     const fn moved_into_a_thread<T: Send>() {}
     shared_across_threads::<BoolMat>();
     shared_across_threads::<PowerCache>();
     moved_into_a_thread::<MatPool>();
-    moved_into_a_thread::<PowMemo>();
 };
 
 #[cfg(test)]

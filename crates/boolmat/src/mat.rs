@@ -248,14 +248,6 @@ impl BoolMat {
         }
     }
 
-    /// Element-wise OR, in place. Used when accumulating reachability.
-    pub fn or_assign(&mut self, other: &BoolMat) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a |= b;
-        }
-    }
-
     /// True iff `self[r][c] ⇒ other[r][c]` for all entries (`⊆` on relations).
     pub fn is_subset_of(&self, other: &BoolMat) -> bool {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
@@ -391,14 +383,6 @@ mod tests {
         let m = BoolMat::from_pairs(4, 6, [(0, 5), (2, 0), (3, 3), (3, 4)]);
         let ones: Vec<_> = m.iter_ones().collect();
         assert_eq!(ones, vec![(0, 5), (2, 0), (3, 3), (3, 4)]);
-    }
-
-    #[test]
-    fn or_assign_accumulates() {
-        let mut acc = BoolMat::zeros(2, 2);
-        acc.or_assign(&BoolMat::from_pairs(2, 2, [(0, 1)]));
-        acc.or_assign(&BoolMat::from_pairs(2, 2, [(1, 0)]));
-        assert_eq!(acc.count_ones(), 2);
     }
 
     #[test]

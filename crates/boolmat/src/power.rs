@@ -8,36 +8,25 @@
 //! distinct `c×c` boolean matrices, the sequence `X¹, X², …` must enter a
 //! cycle: there exist `a < b ≤ 2^(c²)+1` with `Xᵃ = Xᵇ`. [`PowerCache`]
 //! finds `(a, b)` once and afterwards answers `Xᵉ` for any `e ≥ 1` in O(1).
+//! Query-Efficient labels store one per cycle offset and direction; Default
+//! and Space-Efficient serving sessions build the same cache on first use.
 
-use crate::{BoolMat, MatPool};
-use std::collections::HashMap;
+use crate::BoolMat;
 
-/// Computes `x^e` for `e >= 0` by binary exponentiation (`x⁰ = I`).
-///
-/// This is the "divide and conquer … runs in O(log i) time" fallback of
-/// §4.4.3, used by Default FVL which does not materialize power caches.
-pub fn pow(x: &BoolMat, e: u64) -> BoolMat {
-    let mut out = BoolMat::default();
-    let mut pool = MatPool::new();
-    pow_into(x, e, &mut out, &mut pool);
-    out
-}
-
-/// [`pow`] writing into a caller-owned matrix, with scratch buffers drawn
-/// from (and returned to) `pool` — allocation-free in steady state.
+/// Computes `x^e` for `e >= 0` by binary exponentiation (`x⁰ = I`) — the
+/// "divide and conquer … runs in O(log i) time" evaluation of §4.4.3, kept
+/// as the reference [`PowerCache`] is checked against.
 ///
 /// The accumulator starts from the lowest *set* bit of `e` rather than the
 /// identity, so when `e` is a power of two the whole computation is exactly
 /// `log₂ e` squarings plus one copy — no trailing `I · x^e` multiply.
-pub fn pow_into(x: &BoolMat, e: u64, out: &mut BoolMat, pool: &mut MatPool) {
+pub fn pow(x: &BoolMat, e: u64) -> BoolMat {
     assert_eq!(x.rows(), x.cols(), "pow requires a square matrix");
     if e == 0 {
-        out.assign_identity(x.rows());
-        return;
+        return BoolMat::identity(x.rows());
     }
-    let mut base = pool.take();
-    base.copy_from(x);
-    let mut tmp = pool.take();
+    let mut base = x.clone();
+    let mut tmp = BoolMat::default();
     let mut e = e;
     // Square past the trailing zero bits without touching the accumulator.
     while e & 1 == 0 {
@@ -45,148 +34,18 @@ pub fn pow_into(x: &BoolMat, e: u64, out: &mut BoolMat, pool: &mut MatPool) {
         std::mem::swap(&mut base, &mut tmp);
         e >>= 1;
     }
-    out.copy_from(&base);
+    let mut out = base.clone();
     e >>= 1;
     while e > 0 {
         base.matmul_into(&base, &mut tmp);
         std::mem::swap(&mut base, &mut tmp);
         if e & 1 == 1 {
             out.matmul_into(&base, &mut tmp);
-            std::mem::swap(out, &mut tmp);
+            std::mem::swap(&mut out, &mut tmp);
         }
         e >>= 1;
     }
-    pool.put(base);
-    pool.put(tmp);
-}
-
-/// A lazy memo of powers of one square matrix: a squaring ladder
-/// `x, x², x⁴, …` shared across exponents plus a per-exponent result map.
-///
-/// Default FVL has no materialized [`PowerCache`], so every query against a
-/// long recursion chain used to rerun binary exponentiation from scratch.
-/// A serving session keeps one `PowMemo` per (cycle, offset, direction)
-/// instead: each distinct exponent is computed once — reusing whatever
-/// ladder steps earlier exponents already paid for — and each repeat lookup
-/// is a single hash probe.
-///
-/// The memo identifies the base matrix by *position*, not by value: callers
-/// must pass the same `x` on every [`PowMemo::power`] call (the query
-/// scratch guarantees this by keying memos by view uid).
-///
-/// Storage is bounded: after a threshold number of distinct exponents
-/// (`PROMOTE_AT`, currently 16) the memo *promotes* itself to a
-/// [`PowerCache`] — the `Xᵃ = Xᵇ` periodic cache —
-/// which answers every exponent in O(1) from at most `b − 1` matrices, and
-/// recycles the ladder and per-exponent results back into the pool. So a
-/// long-lived session never accumulates more than `PROMOTE_AT` result
-/// matrices plus the (small, period-bounded) cache.
-#[derive(Default)]
-pub struct PowMemo {
-    /// `sq[i] = x^(2^i)`, extended lazily (pre-promotion).
-    sq: Vec<BoolMat>,
-    /// Finished results per exponent, including `0 → I` (pre-promotion).
-    results: HashMap<u64, BoolMat>,
-    /// Post-promotion periodic cache; answers every exponent once set.
-    cache: Option<PowerCache>,
-}
-
-/// Distinct-exponent count at which a [`PowMemo`] switches to the periodic
-/// [`PowerCache`] representation.
-const PROMOTE_AT: usize = 16;
-
-impl PowMemo {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The memoized `x^e`, if this exponent is already answerable in O(1).
-    #[inline]
-    pub fn cached(&self, e: u64) -> Option<&BoolMat> {
-        if let Some(cache) = &self.cache {
-            return Some(cache.power(e));
-        }
-        self.results.get(&e)
-    }
-
-    /// Returns `x^e`, computing and memoizing it on first sight. Scratch
-    /// and ladder buffers come from `pool`; steady state allocates nothing.
-    pub fn power(&mut self, x: &BoolMat, e: u64, pool: &mut MatPool) -> &BoolMat {
-        debug_assert_eq!(x.rows(), x.cols(), "PowMemo requires a square matrix");
-        // Mutate first, borrow last (NLL cannot return a borrow from an
-        // early branch and still allow mutation below it).
-        if self.cache.is_none() && !self.results.contains_key(&e) {
-            if self.results.len() >= PROMOTE_AT {
-                // Enough distinct exponents to pay for the periodic cache:
-                // bounded storage, every future exponent O(1).
-                for m in self.sq.drain(..) {
-                    pool.put(m);
-                }
-                for (_, m) in self.results.drain() {
-                    pool.put(m);
-                }
-                self.cache = Some(PowerCache::build_with(x, pool));
-            } else {
-                let mut out = pool.take();
-                if e == 0 {
-                    out.assign_identity(x.rows());
-                } else {
-                    if self.sq.is_empty() {
-                        let mut first = pool.take();
-                        first.copy_from(x);
-                        self.sq.push(first);
-                    }
-                    let high = 63 - e.leading_zeros() as usize;
-                    while self.sq.len() <= high {
-                        let mut next = pool.take();
-                        let last = self.sq.last().expect("ladder is non-empty");
-                        last.matmul_into(last, &mut next);
-                        self.sq.push(next);
-                    }
-                    let first = e.trailing_zeros() as usize;
-                    out.copy_from(&self.sq[first]);
-                    let mut tmp = pool.take();
-                    for i in (first + 1)..=high {
-                        if (e >> i) & 1 == 1 {
-                            out.matmul_into(&self.sq[i], &mut tmp);
-                            std::mem::swap(&mut out, &mut tmp);
-                        }
-                    }
-                    pool.put(tmp);
-                }
-                self.results.insert(e, out);
-            }
-        }
-        match &self.cache {
-            Some(cache) => cache.power(e),
-            None => &self.results[&e],
-        }
-    }
-
-    /// Number of matrices held for O(1) answers (per-exponent results, or
-    /// the periodic cache's stored powers after promotion).
-    pub fn memoized(&self) -> usize {
-        match &self.cache {
-            Some(cache) => cache.stored() + 1, // + identity
-            None => self.results.len(),
-        }
-    }
-
-    /// Drains every recyclable buffer — ladder, results, and the periodic
-    /// cache's stored powers — back into `pool`, leaving the memo empty.
-    /// Used when a scratch is cleared; nothing the memo ever held is lost
-    /// to the allocator.
-    pub fn recycle_into(&mut self, pool: &mut MatPool) {
-        for m in self.sq.drain(..) {
-            pool.put(m);
-        }
-        for (_, m) in self.results.drain() {
-            pool.put(m);
-        }
-        if let Some(cache) = self.cache.take() {
-            cache.recycle_into(pool);
-        }
-    }
+    out
 }
 
 /// Materialized powers `X¹ … X^(b−1)` of a square boolean matrix together
@@ -212,38 +71,22 @@ impl PowerCache {
     ///
     /// In practice `a` and `b` are tiny (the paper: "a, b and c are all
     /// small constants"); reachability matrices are transitively closed very
-    /// quickly, typically within a handful of steps.
+    /// quickly, typically within a handful of steps. `b` being small is also
+    /// why the repeat scan compares against the stored powers directly
+    /// instead of hashing them into a side table.
     pub fn new(x: BoolMat) -> Self {
-        Self::build_with(&x, &mut MatPool::new())
-    }
-
-    /// [`PowerCache::new`] with every stored matrix (and the identity) drawn
-    /// from `pool` — the promotion path of a warm [`PowMemo`] recycles its
-    /// ladder and result buffers and rebuilds them into the cache without
-    /// touching the allocator (only the small `Vec` of handles is new).
-    ///
-    /// The repeat scan compares `cur` against the stored powers directly
-    /// instead of hashing clones into a side table: `b` is a small constant,
-    /// and cloning matrices is exactly what the pool exists to avoid.
-    pub fn build_with(x: &BoolMat, pool: &mut MatPool) -> Self {
         assert_eq!(x.rows(), x.cols(), "PowerCache requires a square matrix");
-        let mut identity = pool.take();
-        identity.assign_identity(x.rows());
-        let mut powers: Vec<BoolMat> = Vec::new();
-        let mut cur = pool.take();
-        cur.copy_from(x);
+        let identity = BoolMat::identity(x.rows());
+        let mut powers = vec![x];
         loop {
-            // powers holds X¹ … Xⁿ and cur == X^(n+1); a match at index
+            // powers holds X¹ … Xⁿ and next == X^(n+1); a match at index
             // `first` means X^(first+1) == X^(n+1), so (a, b) = (first+1, n+1).
-            if let Some(first) = powers.iter().position(|p| *p == cur) {
-                pool.put(cur);
+            let next = powers[powers.len() - 1].matmul(&powers[0]);
+            if let Some(first) = powers.iter().position(|p| *p == next) {
                 let b = powers.len() as u64 + 1;
                 return Self { powers, a: first as u64 + 1, b, identity };
             }
-            let mut next = pool.take();
-            cur.matmul_into(x, &mut next);
-            powers.push(cur);
-            cur = next;
+            powers.push(next);
         }
     }
 
@@ -274,16 +117,6 @@ impl PowerCache {
             return None;
         }
         Some(Self { powers, a, b, identity: BoolMat::identity(n) })
-    }
-
-    /// Drains the stored matrices (and the identity) back into `pool` — the
-    /// counterpart of [`PowerCache::build_with`], used when a promoted
-    /// [`PowMemo`] is cleared.
-    pub fn recycle_into(self, pool: &mut MatPool) {
-        for m in self.powers {
-            pool.put(m);
-        }
-        pool.put(self.identity);
     }
 
     /// The pre-period length `a` (first exponent of the periodic part).
@@ -392,19 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn pow_into_matches_pow_and_recycles_buffers() {
-        let x = BoolMat::from_pairs(4, 4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 1)]);
-        let mut pool = MatPool::new();
-        let mut out = BoolMat::default();
-        for e in [0u64, 1, 2, 4, 8, 1024, 3, 7, 13, 100, 12345] {
-            pow_into(&x, e, &mut out, &mut pool);
-            assert_eq!(out, pow(&x, e), "e={e}");
-        }
-        // Both scratch buffers return to the pool after every call.
-        assert_eq!(pool.pooled(), 2);
-    }
-
-    #[test]
     fn pow_of_power_of_two_matches_iterated_product() {
         // The power-of-two fast path (squarings + copy, no identity
         // multiply) must stay value-correct.
@@ -415,104 +235,6 @@ mod tests {
                 m = m.matmul(&x);
             }
             assert_eq!(pow(&x, 1 << k), m, "e=2^{k}");
-        }
-    }
-
-    #[test]
-    fn pow_memo_agrees_with_pow_and_caches() {
-        let x = BoolMat::from_pairs(5, 5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 2)]);
-        let mut memo = PowMemo::new();
-        let mut pool = MatPool::new();
-        for e in [0u64, 1, 5, 2, 5, 1_000_003, 64, 5] {
-            assert_eq!(*memo.power(&x, e, &mut pool), pow(&x, e), "e={e}");
-        }
-        assert_eq!(memo.memoized(), 6, "repeat exponents hit the cache");
-        assert!(memo.cached(5).is_some());
-        assert!(memo.cached(6).is_none());
-        let before = memo.memoized();
-        memo.power(&x, 5, &mut pool);
-        assert_eq!(memo.memoized(), before);
-        memo.recycle_into(&mut pool);
-        assert_eq!(memo.memoized(), 0);
-        assert!(pool.pooled() > 0, "recycling returns buffers to the pool");
-    }
-
-    #[test]
-    fn pow_memo_promotes_to_bounded_cache() {
-        let x = BoolMat::from_pairs(4, 4, [(0, 1), (1, 2), (2, 3), (3, 0)]);
-        let mut memo = PowMemo::new();
-        let mut pool = MatPool::new();
-        // Feed more distinct exponents than the promotion threshold.
-        for e in 0..100u64 {
-            assert_eq!(*memo.power(&x, e, &mut pool), pow(&x, e), "e={e}");
-        }
-        // Post-promotion storage is bounded by the X^a = X^b period, not
-        // by the number of distinct exponents seen.
-        assert!(memo.memoized() < 20, "memoized {} matrices", memo.memoized());
-        assert!(memo.cached(77).is_some(), "promotion answers every exponent");
-        // Still exact after promotion, including huge exponents.
-        assert_eq!(*memo.power(&x, 1_000_000_007, &mut pool), pow(&x, 1_000_000_007));
-        memo.recycle_into(&mut pool);
-        assert_eq!(memo.memoized(), 0);
-    }
-
-    #[test]
-    fn promotion_routes_cache_construction_through_pool() {
-        let x = BoolMat::from_pairs(4, 4, [(0, 1), (1, 2), (2, 3), (3, 0)]);
-        let mut memo = PowMemo::new();
-        let mut pool = MatPool::new();
-        // Pre-warm the pool with over-capacity buffers: if the promotion
-        // really draws from the pool, the marker capacity survives into the
-        // periodic cache; a freshly allocated matrix could not carry it.
-        for _ in 0..64 {
-            let mut m = BoolMat::default();
-            m.reset(32, 32);
-            pool.put(m);
-        }
-        for e in 0..(PROMOTE_AT as u64 + 4) {
-            assert_eq!(*memo.power(&x, e, &mut pool), pow(&x, e), "e={e}");
-        }
-        assert!(memo.cached(1_000_000).is_some(), "memo must have promoted");
-        for e in 0..8u64 {
-            let cap = memo.cached(e).unwrap().row_capacity();
-            assert!(cap >= 32, "cache matrix for e={e} was allocated outside the pool");
-        }
-        // Clearing the memo returns the cache's matrices (and identity) to
-        // the pool instead of dropping them.
-        let before = pool.pooled();
-        memo.recycle_into(&mut pool);
-        assert_eq!(memo.memoized(), 0);
-        assert!(pool.pooled() > before, "cache buffers must come back to the pool");
-        assert!(pool.take().row_capacity() >= 32);
-    }
-
-    #[test]
-    fn promoted_memo_reaches_a_pool_fixed_point() {
-        // Past PROMOTE_AT distinct exponents the memo must stop interacting
-        // with the allocator entirely: pool and cache sizes are at a fixed
-        // point no matter how many further distinct exponents arrive.
-        let x = BoolMat::from_pairs(5, 5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 2)]);
-        let mut memo = PowMemo::new();
-        let mut pool = MatPool::new();
-        for e in 0..(2 * PROMOTE_AT as u64) {
-            memo.power(&x, e, &mut pool);
-        }
-        let fixed = (pool.pooled(), memo.memoized());
-        for e in 0..(8 * PROMOTE_AT as u64) {
-            assert_eq!(*memo.power(&x, 3 * e + 1, &mut pool), pow(&x, 3 * e + 1));
-            assert_eq!((pool.pooled(), memo.memoized()), fixed, "e={e}");
-        }
-    }
-
-    #[test]
-    fn build_with_matches_new() {
-        let x = BoolMat::from_pairs(4, 4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 1)]);
-        let mut pool = MatPool::new();
-        let a = PowerCache::new(x.clone());
-        let b = PowerCache::build_with(&x, &mut pool);
-        assert_eq!((a.pre_period(), a.repeat_at()), (b.pre_period(), b.repeat_at()));
-        for e in 0..40u64 {
-            assert_eq!(a.power(e), b.power(e), "e={e}");
         }
     }
 

@@ -5,9 +5,10 @@
 //! label `Rec{s, t, i}` denotes the `i`-th chain child, whose `Inputs`
 //! matrix is the product of `i` per-step matrices `I(C(s)[t]), …,
 //! I(C(s)[t+i−1])` (wrapping around the cycle). The chain products reduce to
-//! `X_t^q · P_t(r)` where `X_t` is the full-cycle product — evaluated in
-//! O(log) by binary exponentiation (Default / Space-Efficient) or O(1) via
-//! the materialized power caches (Query-Efficient, Lemma 5).
+//! `X_t^q · P_t(r)` where `X_t` is the full-cycle product, whose powers come
+//! from its `Xᵃ = Xᵇ` [`PowerCache`] (Lemma 5) in O(1): stored in the label
+//! by Query-Efficient, built on first use in the session's
+//! [`QueryScratch`] by Default and Space-Efficient.
 //!
 //! Every entry point returns `Option<bool>`: `None` means the labels refer
 //! to productions outside the view (the item is invisible, §5); callers
@@ -19,24 +20,26 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 use wf_analysis::{i_matrix_with, o_matrix_with, production_port_graph, z_matrix_with, ProdGraph};
-use wf_boolmat::{BoolMat, MatPool, PowMemo};
+use wf_boolmat::{BoolMat, MatPool, PowerCache};
 use wf_model::{Grammar, PortGraph, ProdId};
 use wf_run::EdgeLabel;
 
-/// Reusable per-session query state: a [`MatPool`] of matrix buffers plus a
-/// memo of recursion-chain powers, so that in steady state π allocates
-/// nothing and each distinct Default-variant chain exponent is exponentiated
-/// once per session rather than once per query.
+/// Reusable per-session query state: a [`MatPool`] of matrix buffers plus
+/// a memo of recursion-chain [`PowerCache`]s, so that in steady state π
+/// over a Default or Query-Efficient label allocates nothing, and a
+/// Default or Space-Efficient chain's full-cycle product is built, and its
+/// powers found, once per session rather than once per query.
 ///
 /// The memo is keyed by `(view uid, cycle, offset, direction)` — the uid
 /// ([`ViewLabel::uid`]) is process-unique, so one scratch serves any
 /// interleaving of views without cross-view poisoning, and every view's
-/// memo stays warm. Long-lived multi-view sessions can bound memo memory
-/// with [`QueryScratch::clear_memo`] (per-memo storage is itself bounded:
-/// see [`PowMemo`]'s promotion to a periodic power cache).
+/// caches stay warm. Each entry is the cache a Query-Efficient label of the
+/// same view stores for that key, so it holds at most `b − 1` powers plus
+/// the identity; long-lived multi-view sessions can still drop the memo
+/// with [`QueryScratch::clear_memo`].
 pub struct QueryScratch {
     pool: MatPool,
-    memo: HashMap<(u64, u32, u32, bool), PowMemo>,
+    memo: HashMap<(u64, u32, u32, bool), PowerCache>,
 }
 
 impl QueryScratch {
@@ -44,17 +47,14 @@ impl QueryScratch {
         Self { pool: MatPool::new(), memo: HashMap::new() }
     }
 
-    /// Empties the chain-power memo, recycling its matrices into the pool.
+    /// Drops the chain power caches.
     pub fn clear_memo(&mut self) {
-        for memo in self.memo.values_mut() {
-            memo.recycle_into(&mut self.pool);
-        }
         self.memo.clear();
     }
 
-    /// Number of memoized chain-power entries (diagnostic).
+    /// Number of matrices the chain power caches hold (diagnostic).
     pub fn memoized_powers(&self) -> usize {
-        self.memo.values().map(PowMemo::memoized).sum()
+        self.memo.values().map(|cache| cache.stored() + 1).sum() // + identity
     }
 
     /// Number of pooled scratch matrices (diagnostic).
@@ -155,47 +155,6 @@ impl<'a> DecodeCtx<'a> {
         Some(self.grammar.sig(cycle.modules[pos % cycle.len()]).outputs())
     }
 
-    /// The `I` or `O` matrix of one cycle edge (borrowed for materialized
-    /// variants; Space-Efficient recomputes over the cached port graph,
-    /// hence the `Cow`).
-    fn step_mat(&self, k: ProdId, i: u32, inputs: bool) -> Option<Cow<'_, BoolMat>> {
-        self.io_mat(k, i, inputs)
-    }
-
-    /// Algorithm 1, `Inputs`: the reachability matrix selected by one edge
-    /// label. Allocating convenience wrapper over the scratch-threaded path.
-    pub fn inputs_of(&self, e: &EdgeLabel) -> Option<Cow<'_, BoolMat>> {
-        match *e {
-            EdgeLabel::Plain { k, i } => self.io_mat(k, i, true),
-            EdgeLabel::Rec { s, t, i } => self.inputs_chain(s, t as usize, i).map(Cow::Owned),
-        }
-    }
-
-    /// Algorithm 1's dual for output ports.
-    pub fn outputs_of(&self, e: &EdgeLabel) -> Option<Cow<'_, BoolMat>> {
-        match *e {
-            EdgeLabel::Plain { k, i } => self.io_mat(k, i, false),
-            EdgeLabel::Rec { s, t, i } => self.outputs_chain(s, t as usize, i).map(Cow::Owned),
-        }
-    }
-
-    /// `P_t(count)` for the I-chain of cycle `s`: the product of `count`
-    /// per-step matrices starting at offset `t`.
-    pub fn inputs_chain(&self, s: u32, t: usize, count: u64) -> Option<BoolMat> {
-        let mut scratch = QueryScratch::new();
-        let mut out = BoolMat::default();
-        self.chain_into(&mut scratch, s, t, count, true, &mut out)?;
-        Some(out)
-    }
-
-    /// `P_t(count)` for the (reversed) O-chain.
-    pub fn outputs_chain(&self, s: u32, t: usize, count: u64) -> Option<BoolMat> {
-        let mut scratch = QueryScratch::new();
-        let mut out = BoolMat::default();
-        self.chain_into(&mut scratch, s, t, count, false, &mut out)?;
-        Some(out)
-    }
-
     /// Product of `n` consecutive per-step matrices starting at cycle
     /// offset `from`, written into `out`.
     fn partial_into(
@@ -213,7 +172,7 @@ impl<'a> DecodeCtx<'a> {
         let mut tmp = scratch.pool.take();
         for a in 0..n {
             let (k, i) = cycle.edge_at(from + a);
-            let Some(m) = self.step_mat(k, i, inputs) else {
+            let Some(m) = self.io_mat(k, i, inputs) else {
                 scratch.pool.put(tmp);
                 return None;
             };
@@ -224,7 +183,10 @@ impl<'a> DecodeCtx<'a> {
         Some(())
     }
 
-    /// The chain product `P_t(count)`, written into `out`.
+    /// The chain product `P_t(count)`, written into `out`: with
+    /// `count = q·l + r`, it is `X_t^q · P_t(r)`, `X_t^q` read from the
+    /// label's power cache (Query-Efficient) or the session's (Default /
+    /// Space-Efficient).
     fn chain_into(
         &self,
         scratch: &mut QueryScratch,
@@ -242,10 +204,10 @@ impl<'a> DecodeCtx<'a> {
             out.assign_identity(dim);
             return Some(());
         }
+        let q = count / l as u64;
+        let r = (count % l as u64) as usize;
         // Query-Efficient: O(1) via prefix products + power cache (§4.4.3).
         if let Some(cache) = self.vl.cycle_cache(s) {
-            let q = count / l as u64;
-            let r = (count % l as u64) as usize;
             let (power, prefix) = if inputs {
                 (cache.i_power[t].power(q), &cache.i_prefix[t][r])
             } else {
@@ -254,29 +216,21 @@ impl<'a> DecodeCtx<'a> {
             power.matmul_into(prefix, out);
             return Some(());
         }
-        // Default / Space-Efficient: assemble per-step matrices; the
-        // full-cycle part X_t^q comes from the session's power memo, so
-        // each distinct q is exponentiated once per session.
-        if count < l as u64 {
-            return self.partial_into(scratch, s, t, count as usize, inputs, out);
+        // Default / Space-Efficient: per-step matrices below one cycle; the
+        // first full cycle on a key builds X_t and its power cache, and
+        // every later chain on that key folds X_t^q · P_t(r) from it.
+        if q == 0 {
+            return self.partial_into(scratch, s, t, r, inputs, out);
         }
-        let q = count / l as u64;
-        let r = (count % l as u64) as usize;
         let key = (self.vl.uid(), s, t as u32, inputs);
-        // Ensure X_t^q is memoized, computing X_t only on a miss.
-        if scratch.memo.get(&key).and_then(|m| m.cached(q)).is_none() {
-            let mut x_t = scratch.pool.take();
-            let built = self.partial_into(scratch, s, t, l, inputs, &mut x_t).map(|()| {
-                let QueryScratch { pool, memo } = scratch;
-                memo.entry(key).or_default().power(&x_t, q, pool);
-            });
-            scratch.pool.put(x_t);
-            built?;
+        if !scratch.memo.contains_key(&key) {
+            let mut x_t = BoolMat::default();
+            self.partial_into(scratch, s, t, l, inputs, &mut x_t)?;
+            scratch.memo.insert(key, PowerCache::new(x_t));
         }
         let mut prefix = scratch.pool.take();
         let res = self.partial_into(scratch, s, t, r, inputs, &mut prefix).map(|()| {
-            let power = scratch.memo[&key].cached(q).expect("exponent was just memoized");
-            power.matmul_into(&prefix, out);
+            scratch.memo[&key].power(q).matmul_into(&prefix, out);
         });
         scratch.pool.put(prefix);
         res
@@ -299,7 +253,7 @@ impl<'a> DecodeCtx<'a> {
             for e in labels {
                 match *e {
                     EdgeLabel::Plain { k, i } => {
-                        let m = self.step_mat(k, i, inputs)?;
+                        let m = self.io_mat(k, i, inputs)?;
                         out.matmul_into(m.as_ref(), &mut tmp);
                     }
                     EdgeLabel::Rec { s, t, i } => {
@@ -338,7 +292,7 @@ const _: () = {
 ///
 /// Convenience wrapper building a throwaway [`QueryScratch`]; serving paths
 /// use [`pi_with`] (via [`crate::FvlSession`] or the `wf-engine` batch
-/// engine) to reuse buffers and the chain-power memo across queries.
+/// engine) to reuse buffers and the chain power caches across queries.
 pub fn pi(ctx: &DecodeCtx<'_>, d1: &DataLabel, d2: &DataLabel) -> Option<bool> {
     let mut scratch = QueryScratch::new();
     pi_with(ctx, &mut scratch, d1.to_ref(), d2.to_ref())
@@ -607,5 +561,128 @@ pub mod structural {
             }
             _ => None,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Fvl, VariantKind};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use wf_boolmat::pow;
+    use wf_model::fixtures::paper_example;
+    use wf_model::{Spec, View};
+
+    /// `chain_into` under Space-Efficient, Default and Query-Efficient for
+    /// every cycle, offset and direction the view keeps intact, at counts
+    /// from 0 to a few cycles, far past any fuzzed chain, and near
+    /// `u64::MAX`. Each is checked against `X_t^q · P_t(r)` with `X_t^q`
+    /// from binary exponentiation and, for the small counts, against the
+    /// plain product of the per-step matrices. The session variants run
+    /// twice per count, so all but the first full-cycle read of a key come
+    /// from the session's power cache, and afterwards that cache must be
+    /// the one the Query-Efficient label stores for the key. Returns the
+    /// number of (cycle, offset, direction) keys checked.
+    fn chains_agree_across_variants(spec: &Spec, view: &View) -> usize {
+        let fvl = Fvl::new(spec).unwrap();
+        let (grammar, pg) = (&spec.grammar, fvl.prod_graph());
+        let label = |kind| fvl.label_view(view, kind).unwrap();
+        let se = label(VariantKind::SpaceEfficient);
+        let de = label(VariantKind::Default);
+        let qe = label(VariantKind::QueryEfficient);
+        let sessions = [DecodeCtx::new(grammar, pg, &se), DecodeCtx::new(grammar, pg, &de)];
+        let qe_ctx = DecodeCtx::new(grammar, pg, &qe);
+        let mut scratch = QueryScratch::new();
+        let mut keys = 0;
+        for (s, cycle) in pg.cycles().unwrap().iter().enumerate() {
+            let s = s as u32;
+            if qe.cycle_cache(s).is_none() {
+                continue;
+            }
+            let l = cycle.len();
+            let small = 3 * l as u64 + 1;
+            let counts = (0..=small).chain([(1 << 20) + 1, (1 << 40) + 3, u64::MAX / 3]);
+            for t in 0..l {
+                for inputs in [true, false] {
+                    // P_t(r) as the plain product of r per-step matrices.
+                    let product = |r: u64| {
+                        let sig = grammar.sig(cycle.modules[t]);
+                        let dim = if inputs { sig.inputs() } else { sig.outputs() };
+                        (0..r as usize).fold(BoolMat::identity(dim), |acc, a| {
+                            let (k, i) = cycle.edge_at(t + a);
+                            let step = if inputs {
+                                se.i_mat(grammar, k, i)
+                            } else {
+                                se.o_mat(grammar, k, i)
+                            };
+                            acc.matmul(&step.unwrap())
+                        })
+                    };
+                    let x_t = product(l as u64);
+                    for count in counts.clone() {
+                        let (q, r) = (count / l as u64, count % l as u64);
+                        let want = pow(&x_t, q).matmul(&product(r));
+                        if count <= small {
+                            assert_eq!(want, product(count), "cycle {s} offset {t} count {count}");
+                        }
+                        let mut got = BoolMat::default();
+                        qe_ctx.chain_into(&mut scratch, s, t, count, inputs, &mut got).unwrap();
+                        assert_eq!(got, want, "QE cycle {s} offset {t} in {inputs} count {count}");
+                        for (ctx, kind) in sessions.iter().zip(["SE", "Default"]) {
+                            for read in 0..2 {
+                                ctx.chain_into(&mut scratch, s, t, count, inputs, &mut got)
+                                    .unwrap();
+                                assert_eq!(
+                                    got, want,
+                                    "{kind} read {read} cycle {s} offset {t} in {inputs} count \
+                                     {count}"
+                                );
+                            }
+                        }
+                    }
+                    keys += 1;
+                }
+            }
+        }
+        // One power cache per session label and key, each the label's own.
+        assert_eq!(scratch.memo.len(), 2 * keys);
+        let mut held = 0;
+        for (&(uid, s, t, inputs), cache) in &scratch.memo {
+            assert!(uid == se.uid() || uid == de.uid(), "a cache keyed by a foreign view");
+            let cycle = qe.cycle_cache(s).unwrap();
+            let stored =
+                if inputs { &cycle.i_power[t as usize] } else { &cycle.o_power[t as usize] };
+            assert_eq!(
+                (cache.pre_period(), cache.repeat_at()),
+                (stored.pre_period(), stored.repeat_at())
+            );
+            for e in 0..cache.repeat_at() {
+                assert_eq!(cache.power(e), stored.power(e), "cycle {s} offset {t} power {e}");
+            }
+            held += stored.stored() + 1; // X¹ … X^(b−1) and the identity
+        }
+        assert_eq!(scratch.memoized_powers(), held);
+        scratch.clear_memo();
+        assert_eq!(scratch.memoized_powers(), 0);
+        keys
+    }
+
+    #[test]
+    fn paper_example_chains_agree_across_variants_at_any_count() {
+        let ex = paper_example();
+        let mut keys = 0;
+        for view in [ex.spec.default_view(), ex.view_u1(), ex.view_u2()] {
+            keys += chains_agree_across_variants(&ex.spec, &view);
+        }
+        assert!(keys > 0, "no view keeps a recursion intact");
+    }
+
+    #[test]
+    fn bioaid_chains_agree_across_variants_at_any_count() {
+        let w = wf_workloads::bioaid(1);
+        let view = wf_workloads::views::random_safe_view(&w, &mut StdRng::seed_from_u64(2), 8);
+        assert!(chains_agree_across_variants(&w.spec, &view) > 0, "the view breaks every cycle");
+        assert!(chains_agree_across_variants(&w.spec, &w.spec.default_view()) > 0);
     }
 }

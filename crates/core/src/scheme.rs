@@ -108,7 +108,8 @@ impl<'a> Fvl<'a> {
 
     /// Opens a query session against one view label: the [`DecodeCtx`] is
     /// built once and a [`QueryScratch`] is reused across every query, so
-    /// steady-state querying allocates nothing. This is the serving path;
+    /// steady-state querying of a Default or Query-Efficient label
+    /// allocates nothing. This is the serving path;
     /// [`Fvl::query`] is the one-shot convenience form.
     pub fn session<'s>(&'s self, vl: &'s ViewLabel) -> FvlSession<'s> {
         FvlSession {
@@ -187,8 +188,9 @@ const _: () = {
 
 /// A query session: one [`DecodeCtx`] (built once per view) plus one
 /// [`QueryScratch`] reused across queries. In steady state — once the pool
-/// has warmed up and every distinct recursion-chain exponent has been seen —
-/// a query performs no allocation at all.
+/// has warmed up and every recursion chain met has its power cache — a
+/// query over a Default or Query-Efficient label performs no allocation at
+/// all.
 pub struct FvlSession<'s> {
     ctx: DecodeCtx<'s>,
     scratch: QueryScratch,

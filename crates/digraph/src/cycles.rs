@@ -28,11 +28,6 @@ impl EdgeCycle {
     pub fn is_empty(&self) -> bool {
         self.edges.is_empty()
     }
-
-    /// Position of `node` within the cycle, if present.
-    pub fn position_of(&self, node: NodeId) -> Option<usize> {
-        self.nodes.iter().position(|&n| n == node)
-    }
 }
 
 /// Evidence that two distinct cycles share a vertex.

@@ -30,12 +30,6 @@ impl DiGraph {
         Self { out: vec![Vec::new(); n], inc: vec![Vec::new(); n], edges: Vec::new() }
     }
 
-    pub fn add_node(&mut self) -> NodeId {
-        self.out.push(Vec::new());
-        self.inc.push(Vec::new());
-        NodeId(self.out.len() as u32 - 1)
-    }
-
     pub fn add_edge(&mut self, from: NodeId, to: NodeId) -> EdgeId {
         assert!((from.0 as usize) < self.out.len(), "from out of range");
         assert!((to.0 as usize) < self.out.len(), "to out of range");
@@ -72,10 +66,6 @@ impl DiGraph {
 
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
         (0..self.node_count() as u32).map(NodeId)
-    }
-
-    pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> {
-        (0..self.edge_count() as u32).map(EdgeId)
     }
 
     /// Kahn topological sort. Returns `None` if the graph has a cycle.
@@ -148,10 +138,6 @@ impl Closure {
     #[inline]
     pub fn reaches(&self, from: NodeId, to: NodeId) -> bool {
         self.rows[from.0 as usize].contains(to.0 as usize)
-    }
-
-    pub fn reachable_set(&self, from: NodeId) -> &BitSet {
-        &self.rows[from.0 as usize]
     }
 }
 

@@ -136,10 +136,6 @@ impl DrlLabels {
         self.labels.get(d.0 as usize).and_then(|l| l.as_ref())
     }
 
-    pub fn visible_count(&self) -> usize {
-        self.labels.iter().flatten().count()
-    }
-
     pub fn iter(&self) -> impl Iterator<Item = (DataId, &DataLabel)> {
         self.labels
             .iter()

@@ -54,13 +54,14 @@ impl WorkerScratch {
         Self::default()
     }
 
-    /// Empties the chain-power memo, recycling its matrices into the pool
-    /// (bounds memo memory in very long-lived workers).
+    /// Drops the recursion-chain power caches (bounds memo memory in very
+    /// long-lived workers).
     pub fn clear_memo(&mut self) {
         self.scratch.clear_memo();
     }
 
-    /// Scratch diagnostics: (pooled matrices, memoized chain powers).
+    /// Scratch diagnostics: (pooled matrices, matrices held by the chain
+    /// power caches).
     pub fn stats(&self) -> (usize, usize) {
         (self.scratch.pooled_mats(), self.scratch.memoized_powers())
     }
@@ -239,10 +240,11 @@ impl<'e> EngineCore<'e> {
 
     /// Answers a batch of pairs into `out` (cleared first). `workers` is one
     /// [`WorkerScratch`] or a slice of them. One scratch answers the batch
-    /// inline, and steady state performs no allocation. `k > 1` scratches
-    /// split it into contiguous chunks of ⌈n/k⌉ pairs, each answered by
-    /// its own scratch on a `std::thread::scope` worker into a disjoint
-    /// slice of `out`; trailing scratches idle when there are fewer chunks.
+    /// inline, and steady state performs no allocation on a Default or
+    /// Query-Efficient view. `k > 1` scratches split it into contiguous
+    /// chunks of ⌈n/k⌉ pairs, each answered by its own scratch on a
+    /// `std::thread::scope` worker into a disjoint slice of `out`;
+    /// trailing scratches idle when there are fewer chunks.
     ///
     /// Validates the view and every item before answering anything, so a
     /// failed call leaves `out` empty rather than partial. An empty batch

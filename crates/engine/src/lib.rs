@@ -15,12 +15,13 @@
 //!   plus per-thread mutable state: `try_query` / `try_query_batch_into` /
 //!   `try_all_pairs_into` thread one reusable [`wf_core::QueryScratch`]
 //!   through the scratch-aware decode path ([`wf_core::pi_with`]), so
-//!   steady-state serving performs no heap allocation and Default-variant
-//!   recursion chains are exponentiated once per distinct exponent, not
-//!   per query; handed a slice of scratches instead of one, the batch and
-//!   the sweep split their input into one contiguous chunk per scratch on
-//!   `std::thread::scope` workers and merge in chunk order, answering
-//!   exactly like one scratch;
+//!   steady-state serving of Default and Query-Efficient views performs no
+//!   heap allocation (Space-Efficient recomputes its matrices per query),
+//!   and a Default or Space-Efficient recursion chain's power cache is
+//!   built once per scratch, not per query; handed a slice of scratches
+//!   instead of one, the batch and the sweep split their input into one
+//!   contiguous chunk per scratch on `std::thread::scope` workers and
+//!   merge in chunk order, answering exactly like one scratch;
 //! * [`EngineGeneration`] / [`EngineWriter`] / [`LiveEngine`] — the one
 //!   write path: owned, immutable generations published by atomic `Arc`
 //!   swap, a copy-on-write staging writer, and a lock-free reader fast

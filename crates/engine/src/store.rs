@@ -498,8 +498,10 @@ impl LabelStore {
     /// its path's terminal module, so nothing a later query indexes with
     /// can be out of range — bad bytes fail *here*, typed, not inside π.
     /// No container is reserved beyond what the remaining bits could
-    /// encode, nor beyond 2^20 slots, so a forged count fails before it
-    /// can allocate for it. A zero `shard_capacity` is rejected before
+    /// encode, nor beyond 2^12 slots: the node containers grow as nodes
+    /// decode, and the duplicate-edge set is sized to the nodes actually
+    /// read, so a forged count fails before it can allocate for it. A zero
+    /// `shard_capacity` is rejected before
     /// anything is read, as [`SnapshotError::Io`] of kind
     /// [`io::ErrorKind::InvalidInput`].
     pub fn read_snapshot_with_capacity(
@@ -519,10 +521,10 @@ impl LabelStore {
         }
         // A node is at least a 1-bit γ parent code and a 1-bit edge tag;
         // the absolute cap keeps a forged count over a large payload from
-        // reserving hundreds of bytes per payload byte.
-        let reserve = node_count.min(r.remaining() / 2).min(1 << 20);
+        // reserving for nodes that fail to decode. Past it, both containers
+        // grow as nodes decode.
+        let reserve = node_count.min(r.remaining() / 2).min(1 << 12);
         let mut nodes = Vec::with_capacity(reserve);
-        let mut seen = HashSet::with_capacity(reserve);
         // Per trie node: the module its path ends at — what its labels'
         // ports index into (the empty path, i.e. the root, ends at the
         // start module) — and its depth, the path's length in edges.
@@ -543,11 +545,14 @@ impl LabelStore {
             // trie would feed π mismatched matrix dimensions.
             let (parent_module, parent_depth) = info(&node_info, parent);
             let module = edge_target_module(grammar, cycles, parent_module, e)?;
-            if !seen.insert((parent, e)) {
-                return Err(SnapshotError::Malformed("duplicate trie edge"));
-            }
             nodes.push((parent, e));
             node_info.push((module, parent_depth + 1));
+        }
+        // Duplicate keys are checked once the whole node section decoded,
+        // against one exact reservation, before any label is read.
+        let mut seen = HashSet::with_capacity(nodes.len());
+        if !nodes.iter().all(|&key| seen.insert(key)) {
+            return Err(SnapshotError::Malformed("duplicate trie edge"));
         }
         drop(seen);
         let label_count = (r.read_gamma()? - 1) as usize;
@@ -903,6 +908,21 @@ mod tests {
         let mut w = BitWriter::new();
         ex_store.write_snapshot(fvl.codec(), &mut w);
         let honest = w.finish();
+        // A repeated `(parent, edge)` key is invalid: the trie holds each
+        // path once. Write the honest trie's first node twice.
+        let mut r = BitReader::new(&honest);
+        r.read_gamma().unwrap();
+        let parent = r.read_gamma().unwrap();
+        let e = fvl.codec().read_edge(&mut r).unwrap();
+        let mut w = BitWriter::new();
+        w.write_gamma(3); // two nodes
+        for _ in 0..2 {
+            w.write_gamma(parent);
+            fvl.codec().write_edge(&mut w, &e);
+        }
+        w.write_gamma(1); // zero labels
+        w.write_gamma(1);
+        assert!(matches!(read(&w.finish()), Err(SnapshotError::Malformed("duplicate trie edge"))));
         // Rewrite just the trailing metric.
         let mut r = BitReader::new(&honest);
         let mut forged = BitWriter::new();

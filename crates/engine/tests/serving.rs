@@ -50,7 +50,8 @@ fn batch_agrees_with_reference_across_variants() {
 }
 
 /// Interleaving queries across different views must not poison the
-/// chain-power memo (the retag mechanism recycles it on every switch).
+/// chain power caches (they are keyed by view uid, so each view keeps its
+/// own).
 #[test]
 fn interleaved_views_stay_sound() {
     let w = bioaid(3);

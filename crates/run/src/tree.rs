@@ -34,7 +34,7 @@ pub struct TreeNodeId(pub u32);
 #[derive(Clone, Debug)]
 enum NodeKind {
     /// A module instance of the run.
-    Module(InstanceId),
+    Module,
     /// A recursive node: cycle `s` starting at edge `t`, with the current
     /// number of chain children.
     Recursive { s: u32, t: u32, children: u64 },
@@ -77,13 +77,13 @@ impl CompressedTree {
                 });
                 root = TreeNodeId(0);
                 nodes.push(Node {
-                    kind: NodeKind::Module(root_instance),
+                    kind: NodeKind::Module,
                     parent: Some((root, EdgeLabel::Rec { s, t, i: 0 })),
                     depth: 1,
                 });
             }
             None => {
-                nodes.push(Node { kind: NodeKind::Module(root_instance), parent: None, depth: 0 });
+                nodes.push(Node { kind: NodeKind::Module, parent: None, depth: 0 });
                 root = TreeNodeId(0);
             }
         }
@@ -122,7 +122,7 @@ impl CompressedTree {
                                 *children += 1;
                                 (*s, *t, next)
                             }
-                            NodeKind::Module(_) => unreachable!("parent must be recursive"),
+                            NodeKind::Module => unreachable!("parent must be recursive"),
                         };
                         debug_assert_eq!(s, s_i);
                         // The chain edge must be the cycle's next edge.
@@ -160,7 +160,7 @@ impl CompressedTree {
         parent: TreeNodeId,
         label: EdgeLabel,
     ) -> TreeNodeId {
-        let id = self.push_node(NodeKind::Module(inst), Some((parent, label)));
+        let id = self.push_node(NodeKind::Module, Some((parent, label)));
         if inst.0 as usize >= self.node_of.len() {
             self.node_of.resize(inst.0 as usize + 1, None);
         }
@@ -188,10 +188,6 @@ impl CompressedTree {
         path
     }
 
-    pub fn depth_of(&self, node: TreeNodeId) -> u32 {
-        self.nodes[node.0 as usize].depth
-    }
-
     /// Maximum node depth — bounded by `2·|Δ|` + 1 (Lemma 4; +1 for a
     /// recursive root).
     pub fn depth(&self) -> u32 {
@@ -204,14 +200,6 @@ impl CompressedTree {
 
     pub fn root(&self) -> TreeNodeId {
         self.root
-    }
-
-    /// The instance a module node denotes (`None` for recursive nodes).
-    pub fn instance_of(&self, node: TreeNodeId) -> Option<InstanceId> {
-        match self.nodes[node.0 as usize].kind {
-            NodeKind::Module(i) => Some(i),
-            NodeKind::Recursive { .. } => None,
-        }
     }
 }
 

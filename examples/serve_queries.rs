@@ -82,11 +82,11 @@ fn main() {
     println!("all-pairs over {} items under U1: {} dependent pairs", page.len(), closure.len());
 
     // Steady state: repeating the batches allocates nothing — the scratch
-    // (matrix pool + chain-power memo) has reached its fixed point.
+    // (matrix pool + chain power caches) has reached its fixed point.
     for _ in 0..3 {
         core.try_query_batch_into(&mut ws, u1_default, &batch, &mut answers).unwrap();
         core.try_query_batch_into(&mut ws, u2_default, &batch, &mut answers).unwrap();
     }
     let (pooled, memoized) = ws.stats();
-    println!("scratch fixed point: {pooled} pooled matrices, {memoized} memoized chain powers");
+    println!("scratch fixed point: {pooled} pooled matrices, {memoized} in chain power caches");
 }
