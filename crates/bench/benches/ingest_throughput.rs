@@ -249,7 +249,7 @@ fn main() {
         .take(total_labels)
         .map(|d| {
             let mut w = BitWriter::new();
-            write_label(&mut w, fvl.codec(), d);
+            write_label(&mut w, fvl.codec(), d.to_ref());
             w.finish()
         })
         .collect();

@@ -23,7 +23,9 @@ impl std::fmt::Display for ReadError {
 
 impl std::error::Error for ReadError {}
 
-/// Cursor over a [`BitVec`].
+/// Cursor over a [`BitVec`]. Cloning it saves a position to read again
+/// from.
+#[derive(Clone)]
 pub struct BitReader<'a> {
     bits: &'a BitVec,
     pos: usize,

@@ -12,7 +12,7 @@ use crate::label::{DataLabel, LabelRef, PortLabel, PortRef};
 use wf_analysis::ProdGraph;
 use wf_bitio::{min_width, BitReader, BitVec, BitWriter, ReadError};
 use wf_model::{Grammar, ProdId};
-use wf_run::EdgeLabel;
+use wf_run::{try_path, EdgeLabel};
 
 /// Fixed-width parameters derived from a grammar.
 #[derive(Clone, Debug)]
@@ -105,25 +105,29 @@ impl LabelCodec {
         w.finish()
     }
 
-    /// Decodes a data label (inverse of [`LabelCodec::encode`]).
+    /// Decodes a data label (inverse of [`LabelCodec::encode`]). Each side's
+    /// path is allocated once, at its full length.
     pub fn decode(&self, bits: &BitVec) -> Result<DataLabel, ReadError> {
         let mut r = BitReader::new(bits);
         let has_out = r.read_bit()?;
         let has_inp = r.read_bit()?;
         let read_suffix =
             |r: &mut BitReader<'_>, prefix: &[EdgeLabel]| -> Result<PortLabel, ReadError> {
-                let extra = (r.read_gamma()? - 1) as usize;
-                let mut path = prefix.to_vec();
-                path.reserve(extra);
-                for _ in 0..extra {
-                    path.push(self.read_edge(r)?);
-                }
+                let extra = edge_count(r)?;
+                let path = try_path(prefix.len() + extra, |slots| {
+                    let (head, tail) = slots.split_at_mut(prefix.len());
+                    head.copy_from_slice(prefix);
+                    for e in tail {
+                        *e = self.read_edge(r)?;
+                    }
+                    Ok(())
+                })?;
                 let port = r.read_bits(self.port_bits)? as u8;
                 Ok(PortLabel { path, port })
             };
         match (has_out, has_inp) {
             (true, true) => {
-                let cp = (r.read_gamma()? - 1) as usize;
+                let cp = edge_count(&mut r)?;
                 let mut prefix = Vec::with_capacity(cp);
                 for _ in 0..cp {
                     prefix.push(self.read_edge(&mut r)?);
@@ -163,6 +167,17 @@ impl LabelCodec {
         }
         w.len()
     }
+}
+
+/// A γ-coded edge count. Every edge takes at least one bit, so a count past
+/// the bits left is cut off; rejecting it before allocating bounds what
+/// [`LabelCodec::decode`] allocates by the bits present.
+fn edge_count(r: &mut BitReader<'_>) -> Result<usize, ReadError> {
+    let n = r.read_gamma()? - 1;
+    if n > r.remaining() as u64 {
+        return Err(ReadError::OutOfBits);
+    }
+    Ok(n as usize)
 }
 
 #[cfg(test)]
@@ -226,6 +241,20 @@ mod tests {
         let fin =
             DataLabel::final_output(PortLabel::new(vec![EdgeLabel::Rec { s: 0, t: 1, i: 0 }], 2));
         assert_eq!(c.decode(&c.encode(&fin)).unwrap(), fin);
+    }
+
+    /// Edge counts beyond the bits left fail as cut off, before anything
+    /// is allocated for them.
+    #[test]
+    fn forged_edge_counts_are_cut_off() {
+        let c = codec();
+        for (out, inp) in [(true, true), (true, false)] {
+            let mut w = BitWriter::new();
+            w.push_bit(out);
+            w.push_bit(inp);
+            w.write_gamma(1 << 40);
+            assert_eq!(c.decode(&w.finish()), Err(ReadError::OutOfBits), "{out} {inp}");
+        }
     }
 
     #[test]

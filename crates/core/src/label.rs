@@ -1,26 +1,33 @@
 //! Data labels (§4.2.2): the view-independent half of the scheme.
 
+use std::sync::Arc;
 use wf_run::EdgeLabel;
 
 /// The label of one port of one data item: the compressed-parse-tree path
 /// from the root to the node of the module where the port was *first
 /// created*, followed by the port index within that module.
+///
+/// Every port of one module instance carries the same path, so the path is
+/// shared and immutable: the labelers build each instance's path once
+/// ([`wf_run::CompressedTree::fresh_path`]) and every port label on that
+/// instance holds the same allocation. Cloning a port label is a refcount
+/// bump; equality, hashing and the wire form see only the edges.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct PortLabel {
-    pub path: Vec<EdgeLabel>,
+    pub path: Arc<[EdgeLabel]>,
     pub port: u8,
 }
 
 impl PortLabel {
-    pub fn new(path: Vec<EdgeLabel>, port: u8) -> Self {
-        Self { path, port }
+    pub fn new(path: impl Into<Arc<[EdgeLabel]>>, port: u8) -> Self {
+        Self { path: path.into(), port }
     }
 
     /// Number of shared leading edge labels with another port label — the
     /// common prefix the wire encoding factors out ("the size of φr(d) can
     /// be reduced almost by half by factoring out the common prefix").
     pub fn common_prefix_len(&self, other: &PortLabel) -> usize {
-        self.path.iter().zip(&other.path).take_while(|(a, b)| a == b).count()
+        self.to_ref().common_prefix_len(&other.to_ref())
     }
 
     /// A borrowed view of this port label for the slice-based query path.
@@ -49,7 +56,11 @@ impl PortRef<'_> {
 
 /// The label of a data item: producer-side and consumer-side port labels.
 /// `out` is `None` for the run's initial inputs, `inp` is `None` for its
-/// final outputs. Assigned once, never modified (Definition 10).
+/// final outputs. Assigned once, never modified (Definition 10), which is
+/// what lets its two paths be shared with every other label on the same
+/// instances: cloning a data label is two refcount bumps, not two path
+/// copies. This owned form is what producers, the wire and the ingest queue
+/// carry; a store interns its paths ([`LabelRef`] is the borrowed form).
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct DataLabel {
     /// φr(o): label of the producing output port.

@@ -9,6 +9,10 @@ use wf_run::{CompressedTree, DataId, InstanceId, Run, StepId};
 /// Labels one run online. Feed it every derivation step in order (or let
 /// [`RunLabeler::catch_up`] replay an existing run); labels come out in data
 /// item order and are immutable once issued.
+///
+/// Port labels share their paths: the labeler holds one path allocation per
+/// module instance, which every port label on that instance references
+/// ([`crate::PortLabel`]), plus the compressed tree itself.
 pub struct RunLabeler {
     tree: CompressedTree,
     labels: Vec<DataLabel>,
@@ -20,15 +24,7 @@ impl RunLabeler {
     /// the start module's boundary items.
     pub fn start(grammar: &Grammar, pg: &ProdGraph, run: &Run) -> Self {
         let tree = CompressedTree::new(grammar, pg, InstanceId(0));
-        let root_path = tree.path_of(tree.node_of(InstanceId(0)).unwrap());
-        let sig = grammar.sig(grammar.start());
-        let mut labels = Vec::with_capacity(sig.inputs() + sig.outputs());
-        for p in 0..sig.inputs() as u8 {
-            labels.push(DataLabel::initial_input(PortLabel::new(root_path.clone(), p)));
-        }
-        for p in 0..sig.outputs() as u8 {
-            labels.push(DataLabel::final_output(PortLabel::new(root_path.clone(), p)));
-        }
+        let labels = boundary_labels(grammar, &tree);
         let mut this = Self { tree, labels, processed_steps: 0 };
         // Catch up if the run already has history.
         this.catch_up(grammar, pg, run);
@@ -48,16 +44,8 @@ impl RunLabeler {
     pub fn on_step(&mut self, pg: &ProdGraph, run: &Run, step: StepId) {
         assert_eq!(step.0, self.processed_steps, "steps must be fed in order");
         self.tree.on_step(pg, run, step);
-        let st = run.step(step);
-        debug_assert_eq!(st.items.start as usize, self.labels.len());
-        for d in st.items.clone() {
-            let item = run.item(DataId(d));
-            let (pi, pp) = item.producer.expect("step items have producers");
-            let (ci, cp) = item.consumer.expect("step items have consumers");
-            let out = PortLabel::new(self.tree.path_of(self.tree.node_of(pi).unwrap()), pp);
-            let inp = PortLabel::new(self.tree.path_of(self.tree.node_of(ci).unwrap()), cp);
-            self.labels.push(DataLabel::intermediate(out, inp));
-        }
+        debug_assert_eq!(run.step(step).items.start as usize, self.labels.len());
+        self.labels.extend(step_labels(&self.tree, run, step));
         self.processed_steps += 1;
     }
 
@@ -78,6 +66,42 @@ impl RunLabeler {
     pub fn tree(&self) -> &CompressedTree {
         &self.tree
     }
+}
+
+/// The labels of the start module's boundary items, inputs first, from a
+/// tree no step has extended yet: all of them share the root's path. FVL's
+/// [`RunLabeler`] and the DRL baseline both label through this and
+/// [`step_labels`].
+pub fn boundary_labels(grammar: &Grammar, tree: &CompressedTree) -> Vec<DataLabel> {
+    let root = tree.fresh_path(InstanceId(0)).expect("a tree without steps holds the root's path");
+    let sig = grammar.sig(grammar.start());
+    let inputs =
+        (0..sig.inputs() as u8).map(|p| DataLabel::initial_input(PortLabel::new(root.clone(), p)));
+    let outputs =
+        (0..sig.outputs() as u8).map(|p| DataLabel::final_output(PortLabel::new(root.clone(), p)));
+    inputs.chain(outputs).collect()
+}
+
+/// The labels of the items `step` created, in item order, from a tree that
+/// has just applied `step`: each port label takes its instance's shared
+/// path ([`CompressedTree::fresh_path`]), so labeling allocates nothing per
+/// item.
+pub fn step_labels<'a>(
+    tree: &'a CompressedTree,
+    run: &'a Run,
+    step: StepId,
+) -> impl Iterator<Item = DataLabel> + 'a {
+    let port = |(inst, port): (InstanceId, u8)| {
+        let path = tree.fresh_path(inst).expect("a step's items run between instances it created");
+        PortLabel::new(path.clone(), port)
+    };
+    run.step(step).items.clone().map(move |d| {
+        let item = run.item(DataId(d));
+        DataLabel::intermediate(
+            port(item.producer.expect("step items have producers")),
+            port(item.consumer.expect("step items have consumers")),
+        )
+    })
 }
 
 #[cfg(test)]
@@ -104,8 +128,8 @@ mod tests {
         let d21 = labeler.label(ids.d21);
         let o = d21.out.as_ref().unwrap();
         assert_eq!(
-            o.path,
-            vec![
+            o.path[..],
+            [
                 EdgeLabel::Plain { k: ProdId(0), i: 2 },
                 EdgeLabel::Rec { s: 0, t: 0, i: 4 },
                 EdgeLabel::Plain { k: ProdId(2), i: 1 },
@@ -115,8 +139,8 @@ mod tests {
         assert_eq!(o.port, 0);
         let i = d21.inp.as_ref().unwrap();
         assert_eq!(
-            i.path,
-            vec![
+            i.path[..],
+            [
                 EdgeLabel::Plain { k: ProdId(0), i: 2 },
                 EdgeLabel::Rec { s: 0, t: 0, i: 4 },
                 EdgeLabel::Plain { k: ProdId(2), i: 1 },
@@ -162,17 +186,27 @@ mod tests {
         }
     }
 
+    /// A producer labels each step as it derives it; a late attacher
+    /// replays the finished run. Both must issue the same labels.
     #[test]
     fn catch_up_equals_online() {
         let ex = paper_example();
-        let g = &ex.spec.grammar;
-        let pg = ProdGraph::new(g);
-        let (run, _) = figure3_run(&ex);
-        // Online: drive during replay — here approximated by catch_up from
-        // scratch, which must equal itself deterministically; cross-check a
-        // couple of invariants instead.
-        let l1 = RunLabeler::start(g, &pg, &run);
-        let l2 = RunLabeler::start(g, &pg, &run);
-        assert_eq!(l1.labels(), l2.labels());
+        let bio = wf_workloads::bioaid(3);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
+        let bio_pg = ProdGraph::new(&bio.spec.grammar);
+        let bio_run = wf_workloads::sample::sample_run(&bio, &bio_pg, &mut rng, 2_000).1;
+        for (g, full) in [(&ex.spec.grammar, figure3_run(&ex).0), (&bio.spec.grammar, bio_run)] {
+            let pg = ProdGraph::new(g);
+            let mut run = wf_run::Run::start(g);
+            let mut online = RunLabeler::start(g, &pg, &run);
+            for s in full.steps() {
+                let st = full.step(s);
+                let applied = run.apply(g, st.instance, st.prod).unwrap();
+                online.on_step(&pg, &run, applied);
+            }
+            let replayed = RunLabeler::start(g, &pg, &full);
+            assert_eq!(online.label_count(), full.item_count());
+            assert_eq!(online.labels(), replayed.labels());
+        }
     }
 }

@@ -277,15 +277,9 @@ mod tests {
                     assert_eq!(session.query(d1, d2), fvl.query(&vl, d1, d2), "{kind:?}");
                 }
             }
-            // One more sweep finishes warm-up (memo insertions during the
-            // first sweep move pool buffers into the memo, so the pool can
-            // still top up once); after that the scratch must be at a fixed
-            // point — no growth, i.e. no allocations, in steady state.
-            for d1 in labels {
-                for d2 in labels {
-                    session.query(d1, d2);
-                }
-            }
+            // The first sweep warms the scratch up; after it the scratch
+            // must be at a fixed point — no growth, i.e. no allocations, in
+            // steady state.
             let warm = session.scratch_stats();
             for d1 in labels {
                 for d2 in labels {

@@ -21,7 +21,8 @@
 
 use wf_analysis::ProdGraph;
 use wf_core::decode::structural::{pi_structural, StructuralIndex};
-use wf_core::{DataLabel, LabelCodec, PortLabel};
+use wf_core::labeler::{boundary_labels, step_labels};
+use wf_core::{DataLabel, LabelCodec};
 use wf_model::{Spec, View};
 use wf_run::{CompressedTree, DataId, InstanceId, Run, RunProjection};
 
@@ -81,34 +82,24 @@ impl<'a> Drl<'a> {
     /// Labels the view of a run: one label per *visible* item. Steps are
     /// consumed in derivation order, skipping those the view hides — the
     /// online discipline of Definition 10 applied to the projected run.
+    /// Labels are built by the same code as FVL's
+    /// ([`wf_core::labeler::step_labels`]), so each visible instance's path
+    /// is allocated once and shared by its port labels.
     pub fn label_run(&self, run: &Run) -> DrlLabels {
         let grammar = &self.spec.grammar;
         let proj = RunProjection::new(grammar, run, self.view);
         let mut tree = CompressedTree::new(grammar, &self.pg, InstanceId(0));
         let mut labels: Vec<Option<DataLabel>> = vec![None; run.item_count()];
-        // Boundary items of the start module.
-        let root_path = tree.path_of(tree.node_of(InstanceId(0)).unwrap());
-        let sig = grammar.sig(grammar.start());
-        for (p, slot) in labels.iter_mut().enumerate().take(sig.inputs()) {
-            *slot = Some(DataLabel::initial_input(PortLabel::new(root_path.clone(), p as u8)));
-        }
-        for p in 0..sig.outputs() {
-            labels[sig.inputs() + p] =
-                Some(DataLabel::final_output(PortLabel::new(root_path.clone(), p as u8)));
+        for (slot, l) in labels.iter_mut().zip(boundary_labels(grammar, &tree)) {
+            *slot = Some(l);
         }
         for s in run.steps() {
             if !proj.step_projected(s) {
                 continue;
             }
             tree.on_step(&self.pg, run, s);
-            let st = run.step(s);
-            for d in st.items.clone() {
-                let item = run.item(DataId(d));
-                let (pi, pp) = item.producer.expect("step items have producers");
-                let (ci, cp) = item.consumer.expect("step items have consumers");
-                let out = PortLabel::new(tree.path_of(tree.node_of(pi).unwrap()), pp);
-                let inp = PortLabel::new(tree.path_of(tree.node_of(ci).unwrap()), cp);
-                labels[d as usize] = Some(DataLabel::intermediate(out, inp));
+            for (d, l) in run.step(s).items.clone().zip(step_labels(&tree, run, s)) {
+                labels[d as usize] = Some(l);
             }
         }
         DrlLabels { labels }
@@ -147,8 +138,12 @@ impl DrlLabels {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+    use std::sync::Arc;
+    use wf_core::RunLabeler;
     use wf_model::{DepAssignment, GrammarBuilder, ViewSpec};
-    use wf_run::{random_derivation, RunOracle};
+    use wf_run::fixtures::figure3_run;
+    use wf_run::{random_derivation, EdgeLabel, RunOracle};
 
     /// A small coarse-grained recursive spec: S -> (src, L, sink),
     /// L -> (x, L) | (x); single source/sink per production.
@@ -221,5 +216,57 @@ mod tests {
         let max_bits = labels.iter().map(|(_, l)| drl.label_bits(l)).max().unwrap();
         // 2000 items: log-size labels stay well under 200 bits.
         assert!(max_bits < 200, "max label was {max_bits} bits");
+    }
+
+    /// Every port label on one instance holds one path allocation, equal by
+    /// value to the instance's path in `tree`.
+    fn assert_one_path_per_instance<'l>(
+        run: &Run,
+        tree: &CompressedTree,
+        labels: impl Iterator<Item = (DataId, &'l DataLabel)>,
+    ) {
+        let mut first: HashMap<InstanceId, Arc<[EdgeLabel]>> = HashMap::new();
+        for (d, label) in labels {
+            let item = run.item(d);
+            for (end, port) in [(item.producer, &label.out), (item.consumer, &label.inp)] {
+                let (Some((inst, _)), Some(port)) = (end, port) else { continue };
+                let shared = first.entry(inst).or_insert_with(|| port.path.clone());
+                assert!(Arc::ptr_eq(shared, &port.path), "{d:?}: {inst:?} has two path copies");
+                assert_eq!(port.path[..], tree.path_of(tree.node_of(inst).unwrap())[..], "{d:?}");
+            }
+        }
+    }
+
+    /// FVL's labeler and DRL share each instance's path among its port
+    /// labels: on the Figure 3 run under a black-box view of the paper's
+    /// grammar, and on a BioAID run under a view that hides some steps.
+    #[test]
+    fn both_labelers_share_one_path_per_instance() {
+        let ex = wf_model::fixtures::paper_example();
+        let g = &ex.spec.grammar;
+        let deps = DepAssignment::black_box(g.sigs(), g.atomic_modules());
+        let paper_view = View::new(g, g.composite_modules(), deps).unwrap();
+        let bio = wf_workloads::bioaid_coarse(1);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
+        let bio_pg = ProdGraph::new(&bio.spec.grammar);
+        let bio_run = wf_workloads::sample::sample_run(&bio, &bio_pg, &mut rng, 2_000).1;
+        let bio_view = wf_workloads::views::black_box_view(&bio, &mut rng, 4);
+        let cases = [(&ex.spec, paper_view, figure3_run(&ex).0), (&bio.spec, bio_view, bio_run)];
+        for (spec, view, run) in &cases {
+            let g = &spec.grammar;
+            let labeler = RunLabeler::start(g, &ProdGraph::new(g), run);
+            let fvl = run.items().map(|d| (d, labeler.label(d)));
+            assert_one_path_per_instance(run, labeler.tree(), fvl);
+
+            let drl = Drl::new(spec, view).unwrap();
+            let labels = drl.label_run(run);
+            // DRL's tree over the view's steps, built as `label_run` builds it.
+            let proj = RunProjection::new(g, run, view);
+            let mut tree = CompressedTree::new(g, &drl.pg, InstanceId(0));
+            for s in run.steps().filter(|&s| proj.step_projected(s)) {
+                tree.on_step(&drl.pg, run, s);
+            }
+            assert_one_path_per_instance(run, &tree, labels.iter());
+        }
     }
 }

@@ -15,7 +15,7 @@
 //! idempotent-compile make the repeats no-ops that replay must not see.
 //!
 //! The staged store is the single copy of the inserted labels — the delta
-//! writer re-materializes the journaled id ranges on demand, so heavy
+//! writer reads the journaled id ranges back from it on demand, so heavy
 //! ingest never pays double storage for its increment.
 
 use crate::error::EngineError;
@@ -116,9 +116,12 @@ impl StagedState {
 
     /// Serializes the staged increment as the `SECTION_DELTA` op-log
     /// payload chaining `base_seqno → base_seqno + 1` (framing per
-    /// [`wf_snapshot::oplog`]; the caller seals the container).
+    /// [`wf_snapshot::oplog`]; the caller seals the container). Labels are
+    /// read back through [`LabelStore::label_ref`] into two reused path
+    /// buffers, so writing them allocates nothing per label.
     pub fn write_delta(&self, fvl: &Fvl<'static>, base_seqno: u64, w: &mut BitWriter) {
         let grammar = &fvl.spec().grammar;
+        let (mut out_buf, mut inp_buf) = (Vec::new(), Vec::new());
         w.write_gamma(base_seqno + 1);
         w.write_gamma(base_seqno + 2);
         w.write_gamma(self.journal.len() as u64 + 1);
@@ -127,7 +130,8 @@ impl StagedState {
                 StagedOp::Insert { from, to } => {
                     oplog::write_insert_header(w, (to - from) as usize);
                     for i in *from..*to {
-                        write_label(w, fvl.codec(), &self.store.materialize(ItemId(i)));
+                        let d = self.store.label_ref(ItemId(i), &mut out_buf, &mut inp_buf);
+                        write_label(w, fvl.codec(), d);
                     }
                 }
                 StagedOp::AddView(id) => {

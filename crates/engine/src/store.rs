@@ -3,11 +3,13 @@
 //!
 //! A provenance service holds the labels of *every* item of a run (often
 //! millions) and serves queries against arbitrary pairs of them. Owning
-//! [`DataLabel`]s store each parse-tree path as its own `Vec<EdgeLabel>`,
-//! even though sibling labels share almost all of their edges — the paper
-//! itself observes that "the size of φr(d) can be reduced almost by half by
-//! factoring out the common prefix" (§4.2.2), and a run's labels
-//! collectively share far more than pairwise prefixes.
+//! [`DataLabel`]s share one path allocation per module instance (every port
+//! of an instance has the same path), but each instance's path is still
+//! stored whole, even though the paths of sibling and nested instances
+//! share almost all of their edges — the paper itself observes that "the
+//! size of φr(d) can be reduced almost by half by factoring out the common
+//! prefix" (§4.2.2), and a run's labels collectively share far more than
+//! pairwise prefixes.
 //!
 //! [`LabelStore`] exploits that: paths are interned into a trie keyed by
 //! `(parent node, edge label)`, so every shared prefix is stored exactly
@@ -58,13 +60,14 @@
 use crate::error::EngineError;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::convert::Infallible;
 use std::io;
 use std::sync::Arc;
 use wf_analysis::ProdGraph;
 use wf_bitio::{BitReader, BitWriter};
 use wf_core::{DataLabel, LabelCodec, LabelRef, PortLabel, PortRef};
 use wf_model::{Grammar, ModuleId};
-use wf_run::EdgeLabel;
+use wf_run::{try_path, EdgeLabel};
 use wf_snapshot::{edge_target_module, SnapshotError};
 
 /// Dense id of a stored data label (assigned in insertion order).
@@ -189,6 +192,24 @@ impl Shard {
             cur = n;
         }
         cur
+    }
+
+    /// The root→node path in one allocation: one walk to size it, one to
+    /// write it leaf first.
+    fn path(&self, node: u32) -> Arc<[EdgeLabel]> {
+        let (mut len, mut up) = (0, node);
+        while up != ROOT {
+            len += 1;
+            up = self.nodes[up as usize].0;
+        }
+        let Ok(path) = try_path::<Infallible>(len, |slots| {
+            let mut node = node;
+            for slot in slots.iter_mut().rev() {
+                (node, *slot) = self.nodes[node as usize];
+            }
+            Ok(())
+        });
+        path
     }
 
     /// Writes the root→node path into `buf` (cleared first). Reusable-buffer
@@ -615,7 +636,10 @@ impl LabelStore {
         })
     }
 
-    /// Rebuilds the owning [`DataLabel`] (allocates; diagnostics and tests).
+    /// Rebuilds the owning [`DataLabel`], one path allocation per side, for
+    /// callers that need an owned label: recovery checks, examples and
+    /// tests. Serving and publishing read labels through
+    /// [`label_ref`](Self::label_ref) instead, which allocates nothing.
     ///
     /// # Panics
     ///
@@ -625,11 +649,7 @@ impl LabelStore {
     pub fn materialize(&self, id: ItemId) -> DataLabel {
         let (shard, local) = self.locate(id);
         let stored = shard.labels[local];
-        let port = |(node, port): (u32, u8)| {
-            let mut path = Vec::new();
-            shard.write_path(node, &mut path);
-            PortLabel::new(path, port)
-        };
+        let port = |(node, port): (u32, u8)| PortLabel::new(shard.path(node), port);
         DataLabel { out: stored.out.map(port), inp: stored.inp.map(port) }
     }
 }
@@ -1185,7 +1205,7 @@ mod tests {
             let RefShard { nodes, map, labels } = self.shards.last_mut().unwrap();
             for p in [&d.out, &d.inp].into_iter().flatten() {
                 let mut cur = ROOT;
-                for &e in &p.path {
+                for &e in p.path.iter() {
                     cur = match map.get(&(cur, e)) {
                         Some(&n) => n,
                         None if nodes.len() as u64 >= cap as u64 => return false,
@@ -1234,7 +1254,7 @@ mod tests {
         }
         // A path that shares nothing with any run label: every edge is new.
         let novel = |len: usize| {
-            let path = (0..len as u64).map(|i| EdgeLabel::Rec { s: 9, t: 9, i }).collect();
+            let path: Vec<_> = (0..len as u64).map(|i| EdgeLabel::Rec { s: 9, t: 9, i }).collect();
             Some(PortLabel::new(path, 0))
         };
         for shard_capacity in [3u32, 8, u32::MAX] {

@@ -34,5 +34,5 @@ pub mod viewproj;
 pub use derivation::{random_derivation, Derivation};
 pub use flatten::{FlatRun, RunOracle};
 pub use run::{DataId, InstanceId, Run, RunError, StepId};
-pub use tree::{CompressedTree, EdgeLabel, TreeNodeId};
+pub use tree::{try_path, CompressedTree, EdgeLabel, TreeNodeId};
 pub use viewproj::RunProjection;

@@ -13,6 +13,8 @@
 //! why port labels (paths in this tree) are `O(log n)` bits.
 
 use crate::run::{InstanceId, Run, StepId};
+use std::convert::Infallible;
+use std::sync::Arc;
 use wf_analysis::ProdGraph;
 use wf_model::{Grammar, ProdId};
 
@@ -25,6 +27,22 @@ pub enum EdgeLabel {
     /// Chain position `i` under a recursive node denoting cycle `s`
     /// unfolded from its `t`-th edge.
     Rec { s: u32, t: u32, i: u64 },
+}
+
+/// A port-label path of `len` edges in one allocation, whose edges (root
+/// first) `fill` writes in place. Port labels share their paths as
+/// `Arc<[EdgeLabel]>`, and collecting a `Vec` into an `Arc` would allocate
+/// twice. `len` sizes the allocation, so a decoder bounds it by the bits it
+/// has left first.
+pub fn try_path<E>(
+    len: usize,
+    fill: impl FnOnce(&mut [EdgeLabel]) -> Result<(), E>,
+) -> Result<Arc<[EdgeLabel]>, E> {
+    // Placeholders: `fill` overwrites each one, or the path is dropped.
+    let mut path: Arc<[EdgeLabel]> =
+        std::iter::repeat_n(EdgeLabel::Rec { s: 0, t: 0, i: 0 }, len).collect();
+    fill(Arc::get_mut(&mut path).expect("a path just allocated has one owner"))?;
+    Ok(path)
 }
 
 /// Node index within a [`CompressedTree`].
@@ -51,13 +69,18 @@ struct Node {
 ///
 /// The same builder serves FVL (over the full run) and DRL (over the
 /// view-projected run): the caller simply skips invisible steps and passes
-/// the production graph of the grammar it labels against.
+/// the production graph of the grammar it labels against. It also hands
+/// both labelers their port-label paths ([`CompressedTree::fresh_path`]).
 #[derive(Clone, Debug)]
 pub struct CompressedTree {
     nodes: Vec<Node>,
     /// Dense map instance → module node.
     node_of: Vec<Option<TreeNodeId>>,
     root: TreeNodeId,
+    /// The paths of the instances the latest step created, in instance
+    /// order from `fresh_from`; before any step, the root instance's.
+    fresh: Vec<Arc<[EdgeLabel]>>,
+    fresh_from: u32,
 }
 
 impl CompressedTree {
@@ -90,17 +113,24 @@ impl CompressedTree {
         let module_node = TreeNodeId(nodes.len() as u32 - 1);
         let mut node_of = vec![None; root_instance.0 as usize + 1];
         node_of[root_instance.0 as usize] = Some(module_node);
-        Self { nodes, node_of, root }
+        let mut tree =
+            Self { nodes, node_of, root, fresh: Vec::new(), fresh_from: root_instance.0 };
+        tree.fresh.push(tree.shared_path(module_node));
+        tree
     }
 
     /// Incorporates one production application (§4.2.3's three insertion
-    /// rules). The expanded instance must already have a node.
+    /// rules), and builds the path of every instance it creates
+    /// ([`CompressedTree::fresh_path`]). The expanded instance must already
+    /// have a node.
     pub fn on_step(&mut self, pg: &ProdGraph, run: &Run, step: StepId) {
         let st = run.step(step).clone();
         let u = self.node_of(InstanceId(st.instance.0)).expect("expanded instance not in tree");
         let k = st.prod;
         let m_u = run.instance(st.instance).module;
         let u_cycle = pg.cycle_of(m_u);
+        self.fresh.clear();
+        self.fresh_from = st.children.start;
         for (pos, child) in st.children.clone().enumerate() {
             let child_inst = InstanceId(child);
             let m_i = run.instance(child_inst).module;
@@ -144,7 +174,7 @@ impl CompressedTree {
                     }
                 }
             };
-            let _ = node;
+            self.fresh.push(self.shared_path(node));
         }
     }
 
@@ -173,6 +203,35 @@ impl CompressedTree {
     #[inline]
     pub fn node_of(&self, inst: InstanceId) -> Option<TreeNodeId> {
         self.node_of.get(inst.0 as usize).copied().flatten()
+    }
+
+    /// The path of `inst` (§4.2.2), built once when the step that created
+    /// `inst` was applied: every port label on `inst` holds this one
+    /// immutable allocation, and cloning it is a refcount bump. Only the
+    /// latest step's new instances are kept (before any step, the root),
+    /// because every item a step creates runs between two instances that
+    /// step created. `None` for any other instance;
+    /// [`CompressedTree::path_of`] walks any node.
+    #[inline]
+    pub fn fresh_path(&self, inst: InstanceId) -> Option<&Arc<[EdgeLabel]>> {
+        self.fresh.get(inst.0.checked_sub(self.fresh_from)? as usize)
+    }
+
+    /// [`CompressedTree::path_of`] in one shared allocation: a node's depth
+    /// is its path length, so the edges are written leaf first in place.
+    fn shared_path(&self, node: TreeNodeId) -> Arc<[EdgeLabel]> {
+        let len = self.nodes[node.0 as usize].depth as usize;
+        let Ok(path) = try_path::<Infallible>(len, |slots| {
+            let mut cur = node;
+            for slot in slots.iter_mut().rev() {
+                let (parent, label) =
+                    self.nodes[cur.0 as usize].parent.expect("a node at depth d has d ancestors");
+                *slot = label;
+                cur = parent;
+            }
+            Ok(())
+        });
+        path
     }
 
     /// Edge labels from the root down to `node` (the port-label path of

@@ -19,7 +19,7 @@
 use crate::error::SnapshotError;
 use wf_analysis::CycleInfo;
 use wf_bitio::{BitReader, BitWriter};
-use wf_core::{DataLabel, LabelCodec, PortLabel};
+use wf_core::{DataLabel, LabelCodec, LabelRef, PortLabel, PortRef};
 use wf_model::{Grammar, ModuleId};
 use wf_run::EdgeLabel;
 
@@ -70,9 +70,9 @@ pub fn edge_target_module(
     }
 }
 
-fn write_side(w: &mut BitWriter, codec: &LabelCodec, p: &PortLabel) {
+fn write_side(w: &mut BitWriter, codec: &LabelCodec, p: PortRef<'_>) {
     w.write_gamma(p.path.len() as u64 + 1);
-    for e in &p.path {
+    for e in p.path {
         codec.write_edge(w, e);
     }
     w.write_bits(p.port as u64, 8);
@@ -82,14 +82,16 @@ fn write_side(w: &mut BitWriter, codec: &LabelCodec, p: &PortLabel) {
 /// per present side the full path (γ length, §5 edge codec) and an 8-bit
 /// port. Deltas are small increments, so the two sides are written whole —
 /// prefix sharing across labels is the *store trie's* job and is recovered
-/// the moment the label is re-interned on replay.
-pub fn write_label(w: &mut BitWriter, codec: &LabelCodec, d: &DataLabel) {
+/// the moment the label is re-interned on replay. Takes the borrowed form,
+/// so a store writes its labels through [`LabelRef`]s over reused path
+/// buffers; an owned label passes [`DataLabel::to_ref`].
+pub fn write_label(w: &mut BitWriter, codec: &LabelCodec, d: LabelRef<'_>) {
     w.push_bit(d.out.is_some());
     w.push_bit(d.inp.is_some());
-    if let Some(o) = &d.out {
+    if let Some(o) = d.out {
         write_side(w, codec, o);
     }
-    if let Some(i) = &d.inp {
+    if let Some(i) = d.inp {
         write_side(w, codec, i);
     }
 }
@@ -102,13 +104,16 @@ fn read_side(
     outputs: bool,
 ) -> Result<PortLabel, SnapshotError> {
     let len = (r.read_gamma()? - 1) as usize;
+    // Every edge is read and checked before the path is allocated, so a
+    // forged length costs no more than the edges actually present; the
+    // checked edges are then decoded again into one exact allocation.
+    let mut edges = r.clone();
     let mut module = grammar.start();
-    let mut path = Vec::with_capacity(len.min(1 << 16));
     for _ in 0..len {
-        let e = codec.read_edge(r)?;
-        module = edge_target_module(grammar, cycles, module, e)?;
-        path.push(e);
+        module = edge_target_module(grammar, cycles, module, codec.read_edge(r)?)?;
     }
+    let path =
+        (0..len).map(|_| codec.read_edge(&mut edges).expect("edges decoded above")).collect();
     let port = r.read_bits(8)? as u8;
     let sig = grammar.sig(module);
     let arity = if outputs { sig.outputs() } else { sig.inputs() };
@@ -155,7 +160,7 @@ mod tests {
         let cycles = fvl.prod_graph().cycles().unwrap();
         for d in labeler.labels() {
             let mut w = BitWriter::new();
-            write_label(&mut w, fvl.codec(), d);
+            write_label(&mut w, fvl.codec(), d.to_ref());
             let bits = w.finish();
             let mut r = BitReader::new(&bits);
             let back = read_label(&mut r, fvl.codec(), &ex.spec.grammar, cycles).unwrap();
@@ -317,7 +322,7 @@ mod tests {
 
         // A declared path length in the billions with no bits behind it:
         // must terminate immediately as Truncated — no hang, no huge
-        // allocation (the reader caps its preallocation).
+        // allocation (the reader allocates a path only after reading it).
         let mut w = BitWriter::new();
         w.push_bit(true);
         w.push_bit(false);

@@ -116,7 +116,7 @@ mod tests {
         let mut w = BitWriter::new();
         write_insert_header(&mut w, labels.len());
         for d in &labels {
-            write_label(&mut w, fvl.codec(), d);
+            write_label(&mut w, fvl.codec(), d.to_ref());
         }
         let bits = w.finish();
         let mut r = BitReader::new(&bits);
