@@ -16,7 +16,8 @@
 //!   labels and view labels refer to.
 //!
 //! [`matrices`] computes the per-production reachability matrices (`I`, `O`,
-//! `Z` of §4.3) from a full assignment — shared by every view-label variant.
+//! `Z` of §4.3) from a full assignment — shared by every view-label variant
+//! — and the λ\* a production induces, all through one forward sweep.
 
 pub mod matrices;
 pub mod prodgraph;
@@ -24,8 +25,8 @@ pub mod recursion;
 pub mod safety;
 
 pub use matrices::{
-    i_matrix, i_matrix_with, o_matrix, o_matrix_with, production_matrices, production_port_graph,
-    rhs_closure, z_matrix, z_matrix_with, ProductionMatrices,
+    lhs_matrix, production_matrices, rhs_closure, search_into, sweep, ProductionMatrices, Reached,
+    Slot,
 };
 pub use prodgraph::{CycleInfo, ProdGraph};
 pub use recursion::{classify, classify_with, is_linear_recursive, RecursionClass};

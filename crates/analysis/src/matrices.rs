@@ -1,5 +1,6 @@
-//! Per-production reachability matrices — the `I`, `O`, `Z` functions of
-//! §4.3, computed from a full dependency assignment λ\*.
+//! Per-production reachability: the `I`, `O`, `Z` functions of §4.3 and
+//! the λ\* a production induces (Lemma 1), all written by one forward
+//! [`sweep`].
 //!
 //! For a production `pₖ = M →f W` and positions `i`, `j` of `W` (0-based):
 //!
@@ -11,14 +12,117 @@
 //! * `Z(k,i,j)[x][y]` — input `y` of instance `j` is reachable from output
 //!   `x` of instance `i`; empty whenever `i ≥ j` (topological order).
 //!
-//! A single port-graph traversal per source port yields all three families
-//! for one production.
+//! A sweep starts at one port and visits `W`'s nodes in index order,
+//! keeping one `u64` input mask and one `u64` output mask per node
+//! ([`Reached`]) in a buffer the caller owns. One pass is exact because
+//! [`wf_model::SimpleWorkflow::new`] admits only edges that run forward, so
+//! a node's inputs are final once every earlier node is done; and one word
+//! per side holds all of a node's ports because [`Grammar::new`] rejects
+//! right-hand-side modules with more than 64 inputs or outputs. λ is read
+//! straight from the assignment: no port graph is built and nothing is
+//! allocated once the buffer has grown.
+//!
+//! [`search_into`] writes one matrix into a reused buffer: Space-Efficient
+//! decode runs it on every access, so it searches the specification at
+//! query time (§6.3) without allocating, and Default and Query-Efficient
+//! compilation run it once per slot ([`production_matrices`]).
 
 use wf_boolmat::BoolMat;
-use wf_model::{DepAssignment, Grammar, InPortRef, NodeIx, OutPortRef, PortGraph, ProdId};
+use wf_model::{
+    DepAssignment, Grammar, InPortRef, NodeIx, OutPortRef, PortRef, ProdId, SimpleWorkflow,
+};
+
+/// The ports of one node a [`sweep`] reached: bit `p` of `ins` (`outs`) is
+/// the node's input (output) port `p`.
+#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
+pub struct Reached {
+    pub ins: u64,
+    pub outs: u64,
+}
+
+/// Forward reachability from `from` inside `w` under `lambda` (which must
+/// cover every module of `w`). Afterwards `reached[n]` holds the ports of
+/// node `n` that `from` reaches (reflexively) for every `n ≤ until`; later
+/// nodes are not visited, and `reached` has `until + 1` entries.
+pub fn sweep(
+    w: &SimpleWorkflow,
+    lambda: &DepAssignment,
+    from: PortRef,
+    until: usize,
+    reached: &mut Vec<Reached>,
+) {
+    reached.clear();
+    reached.resize(until + 1, Reached::default());
+    let (start, seed) = match from {
+        PortRef::In(p) => (p.node.index(), Reached { ins: 1 << p.port, outs: 0 }),
+        PortRef::Out(p) => (p.node.index(), Reached { ins: 0, outs: 1 << p.port }),
+    };
+    if start > until {
+        return;
+    }
+    reached[start] = seed;
+    for n in start..=until {
+        let Reached { ins, mut outs } = reached[n];
+        if ins != 0 {
+            let dep = lambda.get(w.nodes()[n]).expect("λ covers every module of the workflow");
+            outs = bits(ins).fold(outs, |acc, r| acc | dep.row_bits(r));
+            reached[n].outs = outs;
+        }
+        for y in bits(outs) {
+            let port = OutPortRef { node: NodeIx(n as u32), port: y as u8 };
+            if let Some(e) = w.edge_out_of(port) {
+                if let Some(next) = reached.get_mut(e.to.node.index()) {
+                    next.ins |= 1 << e.to.port;
+                }
+            }
+        }
+    }
+}
+
+/// Indices of the set bits of `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (bit < 64).then_some(bit)
+    })
+}
+
+/// True iff `reached` holds output port `p`.
+fn reaches_out(reached: &[Reached], p: OutPortRef) -> bool {
+    reached[p.node.index()].outs >> p.port & 1 == 1
+}
+
+/// The input→output matrix `w` induces between the boundary ports
+/// `inputs` (rows) and `outputs` (columns) under `lambda`: for a
+/// production's port maps, the λ\*(M) of Lemma 1.
+pub fn lhs_matrix(
+    w: &SimpleWorkflow,
+    inputs: &[InPortRef],
+    outputs: &[OutPortRef],
+    lambda: &DepAssignment,
+) -> BoolMat {
+    let mut mat = BoolMat::zeros(inputs.len(), outputs.len());
+    let mut reached = Vec::with_capacity(w.node_count());
+    for (x, &ip) in inputs.iter().enumerate() {
+        sweep(w, lambda, PortRef::In(ip), w.node_count() - 1, &mut reached);
+        for (y, &op) in outputs.iter().enumerate() {
+            mat.set(x, y, reaches_out(&reached, op));
+        }
+    }
+    mat
+}
+
+/// One matrix of a production: `I(k, i)`, `O(k, i)` or `Z(k, i, j)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Slot {
+    I(usize),
+    O(usize),
+    Z(usize, usize),
+}
 
 /// All `I`/`O`/`Z` matrices of one production.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProductionMatrices {
     /// `i_mats[i]` = `I(k, i)`.
     pub i_mats: Vec<BoolMat>,
@@ -29,6 +133,16 @@ pub struct ProductionMatrices {
 }
 
 impl ProductionMatrices {
+    /// The stored matrix of `slot`.
+    #[inline]
+    pub fn get(&self, slot: Slot) -> &BoolMat {
+        match slot {
+            Slot::I(i) => &self.i_mats[i],
+            Slot::O(i) => &self.o_mats[i],
+            Slot::Z(i, j) => &self.z_mats[i][j],
+        }
+    }
+
     /// Total payload bits (for the Figure 19 space accounting).
     pub fn payload_bits(&self) -> usize {
         self.i_mats.iter().map(BoolMat::payload_bits).sum::<usize>()
@@ -42,170 +156,81 @@ impl ProductionMatrices {
 }
 
 /// Computes the matrices of production `k` under `lambda` (λ\* — it must
-/// cover every module instantiated by the production's RHS).
-#[allow(clippy::needless_range_loop)]
+/// cover every module instantiated by the production's RHS): each one the
+/// [`search_into`] a Space-Efficient decode runs for its slot at query
+/// time, so stored and searched matrices come from one code path.
 pub fn production_matrices(
     grammar: &Grammar,
     k: ProdId,
     lambda: &DepAssignment,
 ) -> ProductionMatrices {
-    let p = grammar.production(k);
-    let w = &p.rhs;
-    let pg = PortGraph::build(w, lambda);
-    let n = w.node_count();
-    let sig = |i: usize| grammar.sig(w.nodes()[i]);
-    let lhs_sig = grammar.sig(p.lhs);
-
-    let mut i_mats: Vec<BoolMat> =
-        (0..n).map(|i| BoolMat::zeros(lhs_sig.inputs(), sig(i).inputs())).collect();
-    let mut o_mats: Vec<BoolMat> =
-        (0..n).map(|i| BoolMat::zeros(lhs_sig.outputs(), sig(i).outputs())).collect();
-    let mut z_mats: Vec<Vec<BoolMat>> = (0..n)
-        .map(|i| (0..n).map(|j| BoolMat::zeros(sig(i).outputs(), sig(j).inputs())).collect())
-        .collect();
-
-    // One traversal per LHS input fills row x of every I(k, i).
-    for (x, &ip) in p.input_map.iter().enumerate() {
-        let reach = pg.reachable_from(pg.in_ix(ip));
-        for i in 0..n {
-            for y in 0..sig(i).inputs() {
-                let port = InPortRef { node: NodeIx(i as u32), port: y as u8 };
-                if reach.contains(pg.in_ix(port) as usize) {
-                    i_mats[i].set(x, y, true);
-                }
-            }
-        }
-    }
-
-    // One traversal per instance output fills O columns and Z rows.
-    for i in 0..n {
-        for y in 0..sig(i).outputs() {
-            let port = OutPortRef { node: NodeIx(i as u32), port: y as u8 };
-            let reach = pg.reachable_from(pg.out_ix(port));
-            for (x, &op) in p.output_map.iter().enumerate() {
-                if reach.contains(pg.out_ix(op) as usize) {
-                    o_mats[i].set(x, y, true);
-                }
-            }
-            for j in i + 1..n {
-                for z in 0..sig(j).inputs() {
-                    let jp = InPortRef { node: NodeIx(j as u32), port: z as u8 };
-                    if reach.contains(pg.in_ix(jp) as usize) {
-                        z_mats[i][j].set(y, z, true);
-                    }
-                }
-            }
-        }
-    }
-
+    let n = grammar.production(k).rhs.node_count();
+    let (mut reached, mut found) = (Vec::with_capacity(n), BoolMat::default());
+    // Cloning the reused buffer stores each matrix at its exact row count.
+    let mut search = |slot| {
+        search_into(grammar, k, slot, lambda, &mut reached, &mut found);
+        found.clone()
+    };
+    let i_mats = (0..n).map(|i| search(Slot::I(i))).collect();
+    let o_mats = (0..n).map(|i| search(Slot::O(i))).collect();
+    let z_mats = (0..n).map(|i| (0..n).map(|j| search(Slot::Z(i, j))).collect()).collect();
     ProductionMatrices { i_mats, o_mats, z_mats }
 }
 
-// ---------------------------------------------------------------------
-// On-demand single matrices (Space-Efficient FVL computes these by graph
-// search at query time instead of materializing them, §4.3) and the
-// structural instance-level closure used by Matrix-Free FVL / DRL (§6.4).
-// ---------------------------------------------------------------------
-
-/// Builds the port graph of production `k`'s RHS under `lambda` — the
-/// structure every on-demand `I`/`O`/`Z` search walks. Building it is the
-/// per-pair-invariant part of a Space-Efficient query (the searches depend
-/// on the requested ports; the graph depends only on the view): callers
-/// that evaluate many matrices of one production should build it once and
-/// use the `*_with` forms below.
-pub fn production_port_graph(grammar: &Grammar, k: ProdId, lambda: &DepAssignment) -> PortGraph {
-    PortGraph::build(&grammar.production(k).rhs, lambda)
-}
-
-/// Computes `I(k, i)` alone.
-pub fn i_matrix(grammar: &Grammar, k: ProdId, i: usize, lambda: &DepAssignment) -> BoolMat {
-    i_matrix_with(&production_port_graph(grammar, k, lambda), grammar, k, i)
-}
-
-/// [`i_matrix`] over a prebuilt [`production_port_graph`].
-pub fn i_matrix_with(pg: &PortGraph, grammar: &Grammar, k: ProdId, i: usize) -> BoolMat {
-    let p = grammar.production(k);
-    let lhs_sig = grammar.sig(p.lhs);
-    let child_sig = grammar.sig(p.rhs.nodes()[i]);
-    let mut mat = BoolMat::zeros(lhs_sig.inputs(), child_sig.inputs());
-    for (x, &ip) in p.input_map.iter().enumerate() {
-        let reach = pg.reachable_from(pg.in_ix(ip));
-        for y in 0..child_sig.inputs() {
-            let port = InPortRef { node: NodeIx(i as u32), port: y as u8 };
-            if reach.contains(pg.in_ix(port) as usize) {
-                mat.set(x, y, true);
-            }
-        }
-    }
-    mat
-}
-
-/// Computes `O(k, i)` alone (reversed orientation, see module docs).
-pub fn o_matrix(grammar: &Grammar, k: ProdId, i: usize, lambda: &DepAssignment) -> BoolMat {
-    o_matrix_with(&production_port_graph(grammar, k, lambda), grammar, k, i)
-}
-
-/// [`o_matrix`] over a prebuilt [`production_port_graph`].
-pub fn o_matrix_with(pg: &PortGraph, grammar: &Grammar, k: ProdId, i: usize) -> BoolMat {
-    let p = grammar.production(k);
-    let lhs_sig = grammar.sig(p.lhs);
-    let child_sig = grammar.sig(p.rhs.nodes()[i]);
-    let mut mat = BoolMat::zeros(lhs_sig.outputs(), child_sig.outputs());
-    for y in 0..child_sig.outputs() {
-        let port = OutPortRef { node: NodeIx(i as u32), port: y as u8 };
-        let reach = pg.reachable_from(pg.out_ix(port));
-        for (x, &op) in p.output_map.iter().enumerate() {
-            if reach.contains(pg.out_ix(op) as usize) {
-                mat.set(x, y, true);
-            }
-        }
-    }
-    mat
-}
-
-/// Computes `Z(k, i, j)` alone.
-pub fn z_matrix(
+/// Writes the one matrix `slot` of production `k` under `lambda` into
+/// `out`, by the sweeps that decide it: one per LHS input for `I(k, i)`,
+/// one per output of instance `i` for `O(k, i)` and `Z(k, i, j)`. This is
+/// what Space-Efficient decode runs on every access (§6.3); it allocates
+/// nothing once `reached` and `out` have grown.
+pub fn search_into(
     grammar: &Grammar,
     k: ProdId,
-    i: usize,
-    j: usize,
+    slot: Slot,
     lambda: &DepAssignment,
-) -> BoolMat {
+    reached: &mut Vec<Reached>,
+    out: &mut BoolMat,
+) {
     let p = grammar.production(k);
-    let si = grammar.sig(p.rhs.nodes()[i]);
-    let sj = grammar.sig(p.rhs.nodes()[j]);
-    if i >= j {
-        return BoolMat::zeros(si.outputs(), sj.inputs()); // topological order: always empty
-    }
-    z_matrix_with(&production_port_graph(grammar, k, lambda), grammar, k, i, j)
-}
-
-/// [`z_matrix`] over a prebuilt [`production_port_graph`].
-pub fn z_matrix_with(pg: &PortGraph, grammar: &Grammar, k: ProdId, i: usize, j: usize) -> BoolMat {
-    let p = grammar.production(k);
-    let si = grammar.sig(p.rhs.nodes()[i]);
-    let sj = grammar.sig(p.rhs.nodes()[j]);
-    let mut mat = BoolMat::zeros(si.outputs(), sj.inputs());
-    if i >= j {
-        return mat; // topological order: always empty
-    }
-    for y in 0..si.outputs() {
-        let port = OutPortRef { node: NodeIx(i as u32), port: y as u8 };
-        let reach = pg.reachable_from(pg.out_ix(port));
-        for z in 0..sj.inputs() {
-            let jp = InPortRef { node: NodeIx(j as u32), port: z as u8 };
-            if reach.contains(pg.in_ix(jp) as usize) {
-                mat.set(y, z, true);
+    let w = &p.rhs;
+    let sig = |i: usize| grammar.sig(w.nodes()[i]);
+    let lhs_sig = grammar.sig(p.lhs);
+    match slot {
+        Slot::I(i) => {
+            out.reset(lhs_sig.inputs(), sig(i).inputs());
+            for (x, &ip) in p.input_map.iter().enumerate() {
+                sweep(w, lambda, PortRef::In(ip), i, reached);
+                out.set_row_bits(x, reached[i].ins);
+            }
+        }
+        Slot::O(i) => {
+            out.reset(lhs_sig.outputs(), sig(i).outputs());
+            for y in 0..sig(i).outputs() {
+                let port = OutPortRef { node: NodeIx(i as u32), port: y as u8 };
+                sweep(w, lambda, PortRef::Out(port), w.node_count() - 1, reached);
+                for (x, &op) in p.output_map.iter().enumerate() {
+                    out.set(x, y, reaches_out(reached, op));
+                }
+            }
+        }
+        Slot::Z(i, j) => {
+            out.reset(sig(i).outputs(), sig(j).inputs());
+            if i >= j {
+                return; // topological order: always empty
+            }
+            for y in 0..sig(i).outputs() {
+                let port = OutPortRef { node: NodeIx(i as u32), port: y as u8 };
+                sweep(w, lambda, PortRef::Out(port), j, reached);
+                out.set_row_bits(y, reached[j].ins);
             }
         }
     }
-    mat
 }
 
 /// Reflexive-transitive *instance-level* closure of a production's RHS:
 /// `closure[i][j]` iff node `j` is reachable from node `i` through data
 /// edges. Depends only on the grammar (not on any λ); this is the entire
-/// "index" the black-box structural decode needs.
+/// "index" the black-box structural decode needs (Matrix-Free FVL and DRL,
+/// §6.4).
 pub fn rhs_closure(grammar: &Grammar, k: ProdId) -> BoolMat {
     let w = &grammar.production(k).rhs;
     let n = w.node_count();

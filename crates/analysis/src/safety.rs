@@ -6,12 +6,13 @@
 //! module, by verifying productions in dependency order: a production
 //! `M →f W` is verifiable once λ\* is defined for all modules of `W`, and it
 //! defines `λ*(M)[x][y]` as "is `f(output y)` reachable from `f(input x)`
-//! in the port graph of `W` under λ\*". If a module's productions disagree,
-//! the specification (view) is **unsafe** and no dynamic labeling scheme
-//! exists for it (Theorem 1).
+//! in `W` under λ\*" (one forward [`crate::sweep`] per input). If a
+//! module's productions disagree, the specification (view) is **unsafe**
+//! and no dynamic labeling scheme exists for it (Theorem 1).
 
+use crate::matrices::lhs_matrix;
 use wf_boolmat::BoolMat;
-use wf_model::{DepAssignment, ModelError, ModuleId, PortGraph, ProdId, Spec, ViewSpec};
+use wf_model::{DepAssignment, Grammar, ModelError, ModuleId, ProdId, Spec, ViewSpec};
 
 /// Why a specification or view has no full dependency assignment.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,20 +46,9 @@ impl From<ModelError> for SafetyError {
 
 /// Computes the input→output reachability matrix a production induces for
 /// its LHS, given matrices for every RHS module.
-pub fn production_lhs_matrix(vs: &ViewSpec<'_>, k: ProdId, lambda: &DepAssignment) -> BoolMat {
-    let p = vs.grammar().production(k);
-    let pg = PortGraph::build(&p.rhs, lambda);
-    let sig = vs.grammar().sig(p.lhs);
-    let mut mat = BoolMat::zeros(sig.inputs(), sig.outputs());
-    for (x, &ip) in p.input_map.iter().enumerate() {
-        let reach = pg.reachable_from(pg.in_ix(ip));
-        for (y, &op) in p.output_map.iter().enumerate() {
-            if reach.contains(pg.out_ix(op) as usize) {
-                mat.set(x, y, true);
-            }
-        }
-    }
-    mat
+pub fn production_lhs_matrix(grammar: &Grammar, k: ProdId, lambda: &DepAssignment) -> BoolMat {
+    let p = grammar.production(k);
+    lhs_matrix(&p.rhs, &p.input_map, &p.output_map, lambda)
 }
 
 /// Lemma 1's algorithm: computes λ\* for a view, or reports why none exists.
@@ -82,7 +72,7 @@ pub fn full_assignment(vs: &ViewSpec<'_>) -> Result<DepAssignment, SafetyError> 
                 still_pending.push(k);
                 continue;
             }
-            let computed = production_lhs_matrix(vs, k, &lambda);
+            let computed = production_lhs_matrix(grammar, k, &lambda);
             match lambda.get(p.lhs) {
                 Some(existing) => {
                     if *existing != computed {

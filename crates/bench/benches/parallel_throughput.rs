@@ -7,10 +7,13 @@
 //! The run writes `BENCH_parallel_throughput.txt` (workspace root). Per
 //! variant it reports two reference latencies over the same hot-key pairs:
 //!
-//! * `per_call_ns` — `Fvl::query`, which rebuilds the decode context and
-//!   scratch on every query;
-//! * `session_ns` — one [`wf_core::FvlSession`], which builds the context
-//!   once and reuses its scratch.
+//! * `per_call_ns` — `Fvl::query`, which builds a fresh scratch (matrix
+//!   pool, search masks, chain power caches) on every query;
+//! * `session_ns` — one [`wf_core::FvlSession`], which reuses its scratch.
+//!
+//! The decode context is three references and caches nothing, so both
+//! paths, and the batch, search every Space-Efficient matrix at query time
+//! (§6.3); only the scratch's warmth differs.
 //!
 //! and two rates per (variant, threads) point:
 //!
@@ -26,9 +29,9 @@
 //!   was measured in.
 //!
 //! `bench_check` gates the scaling curve and, for every variant, the
-//! one-scratch batch at or under the per-call latency: the batch shares one
-//! decode context and scratch, so losing to per-call context rebuilds
-//! would be a regression of the serving layer.
+//! one-scratch batch at or under the per-call latency: the batch reuses one
+//! warmed scratch, so losing to per-call fresh scratches would be a
+//! regression of the serving layer.
 //!
 //! Before anything is timed, the one-scratch batch and the session must
 //! equal `Fvl::query` on every pair, and every fanned-out result must equal
@@ -100,7 +103,7 @@ fn main() {
     rep.info("unit", "queries_per_sec");
     rep.info(
         "metric_note",
-        "per_call_ns = ns per Fvl::query (context rebuilt per call), session_ns = ns per query \
+        "per_call_ns = ns per Fvl::query (fresh scratch per call), session_ns = ns per query \
          through one FvlSession. aggregate_qps = threads x queries/process-CPU-second (lock-free \
          shards, so this is the rate with one core per worker; equals wall_qps when host_cores \
          >= threads). wall_qps is end-to-end and capped by host_cores.",

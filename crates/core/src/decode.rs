@@ -13,22 +13,28 @@
 //! Every entry point returns `Option<bool>`: `None` means the labels refer
 //! to productions outside the view (the item is invisible, §5); callers
 //! that pre-check visibility can unwrap.
+//!
+//! Default and Query-Efficient labels store every `I`/`O`/`Z` matrix, and
+//! π borrows them. A Space-Efficient label stores λ\* alone, so π searches
+//! the production for each matrix it needs, on every access, into a pooled
+//! buffer of the session's [`QueryScratch`] ([`wf_analysis::search_into`]);
+//! nothing is cached between accesses, and a warmed scratch allocates
+//! nothing under any variant.
 
 use crate::label::{DataLabel, LabelRef, PortRef};
 use crate::viewlabel::ViewLabel;
-use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::OnceLock;
-use wf_analysis::{i_matrix_with, o_matrix_with, production_port_graph, z_matrix_with, ProdGraph};
+use wf_analysis::{search_into, ProdGraph, Reached, Slot};
 use wf_boolmat::{BoolMat, MatPool, PowerCache};
-use wf_model::{Grammar, PortGraph, ProdId};
+use wf_model::{Grammar, ProdId};
 use wf_run::EdgeLabel;
 
-/// Reusable per-session query state: a [`MatPool`] of matrix buffers plus
-/// a memo of recursion-chain [`PowerCache`]s, so that in steady state π
-/// over a Default or Query-Efficient label allocates nothing, and a
-/// Default or Space-Efficient chain's full-cycle product is built, and its
-/// powers found, once per session rather than once per query.
+/// Reusable per-session query state: a [`MatPool`] of matrix buffers, the
+/// port masks a Space-Efficient search sweeps through, and a memo of
+/// recursion-chain [`PowerCache`]s, so that in steady state π allocates
+/// nothing under any variant, and a Default or Space-Efficient chain's
+/// full-cycle product is built, and its powers found, once per session
+/// rather than once per query.
 ///
 /// The memo is keyed by `(view uid, cycle, offset, direction)` — the uid
 /// ([`ViewLabel::uid`]) is process-unique, so one scratch serves any
@@ -39,12 +45,13 @@ use wf_run::EdgeLabel;
 /// with [`QueryScratch::clear_memo`].
 pub struct QueryScratch {
     pool: MatPool,
+    reached: Vec<Reached>,
     memo: HashMap<(u64, u32, u32, bool), PowerCache>,
 }
 
 impl QueryScratch {
     pub fn new() -> Self {
-        Self { pool: MatPool::new(), memo: HashMap::new() }
+        Self { pool: MatPool::new(), reached: Vec::new(), memo: HashMap::new() }
     }
 
     /// Drops the chain power caches.
@@ -69,70 +76,44 @@ impl Default for QueryScratch {
     }
 }
 
-/// Everything a query needs: the (static) grammar and production graph plus
-/// one view label. Construction is split from evaluation: build one per
-/// (view, session) — e.g. via [`crate::Fvl::session`] — and reuse it across
-/// queries instead of rebuilding per call.
-///
-/// For labels that recompute matrices by graph search (Space-Efficient),
-/// the context carries a lazy per-production cache of the searched
-/// [`PortGraph`]s: the graph depends only on the view, not on the queried
-/// pair, so it is built at most once per context instead of once per
-/// matrix access — the dominant per-pair-invariant cost of the
-/// Space-Efficient decode path. The cache uses [`OnceLock`] slots, so a
-/// `DecodeCtx` stays `Sync` and shareable across worker threads.
+/// Everything a query reads: the (static) grammar and production graph
+/// plus one view label — three references, so building one is free; build
+/// it per call or once per session (e.g. via [`crate::Fvl::session`]),
+/// and share it across worker threads. Everything a query writes lives in
+/// the caller's [`QueryScratch`].
 pub struct DecodeCtx<'a> {
     pub grammar: &'a Grammar,
     pub pg: &'a ProdGraph,
     pub vl: &'a ViewLabel,
-    /// One lazily built port graph per production, allocated on the first
-    /// recompute (so contexts over materialized variants never pay for it,
-    /// and construction itself stays allocation-free).
-    se_graphs: OnceLock<Box<[OnceLock<PortGraph>]>>,
 }
 
 impl<'a> DecodeCtx<'a> {
     pub fn new(grammar: &'a Grammar, pg: &'a ProdGraph, vl: &'a ViewLabel) -> Self {
-        Self { grammar, pg, vl, se_graphs: OnceLock::new() }
+        Self { grammar, pg, vl }
     }
 
-    /// The (cached) port graph of production `k` — the recompute path.
-    fn searched_graph(&self, k: ProdId) -> &PortGraph {
-        let slots = self.se_graphs.get_or_init(|| {
-            (0..self.grammar.production_count()).map(|_| OnceLock::new()).collect()
-        });
-        slots[k.index()]
-            .get_or_init(|| production_port_graph(self.grammar, k, self.vl.lambda_star()))
-    }
-
-    /// `I(k, i)` or `O(k, i)`: borrowed from the label when materialized,
-    /// recomputed over the cached port graph otherwise.
-    fn io_mat(&self, k: ProdId, i: u32, inputs: bool) -> Option<Cow<'_, BoolMat>> {
+    /// Runs `f` on matrix `slot` of production `k`: borrowed from the label
+    /// when it stores the production's matrices, searched into a pooled
+    /// buffer when it does not (Space-Efficient). `None` if `k` is outside
+    /// the view.
+    fn with_mat<R>(
+        &self,
+        scratch: &mut QueryScratch,
+        k: ProdId,
+        slot: Slot,
+        f: impl FnOnce(&BoolMat) -> R,
+    ) -> Option<R> {
         if !self.vl.prod_active(k) {
             return None;
         }
         if let Some(m) = self.vl.materialized(k) {
-            let mat = if inputs { &m.i_mats[i as usize] } else { &m.o_mats[i as usize] };
-            return Some(Cow::Borrowed(mat));
+            return Some(f(m.get(slot)));
         }
-        let g = self.searched_graph(k);
-        Some(Cow::Owned(if inputs {
-            i_matrix_with(g, self.grammar, k, i as usize)
-        } else {
-            o_matrix_with(g, self.grammar, k, i as usize)
-        }))
-    }
-
-    /// `Z(k, i, j)` with the same borrow-or-recompute split.
-    fn z_mat(&self, k: ProdId, i: u32, j: u32) -> Option<Cow<'_, BoolMat>> {
-        if !self.vl.prod_active(k) {
-            return None;
-        }
-        if let Some(m) = self.vl.materialized(k) {
-            return Some(Cow::Borrowed(&m.z_mats[i as usize][j as usize]));
-        }
-        let g = self.searched_graph(k);
-        Some(Cow::Owned(z_matrix_with(g, self.grammar, k, i as usize, j as usize)))
+        let mut found = scratch.pool.take();
+        search_into(self.grammar, k, slot, self.vl.lambda_star(), &mut scratch.reached, &mut found);
+        let res = f(&found);
+        scratch.pool.put(found);
+        Some(res)
     }
 
     /// Input arity of the module at position `i` of production `k`.
@@ -170,17 +151,14 @@ impl<'a> DecodeCtx<'a> {
         let dim = if inputs { self.cycle_in_dim(s, from)? } else { self.cycle_out_dim(s, from)? };
         out.assign_identity(dim);
         let mut tmp = scratch.pool.take();
-        for a in 0..n {
+        let res = (0..n).try_for_each(|a| {
             let (k, i) = cycle.edge_at(from + a);
-            let Some(m) = self.io_mat(k, i, inputs) else {
-                scratch.pool.put(tmp);
-                return None;
-            };
-            out.matmul_into(m.as_ref(), &mut tmp);
+            self.with_mat(scratch, k, io_slot(i, inputs), |m| out.matmul_into(m, &mut tmp))?;
             std::mem::swap(out, &mut tmp);
-        }
+            Some(())
+        });
         scratch.pool.put(tmp);
-        Some(())
+        res
     }
 
     /// The chain product `P_t(count)`, written into `out`: with
@@ -253,8 +231,9 @@ impl<'a> DecodeCtx<'a> {
             for e in labels {
                 match *e {
                     EdgeLabel::Plain { k, i } => {
-                        let m = self.io_mat(k, i, inputs)?;
-                        out.matmul_into(m.as_ref(), &mut tmp);
+                        self.with_mat(scratch, k, io_slot(i, inputs), |m| {
+                            out.matmul_into(m, &mut tmp)
+                        })?;
                     }
                     EdgeLabel::Rec { s, t, i } => {
                         self.chain_into(scratch, s, t as usize, i, inputs, &mut chain)?;
@@ -268,6 +247,15 @@ impl<'a> DecodeCtx<'a> {
         scratch.pool.put(tmp);
         scratch.pool.put(chain);
         res
+    }
+}
+
+/// `I(k, i)` (`inputs`) or `O(k, i)`.
+fn io_slot(i: u32, inputs: bool) -> Slot {
+    if inputs {
+        Slot::I(i as usize)
+    } else {
+        Slot::O(i as usize)
     }
 }
 
@@ -366,7 +354,9 @@ fn main_case(
             if i >= j {
                 return Some(false); // Z(k,i,j) is empty for i ≥ j
             }
-            let z = ctx.z_mat(k, i, j)?;
+            if !ctx.vl.prod_active(k) {
+                return None; // Z(k,i,j) lies outside the view
+            }
             let mut o = scratch.pool.take();
             let mut im = scratch.pool.take();
             let mut t1 = scratch.pool.take();
@@ -378,7 +368,9 @@ fn main_case(
                 ctx.fold_into(scratch, &l1[div + 1..], ctx.out_dim(k, i), false, &mut o)?;
                 ctx.fold_into(scratch, &l2[div + 1..], ctx.in_dim(k, j), true, &mut im)?;
                 o.transpose_into(&mut t1);
-                t1.matmul_into(z.as_ref(), &mut t2);
+                ctx.with_mat(scratch, k, Slot::Z(i as usize, j as usize), |z| {
+                    t1.matmul_into(z, &mut t2)
+                })?;
                 t2.matmul_into(&im, &mut t1);
                 Some(t1.get(o1.port as usize, i2.port as usize))
             })();
@@ -405,7 +397,9 @@ fn main_case(
                 if kp != k_exp || ip >= jp {
                     return Some(false); // Z(k', i', j') is empty, or a cross-run pair
                 }
-                let z = ctx.z_mat(kp, ip, jp)?;
+                if !ctx.vl.prod_active(kp) {
+                    return None; // Z(k', i', j') lies outside the view
+                }
                 let in_dim = ctx.cycle_in_dim(s, t as usize + b as usize)?;
                 let mut o = scratch.pool.take();
                 let mut i_chain = scratch.pool.take();
@@ -419,7 +413,9 @@ fn main_case(
                     ctx.chain_into(scratch, s, start, b - a - 1, true, &mut i_chain)?;
                     ctx.fold_into(scratch, &l2[div + 1..], in_dim, true, &mut i_fold)?;
                     o.transpose_into(&mut t1);
-                    t1.matmul_into(z.as_ref(), &mut t2);
+                    ctx.with_mat(scratch, kp, Slot::Z(ip as usize, jp as usize), |z| {
+                        t1.matmul_into(z, &mut t2)
+                    })?;
                     t2.matmul_into(&i_chain, &mut t1);
                     t1.matmul_into(&i_fold, &mut t2);
                     Some(t2.get(o1.port as usize, i2.port as usize))
@@ -440,7 +436,9 @@ fn main_case(
                 if kq != k_exp || jq >= iq {
                     return Some(false); // Z(k'', j'', i'') is empty, or cross-run
                 }
-                let z = ctx.z_mat(kq, jq, iq)?;
+                if !ctx.vl.prod_active(kq) {
+                    return None; // Z(k'', j'', i'') lies outside the view
+                }
                 let out_dim = ctx.cycle_out_dim(s, t as usize + a as usize)?;
                 let mut o_chain = scratch.pool.take();
                 let mut o_fold = scratch.pool.take();
@@ -455,7 +453,9 @@ fn main_case(
                     ctx.fold_into(scratch, &l2[div + 2..], ctx.in_dim(kq, iq), true, &mut i_fold)?;
                     o_chain.matmul_into(&o_fold, &mut t1);
                     t1.transpose_into(&mut t2);
-                    t2.matmul_into(z.as_ref(), &mut t1);
+                    ctx.with_mat(scratch, kq, Slot::Z(jq as usize, iq as usize), |z| {
+                        t2.matmul_into(z, &mut t1)
+                    })?;
                     t1.matmul_into(&i_fold, &mut t2);
                     Some(t2.get(o1.port as usize, i2.port as usize))
                 })();
@@ -611,12 +611,7 @@ mod tests {
                         let dim = if inputs { sig.inputs() } else { sig.outputs() };
                         (0..r as usize).fold(BoolMat::identity(dim), |acc, a| {
                             let (k, i) = cycle.edge_at(t + a);
-                            let step = if inputs {
-                                se.i_mat(grammar, k, i)
-                            } else {
-                                se.o_mat(grammar, k, i)
-                            };
-                            acc.matmul(&step.unwrap())
+                            acc.matmul(de.materialized(k).unwrap().get(io_slot(i, inputs)))
                         })
                     };
                     let x_t = product(l as u64);
@@ -666,6 +661,46 @@ mod tests {
         scratch.clear_memo();
         assert_eq!(scratch.memoized_powers(), 0);
         keys
+    }
+
+    /// Every `I`, `O` and `Z` a Space-Efficient decode searches under
+    /// `view` equals the one the Default label stores, for every active
+    /// production and slot (Z with `i ≥ j` included), and every search
+    /// leaves its pooled buffer behind. Returns the number of slots checked.
+    fn searched_matrices_equal_stored(spec: &Spec, view: &View) -> usize {
+        let fvl = Fvl::new(spec).unwrap();
+        let (grammar, pg) = (&spec.grammar, fvl.prod_graph());
+        let se = fvl.label_view(view, VariantKind::SpaceEfficient).unwrap();
+        let de = fvl.label_view(view, VariantKind::Default).unwrap();
+        let ctx = DecodeCtx::new(grammar, pg, &se);
+        let mut scratch = QueryScratch::new();
+        let mut slots = 0;
+        for (k, p) in grammar.productions().filter(|&(k, _)| de.prod_active(k)) {
+            assert!(se.materialized(k).is_none(), "a Space-Efficient label stored {k}");
+            let stored = de.materialized(k).unwrap();
+            let n = p.rhs.node_count();
+            let all = (0..n)
+                .flat_map(|i| [Slot::I(i), Slot::O(i)])
+                .chain((0..n).flat_map(|i| (0..n).map(move |j| Slot::Z(i, j))));
+            for slot in all {
+                let same = ctx.with_mat(&mut scratch, k, slot, |m| m == stored.get(slot));
+                assert_eq!(same, Some(true), "production {k} {slot:?}");
+                slots += 1;
+            }
+        }
+        assert_eq!(scratch.pooled_mats(), 1, "one buffer serves every search");
+        slots
+    }
+
+    #[test]
+    fn space_efficient_searches_equal_default_matrices() {
+        let ex = paper_example();
+        for view in [ex.view_u1(), ex.view_u2()] {
+            assert!(searched_matrices_equal_stored(&ex.spec, &view) > 0);
+        }
+        let w = wf_workloads::bioaid(1);
+        let view = wf_workloads::views::random_safe_view(&w, &mut StdRng::seed_from_u64(2), 8);
+        assert!(searched_matrices_equal_stored(&w.spec, &view) > 0);
     }
 
     #[test]

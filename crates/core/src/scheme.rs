@@ -106,11 +106,10 @@ impl<'a> Fvl<'a> {
         ViewLabel::build(&vs, &self.pg, kind)
     }
 
-    /// Opens a query session against one view label: the [`DecodeCtx`] is
-    /// built once and a [`QueryScratch`] is reused across every query, so
-    /// steady-state querying of a Default or Query-Efficient label
-    /// allocates nothing. This is the serving path;
-    /// [`Fvl::query`] is the one-shot convenience form.
+    /// Opens a query session against one view label: one [`DecodeCtx`]
+    /// and one [`QueryScratch`] reused across every query, so steady-state
+    /// querying allocates nothing under any variant. This is the serving
+    /// path; [`Fvl::query`] is the one-shot convenience form.
     pub fn session<'s>(&'s self, vl: &'s ViewLabel) -> FvlSession<'s> {
         FvlSession {
             ctx: DecodeCtx::new(&self.spec.get().grammar, &self.pg, vl),
@@ -186,11 +185,12 @@ const _: () = {
     shared_across_threads::<Fvl<'static>>();
 };
 
-/// A query session: one [`DecodeCtx`] (built once per view) plus one
-/// [`QueryScratch`] reused across queries. In steady state — once the pool
-/// has warmed up and every recursion chain met has its power cache — a
-/// query over a Default or Query-Efficient label performs no allocation at
-/// all.
+/// A query session: one [`DecodeCtx`] plus one [`QueryScratch`] reused
+/// across queries. In steady state — once the pool and the search masks
+/// have warmed up and every recursion chain met has its power cache — a
+/// query performs no allocation at all, under any variant: Default and
+/// Query-Efficient borrow their stored matrices, Space-Efficient searches
+/// each one into pooled buffers.
 pub struct FvlSession<'s> {
     ctx: DecodeCtx<'s>,
     scratch: QueryScratch,

@@ -291,7 +291,7 @@ mod tests {
         // for E's boundary input (in2) and undefined (false) for the hidden
         // ones is not observable directly; check the boundary column works:
         // C.in1 ↦ E.in2 is an identity-style entry.
-        let im = vl.i_mat(&ex.spec.grammar, ex.prods[4], 2).unwrap();
+        let im = &vl.materialized(ex.prods[4]).unwrap().i_mats[2];
         assert!(im.get(1, 2), "C.in1 reaches its own port E.in2");
     }
 

@@ -15,11 +15,7 @@
 
 use crate::error::FvlError;
 use crate::snapshot::{read_deps, read_mat, write_deps, write_mat};
-use std::borrow::Cow;
-use wf_analysis::{
-    full_assignment, i_matrix, o_matrix, production_matrices, z_matrix, ProdGraph,
-    ProductionMatrices,
-};
+use wf_analysis::{full_assignment, production_matrices, ProdGraph, ProductionMatrices};
 use wf_bitio::{BitReader, BitWriter, ReadError};
 use wf_boolmat::{BoolMat, PowerCache};
 use wf_model::{DepAssignment, Grammar, ProdId, ViewSpec};
@@ -179,49 +175,14 @@ impl ViewLabel {
         self.active[k.index()]
     }
 
-    /// `I(k, i)`; `None` if the production is not part of this view.
-    /// Space-Efficient recomputes it by graph search.
-    pub fn i_mat(&self, grammar: &Grammar, k: ProdId, i: u32) -> Option<Cow<'_, BoolMat>> {
-        if !self.active[k.index()] {
-            return None;
-        }
-        match &self.mats[k.index()] {
-            Some(m) => Some(Cow::Borrowed(&m.i_mats[i as usize])),
-            None => Some(Cow::Owned(i_matrix(grammar, k, i as usize, &self.lambda))),
-        }
-    }
-
-    /// `O(k, i)` (reversed orientation).
-    pub fn o_mat(&self, grammar: &Grammar, k: ProdId, i: u32) -> Option<Cow<'_, BoolMat>> {
-        if !self.active[k.index()] {
-            return None;
-        }
-        match &self.mats[k.index()] {
-            Some(m) => Some(Cow::Borrowed(&m.o_mats[i as usize])),
-            None => Some(Cow::Owned(o_matrix(grammar, k, i as usize, &self.lambda))),
-        }
-    }
-
-    /// `Z(k, i, j)`.
-    pub fn z_mat(&self, grammar: &Grammar, k: ProdId, i: u32, j: u32) -> Option<Cow<'_, BoolMat>> {
-        if !self.active[k.index()] {
-            return None;
-        }
-        match &self.mats[k.index()] {
-            Some(m) => Some(Cow::Borrowed(&m.z_mats[i as usize][j as usize])),
-            None => Some(Cow::Owned(z_matrix(grammar, k, i as usize, j as usize, &self.lambda))),
-        }
-    }
-
     /// Query-Efficient chain cache for a cycle, if materialized and intact.
     pub fn cycle_cache(&self, s: u32) -> Option<&CycleCache> {
         self.cycles.get(s as usize).and_then(|c| c.as_ref())
     }
 
     /// The materialized matrices of production `k`, when this variant
-    /// stores them (`None` for Space-Efficient labels, which recompute by
-    /// graph search over [`crate::DecodeCtx`]'s cached port graphs
-    /// instead).
+    /// stores them (`None` for Space-Efficient labels, whose decode
+    /// searches each matrix it needs at query time).
     pub(crate) fn materialized(&self, k: ProdId) -> Option<&ProductionMatrices> {
         self.mats[k.index()].as_ref()
     }
@@ -289,11 +250,11 @@ impl ViewLabel {
         for _ in 0..pc {
             active.push(r.read_bit()?);
         }
-        // Any active production may be *recomputed* at query time
+        // Any active production may be *searched* at query time
         // (Space-Efficient always; other variants whenever a mats entry is
-        // absent), and that graph search requires λ* to cover every module
-        // on the production's RHS — demand the coverage here instead of
-        // panicking inside the first query's `PortGraph::build`.
+        // absent), and that search requires λ* to cover every module on
+        // the production's RHS — demand the coverage here instead of
+        // panicking inside the first query's sweep.
         for (k, _) in active.iter().enumerate().filter(|&(_, &a)| a) {
             let p = grammar.production(ProdId(k as u32));
             if p.rhs.nodes().iter().any(|&m| lambda.get(m).is_none()) {
@@ -562,49 +523,17 @@ mod tests {
     }
 
     #[test]
-    fn space_efficient_matches_materialized() {
-        let (ex, pg) = setup();
-        let g = &ex.spec.grammar;
-        let u1 = ex.view_u1();
-        let vs = ViewSpec::new(&ex.spec, &u1);
-        let se = ViewLabel::build(&vs, &pg, VariantKind::SpaceEfficient).unwrap();
-        let de = ViewLabel::build(&vs, &pg, VariantKind::Default).unwrap();
-        for (k, p) in g.productions() {
-            for i in 0..p.rhs.node_count() as u32 {
-                assert_eq!(
-                    se.i_mat(g, k, i).unwrap().as_ref(),
-                    de.i_mat(g, k, i).unwrap().as_ref(),
-                    "I({k},{i})"
-                );
-                assert_eq!(
-                    se.o_mat(g, k, i).unwrap().as_ref(),
-                    de.o_mat(g, k, i).unwrap().as_ref(),
-                    "O({k},{i})"
-                );
-                for j in 0..p.rhs.node_count() as u32 {
-                    assert_eq!(
-                        se.z_mat(g, k, i, j).unwrap().as_ref(),
-                        de.z_mat(g, k, i, j).unwrap().as_ref(),
-                        "Z({k},{i},{j})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn inactive_productions_have_no_matrices() {
         let (ex, pg) = setup();
-        let g = &ex.spec.grammar;
         let u2 = ex.view_u2();
         let vs = ViewSpec::new(&ex.spec, &u2);
         let vl = ViewLabel::build(&vs, &pg, VariantKind::Default).unwrap();
         // p5 = C -> W5 is inactive in U2 (C ∉ Δ′).
         assert!(!vl.prod_active(ex.prods[4]));
-        assert!(vl.i_mat(g, ex.prods[4], 0).is_none());
+        assert!(vl.materialized(ex.prods[4]).is_none());
         // p1 = S -> W1 is active.
         assert!(vl.prod_active(ex.prods[0]));
-        assert!(vl.i_mat(g, ex.prods[0], 0).is_some());
+        assert!(vl.materialized(ex.prods[0]).is_some());
     }
 
     #[test]
@@ -639,27 +568,12 @@ mod tests {
                 assert_ne!(back.uid(), vl.uid(), "{kind:?}: a loaded label needs a fresh uid");
                 assert_eq!(back.lambda_star_s(), vl.lambda_star_s());
                 assert_eq!(back.size_bits(), vl.size_bits(), "{kind:?}");
-                for (k, p) in g.productions() {
+                for m in g.modules() {
+                    assert_eq!(back.lambda_star().get(m), vl.lambda_star().get(m), "λ*({m})");
+                }
+                for (k, _) in g.productions() {
                     assert_eq!(back.prod_active(k), vl.prod_active(k));
-                    if !vl.prod_active(k) {
-                        continue;
-                    }
-                    for i in 0..p.rhs.node_count() as u32 {
-                        assert_eq!(
-                            back.i_mat(g, k, i).unwrap().as_ref(),
-                            vl.i_mat(g, k, i).unwrap().as_ref()
-                        );
-                        assert_eq!(
-                            back.o_mat(g, k, i).unwrap().as_ref(),
-                            vl.o_mat(g, k, i).unwrap().as_ref()
-                        );
-                        for j in 0..p.rhs.node_count() as u32 {
-                            assert_eq!(
-                                back.z_mat(g, k, i, j).unwrap().as_ref(),
-                                vl.z_mat(g, k, i, j).unwrap().as_ref()
-                            );
-                        }
-                    }
+                    assert_eq!(back.materialized(k), vl.materialized(k), "{kind:?}: {k}");
                 }
                 for s in 0..pg.cycle_count() as u32 {
                     assert_eq!(back.cycle_cache(s).is_some(), vl.cycle_cache(s).is_some());

@@ -11,7 +11,8 @@
 //!   `Send + Sync` at compile time in `wf-core`/`wf-boolmat`), so one core
 //!   can be shared by any number of worker threads.
 //! * [`WorkerScratch`] — one worker's mutable state: the [`QueryScratch`]
-//!   (matrix pool + uid-keyed chain-power memo) and the four `EdgeLabel`
+//!   (matrix pool, Space-Efficient search masks and uid-keyed chain-power
+//!   memo) and the four `EdgeLabel`
 //!   path buffers the store materializes borrowed labels into. Workers
 //!   never share scratches, so there is no locking anywhere on the query
 //!   path; each worker's memo warms up independently and stays warm.
@@ -200,10 +201,10 @@ impl<'e> EngineCore<'e> {
         self.store
     }
 
-    /// The decode context of one compiled view — build once per (view,
-    /// batch) and reuse; it is `Sync`, so one context can serve every
-    /// worker of a fan-out (the Space-Efficient port-graph cache inside it
-    /// is then also shared, built once instead of once per worker).
+    /// The decode context of one compiled view: three references, so it
+    /// is free to build per call, and `Sync`, so one context serves every
+    /// worker of a fan-out. It caches nothing; what a query writes lives in
+    /// the worker's [`WorkerScratch`].
     pub fn context(&self, view: ViewRef) -> Result<DecodeCtx<'e>, EngineError> {
         let vl = self.registry.label(view).ok_or(EngineError::ViewNotCompiled { view })?;
         Ok(DecodeCtx::new(&self.fvl.spec().grammar, self.fvl.prod_graph(), vl))
@@ -240,8 +241,8 @@ impl<'e> EngineCore<'e> {
 
     /// Answers a batch of pairs into `out` (cleared first). `workers` is one
     /// [`WorkerScratch`] or a slice of them. One scratch answers the batch
-    /// inline, and steady state performs no allocation on a Default or
-    /// Query-Efficient view. `k > 1` scratches split it into contiguous
+    /// inline, and steady state performs no allocation under any variant.
+    /// `k > 1` scratches split it into contiguous
     /// chunks of ⌈n/k⌉ pairs, each answered by its own scratch on a
     /// `std::thread::scope` worker into a disjoint slice of `out`;
     /// trailing scratches idle when there are fewer chunks.

@@ -15,9 +15,10 @@
 //!   plus per-thread mutable state: `try_query` / `try_query_batch_into` /
 //!   `try_all_pairs_into` thread one reusable [`wf_core::QueryScratch`]
 //!   through the scratch-aware decode path ([`wf_core::pi_with`]), so
-//!   steady-state serving of Default and Query-Efficient views performs no
-//!   heap allocation (Space-Efficient recomputes its matrices per query),
-//!   and a Default or Space-Efficient recursion chain's power cache is
+//!   steady-state serving performs no heap allocation under any variant
+//!   (Space-Efficient searches each matrix per access into the scratch's
+//!   pooled buffers), and a Default or Space-Efficient recursion chain's
+//!   power cache is
 //!   built once per scratch, not per query; handed a slice of scratches
 //!   instead of one, the batch and the sweep split their input into one
 //!   contiguous chunk per scratch on `std::thread::scope` workers and

@@ -1,9 +1,11 @@
-//! Steady-state serving makes no heap allocation under the Default and
-//! Query-Efficient variants: once a worker's scratch has answered a set of
-//! pairs, answering them again, as one batch or one call at a time,
-//! allocates nothing. Space-Efficient is not covered: it recomputes its
-//! matrices per query. This is its own test binary because the counting
-//! allocator below sees every allocation in the process.
+//! Steady-state serving makes no heap allocation under any of the three
+//! variants: once a worker's scratch has answered a set of pairs, answering
+//! them again, as one batch or one call at a time, allocates nothing.
+//! Default and Query-Efficient borrow their stored matrices; Space-Efficient
+//! searches the specification for each matrix on every access, into pooled
+//! buffers and the scratch's port masks. This is its own test binary
+//! because the counting allocator below sees every allocation in the
+//! process.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -58,8 +60,7 @@ fn warmed_queries_allocate_nothing() {
     let mut writer = EngineWriter::from_fvl(fvl.clone());
     let items = writer.try_insert_labels(labeler.labels()).unwrap();
     let vid = writer.add_view(view);
-    let vrefs = [VariantKind::Default, VariantKind::QueryEfficient]
-        .map(|kind| writer.compile(vid, kind).unwrap());
+    let vrefs = VariantKind::ALL.map(|kind| writer.compile(vid, kind).unwrap());
     let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
     let hot = PairDist::HotKey { hot_items: 64, hot_prob: 0.5 };
     let pairs: Vec<_> = sample_pairs(&run, &mut rng, 20_000, hot)

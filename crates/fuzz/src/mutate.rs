@@ -209,7 +209,7 @@ pub fn mutation_corpus(seed: u64) -> MutationCorpus {
 /// either a typed rejection (histogrammed by
 /// [`wf_snapshot::SnapshotError::class`])
 /// or a mutant whose state is provably identical to a pristine prefix.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MutationStats {
     pub mutants: u64,
     /// Typed rejections by error class.

@@ -7,7 +7,8 @@ use crate::differential::DiffOutcome;
 use crate::mutate::MutationStats;
 
 /// Aggregated sweep results: what the corpus covered and what it found.
-#[derive(Clone, Debug, Default)]
+/// Equal seeds and budgets give equal reports.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FuzzReport {
     /// Base seed the whole sweep derives from.
     pub seed: u64,
@@ -55,7 +56,6 @@ impl FuzzReport {
     pub fn absorb_multi(&mut self, out: &DiffOutcome) {
         self.multi_cases += 1;
         self.views += out.views;
-        self.queries += out.queries;
         self.items += out.items;
     }
 

@@ -28,6 +28,10 @@ pub enum ModelError {
     /// A module has zero input or zero output ports; no proper dependency
     /// assignment exists for it (Definition 6).
     PortlessModule { module: ModuleId },
+    /// A module on a right-hand side has more than 64 inputs or outputs
+    /// (or the start module more than 64 outputs): its `λ`, `I`, `O` and
+    /// `Z` matrices keep one 64-bit word per row, so none can hold it.
+    TooManyPorts { module: ModuleId },
     /// Properness (Definition 5): a composite module is not derivable from
     /// the start module.
     Underivable { module: ModuleId },
@@ -76,6 +80,9 @@ impl std::fmt::Display for ModelError {
             }
             BadStartModule => write!(f, "start module missing or not composite"),
             PortlessModule { module } => write!(f, "module {module} has no inputs or no outputs"),
+            TooManyPorts { module } => {
+                write!(f, "module {module} has more ports on a side than a 64-bit matrix row holds")
+            }
             Underivable { module } => write!(f, "composite module {module} is underivable"),
             Unproductive { module } => write!(f, "composite module {module} is unproductive"),
             UnitCycle { module } => write!(f, "unit productions form a cycle through {module}"),

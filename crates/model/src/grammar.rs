@@ -7,6 +7,10 @@ use crate::module::ModuleSig;
 use crate::production::Production;
 use crate::workflow::{DataEdge, InPortRef, NodeIx, OutPortRef, SimpleWorkflow};
 
+/// Most inputs, or outputs, a module on a right-hand side may have: the
+/// column bound of every `λ`, `I`, `O` and `Z` matrix over its ports.
+const MAX_PORTS: usize = 64;
+
 /// A context-free workflow grammar `G = (Σ, Δ, S, P)`.
 ///
 /// `Σ` is the module table, `Δ` the composite subset, `S` the start module
@@ -27,7 +31,9 @@ impl Grammar {
     /// Validates and indexes a grammar. Checks performed:
     /// signatures have ports; the start module exists and is composite;
     /// every production's LHS is composite; every production's RHS and port
-    /// bijection validate against the module table.
+    /// bijection validate against the module table; no RHS module has more
+    /// than 64 inputs or outputs, nor the start module more than 64
+    /// outputs, since every matrix over them keeps one 64-bit word per row.
     ///
     /// Properness (Definition 5) is *not* required here — call
     /// [`Grammar::check_proper`]; the paper likewise separates the two.
@@ -46,6 +52,9 @@ impl Grammar {
         if start.index() >= modules.len() || !composite[start.index()] {
             return Err(ModelError::BadStartModule);
         }
+        if modules[start.index()].outputs() > MAX_PORTS {
+            return Err(ModelError::TooManyPorts { module: start });
+        }
         let mut prods_of: Vec<Vec<ProdId>> = vec![Vec::new(); modules.len()];
         for (k, p) in productions.iter().enumerate() {
             let id = ProdId(k as u32);
@@ -55,6 +64,12 @@ impl Grammar {
             // RHS validated structurally at construction; re-validate the
             // bijections against this module table.
             p.validate(id, &modules)?;
+            for &m in p.rhs.nodes() {
+                let sig = &modules[m.index()];
+                if sig.inputs() > MAX_PORTS || sig.outputs() > MAX_PORTS {
+                    return Err(ModelError::TooManyPorts { module: m });
+                }
+            }
             prods_of[p.lhs.index()].push(id);
         }
         Ok(Self { modules, composite, start, productions, prods_of })
@@ -351,6 +366,30 @@ mod tests {
         let a2 = ModuleId(1);
         b.production(s, vec![a2], vec![]);
         assert!(matches!(b.finish(), Err(ModelError::PortlessModule { .. })));
+    }
+
+    /// A 65-input module on a right-hand side is a typed error, not a
+    /// 64-column `BoolMat` panic at the first compilation or query; so is
+    /// a start module whose λ*(S) would need 65 columns. 64 ports on an
+    /// RHS module build, and so do 65 start inputs (rows, not columns).
+    #[test]
+    fn rejects_modules_too_wide_for_a_matrix() {
+        // S → (a, b) with `wired` edges a.out p → b.in p.
+        let grammar = |s_sig: (u8, u8), a: (u8, u8), b_sig: (u8, u8), wired: u8| {
+            let mut b = GrammarBuilder::new();
+            let s = b.composite("S", s_sig.0, s_sig.1);
+            let nodes = vec![b.atomic("a", a.0, a.1), b.atomic("b", b_sig.0, b_sig.1)];
+            b.start(s);
+            b.production(s, nodes, (0..wired).map(|p| ((0, p), (1, p))).collect());
+            b.finish().map(|g| g.max_ports())
+        };
+        let wide = Err(ModelError::TooManyPorts { module: ModuleId(1) });
+        assert_eq!(grammar((65, 1), (65, 1), (1, 1), 1), wide);
+        assert_eq!(grammar((1, 2), (1, 65), (64, 1), 64), wide);
+        let start = Err(ModelError::TooManyPorts { module: ModuleId(0) });
+        assert_eq!(grammar((2, 65), (1, 33), (1, 32), 0), start);
+        assert_eq!(grammar((64, 64), (64, 64), (64, 64), 64), Ok(64));
+        assert_eq!(grammar((65, 2), (64, 1), (1, 1), 0), Ok(65));
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! the port graph has one vertex per port, a *dependency* arc `input → output`
 //! inside each instance for every pair in its matrix, and a *data* arc
 //! `output → input` for every data edge. "Data item d₂ depends on d₁"
-//! (w.r.t. a view) is reachability in this graph (§2.3); the full-assignment
-//! algorithm (Lemma 1), the view-label functions `I`/`O`/`Z` (§4.3) and the
-//! test oracles are all phrased over it.
+//! (w.r.t. a view) is reachability in this graph (§2.3). Only the
+//! brute-force run oracle and the tests search it: the labels compute their
+//! matrices with `wf-analysis`' forward sweep, so the oracle shares no
+//! search code with what it checks.
 
 use crate::deps::DepAssignment;
 use crate::workflow::{InPortRef, OutPortRef, SimpleWorkflow};

@@ -26,8 +26,7 @@ use wf_boolmat::BoolMat;
 /// positions in a node list (the [`wf_model::GrammarBuilder`] convention).
 pub type RawEdges = [((usize, u8), (usize, u8))];
 use wf_model::{
-    DepAssignment, GrammarBuilder, InPortRef, ModuleId, ModuleSig, OutPortRef, PortGraph,
-    SimpleWorkflow,
+    DepAssignment, GrammarBuilder, InPortRef, ModuleId, ModuleSig, OutPortRef, SimpleWorkflow,
 };
 
 /// Tunables shared by the generators.
@@ -247,7 +246,7 @@ impl SpecGen {
         // Materialize, derive the signature, declare the composite, and
         // record its λ* (single base production ⇒ this *is* λ*(id)).
         let lhs_mat = self.lhs_matrix(&mids, &edges);
-        let (_, n_in, n_out) = self.materialize(&mids, &edges);
+        let (n_in, n_out) = (lhs_mat.rows(), lhs_mat.cols());
         debug_assert_eq!(n_initial, n_in, "initial-input accounting");
         let id = self.gb.composite(name, n_in as u8, n_out as u8);
         self.push_sig(name, n_in as u8, n_out as u8, true);
@@ -309,21 +308,6 @@ impl SpecGen {
     /// Computes the LHS matrix a finished workflow induces (used to build
     /// mirrors before the grammar is finalized).
     pub fn lhs_matrix(&self, nodes: &[ModuleId], edges: &RawEdges) -> BoolMat {
-        let (w, n_in, n_out) = self.materialize(nodes, edges);
-        let pg = PortGraph::build(&w, &self.lambda);
-        let mut mat = BoolMat::zeros(n_in, n_out);
-        for (x, &ip) in w.initial_inputs().iter().enumerate() {
-            let reach = pg.reachable_from(pg.in_ix(ip));
-            for (y, &op) in w.final_outputs().iter().enumerate() {
-                if reach.contains(pg.out_ix(op) as usize) {
-                    mat.set(x, y, true);
-                }
-            }
-        }
-        mat
-    }
-
-    fn materialize(&self, nodes: &[ModuleId], edges: &RawEdges) -> (SimpleWorkflow, usize, usize) {
         let data_edges: Vec<wf_model::DataEdge> = edges
             .iter()
             .map(|&((fp, fo), (tp, ti))| wf_model::DataEdge {
@@ -333,9 +317,7 @@ impl SpecGen {
             .collect();
         let w = SimpleWorkflow::new(nodes.to_vec(), data_edges, &self.sigs)
             .expect("generated wiring is valid");
-        let n_in = w.initial_inputs().len();
-        let n_out = w.final_outputs().len();
-        (w, n_in, n_out)
+        wf_analysis::lhs_matrix(&w, w.initial_inputs(), w.final_outputs(), &self.lambda)
     }
 }
 

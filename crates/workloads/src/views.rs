@@ -11,6 +11,7 @@
 use crate::gen::random_proper_matrix;
 use crate::Workload;
 use rand::Rng;
+use wf_analysis::safety::production_lhs_matrix;
 use wf_boolmat::BoolMat;
 use wf_model::{DepAssignment, ModuleId, View, ViewSpec};
 
@@ -121,26 +122,10 @@ fn base_assignment(w: &Workload, expand: &[bool], terminal_deps: &DepAssignment)
                 continue;
             }
             let Some(k) = w.base_prod_of[m.index()] else { continue };
-            let p = grammar.production(k);
-            if !p.rhs.nodes().iter().all(|&c| lambda.is_defined(c)) {
+            if !grammar.production(k).rhs.nodes().iter().all(|&c| lambda.is_defined(c)) {
                 continue;
             }
-            let mut work = DepAssignment::new();
-            for &c in p.rhs.nodes() {
-                work.set(c, lambda.get(c).unwrap().clone());
-            }
-            let pgraph = wf_model::PortGraph::build(&p.rhs, &work);
-            let sig = grammar.sig(m);
-            let mut mat = BoolMat::zeros(sig.inputs(), sig.outputs());
-            for (x, &ip) in p.input_map.iter().enumerate() {
-                let reach = pgraph.reachable_from(pgraph.in_ix(ip));
-                for (y, &op) in p.output_map.iter().enumerate() {
-                    if reach.contains(pgraph.out_ix(op) as usize) {
-                        mat.set(x, y, true);
-                    }
-                }
-            }
-            lambda.set(m, mat);
+            lambda.set(m, production_lhs_matrix(grammar, k, &lambda));
             progressed = true;
         }
         if !progressed {

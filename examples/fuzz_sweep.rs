@@ -144,7 +144,7 @@ fn main() -> ExitCode {
         for producers in [1usize, 2, 4] {
             match check_multi_producer(seed, args.budget, producers, 24) {
                 Ok(out) => {
-                    println!("  multi case ({producers} producers): ok ({} queries)", out.queries)
+                    println!("  multi case ({producers} producers): ok ({} items)", out.items)
                 }
                 Err(d) => {
                     println!("  multi case ({producers} producers): DIVERGENCE\n  {d}");
