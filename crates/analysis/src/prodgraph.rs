@@ -50,7 +50,7 @@ pub struct ProdGraph {
     /// Cycle tables, present iff all cycles are vertex-disjoint.
     cycles: Result<Vec<CycleInfo>, CycleOverlap>,
     /// For each module: `(s, j)` = cycle index and position within it.
-    cycle_of: Vec<Option<(u32, u32)>>,
+    cycle_of: Vec<Option<(u16, u16)>>,
 }
 
 impl ProdGraph {
@@ -91,9 +91,12 @@ impl ProdGraph {
         });
         let mut cycle_of = vec![None; grammar.module_count()];
         if let Ok(cycles) = &cycles {
+            // Cycles are vertex-disjoint and run through composite modules
+            // only, which `Grammar::new` bounds at 2^16: both indexes fit.
+            let narrow = |x: usize| u16::try_from(x).expect("at most 2^16 composite modules");
             for (s, c) in cycles.iter().enumerate() {
                 for (j, &m) in c.modules.iter().enumerate() {
-                    cycle_of[m.index()] = Some((s as u32, j as u32));
+                    cycle_of[m.index()] = Some((narrow(s), narrow(j)));
                 }
             }
         }
@@ -133,8 +136,11 @@ impl ProdGraph {
 
     /// `(s, j)`: the cycle a module belongs to and its position in it.
     /// A module on no cycle (or in a non-strict grammar) yields `None`.
+    /// Both are `u16`, the width of `wf_run::EdgeLabel::Rec`'s fields:
+    /// every cycle runs through composite modules only, and
+    /// [`Grammar::new`] admits at most 2^16 of those.
     #[inline]
-    pub fn cycle_of(&self, m: ModuleId) -> Option<(u32, u32)> {
+    pub fn cycle_of(&self, m: ModuleId) -> Option<(u16, u16)> {
         self.cycle_of[m.index()]
     }
 

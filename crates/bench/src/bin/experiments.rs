@@ -163,12 +163,7 @@ fn fig20() {
             let pairs = bench.queries(&run, 400, q);
             // Round-robin across the three views, like the paper's random
             // view selection.
-            let t = wf_bench::ns_per(pairs.len(), |i| {
-                let (a, b) = pairs[i];
-                let vl = &vls[i % 3];
-                fvl.query_unchecked(vl, &labels[a.0 as usize], &labels[b.0 as usize])
-            });
-            row.push(t);
+            row.push(query_ns(&fvl, &vls, labels, &pairs));
         }
         println!("{:>8} {:>14.0} {:>10.0} {:>15.0}", n, row[0], row[1], row[2]);
     }
@@ -243,7 +238,7 @@ fn fig23() {
             .filter(|&(a, b)| dl.label(a).is_some() && dl.label(b).is_some())
             .take(QUERIES)
             .collect();
-        let t_full = query_ns(&fvl, &vl, labels, &pairs);
+        let t_full = query_ns(&fvl, &[vl], labels, &pairs);
         let t_mf = wf_bench::ns_per(pairs.len(), |i| {
             let (a, b) = pairs[i];
             fvl.query_structural(&idx, &labels[a.0 as usize], &labels[b.0 as usize])
@@ -303,7 +298,7 @@ fn fig25() {
             let mut qr = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(15);
             wf_workloads::sample::sample_query_pairs(&run, &mut qr, QUERIES)
         };
-        let t = query_ns(&fvl, &vl, labeler.labels(), &pairs);
+        let t = query_ns(&fvl, &[vl], labeler.labels(), &pairs);
         println!("{:>7} {:>9.0}", degree, t);
     }
 }
@@ -344,7 +339,7 @@ fn tab1() {
                 let mut qr = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(22);
                 wf_workloads::sample::sample_query_pairs(&run, &mut qr, 20_000)
             };
-            let q = query_ns(&fvl, &vl, labeler.labels(), &pairs);
+            let q = query_ns(&fvl, &[vl], labeler.labels(), &pairs);
             let value = match name {
                 "workflow size" => sp.workflow_size,
                 "module degree" => sp.module_degree as usize,

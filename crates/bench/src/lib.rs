@@ -17,7 +17,7 @@
 //!
 //! Exported helpers: [`Bench`] (one prepared workload + production graph,
 //! with seeded runs, views and query pairs), the [`ms`]/[`ns_per`] timers,
-//! the label-size accessors [`label_bits_stats`] / [`query_ns`], and
+//! the label-size accessor [`label_bits_stats`], the π timer [`query_ns`], and
 //! [`report::Report`], the one format every `BENCH_*.txt` report is written
 //! in and `src/bin/bench_check.rs` reads.
 
@@ -284,17 +284,26 @@ impl Bench {
     }
 }
 
-/// Times π over prepared pairs with one view label.
+/// Times π over prepared pairs, round-robin over the view labels `vls`
+/// (pair `i` under `vls[i % vls.len()]`), through one [`Fvl::session`] per
+/// view label. An untimed pass over the pairs warms each session's matrix
+/// pool and power caches first, so the timed pass measures decode as a
+/// serving worker runs it, not a fresh scratch per query.
 pub fn query_ns(
     fvl: &Fvl<'_>,
-    vl: &ViewLabel,
+    vls: &[ViewLabel],
     labels: &[DataLabel],
     pairs: &[(DataId, DataId)],
 ) -> f64 {
-    ns_per(pairs.len(), |i| {
-        let (a, b) = pairs[i % pairs.len()];
-        fvl.query_unchecked(vl, &labels[a.0 as usize], &labels[b.0 as usize])
-    })
+    let mut sessions: Vec<_> = vls.iter().map(|vl| fvl.session(vl)).collect();
+    let mut query = |i: usize| {
+        let (a, b) = pairs[i];
+        sessions[i % vls.len()].query_unchecked(&labels[a.0 as usize], &labels[b.0 as usize])
+    };
+    for i in 0..pairs.len() {
+        std::hint::black_box(query(i));
+    }
+    ns_per(pairs.len(), query)
 }
 
 #[cfg(test)]

@@ -8,7 +8,8 @@ use crate::bits::BitVec;
 pub enum ReadError {
     /// The stream ended before the requested field was complete.
     OutOfBits,
-    /// A universal code was structurally invalid (e.g. > 64-bit γ prefix).
+    /// A universal code or a field was structurally invalid (e.g. > 64-bit
+    /// γ prefix, or a value wider than the type it decodes into).
     Malformed,
 }
 

@@ -54,10 +54,14 @@ impl LabelCodec {
     }
 
     /// Reads one parse-tree edge (inverse of [`LabelCodec::write_edge`]).
+    /// A cycle field that does not fit [`EdgeLabel::Rec`]'s `u16` is
+    /// [`ReadError::Malformed`]; no codec of a valid grammar writes one.
     pub fn read_edge(&self, r: &mut BitReader<'_>) -> Result<EdgeLabel, ReadError> {
         if r.read_bit()? {
-            let s = r.read_bits(self.s_bits)? as u32;
-            let t = r.read_bits(self.t_bits)? as u32;
+            let mut cycle_field =
+                |width| u16::try_from(r.read_bits(width)?).map_err(|_| ReadError::Malformed);
+            let s = cycle_field(self.s_bits)?;
+            let t = cycle_field(self.t_bits)?;
             let i = r.read_gamma()? - 1;
             Ok(EdgeLabel::Rec { s, t, i })
         } else {

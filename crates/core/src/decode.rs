@@ -46,7 +46,7 @@ use wf_run::EdgeLabel;
 pub struct QueryScratch {
     pool: MatPool,
     reached: Vec<Reached>,
-    memo: HashMap<(u64, u32, u32, bool), PowerCache>,
+    memo: HashMap<(u64, u16, u32, bool), PowerCache>,
 }
 
 impl QueryScratch {
@@ -126,12 +126,12 @@ impl<'a> DecodeCtx<'a> {
     }
 
     /// Input arity of the cycle module at offset `pos` (wrapping).
-    fn cycle_in_dim(&self, s: u32, pos: usize) -> Option<usize> {
+    fn cycle_in_dim(&self, s: u16, pos: usize) -> Option<usize> {
         let cycle = self.pg.cycles().ok()?.get(s as usize)?;
         Some(self.grammar.sig(cycle.modules[pos % cycle.len()]).inputs())
     }
 
-    fn cycle_out_dim(&self, s: u32, pos: usize) -> Option<usize> {
+    fn cycle_out_dim(&self, s: u16, pos: usize) -> Option<usize> {
         let cycle = self.pg.cycles().ok()?.get(s as usize)?;
         Some(self.grammar.sig(cycle.modules[pos % cycle.len()]).outputs())
     }
@@ -141,7 +141,7 @@ impl<'a> DecodeCtx<'a> {
     fn partial_into(
         &self,
         scratch: &mut QueryScratch,
-        s: u32,
+        s: u16,
         from: usize,
         n: usize,
         inputs: bool,
@@ -168,7 +168,7 @@ impl<'a> DecodeCtx<'a> {
     fn chain_into(
         &self,
         scratch: &mut QueryScratch,
-        s: u32,
+        s: u16,
         t: usize,
         count: u64,
         inputs: bool,
@@ -572,7 +572,30 @@ mod tests {
     use rand::SeedableRng;
     use wf_boolmat::pow;
     use wf_model::fixtures::paper_example;
-    use wf_model::{Spec, View};
+    use wf_model::{DepAssignment, GrammarBuilder, ModelError, Spec, View};
+
+    /// A right-hand side of more than 64 nodes is a typed error from
+    /// `Grammar::new`, not a 64-column `BoolMat` panic when the structural
+    /// index takes its closure; a 64-node chain builds the index, and its
+    /// first node reaches its last.
+    #[test]
+    fn structural_index_holds_the_longest_rhs() {
+        let chain = |n: usize| {
+            let mut b = GrammarBuilder::new();
+            let s = b.composite("S", 1, 1);
+            let a = b.atomic("a", 1, 1);
+            b.start(s);
+            b.production(s, vec![a; n], (1..n).map(|j| ((j - 1, 0), (j, 0))).collect());
+            b.finish()
+        };
+        assert_eq!(chain(65).err(), Some(ModelError::TooManyRhsNodes { prod: ProdId(0) }));
+        let grammar = chain(64).unwrap();
+        let deps = DepAssignment::black_box(grammar.sigs(), grammar.atomic_modules());
+        let spec = Spec::new(grammar, deps).unwrap();
+        let idx = Fvl::new(&spec).unwrap().structural_index(&spec.default_view());
+        assert_eq!(idx.reach(ProdId(0), 0, 63), Some(true));
+        assert_eq!(idx.reach(ProdId(0), 63, 0), Some(false));
+    }
 
     /// `chain_into` under Space-Efficient, Default and Query-Efficient for
     /// every cycle, offset and direction the view keeps intact, at counts
@@ -596,7 +619,7 @@ mod tests {
         let mut scratch = QueryScratch::new();
         let mut keys = 0;
         for (s, cycle) in pg.cycles().unwrap().iter().enumerate() {
-            let s = s as u32;
+            let s = s as u16;
             if qe.cycle_cache(s).is_none() {
                 continue;
             }

@@ -27,13 +27,13 @@ impl RunLabeler {
         let labels = boundary_labels(grammar, &tree);
         let mut this = Self { tree, labels, processed_steps: 0 };
         // Catch up if the run already has history.
-        this.catch_up(grammar, pg, run);
+        this.catch_up(pg, run);
         this
     }
 
     /// Replays any steps not yet seen (steps are processed exactly once and
     /// in order).
-    pub fn catch_up(&mut self, _grammar: &Grammar, pg: &ProdGraph, run: &Run) {
+    pub fn catch_up(&mut self, pg: &ProdGraph, run: &Run) {
         while (self.processed_steps as usize) < run.step_count() {
             self.on_step(pg, run, StepId(self.processed_steps));
         }

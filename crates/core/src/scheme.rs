@@ -146,14 +146,6 @@ impl<'a> Fvl<'a> {
         pi_with(&ctx, scratch, d1.to_ref(), d2.to_ref())
     }
 
-    /// Raw π without the visibility pre-check (benchmark hot path; only
-    /// meaningful for visible items). One-shot form: builds the decode
-    /// context and scratch per call, like [`Fvl::query`].
-    pub fn query_unchecked(&self, vl: &ViewLabel, d1: &DataLabel, d2: &DataLabel) -> Option<bool> {
-        let ctx = DecodeCtx::new(&self.spec.get().grammar, &self.pg, vl);
-        pi_with(&ctx, &mut QueryScratch::new(), d1.to_ref(), d2.to_ref())
-    }
-
     /// Builds the Matrix-Free structural index for a black-box view (§6.4).
     pub fn structural_index(&self, view: &View) -> structural::StructuralIndex {
         structural::StructuralIndex::build(&self.spec.get().grammar, |k| {
@@ -210,7 +202,8 @@ impl<'s> FvlSession<'s> {
         pi_with(&self.ctx, &mut self.scratch, d1.to_ref(), d2.to_ref())
     }
 
-    /// Raw π without the visibility pre-check.
+    /// Raw π without the visibility pre-check: only meaningful for
+    /// visible items (the timed path of the `experiments` figures).
     pub fn query_unchecked(&mut self, d1: &DataLabel, d2: &DataLabel) -> Option<bool> {
         pi_with(&self.ctx, &mut self.scratch, d1.to_ref(), d2.to_ref())
     }

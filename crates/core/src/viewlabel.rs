@@ -176,7 +176,7 @@ impl ViewLabel {
     }
 
     /// Query-Efficient chain cache for a cycle, if materialized and intact.
-    pub fn cycle_cache(&self, s: u32) -> Option<&CycleCache> {
+    pub fn cycle_cache(&self, s: u16) -> Option<&CycleCache> {
         self.cycles.get(s as usize).and_then(|c| c.as_ref())
     }
 
@@ -575,7 +575,7 @@ mod tests {
                     assert_eq!(back.prod_active(k), vl.prod_active(k));
                     assert_eq!(back.materialized(k), vl.materialized(k), "{kind:?}: {k}");
                 }
-                for s in 0..pg.cycle_count() as u32 {
+                for s in 0..pg.cycle_count() as u16 {
                     assert_eq!(back.cycle_cache(s).is_some(), vl.cycle_cache(s).is_some());
                     if let (Some(bc), Some(oc)) = (back.cycle_cache(s), vl.cycle_cache(s)) {
                         assert_eq!(bc.i_prefix, oc.i_prefix);

@@ -142,6 +142,10 @@ impl Interner {
     }
 }
 
+// A trie node is 24 bytes: its parent plus a 16-byte edge. Every interned
+// edge of a store costs one.
+const _: () = assert!(std::mem::size_of::<(u32, EdgeLabel)>() == 24);
+
 /// One fixed-capacity slice of the store: its labels plus the trie their
 /// paths are interned into. Shards never reference one another, so a full
 /// shard is immutable forever and shares structure across every generation

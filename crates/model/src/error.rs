@@ -32,6 +32,14 @@ pub enum ModelError {
     /// (or the start module more than 64 outputs): its `λ`, `I`, `O` and
     /// `Z` matrices keep one 64-bit word per row, so none can hold it.
     TooManyPorts { module: ModuleId },
+    /// A production's right-hand side has more than 64 nodes: the
+    /// structural index's reachability matrix over them keeps one 64-bit
+    /// word per row.
+    TooManyRhsNodes { prod: ProdId },
+    /// More than 2^16 modules are composite: a recursion-chain edge label
+    /// keeps its cycle index and offset in 16 bits each, and production-graph
+    /// cycles run through composite modules only.
+    TooManyComposites { count: usize },
     /// Properness (Definition 5): a composite module is not derivable from
     /// the start module.
     Underivable { module: ModuleId },
@@ -82,6 +90,12 @@ impl std::fmt::Display for ModelError {
             PortlessModule { module } => write!(f, "module {module} has no inputs or no outputs"),
             TooManyPorts { module } => {
                 write!(f, "module {module} has more ports on a side than a 64-bit matrix row holds")
+            }
+            TooManyRhsNodes { prod } => {
+                write!(f, "production {prod} has more RHS nodes than a 64-bit matrix row holds")
+            }
+            TooManyComposites { count } => {
+                write!(f, "{count} composite modules, more than 16-bit cycle indexes address")
             }
             Underivable { module } => write!(f, "composite module {module} is underivable"),
             Unproductive { module } => write!(f, "composite module {module} is unproductive"),

@@ -11,6 +11,15 @@ use crate::workflow::{DataEdge, InPortRef, NodeIx, OutPortRef, SimpleWorkflow};
 /// column bound of every `λ`, `I`, `O` and `Z` matrix over its ports.
 const MAX_PORTS: usize = 64;
 
+/// Most nodes a right-hand side may have: the structural index keeps one
+/// 64-bit reachability row per node of a production's workflow.
+const MAX_RHS_NODES: usize = 64;
+
+/// Most composite modules a grammar may have. Production-graph cycles run
+/// through composite modules only, so every cycle index and every offset
+/// into a cycle fits the 16-bit fields of a recursion-chain edge label.
+const MAX_COMPOSITES: usize = 1 << 16;
+
 /// A context-free workflow grammar `G = (Σ, Δ, S, P)`.
 ///
 /// `Σ` is the module table, `Δ` the composite subset, `S` the start module
@@ -33,7 +42,9 @@ impl Grammar {
     /// every production's LHS is composite; every production's RHS and port
     /// bijection validate against the module table; no RHS module has more
     /// than 64 inputs or outputs, nor the start module more than 64
-    /// outputs, since every matrix over them keeps one 64-bit word per row.
+    /// outputs, since every matrix over them keeps one 64-bit word per row;
+    /// no RHS has more than 64 nodes, for the same reason; and at most
+    /// 2^16 modules are composite, so cycle indexes fit in 16 bits.
     ///
     /// Properness (Definition 5) is *not* required here — call
     /// [`Grammar::check_proper`]; the paper likewise separates the two.
@@ -52,6 +63,10 @@ impl Grammar {
         if start.index() >= modules.len() || !composite[start.index()] {
             return Err(ModelError::BadStartModule);
         }
+        let composites = composite.iter().filter(|&&c| c).count();
+        if composites > MAX_COMPOSITES {
+            return Err(ModelError::TooManyComposites { count: composites });
+        }
         if modules[start.index()].outputs() > MAX_PORTS {
             return Err(ModelError::TooManyPorts { module: start });
         }
@@ -64,6 +79,9 @@ impl Grammar {
             // RHS validated structurally at construction; re-validate the
             // bijections against this module table.
             p.validate(id, &modules)?;
+            if p.rhs.node_count() > MAX_RHS_NODES {
+                return Err(ModelError::TooManyRhsNodes { prod: id });
+            }
             for &m in p.rhs.nodes() {
                 let sig = &modules[m.index()];
                 if sig.inputs() > MAX_PORTS || sig.outputs() > MAX_PORTS {
@@ -390,6 +408,23 @@ mod tests {
         assert_eq!(grammar((2, 65), (1, 33), (1, 32), 0), start);
         assert_eq!(grammar((64, 64), (64, 64), (64, 64), 64), Ok(64));
         assert_eq!(grammar((65, 2), (64, 1), (1, 1), 0), Ok(65));
+    }
+
+    /// At most 2^16 composite modules, so a recursion-chain edge label's
+    /// 16-bit cycle index and offset address every cycle: the bound builds,
+    /// and one more composite module is a typed error.
+    #[test]
+    fn bounds_composite_modules_for_16_bit_cycle_indexes() {
+        let grammar = |composites: usize| {
+            let mut modules = vec![ModuleSig::new("a", 1, 1)];
+            modules.extend((0..composites).map(|m| ModuleSig::new(format!("M{m}"), 1, 1)));
+            let composite = (0..=composites).map(|m| m > 0).collect();
+            let g = Grammar::new(modules, composite, ModuleId(1), Vec::new())?;
+            Ok::<_, ModelError>(g.composite_modules().count())
+        };
+        assert_eq!(grammar(MAX_COMPOSITES), Ok(1 << 16));
+        let over = MAX_COMPOSITES + 1;
+        assert_eq!(grammar(over), Err(ModelError::TooManyComposites { count: over }));
     }
 
     #[test]

@@ -20,14 +20,23 @@ use wf_model::{Grammar, ProdId};
 
 /// A parent→child edge label in the compressed parse tree (§4.2.2).
 /// The paper's 1-based `(k, i)` / `(s, t, i)` triples are 0-based here.
+///
+/// 16 bytes. Only the chain position `i` grows with the run; `s` and `t`
+/// index the production graph's cycle tables, whose cycles run through
+/// composite modules only, and [`Grammar::new`] admits at most 2^16 of
+/// those, so every cycle index and offset fits in a `u16`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum EdgeLabel {
     /// Child `i` of a production application `pₖ` (a production-graph edge).
     Plain { k: ProdId, i: u32 },
     /// Chain position `i` under a recursive node denoting cycle `s`
     /// unfolded from its `t`-th edge.
-    Rec { s: u32, t: u32, i: u64 },
+    Rec { s: u16, t: u16, i: u64 },
 }
+
+/// A placeholder edge: the root's parent edge, which nothing reads, and a
+/// path slot before its edge is written.
+const NO_EDGE: EdgeLabel = EdgeLabel::Rec { s: 0, t: 0, i: 0 };
 
 /// A port-label path of `len` edges in one allocation, whose edges (root
 /// first) `fill` writes in place. Port labels share their paths as
@@ -39,8 +48,7 @@ pub fn try_path<E>(
     fill: impl FnOnce(&mut [EdgeLabel]) -> Result<(), E>,
 ) -> Result<Arc<[EdgeLabel]>, E> {
     // Placeholders: `fill` overwrites each one, or the path is dropped.
-    let mut path: Arc<[EdgeLabel]> =
-        std::iter::repeat_n(EdgeLabel::Rec { s: 0, t: 0, i: 0 }, len).collect();
+    let mut path: Arc<[EdgeLabel]> = std::iter::repeat_n(NO_EDGE, len).collect();
     fill(Arc::get_mut(&mut path).expect("a path just allocated has one owner"))?;
     Ok(path)
 }
@@ -49,21 +57,23 @@ pub fn try_path<E>(
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TreeNodeId(pub u32);
 
-#[derive(Clone, Debug)]
-enum NodeKind {
-    /// A module instance of the run.
-    Module,
-    /// A recursive node: cycle `s` starting at edge `t`, with the current
-    /// number of chain children.
-    Recursive { s: u32, t: u32, children: u64 },
-}
-
-#[derive(Clone, Debug)]
+/// One tree node in 24 bytes: the edge from its parent, that parent, and
+/// its depth, which is its path length. The root has depth 0, and its
+/// `edge` and `parent` are never read. A recursive node keeps no `(s, t)`
+/// of its own: its chain children's `Rec` edges carry them.
+#[derive(Clone, Copy, Debug)]
 struct Node {
-    kind: NodeKind,
-    parent: Option<(TreeNodeId, EdgeLabel)>,
+    edge: EdgeLabel,
+    parent: u32,
     depth: u32,
 }
+
+// Every node and every path edge of a run costs these sizes; the store's
+// trie nodes `(u32, EdgeLabel)` share the edge's.
+const _: () = {
+    assert!(std::mem::size_of::<EdgeLabel>() == 16);
+    assert!(std::mem::size_of::<Node>() == 24);
+};
 
 /// A compressed parse tree built incrementally as a derivation unfolds.
 ///
@@ -71,6 +81,7 @@ struct Node {
 /// view-projected run): the caller simply skips invisible steps and passes
 /// the production graph of the grammar it labels against. It also hands
 /// both labelers their port-label paths ([`CompressedTree::fresh_path`]).
+/// Each node takes 24 bytes: its parent edge, its parent and its depth.
 #[derive(Clone, Debug)]
 pub struct CompressedTree {
     nodes: Vec<Node>,
@@ -88,27 +99,10 @@ impl CompressedTree {
     /// a recursive root if the start module is itself recursive (§4.2.3,
     /// initialization case).
     pub fn new(grammar: &Grammar, pg: &ProdGraph, root_instance: InstanceId) -> Self {
-        let start = grammar.start();
-        let mut nodes = Vec::new();
-        let root;
-        match pg.cycle_of(start) {
-            Some((s, t)) => {
-                nodes.push(Node {
-                    kind: NodeKind::Recursive { s, t, children: 1 },
-                    parent: None,
-                    depth: 0,
-                });
-                root = TreeNodeId(0);
-                nodes.push(Node {
-                    kind: NodeKind::Module,
-                    parent: Some((root, EdgeLabel::Rec { s, t, i: 0 })),
-                    depth: 1,
-                });
-            }
-            None => {
-                nodes.push(Node { kind: NodeKind::Module, parent: None, depth: 0 });
-                root = TreeNodeId(0);
-            }
+        let root = TreeNodeId(0);
+        let mut nodes = vec![Node { edge: NO_EDGE, parent: root.0, depth: 0 }];
+        if let Some((s, t)) = pg.cycle_of(grammar.start()) {
+            nodes.push(Node { edge: EdgeLabel::Rec { s, t, i: 0 }, parent: root.0, depth: 1 });
         }
         let module_node = TreeNodeId(nodes.len() as u32 - 1);
         let mut node_of = vec![None; root_instance.0 as usize + 1];
@@ -141,35 +135,31 @@ impl CompressedTree {
                 Some((s_i, t_i)) => {
                     if u_cycle.is_some_and(|(s_u, _)| s_u == s_i) {
                         // Rule 2a: continuing the recursion — next sibling of
-                        // u under its recursive parent.
-                        let (r, u_label) = self.nodes[u.0 as usize]
-                            .parent
-                            .expect("recursive module node must sit under a recursive node");
-                        debug_assert!(matches!(u_label, EdgeLabel::Rec { .. }));
-                        let (s, t, next) = match &mut self.nodes[r.0 as usize].kind {
-                            NodeKind::Recursive { s, t, children } => {
-                                let next = *children;
-                                *children += 1;
-                                (*s, *t, next)
-                            }
-                            NodeKind::Module => unreachable!("parent must be recursive"),
+                        // u under its recursive parent. Cycles are
+                        // vertex-disjoint and each instance expands once, so
+                        // only the chain's newest member, u, can yield the
+                        // next one: its position is u's own plus one.
+                        let Node { edge, parent: r, .. } = self.nodes[u.0 as usize];
+                        let EdgeLabel::Rec { s, t, i: at } = edge else {
+                            unreachable!("a recursive module node hangs off a chain edge")
                         };
                         debug_assert_eq!(s, s_i);
                         // The chain edge must be the cycle's next edge.
                         debug_assert_eq!(
-                            pg.cycles().unwrap()[s as usize]
-                                .edge_at(t as usize + next as usize - 1),
+                            pg.cycles().expect("a strict grammar has cycle tables")[s as usize]
+                                .edge_at(t as usize + at as usize),
                             (k, i),
                             "chain extension must follow the cycle's edge order"
                         );
-                        self.push_module(child_inst, r, EdgeLabel::Rec { s, t, i: next })
+                        self.push_module(
+                            child_inst,
+                            TreeNodeId(r),
+                            EdgeLabel::Rec { s, t, i: at + 1 },
+                        )
                     } else {
                         // Rule 2b: entering a new recursion — fresh recursive
                         // node under u, child at chain position 0.
-                        let r = self.push_node(
-                            NodeKind::Recursive { s: s_i, t: t_i, children: 1 },
-                            Some((u, EdgeLabel::Plain { k, i })),
-                        );
+                        let r = self.push_node(u, EdgeLabel::Plain { k, i });
                         self.push_module(child_inst, r, EdgeLabel::Rec { s: s_i, t: t_i, i: 0 })
                     }
                 }
@@ -178,19 +168,14 @@ impl CompressedTree {
         }
     }
 
-    fn push_node(&mut self, kind: NodeKind, parent: Option<(TreeNodeId, EdgeLabel)>) -> TreeNodeId {
-        let depth = parent.map_or(0, |(p, _)| self.nodes[p.0 as usize].depth + 1);
-        self.nodes.push(Node { kind, parent, depth });
+    fn push_node(&mut self, parent: TreeNodeId, edge: EdgeLabel) -> TreeNodeId {
+        let depth = self.nodes[parent.0 as usize].depth + 1;
+        self.nodes.push(Node { edge, parent: parent.0, depth });
         TreeNodeId(self.nodes.len() as u32 - 1)
     }
 
-    fn push_module(
-        &mut self,
-        inst: InstanceId,
-        parent: TreeNodeId,
-        label: EdgeLabel,
-    ) -> TreeNodeId {
-        let id = self.push_node(NodeKind::Module, Some((parent, label)));
+    fn push_module(&mut self, inst: InstanceId, parent: TreeNodeId, edge: EdgeLabel) -> TreeNodeId {
+        let id = self.push_node(parent, edge);
         if inst.0 as usize >= self.node_of.len() {
             self.node_of.resize(inst.0 as usize + 1, None);
         }
@@ -222,11 +207,10 @@ impl CompressedTree {
     fn shared_path(&self, node: TreeNodeId) -> Arc<[EdgeLabel]> {
         let len = self.nodes[node.0 as usize].depth as usize;
         let Ok(path) = try_path::<Infallible>(len, |slots| {
-            let mut cur = node;
+            let mut cur = node.0;
             for slot in slots.iter_mut().rev() {
-                let (parent, label) =
-                    self.nodes[cur.0 as usize].parent.expect("a node at depth d has d ancestors");
-                *slot = label;
+                let Node { edge, parent, .. } = self.nodes[cur as usize];
+                *slot = edge;
                 cur = parent;
             }
             Ok(())
@@ -237,14 +221,7 @@ impl CompressedTree {
     /// Edge labels from the root down to `node` (the port-label path of
     /// §4.2.2).
     pub fn path_of(&self, node: TreeNodeId) -> Vec<EdgeLabel> {
-        let mut path = Vec::with_capacity(self.nodes[node.0 as usize].depth as usize);
-        let mut cur = node;
-        while let Some((parent, label)) = self.nodes[cur.0 as usize].parent {
-            path.push(label);
-            cur = parent;
-        }
-        path.reverse();
-        path
+        self.shared_path(node).to_vec()
     }
 
     /// Maximum node depth — bounded by `2·|Δ|` + 1 (Lemma 4; +1 for a

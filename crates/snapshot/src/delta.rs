@@ -235,13 +235,13 @@ mod tests {
             reason(edge_target_module(g, cycles, start, EdgeLabel::Plain { k: k0, i: i_oob })),
             "edge position out of range"
         );
-        let s_oob = cycles.len() as u32;
+        let s_oob = cycles.len() as u16;
         assert_eq!(
             reason(edge_target_module(g, cycles, start, EdgeLabel::Rec { s: s_oob, t: 0, i: 0 })),
             "edge cycle out of range"
         );
         let entry = cycles[0].modules[0];
-        let t_oob = cycles[0].len() as u32;
+        let t_oob = cycles[0].len() as u16;
         assert_eq!(
             reason(edge_target_module(g, cycles, entry, EdgeLabel::Rec { s: 0, t: t_oob, i: 0 })),
             "edge cycle offset out of range"
