@@ -2,26 +2,39 @@
 //!
 //! "Using only a data label φr(d) and a view label φv(U), one can decide in
 //! constant time if d is visible in R_U by checking if the function I in
-//! φv(U) is defined for all the edge labels in φr(d)." Concretely: every
-//! plain edge must name an active production, and a recursion-chain label at
-//! position `i` requires the cycle productions along its first `min(i, l)`
-//! steps to be active.
+//! φv(U) is defined for all the edge labels in φr(d)." [`edge_visible`] is
+//! that rule for one edge, and the only one: a plain edge must name an
+//! active production, and a recursion-chain label at position `i` requires
+//! the cycle productions along its first `min(i, l)` steps to be active.
+//! [`is_visible_ref`] folds it over both paths of a label. Since the rule
+//! reads one edge at a time, a reader may apply it as it reads a path and
+//! stop at the first edge outside the view, which is how the label store's
+//! serving fetch checks visibility.
 
 use crate::label::{DataLabel, LabelRef};
 use crate::viewlabel::ViewLabel;
 use wf_analysis::ProdGraph;
 use wf_run::EdgeLabel;
 
-fn path_visible(path: &[EdgeLabel], vl: &ViewLabel, pg: &ProdGraph) -> bool {
-    path.iter().all(|e| match *e {
+/// True iff the view label's `I` is defined for the edge label `e`.
+#[inline]
+pub fn edge_visible(e: &EdgeLabel, vl: &ViewLabel, pg: &ProdGraph) -> bool {
+    match *e {
         EdgeLabel::Plain { k, .. } => vl.prod_active(k),
-        EdgeLabel::Rec { s, t, i } => {
-            let Ok(cycles) = pg.cycles() else { return false };
-            let Some(cycle) = cycles.get(s as usize) else { return false };
-            let needed = (i as usize).min(cycle.len());
-            (0..needed).all(|a| vl.prod_active(cycle.edge_at(t as usize + a).0))
-        }
-    })
+        EdgeLabel::Rec { s, t, i } => chain_visible(s, t, i, vl, pg),
+    }
+}
+
+/// [`edge_visible`] for a recursion-chain label, kept out of line: the
+/// label store inlines the rule into its path walk, and the chain loop
+/// inlined there too crowded the walk's registers (a slower
+/// `scale_sweep` query at 10⁶ items).
+#[inline(never)]
+fn chain_visible(s: u16, t: u16, i: u64, vl: &ViewLabel, pg: &ProdGraph) -> bool {
+    let Ok(cycles) = pg.cycles() else { return false };
+    let Some(cycle) = cycles.get(s as usize) else { return false };
+    let needed = (i as usize).min(cycle.len());
+    (0..needed).all(|a| vl.prod_active(cycle.edge_at(t as usize + a).0))
 }
 
 /// True iff the data item is part of the view of its run.
@@ -29,10 +42,10 @@ pub fn is_visible(d: &DataLabel, vl: &ViewLabel, pg: &ProdGraph) -> bool {
     is_visible_ref(d.to_ref(), vl, pg)
 }
 
-/// [`is_visible`] over a borrowed label (the serving-path form).
+/// [`is_visible`] over a borrowed label: every edge of both paths passes
+/// [`edge_visible`].
 pub fn is_visible_ref(d: LabelRef<'_>, vl: &ViewLabel, pg: &ProdGraph) -> bool {
-    d.out.iter().all(|p| path_visible(p.path, vl, pg))
-        && d.inp.iter().all(|p| path_visible(p.path, vl, pg))
+    d.out.iter().chain(&d.inp).flat_map(|p| p.path).all(|e| edge_visible(e, vl, pg))
 }
 
 #[cfg(test)]

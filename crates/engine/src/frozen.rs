@@ -17,6 +17,14 @@
 //!   never share scratches, so there is no locking anywhere on the query
 //!   path; each worker's memo warms up independently and stays warm.
 //!
+//! A query fetches and checks `a`, then `b`, then runs π. Each fetch is the
+//! store's visibility-checked walk: §5's per-edge rule
+//! ([`wf_core::visibility::edge_visible`]) judges every edge as the walk
+//! reads it, leaf first, and the fetch answers `None` at the first edge
+//! outside the view. So a pair whose first item is hidden answers `None`
+//! without reading its second item's label, and a hidden item costs its
+//! label entry and the trie nodes up to that edge, not its whole label.
+//!
 //! [`EngineCore::try_query_batch_into`] and [`EngineCore::try_all_pairs_into`]
 //! take one scratch or a slice of them. One scratch answers inline; `k`
 //! scratches split the input into contiguous chunks, each run by the same
@@ -28,7 +36,7 @@
 use crate::error::EngineError;
 use crate::registry::{ViewRef, ViewRegistry};
 use crate::store::{ItemId, LabelStore};
-use wf_core::{is_visible_ref, pi_with, DecodeCtx, Fvl, QueryScratch};
+use wf_core::{pi_with, DecodeCtx, Fvl, QueryScratch};
 use wf_run::EdgeLabel;
 
 /// One worker's mutable query state: scratch (pool + memo), the label
@@ -75,7 +83,8 @@ impl AsMut<[WorkerScratch]> for WorkerScratch {
     }
 }
 
-/// Visibility pre-check + π over store-interned items: one query.
+/// One query over store-interned items: fetch-and-check `a`, then `b`,
+/// then π. A hidden `a` answers `None` before `b`'s label is read.
 pub(crate) fn query_pair(
     store: &LabelStore,
     ctx: &DecodeCtx<'_>,
@@ -83,11 +92,8 @@ pub(crate) fn query_pair(
     a: ItemId,
     b: ItemId,
 ) -> Option<bool> {
-    let r1 = store.label_ref(a, &mut ws.buf_o1, &mut ws.buf_i1);
-    let r2 = store.label_ref(b, &mut ws.buf_o2, &mut ws.buf_i2);
-    if !is_visible_ref(r1, ctx.vl, ctx.pg) || !is_visible_ref(r2, ctx.vl, ctx.pg) {
-        return None;
-    }
+    let r1 = store.visible_ref(a, ctx, &mut ws.buf_o1, &mut ws.buf_i1)?;
+    let r2 = store.visible_ref(b, ctx, &mut ws.buf_o2, &mut ws.buf_i2)?;
     pi_with(ctx, &mut ws.scratch, r1, r2)
 }
 
@@ -112,24 +118,17 @@ fn query_grouped(
     let mut at = 0;
     while at < order.len() {
         let a = pairs[order[at] as usize].0;
-        let r1 = store.label_ref(a, buf_o1, buf_i1);
-        let visible1 = is_visible_ref(r1, ctx.vl, ctx.pg);
+        let r1 = store.visible_ref(a, ctx, buf_o1, buf_i1);
         while at < order.len() {
             let slot = order[at] as usize;
             let (a2, b) = pairs[slot];
             if a2 != a {
                 break;
             }
-            out[slot] = if !visible1 {
-                None
-            } else {
-                let r2 = store.label_ref(b, buf_o2, buf_i2);
-                if is_visible_ref(r2, ctx.vl, ctx.pg) {
-                    pi_with(ctx, scratch, r1, r2)
-                } else {
-                    None
-                }
-            };
+            out[slot] = r1.and_then(|r1| {
+                let r2 = store.visible_ref(b, ctx, buf_o2, buf_i2)?;
+                pi_with(ctx, scratch, r1, r2)
+            });
             at += 1;
         }
     }
@@ -137,8 +136,9 @@ fn query_grouped(
 
 /// The all-pairs row sweep: every `rows × items` ordered pair with both
 /// endpoints visible and `π == true`, pushed onto `out` in row-major
-/// order. One kernel for the inline sweep (`rows == items`) and every
-/// fanned-out row range, so the two can never drift apart.
+/// order. A hidden row reads no column. One kernel for the inline sweep
+/// (`rows == items`) and every fanned-out row range, so the two can never
+/// drift apart.
 fn sweep_rows(
     store: &LabelStore,
     ctx: &DecodeCtx<'_>,
@@ -148,15 +148,13 @@ fn sweep_rows(
     out: &mut Vec<(ItemId, ItemId)>,
 ) {
     for &a in rows {
-        let r1 = store.label_ref(a, &mut ws.buf_o1, &mut ws.buf_i1);
-        if !is_visible_ref(r1, ctx.vl, ctx.pg) {
+        let Some(r1) = store.visible_ref(a, ctx, &mut ws.buf_o1, &mut ws.buf_i1) else {
             continue;
-        }
+        };
         for &b in items {
-            let r2 = store.label_ref(b, &mut ws.buf_o2, &mut ws.buf_i2);
-            if !is_visible_ref(r2, ctx.vl, ctx.pg) {
+            let Some(r2) = store.visible_ref(b, ctx, &mut ws.buf_o2, &mut ws.buf_i2) else {
                 continue;
-            }
+            };
             if pi_with(ctx, &mut ws.scratch, r1, r2) == Some(true) {
                 out.push((a, b));
             }
@@ -255,10 +253,11 @@ impl<'e> EngineCore<'e> {
     /// Evaluation is *grouped*, not in input order: each chunk is sorted
     /// (through its scratch's reused index buffer) by `(a, b)` item id, so
     /// every run of pairs sharing a first item fetches and
-    /// visibility-checks `a`'s label once, and neighboring ids — interned
-    /// in insertion order, so sharing production-path prefixes and store
-    /// shards — keep the scratch's chain-power memo and the store's trie
-    /// nodes hot. Results are written back through the index, so `out` is
+    /// visibility-checks `a`'s label once (a hidden `a` answers the whole
+    /// run `None` without reading any second item), and neighboring ids —
+    /// interned in insertion order, so sharing production-path prefixes
+    /// and store shards — keep the scratch's chain-power memo and the
+    /// store's trie nodes hot. Results are written back through the index, so `out` is
     /// element-for-element identical to input-order evaluation for any
     /// scratch count (π is pure per pair; see
     /// `grouped_batch_matches_per_call_queries` in `tests/serving.rs` and
@@ -348,5 +347,104 @@ impl<'e> EngineCore<'e> {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{EngineWriter, LiveEngine};
+    use std::sync::Arc;
+    use wf_core::{is_visible, VariantKind};
+    use wf_model::fixtures::paper_example;
+    use wf_run::fixtures::figure3_run;
+
+    /// An edge no stored label holds: whatever the kernels write into a
+    /// second item's path buffers replaces it.
+    const SENTINEL: EdgeLabel = EdgeLabel::Rec { s: u16::MAX, t: u16::MAX, i: u64::MAX };
+
+    fn seed_sentinels(workers: &mut [WorkerScratch]) {
+        for ws in workers {
+            ws.buf_o2 = vec![SENTINEL];
+            ws.buf_i2 = vec![SENTINEL];
+        }
+    }
+
+    fn sentinels_intact(workers: &[WorkerScratch]) -> bool {
+        workers.iter().all(|ws| ws.buf_o2 == [SENTINEL] && ws.buf_i2 == [SENTINEL])
+    }
+
+    /// On the Figure 3 run under U2, under every variant: a pair whose
+    /// first item is hidden answers `None` through every query form without
+    /// reading its second item, a pair whose second item is hidden still
+    /// answers `None`, and every answer is `Fvl::query`'s on the owned
+    /// labels.
+    #[test]
+    fn a_hidden_first_item_never_reads_the_second() {
+        let ex = paper_example();
+        let fvl = Arc::new(Fvl::from_arc(Arc::new(ex.spec.clone())).unwrap());
+        let (run, _) = figure3_run(&ex);
+        let labeler = fvl.labeler(&run);
+        let labels = labeler.labels();
+        let view = ex.view_u2();
+        let mut writer = EngineWriter::from_fvl(fvl.clone());
+        let items = writer.try_insert_labels(labels).unwrap();
+        let vid = writer.add_view(view.clone());
+        let kinds =
+            [VariantKind::SpaceEfficient, VariantKind::Default, VariantKind::QueryEfficient];
+        let vrefs = kinds.map(|kind| writer.compile(vid, kind).unwrap());
+        let gen = writer.publish(&LiveEngine::new(writer.base().clone()));
+        let core = gen.core();
+
+        for (kind, vref) in kinds.into_iter().zip(vrefs) {
+            let vl = fvl.label_view(&view, kind).unwrap();
+            let visible = |a: ItemId| is_visible(&labels[a.0 as usize], &vl, fvl.prod_graph());
+            let want = |(a, b): (ItemId, ItemId)| {
+                fvl.query(&vl, &labels[a.0 as usize], &labels[b.0 as usize])
+            };
+            let hidden: Vec<ItemId> = items.iter().copied().filter(|&a| !visible(a)).collect();
+            assert!(!hidden.is_empty(), "U2 hides items of the Figure 3 run");
+            let all: Vec<(ItemId, ItemId)> =
+                items.iter().flat_map(|&a| items.iter().map(move |&b| (a, b))).collect();
+            let hidden_first: Vec<_> = all.iter().copied().filter(|&(a, _)| !visible(a)).collect();
+
+            // A hidden first item: `None`, and the second is never read.
+            let mut workers = [WorkerScratch::new(), WorkerScratch::new()];
+            seed_sentinels(&mut workers);
+            for &(a, b) in &hidden_first {
+                assert_eq!(core.try_query(&mut workers[0], vref, a, b).unwrap(), None);
+            }
+            let mut out = Vec::new();
+            for k in [1, 2] {
+                core.try_query_batch_into(&mut workers[..k], vref, &hidden_first, &mut out)
+                    .unwrap();
+                assert!(out.iter().all(Option::is_none), "{kind:?}, {k} scratches");
+            }
+            let mut hits = Vec::new();
+            for k in [1, 2] {
+                core.try_all_pairs_into(&mut workers[..k], vref, &hidden, &mut hits).unwrap();
+                assert!(hits.is_empty(), "{kind:?}, {k} scratches");
+            }
+            assert!(sentinels_intact(&workers), "{kind:?}: a second item was read");
+
+            // Every pair, hidden second items included, answers as the
+            // owned labels do, per call, batched and swept.
+            for &(a, b) in &all {
+                let got = core.try_query(&mut workers[0], vref, a, b).unwrap();
+                assert_eq!(got, want((a, b)), "{kind:?} {a:?} -> {b:?}");
+                if visible(a) && !visible(b) {
+                    assert_eq!(got, None, "{kind:?} {a:?} -> hidden {b:?}");
+                }
+            }
+            let expected: Vec<Option<bool>> = all.iter().map(|&p| want(p)).collect();
+            for k in [1, 2] {
+                core.try_query_batch_into(&mut workers[..k], vref, &all, &mut out).unwrap();
+                assert_eq!(out, expected, "{kind:?}, {k} scratches");
+            }
+            let dependent: Vec<_> =
+                all.iter().copied().filter(|&p| want(p) == Some(true)).collect();
+            core.try_all_pairs_into(&mut workers[..], vref, &items, &mut hits).unwrap();
+            assert_eq!(hits, dependent, "{kind:?}");
+        }
     }
 }

@@ -59,7 +59,7 @@
 //! [`IngestError`], [`SnapshotError`]). The exceptions say so where they
 //! live: the `Self`-returning constructors that take a shard capacity
 //! assert it is non-zero, and [`LabelStore::label_ref`] /
-//! [`LabelStore::materialize`] are unchecked hot-path accessors.
+//! [`LabelStore::materialize`] are unchecked accessors.
 //!
 //! ```
 //! use std::sync::Arc;

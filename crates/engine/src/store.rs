@@ -65,7 +65,8 @@ use std::io;
 use std::sync::Arc;
 use wf_analysis::ProdGraph;
 use wf_bitio::{BitReader, BitWriter};
-use wf_core::{DataLabel, LabelCodec, LabelRef, PortLabel, PortRef};
+use wf_core::visibility::edge_visible;
+use wf_core::{DataLabel, DecodeCtx, LabelCodec, LabelRef, PortLabel, PortRef};
 use wf_model::{Grammar, ModuleId};
 use wf_run::{try_path, EdgeLabel};
 use wf_snapshot::{edge_target_module, SnapshotError};
@@ -216,16 +217,31 @@ impl Shard {
         path
     }
 
-    /// Writes the root→node path into `buf` (cleared first). Reusable-buffer
-    /// form: the serving path materializes into per-worker scratch vectors.
-    fn write_path(&self, mut node: u32, buf: &mut Vec<EdgeLabel>) {
+    /// Writes the root→node path into `buf` (cleared first), the
+    /// reusable-buffer form the serving path materializes into per-worker
+    /// scratch vectors. The walk reads the path leaf first and hands each
+    /// edge to `keep` as it reads it; at the first edge `keep` rejects it
+    /// stops and returns `false`, leaving `buf` partial. Inlined into every
+    /// fetch, like the fetches themselves, so each walk loops on
+    /// registers rather than through a call.
+    #[inline(always)]
+    fn write_path(
+        &self,
+        mut node: u32,
+        buf: &mut Vec<EdgeLabel>,
+        keep: &mut impl FnMut(&EdgeLabel) -> bool,
+    ) -> bool {
         buf.clear();
         while node != ROOT {
             let (parent, e) = self.nodes[node as usize];
             buf.push(e);
+            if !keep(&e) {
+                return false;
+            }
             node = parent;
         }
         buf.reverse();
+        true
     }
 }
 
@@ -408,6 +424,12 @@ impl LabelStore {
     /// `O(|Δ|)` long, Lemma 4 — reachability matrices dwarf this). Shard
     /// lookup is one divide; the walk itself touches a single shard.
     ///
+    /// Queries do not come through here: [`EngineCore`](crate::EngineCore)
+    /// fetches each item through this same walk with the view's per-edge
+    /// visibility rule, stopping at the first edge outside the view. This
+    /// form reads whole labels, for the delta writer and for callers that
+    /// size or time the store.
+    ///
     /// # Panics
     ///
     /// If `id` is not below [`len`](Self::len): the id is not checked. An
@@ -420,17 +442,50 @@ impl LabelStore {
         out_buf: &'b mut Vec<EdgeLabel>,
         inp_buf: &'b mut Vec<EdgeLabel>,
     ) -> LabelRef<'b> {
+        self.fetch(id, out_buf, inp_buf, |_| true)
+            .expect("a walk that keeps every edge reads the whole label")
+    }
+
+    /// [`label_ref`](Self::label_ref) under a view: each edge goes through
+    /// §5's [`edge_visible`] as the walk reads it, and the fetch answers
+    /// `None` at the first edge outside the view, reading no later edge.
+    /// `Some` exactly when [`wf_core::is_visible_ref`] holds for
+    /// `label_ref`'s label, and then that label. `id` is unchecked, as for
+    /// `label_ref`.
+    #[inline(always)]
+    pub(crate) fn visible_ref<'b>(
+        &self,
+        id: ItemId,
+        ctx: &DecodeCtx<'_>,
+        out_buf: &'b mut Vec<EdgeLabel>,
+        inp_buf: &'b mut Vec<EdgeLabel>,
+    ) -> Option<LabelRef<'b>> {
+        self.fetch(id, out_buf, inp_buf, |e| edge_visible(e, ctx.vl, ctx.pg))
+    }
+
+    /// The one label walk behind both fetches: the outputs side, then the
+    /// inputs side, each leaf first through [`Shard::write_path`]. `None`
+    /// as soon as `keep` rejects an edge.
+    #[inline(always)]
+    fn fetch<'b>(
+        &self,
+        id: ItemId,
+        out_buf: &'b mut Vec<EdgeLabel>,
+        inp_buf: &'b mut Vec<EdgeLabel>,
+        mut keep: impl FnMut(&EdgeLabel) -> bool,
+    ) -> Option<LabelRef<'b>> {
         let (shard, local) = self.locate(id);
-        let stored = shard.labels[local];
-        let out = stored.out.map(|(node, port)| {
-            shard.write_path(node, out_buf);
-            PortRef { path: &*out_buf, port }
-        });
-        let inp = stored.inp.map(|(node, port)| {
-            shard.write_path(node, inp_buf);
-            PortRef { path: &*inp_buf, port }
-        });
-        LabelRef { out, inp }
+        let StoredLabel { out, inp } = shard.labels[local];
+        let mut walk = |side: Option<(u32, u8)>, buf: &mut Vec<EdgeLabel>| {
+            side.is_none_or(|(node, _)| shard.write_path(node, buf, &mut keep))
+        };
+        if !walk(out, out_buf) || !walk(inp, inp_buf) {
+            return None;
+        }
+        Some(LabelRef {
+            out: out.map(|(_, port)| PortRef { path: &*out_buf, port }),
+            inp: inp.map(|(_, port)| PortRef { path: &*inp_buf, port }),
+        })
     }
 
     /// Serializes the store in the v1 (pre-shard) wire format: the trie
@@ -706,8 +761,9 @@ mod tests {
     use super::*;
     use crate::{DurableEngine, EngineWriter, LiveEngine};
     use rand::{rngs::StdRng, SeedableRng};
-    use wf_core::Fvl;
+    use wf_core::{is_visible_ref, Fvl, VariantKind};
     use wf_model::fixtures::paper_example;
+    use wf_model::View;
     use wf_run::fixtures::figure3_run;
     use wf_snapshot::MemStorage;
 
@@ -805,6 +861,88 @@ mod tests {
                 assert_eq!(stored.port, owned.port);
             }
         }
+    }
+
+    /// Checks [`LabelStore::visible_ref`] on every item of `labels` under
+    /// each view against `label_ref` + `is_visible_ref`, and the walk
+    /// behind it against counting predicates. Returns how many (item,
+    /// view) fetches were hidden.
+    fn check_visible_fetch(fvl: &Fvl<'_>, labels: &[DataLabel], views: &[View]) -> usize {
+        let mut store = LabelStore::with_shard_capacity(7);
+        let ids = store.try_insert_all(labels).unwrap();
+        let (mut ob, mut ib, mut vo, mut vi) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        // The order the walk reads a label in: the outputs side, then the
+        // inputs side, each leaf first.
+        let leaf_first = |d: &DataLabel| -> Vec<EdgeLabel> {
+            d.out.iter().chain(&d.inp).flat_map(|p| p.path.iter().rev().copied()).collect()
+        };
+        let sides =
+            |r: LabelRef<'_>| [r.out, r.inp].map(|side| side.map(|p| (p.path.to_vec(), p.port)));
+        // Rejecting the edge read at position `j` stops the walk right
+        // there, on either side.
+        for (&id, d) in ids.iter().zip(labels) {
+            let edges = leaf_first(d);
+            for j in 0..edges.len() {
+                let mut seen = Vec::new();
+                let fetched = store.fetch(id, &mut vo, &mut vi, |e| {
+                    seen.push(*e);
+                    seen.len() <= j
+                });
+                assert!(fetched.is_none(), "{id:?} position {j}");
+                assert_eq!(seen, edges[..=j], "{id:?} position {j}");
+            }
+        }
+        let mut hidden = 0;
+        for view in views {
+            let vl = fvl.label_view(view, VariantKind::Default).unwrap();
+            let ctx = DecodeCtx::new(&fvl.spec().grammar, fvl.prod_graph(), &vl);
+            for (&id, d) in ids.iter().zip(labels) {
+                let whole = store.label_ref(id, &mut ob, &mut ib);
+                let visible = is_visible_ref(whole, &vl, ctx.pg);
+                match store.visible_ref(id, &ctx, &mut vo, &mut vi) {
+                    Some(fetched) => {
+                        assert!(visible, "{id:?} is hidden yet fetched");
+                        assert_eq!(sides(fetched), sides(whole), "{id:?}");
+                    }
+                    None => assert!(!visible, "{id:?} is visible yet not fetched"),
+                }
+                // Under the view rule the walk sees the edges up to and
+                // including the first one outside the view, and no more.
+                let edges = leaf_first(d);
+                let keep = |e: &EdgeLabel| edge_visible(e, &vl, ctx.pg);
+                let cut = edges.iter().position(|e| !keep(e)).map_or(edges.len(), |i| i + 1);
+                let mut seen = Vec::new();
+                store.fetch(id, &mut vo, &mut vi, |e| {
+                    seen.push(*e);
+                    keep(e)
+                });
+                assert_eq!(seen, edges[..cut], "{id:?}");
+                hidden += usize::from(!visible);
+            }
+        }
+        hidden
+    }
+
+    /// The serving fetch is `label_ref` and `is_visible_ref` in one walk,
+    /// cut short at the first edge outside the view: on the Figure 3 run
+    /// (U1 and U2) and a sampled BioAID run (default view and a
+    /// random safe view).
+    #[test]
+    fn visible_ref_is_label_ref_when_visible_and_stops_at_the_first_hidden_edge() {
+        let ex = paper_example();
+        let fvl = Fvl::new(&ex.spec).unwrap();
+        let (run, _) = figure3_run(&ex);
+        let views = [ex.view_u1(), ex.view_u2()]; // U1 is the default view
+        let hidden = check_visible_fetch(&fvl, fvl.labeler(&run).labels(), &views);
+        assert!(hidden > 0, "U1 and U2 hide items of the Figure 3 run");
+
+        let w = wf_workloads::bioaid(1);
+        let fvl = Fvl::new(&w.spec).unwrap();
+        let mut rng = StdRng::seed_from_u64(26);
+        let (_, run) = wf_workloads::sample::sample_run(&w, fvl.prod_graph(), &mut rng, 2_000);
+        let views = [w.spec.default_view(), wf_workloads::views::random_safe_view(&w, &mut rng, 8)];
+        let hidden = check_visible_fetch(&fvl, fvl.labeler(&run).labels(), &views);
+        assert!(hidden > 0, "a size-8 view hides part of the run");
     }
 
     #[test]
