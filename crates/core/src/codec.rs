@@ -233,7 +233,8 @@ mod tests {
         let c = codec();
         let d = sample_label();
         // The paper: "the first three edge labels can be factored out".
-        assert_eq!(d.out.as_ref().unwrap().common_prefix_len(d.inp.as_ref().unwrap()), 3);
+        let (o, i) = (d.to_ref().out.unwrap(), d.to_ref().inp.unwrap());
+        assert_eq!(o.common_prefix_len(&i), 3);
         assert!(c.encoded_bits(&d) < c.encoded_bits_unfactored(&d));
     }
 

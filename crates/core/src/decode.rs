@@ -20,11 +20,46 @@
 //! buffer of the session's [`QueryScratch`] ([`wf_analysis::search_into`]);
 //! nothing is cached between accesses, and a warmed scratch allocates
 //! nothing under any variant.
+//!
+//! # The parting rule
+//!
+//! Both predicates decide a pair of intermediate items at the parse-tree
+//! node where two of their paths *part*: π parts d₁'s producer path from
+//! d₂'s consumer path, and Matrix-Free parts d₁'s consumer path from d₂'s
+//! producer path (§6.4's anchors: black boxes spread every flow, so the
+//! instance consuming d₁ and the one producing d₂ decide). The rule has
+//! three results:
+//!
+//! * *nested*: one path is a prefix of the other (Algorithm 2's Case 1).
+//!   π answers `false`, since an output never reaches back inside its own
+//!   module's expansion; Matrix-Free answers `true`, since entering a black
+//!   box floods its interior.
+//! * a *fork* `(k, from, to)`: the first path leaves production `k`
+//!   through position `from`, the second through `to`, and each has the
+//!   rest of its path left below. At a production node (Case 2a) `k` is
+//!   the node's production. At a recursive node whose chain children
+//!   `a ≠ b` differ (Case 2b, `a < b` and `a > b`), `k` expands the
+//!   shallower child `min(a, b)`: the shallower side leaves it through its
+//!   own next edge, the deeper side through the cycle's next position, and
+//!   that side first runs down the chain to its own child. The run is
+//!   itself the chain edge `Rec(s, (t + min(a, b) + 1) mod l, |a − b| − 1)`
+//!   on a cycle of length `l`, so it leads the deeper side's rest, and the
+//!   two arms are one fork with the sides swapped.
+//! * *foreign*: no single run holds both paths. The edges at the fork name
+//!   different productions or chains, or the edge leaving the shallower
+//!   chain child names another production than the one its cycle expands
+//!   that child with.
+//!
+//! π answers a fork with one product `Oᵀ · Z(k, from, to) · I`: `O` folded
+//! down the first path's rest, `I` down the second's. Matrix-Free reads
+//! `k`'s instance closure at `(from, to)`. On a foreign pair π answers
+//! `false` and Matrix-Free `None`, so neither reads a matrix of the wrong
+//! production.
 
-use crate::label::{DataLabel, LabelRef, PortRef};
+use crate::label::{LabelRef, PortRef};
 use crate::viewlabel::ViewLabel;
 use std::collections::HashMap;
-use wf_analysis::{search_into, ProdGraph, Reached, Slot};
+use wf_analysis::{search_into, CycleInfo, ProdGraph, Reached, Slot};
 use wf_boolmat::{BoolMat, MatPool, PowerCache};
 use wf_model::{Grammar, ProdId};
 use wf_run::EdgeLabel;
@@ -116,40 +151,39 @@ impl<'a> DecodeCtx<'a> {
         Some(res)
     }
 
-    /// Input arity of the module at position `i` of production `k`.
-    fn in_dim(&self, k: ProdId, i: u32) -> usize {
-        self.grammar.sig(self.grammar.production(k).rhs.nodes()[i as usize]).inputs()
+    /// Input (`inputs`) or output arity of the module at position `i` of
+    /// production `k`.
+    fn dim(&self, k: ProdId, i: u32, inputs: bool) -> usize {
+        let sig = self.grammar.sig(self.grammar.production(k).rhs.nodes()[i as usize]);
+        if inputs {
+            sig.inputs()
+        } else {
+            sig.outputs()
+        }
     }
 
-    fn out_dim(&self, k: ProdId, i: u32) -> usize {
-        self.grammar.sig(self.grammar.production(k).rhs.nodes()[i as usize]).outputs()
-    }
-
-    /// Input arity of the cycle module at offset `pos` (wrapping).
-    fn cycle_in_dim(&self, s: u16, pos: usize) -> Option<usize> {
-        let cycle = self.pg.cycles().ok()?.get(s as usize)?;
-        Some(self.grammar.sig(cycle.modules[pos % cycle.len()]).inputs())
-    }
-
-    fn cycle_out_dim(&self, s: u16, pos: usize) -> Option<usize> {
-        let cycle = self.pg.cycles().ok()?.get(s as usize)?;
-        Some(self.grammar.sig(cycle.modules[pos % cycle.len()]).outputs())
+    /// Input or output arity of the module at offset `t < len` of `cycle`.
+    fn cycle_dim(&self, cycle: &CycleInfo, t: usize, inputs: bool) -> usize {
+        let sig = self.grammar.sig(cycle.modules[t]);
+        if inputs {
+            sig.inputs()
+        } else {
+            sig.outputs()
+        }
     }
 
     /// Product of `n` consecutive per-step matrices starting at cycle
-    /// offset `from`, written into `out`.
+    /// offset `from < len`, written into `out`.
     fn partial_into(
         &self,
         scratch: &mut QueryScratch,
-        s: u16,
+        cycle: &CycleInfo,
         from: usize,
         n: usize,
         inputs: bool,
         out: &mut BoolMat,
     ) -> Option<()> {
-        let cycle = self.pg.cycles().ok()?.get(s as usize)?;
-        let dim = if inputs { self.cycle_in_dim(s, from)? } else { self.cycle_out_dim(s, from)? };
-        out.assign_identity(dim);
+        out.assign_identity(self.cycle_dim(cycle, from, inputs));
         let mut tmp = scratch.pool.take();
         let res = (0..n).try_for_each(|a| {
             let (k, i) = cycle.edge_at(from + a);
@@ -178,8 +212,7 @@ impl<'a> DecodeCtx<'a> {
         let l = cycle.len();
         let t = t % l;
         if count == 0 {
-            let dim = if inputs { self.cycle_in_dim(s, t)? } else { self.cycle_out_dim(s, t)? };
-            out.assign_identity(dim);
+            out.assign_identity(self.cycle_dim(cycle, t, inputs));
             return Some(());
         }
         let q = count / l as u64;
@@ -198,28 +231,28 @@ impl<'a> DecodeCtx<'a> {
         // first full cycle on a key builds X_t and its power cache, and
         // every later chain on that key folds X_t^q · P_t(r) from it.
         if q == 0 {
-            return self.partial_into(scratch, s, t, r, inputs, out);
+            return self.partial_into(scratch, cycle, t, r, inputs, out);
         }
         let key = (self.vl.uid(), s, t as u32, inputs);
         if !scratch.memo.contains_key(&key) {
             let mut x_t = BoolMat::default();
-            self.partial_into(scratch, s, t, l, inputs, &mut x_t)?;
+            self.partial_into(scratch, cycle, t, l, inputs, &mut x_t)?;
             scratch.memo.insert(key, PowerCache::new(x_t));
         }
         let mut prefix = scratch.pool.take();
-        let res = self.partial_into(scratch, s, t, r, inputs, &mut prefix).map(|()| {
+        let res = self.partial_into(scratch, cycle, t, r, inputs, &mut prefix).map(|()| {
             scratch.memo[&key].power(q).matmul_into(&prefix, out);
         });
         scratch.pool.put(prefix);
         res
     }
 
-    /// Left-fold of `Inputs` (`inputs = true`) or `Outputs` matrices over a
-    /// path suffix, starting from the identity on `init_dim` ports.
+    /// Left-fold of `Inputs` (`inputs = true`) or `Outputs` matrices over
+    /// a path's rest, starting from the identity on `init_dim` ports.
     fn fold_into(
         &self,
         scratch: &mut QueryScratch,
-        labels: &[EdgeLabel],
+        rest: Rest<'_>,
         init_dim: usize,
         inputs: bool,
         out: &mut BoolMat,
@@ -228,7 +261,7 @@ impl<'a> DecodeCtx<'a> {
         let mut tmp = scratch.pool.take();
         let mut chain = scratch.pool.take();
         let res = (|| {
-            for e in labels {
+            for e in rest.lead.iter().chain(rest.tail) {
                 match *e {
                     EdgeLabel::Plain { k, i } => {
                         self.with_mat(scratch, k, io_slot(i, inputs), |m| {
@@ -275,19 +308,87 @@ const _: () = {
     moved_into_a_thread::<QueryScratch>();
 };
 
-/// Algorithm 2: `π(φr(d1), φr(d2), φv(U))` — true iff `d2` depends on `d1`
-/// w.r.t. the view. `None` when a label refers outside the view.
-///
-/// Convenience wrapper building a throwaway [`QueryScratch`]; serving paths
-/// use [`pi_with`] (via [`crate::FvlSession`] or the `wf-engine` batch
-/// engine) to reuse buffers and the chain power caches across queries.
-pub fn pi(ctx: &DecodeCtx<'_>, d1: &DataLabel, d2: &DataLabel) -> Option<bool> {
-    let mut scratch = QueryScratch::new();
-    pi_with(ctx, &mut scratch, d1.to_ref(), d2.to_ref())
+/// What a path has left below the node where it parts from another: its
+/// own suffix, led on the deeper side of a chain fork by the chain edge
+/// down to its chain child.
+#[derive(Clone, Copy)]
+struct Rest<'a> {
+    lead: Option<EdgeLabel>,
+    tail: &'a [EdgeLabel],
 }
 
-/// Algorithm 2 over borrowed labels with caller-owned scratch state — the
-/// allocation-free (in steady state) serving form of [`pi`].
+impl<'a> Rest<'a> {
+    fn path(tail: &'a [EdgeLabel]) -> Self {
+        Self { lead: None, tail }
+    }
+}
+
+/// Where two paths part (see the module doc's parting rule).
+enum Parting<'a> {
+    /// One path is a prefix of the other.
+    Nested,
+    /// No single run holds both paths.
+    Foreign,
+    /// The first path leaves production `k` through position `from`, the
+    /// second through `to`; `rest` holds what each has left below.
+    Fork { k: ProdId, from: u32, to: u32, rest: [Rest<'a>; 2] },
+}
+
+/// The parting rule over two port labels' paths. Always inlined, so that
+/// `pi_structural`, which reads only where the fork is, builds no rests:
+/// an out-of-line call cost Matrix-Free and DRL about 3 of their 31 ns in
+/// `experiments fig23` on a 2-vCPU host.
+#[inline(always)]
+fn parting<'a>(pg: &ProdGraph, p: PortRef<'a>, q: PortRef<'a>) -> Parting<'a> {
+    let div = p.common_prefix_len(&q);
+    let (Some(&e), Some(&f)) = (p.path.get(div), q.path.get(div)) else {
+        return Parting::Nested;
+    };
+    let (p, q) = (&p.path[div + 1..], &q.path[div + 1..]);
+    match (e, f) {
+        (EdgeLabel::Plain { k, i }, EdgeLabel::Plain { k: k2, i: j }) if k == k2 => {
+            Parting::Fork { k, from: i, to: j, rest: [Rest::path(p), Rest::path(q)] }
+        }
+        (EdgeLabel::Rec { s, t, i: a }, EdgeLabel::Rec { s: s2, t: t2, i: b })
+            if (s, t) == (s2, t2) =>
+        {
+            let Some(cycle) = pg.cycles().ok().and_then(|c| c.get(s as usize)) else {
+                return Parting::Foreign;
+            };
+            // The shallower child, the path below it and the deeper side's.
+            let (near, below, deeper) = if a < b { (a, p, q) } else { (b, q, p) };
+            let Some(&EdgeLabel::Plain { k, i }) = below.first() else {
+                return if below.is_empty() { Parting::Nested } else { Parting::Foreign };
+            };
+            // One divide places the shallower child on the cycle. A chain
+            // child index near `u64::MAX` needs more steps than any run.
+            let Some(pos) = near.checked_add(u64::from(t)) else {
+                return Parting::Foreign;
+            };
+            let pos = (pos % cycle.len() as u64) as usize;
+            let (next_k, j) = cycle.edges[pos];
+            if k != next_k {
+                return Parting::Foreign;
+            }
+            let next = if pos + 1 == cycle.len() { 0 } else { pos + 1 };
+            let lead = EdgeLabel::Rec { s, t: next as u16, i: a.abs_diff(b) - 1 };
+            let (own, down) = (Rest::path(&below[1..]), Rest { lead: Some(lead), tail: deeper });
+            if a < b {
+                Parting::Fork { k, from: i, to: j, rest: [own, down] }
+            } else {
+                Parting::Fork { k, from: j, to: i, rest: [down, own] }
+            }
+        }
+        _ => Parting::Foreign,
+    }
+}
+
+/// Algorithm 2: `π(φr(d1), φr(d2), φv(U))` — true iff `d2` depends on `d1`
+/// w.r.t. the view; `None` when a label refers outside the view. Borrowed
+/// labels and caller-owned scratch state make it allocation-free in steady
+/// state; serving paths reach it through [`crate::FvlSession`] or the
+/// `wf-engine` batch engine, which reuse the buffers and the chain power
+/// caches across queries.
 pub fn pi_with(
     ctx: &DecodeCtx<'_>,
     scratch: &mut QueryScratch,
@@ -303,9 +404,9 @@ pub fn pi_with(
         // Case III: initial input -> intermediate: chain the I-matrices
         // down d2's consumer path.
         (None, Some(i2)) => {
-            let mut m = scratch.pool.take();
+            let (mut m, dim) = (scratch.pool.take(), ctx.vl.lambda_star_s().rows());
             let res = ctx
-                .fold_into(scratch, i2.path, ctx.vl.lambda_star_s().rows(), true, &mut m)
+                .fold_into(scratch, Rest::path(i2.path), dim, true, &mut m)
                 .map(|()| m.get(i1.port as usize, i2.port as usize));
             scratch.pool.put(m);
             res
@@ -313,9 +414,9 @@ pub fn pi_with(
         // Case IV: intermediate -> final output: chain O-matrices down d1's
         // producer path (reversed orientation).
         (Some(o1), None) => {
-            let mut m = scratch.pool.take();
+            let (mut m, dim) = (scratch.pool.take(), ctx.vl.lambda_star_s().cols());
             let res = ctx
-                .fold_into(scratch, o1.path, ctx.vl.lambda_star_s().cols(), false, &mut m)
+                .fold_into(scratch, Rest::path(o1.path), dim, false, &mut m)
                 .map(|()| m.get(o2.port as usize, o1.port as usize));
             scratch.pool.put(m);
             res
@@ -325,148 +426,45 @@ pub fn pi_with(
     }
 }
 
+/// Algorithm 2's main cases, decided where d₁'s producer path and d₂'s
+/// consumer path part: `Oᵀ · Z(k, from, to) · I` at a fork.
 fn main_case(
     ctx: &DecodeCtx<'_>,
     scratch: &mut QueryScratch,
     o1: PortRef<'_>,
     i2: PortRef<'_>,
 ) -> Option<bool> {
-    let l1 = o1.path;
-    let l2 = i2.path;
-    let div = o1.common_prefix_len(&i2);
-    // Case 1: same node or ancestor/descendant — an output port never
-    // reaches back inside its own module's expansion.
-    if div == l1.len() || div == l2.len() {
+    // Nested: an output port never reaches back inside its own module's
+    // expansion. Foreign: no single run holds the pair (labels of two runs
+    // interned in one store can form one), so it answers `Some(false)`
+    // instead of indexing matrices of the wrong production.
+    let Parting::Fork { k, from, to, rest: [o_rest, i_rest] } = parting(ctx.pg, o1, i2) else {
         return Some(false);
+    };
+    if from >= to {
+        return Some(false); // Z(k, from, to) is empty
     }
-    // Within one run, the two edges below the divergence point are siblings
-    // of one parse-tree node, so they share its production (or recursion)
-    // and each chain child expands through its cycle production. Labels of
-    // two different runs interned in one store can break all of that; no
-    // single run holds such a pair, so it answers `Some(false)` instead of
-    // indexing matrices of the wrong production.
-    match (l1[div], l2[div]) {
-        // Case 2a: the least common ancestor is an ordinary production node.
-        (EdgeLabel::Plain { k, i }, EdgeLabel::Plain { k: k2, i: j }) => {
-            if k != k2 {
-                return Some(false);
-            }
-            if i >= j {
-                return Some(false); // Z(k,i,j) is empty for i ≥ j
-            }
-            if !ctx.vl.prod_active(k) {
-                return None; // Z(k,i,j) lies outside the view
-            }
-            let mut o = scratch.pool.take();
-            let mut im = scratch.pool.take();
-            let mut t1 = scratch.pool.take();
-            let mut t2 = scratch.pool.take();
-            // Oᵀ × Z × I, evaluated through pooled temporaries; the closure
-            // keeps every taken buffer on the put path even when a fold
-            // bails out of the view.
-            let res = (|| {
-                ctx.fold_into(scratch, &l1[div + 1..], ctx.out_dim(k, i), false, &mut o)?;
-                ctx.fold_into(scratch, &l2[div + 1..], ctx.in_dim(k, j), true, &mut im)?;
-                o.transpose_into(&mut t1);
-                ctx.with_mat(scratch, k, Slot::Z(i as usize, j as usize), |z| {
-                    t1.matmul_into(z, &mut t2)
-                })?;
-                t2.matmul_into(&im, &mut t1);
-                Some(t1.get(o1.port as usize, i2.port as usize))
-            })();
-            for m in [o, im, t1, t2] {
-                scratch.pool.put(m);
-            }
-            res
-        }
-        // Case 2b: the least common ancestor is a recursive node.
-        (EdgeLabel::Rec { s, t, i: a }, EdgeLabel::Rec { s: s2, t: t2, i: b }) => {
-            if (s, t) != (s2, t2) {
-                return Some(false);
-            }
-            let cycle = ctx.pg.cycles().ok()?.get(s as usize)?;
-            if a < b {
-                // d1's branch is an ancestor level of d2's chain position.
-                if l1.len() == div + 1 {
-                    return Some(false); // o1 is a port of chain child a itself
-                }
-                let EdgeLabel::Plain { k: kp, i: ip } = l1[div + 1] else {
-                    return Some(false);
-                };
-                let (k_exp, jp) = cycle.edge_at(t as usize + a as usize);
-                if kp != k_exp || ip >= jp {
-                    return Some(false); // Z(k', i', j') is empty, or a cross-run pair
-                }
-                if !ctx.vl.prod_active(kp) {
-                    return None; // Z(k', i', j') lies outside the view
-                }
-                let in_dim = ctx.cycle_in_dim(s, t as usize + b as usize)?;
-                let mut o = scratch.pool.take();
-                let mut i_chain = scratch.pool.take();
-                let mut i_fold = scratch.pool.take();
-                let mut t1 = scratch.pool.take();
-                let mut t2 = scratch.pool.take();
-                // Oᵀ × Z × chain × I (buffers pooled on every exit path).
-                let res = (|| {
-                    ctx.fold_into(scratch, &l1[div + 2..], ctx.out_dim(kp, ip), false, &mut o)?;
-                    let start = t as usize + a as usize + 1;
-                    ctx.chain_into(scratch, s, start, b - a - 1, true, &mut i_chain)?;
-                    ctx.fold_into(scratch, &l2[div + 1..], in_dim, true, &mut i_fold)?;
-                    o.transpose_into(&mut t1);
-                    ctx.with_mat(scratch, kp, Slot::Z(ip as usize, jp as usize), |z| {
-                        t1.matmul_into(z, &mut t2)
-                    })?;
-                    t2.matmul_into(&i_chain, &mut t1);
-                    t1.matmul_into(&i_fold, &mut t2);
-                    Some(t2.get(o1.port as usize, i2.port as usize))
-                })();
-                for m in [o, i_chain, i_fold, t1, t2] {
-                    scratch.pool.put(m);
-                }
-                res
-            } else {
-                // a > b: d2's branch is the ancestor level.
-                if l2.len() == div + 1 {
-                    return Some(false); // i2 is a port of chain child b itself
-                }
-                let EdgeLabel::Plain { k: kq, i: iq } = l2[div + 1] else {
-                    return Some(false);
-                };
-                let (k_exp, jq) = cycle.edge_at(t as usize + b as usize);
-                if kq != k_exp || jq >= iq {
-                    return Some(false); // Z(k'', j'', i'') is empty, or cross-run
-                }
-                if !ctx.vl.prod_active(kq) {
-                    return None; // Z(k'', j'', i'') lies outside the view
-                }
-                let out_dim = ctx.cycle_out_dim(s, t as usize + a as usize)?;
-                let mut o_chain = scratch.pool.take();
-                let mut o_fold = scratch.pool.take();
-                let mut i_fold = scratch.pool.take();
-                let mut t1 = scratch.pool.take();
-                let mut t2 = scratch.pool.take();
-                // (chain × O)ᵀ × Z × I (buffers pooled on every exit path).
-                let res = (|| {
-                    let start = t as usize + b as usize + 1;
-                    ctx.chain_into(scratch, s, start, a - b - 1, false, &mut o_chain)?;
-                    ctx.fold_into(scratch, &l1[div + 1..], out_dim, false, &mut o_fold)?;
-                    ctx.fold_into(scratch, &l2[div + 2..], ctx.in_dim(kq, iq), true, &mut i_fold)?;
-                    o_chain.matmul_into(&o_fold, &mut t1);
-                    t1.transpose_into(&mut t2);
-                    ctx.with_mat(scratch, kq, Slot::Z(jq as usize, iq as usize), |z| {
-                        t2.matmul_into(z, &mut t1)
-                    })?;
-                    t1.matmul_into(&i_fold, &mut t2);
-                    Some(t2.get(o1.port as usize, i2.port as usize))
-                })();
-                for m in [o_chain, o_fold, i_fold, t1, t2] {
-                    scratch.pool.put(m);
-                }
-                res
-            }
-        }
-        _ => Some(false),
+    if !ctx.vl.prod_active(k) {
+        return None; // Z(k, from, to) lies outside the view
     }
+    let [mut o, mut im, mut t1, mut t2] = std::array::from_fn(|_| scratch.pool.take());
+    // Oᵀ × Z × I, evaluated through pooled temporaries; the closure keeps
+    // every taken buffer on the put path even when a fold bails out of the
+    // view.
+    let res = (|| {
+        ctx.fold_into(scratch, o_rest, ctx.dim(k, from, false), false, &mut o)?;
+        ctx.fold_into(scratch, i_rest, ctx.dim(k, to, true), true, &mut im)?;
+        o.transpose_into(&mut t1);
+        ctx.with_mat(scratch, k, Slot::Z(from as usize, to as usize), |z| {
+            t1.matmul_into(z, &mut t2)
+        })?;
+        t2.matmul_into(&im, &mut t1);
+        Some(t1.get(o1.port as usize, i2.port as usize))
+    })();
+    for m in [o, im, t1, t2] {
+        scratch.pool.put(m);
+    }
+    res
 }
 
 pub mod structural {
@@ -485,6 +483,7 @@ pub mod structural {
     //! *visible* labels — pre-check visibility.
 
     use super::*;
+    use crate::label::DataLabel;
     use wf_analysis::rhs_closure;
 
     /// Per-production instance-level reflexive-transitive closures.
@@ -508,8 +507,11 @@ pub mod structural {
         }
     }
 
-    /// Matrix-free π: anchors on d1's *consumer* and d2's *producer* (black
-    /// boxes spread flows completely, making these the exact anchors).
+    /// Matrix-free π: the parting rule over d1's *consumer* and d2's
+    /// *producer* paths (black boxes spread flows completely, making these
+    /// the exact anchors). Nested paths depend, since entering any input of
+    /// a black box floods all of its interior and outputs; a fork reads the
+    /// instance closure; a foreign pair, which no run holds, answers `None`.
     pub fn pi_structural(
         pg: &ProdGraph,
         idx: &StructuralIndex,
@@ -524,42 +526,10 @@ pub mod structural {
             // wrongly ask for a backward instance path.
             return Some(true);
         }
-        let l1 = &i1.path;
-        let l2 = &o2.path;
-        let div = i1.common_prefix_len(o2);
-        // Ancestor-or-equal (either direction) ⇒ dependent: entering any
-        // input of a black box floods all of its interior and outputs.
-        if div == l1.len() || div == l2.len() {
-            return Some(true);
-        }
-        match (l1[div], l2[div]) {
-            (EdgeLabel::Plain { k, i }, EdgeLabel::Plain { i: j, .. }) => idx.reach(k, i, j),
-            (EdgeLabel::Rec { s, t, i: a }, EdgeLabel::Rec { i: b, .. }) => {
-                let cycle = pg.cycles().ok()?.get(s as usize)?;
-                if a < b {
-                    // Consumer side sits at/above chain child a; the
-                    // producer is nested inside child b ⊂ child a.
-                    if l1.len() == div + 1 {
-                        return Some(true); // consumer is chain child a itself
-                    }
-                    let EdgeLabel::Plain { k: kp, i: ip } = l1[div + 1] else {
-                        return None;
-                    };
-                    let (_, jp) = cycle.edge_at(t as usize + a as usize);
-                    idx.reach(kp, ip, jp)
-                } else {
-                    debug_assert_ne!(a, b);
-                    if l2.len() == div + 1 {
-                        return Some(true); // producer is chain child b itself
-                    }
-                    let EdgeLabel::Plain { k: kq, i: iq } = l2[div + 1] else {
-                        return None;
-                    };
-                    let (_, jq) = cycle.edge_at(t as usize + b as usize);
-                    idx.reach(kq, jq, iq)
-                }
-            }
-            _ => None,
+        match parting(pg, i1.to_ref(), o2.to_ref()) {
+            Parting::Nested => Some(true),
+            Parting::Fork { k, from, to, .. } => idx.reach(k, from, to),
+            Parting::Foreign => None,
         }
     }
 }
@@ -567,12 +537,16 @@ pub mod structural {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::label::{DataLabel, PortLabel};
     use crate::{Fvl, VariantKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeMap;
     use wf_boolmat::pow;
     use wf_model::fixtures::paper_example;
-    use wf_model::{DepAssignment, GrammarBuilder, ModelError, Spec, View};
+    use wf_model::{DepAssignment, GrammarBuilder, ModelError, Spec, View, ViewSpec};
+    use wf_run::fixtures::figure3_run;
+    use wf_run::{Run, RunOracle};
 
     /// A right-hand side of more than 64 nodes is a typed error from
     /// `Grammar::new`, not a 64-column `BoolMat` panic when the structural
@@ -742,5 +716,151 @@ mod tests {
         let view = wf_workloads::views::random_safe_view(&w, &mut StdRng::seed_from_u64(2), 8);
         assert!(chains_agree_across_variants(&w.spec, &view) > 0, "the view breaks every cycle");
         assert!(chains_agree_across_variants(&w.spec, &w.spec.default_view()) > 0);
+    }
+
+    /// Labels of two runs that part under `A`'s two productions, p₃ = (e, C)
+    /// and p₂ = (d, B, C), are foreign: Matrix-Free answers `None` in both
+    /// orders instead of reading p₃'s two-node closure at one of p₂'s three
+    /// positions.
+    #[test]
+    fn matrix_free_never_reads_another_productions_closure() {
+        let ex = paper_example();
+        let fvl = Fvl::new(&ex.spec).unwrap();
+        let (run, _) = figure3_run(&ex);
+        let labeler = fvl.labeler(&run);
+        let idx = fvl.structural_index(&ex.spec.default_view());
+        let (p2, p3) = (ProdId(1), ProdId(2));
+        let mut checked = 0;
+        for d in labeler.labels() {
+            let Some(consumer) = &d.inp else { continue };
+            let Some(&EdgeLabel::Plain { k, .. }) = consumer.path.last() else { continue };
+            if k != p3 {
+                continue;
+            }
+            for i in 0..ex.spec.grammar.production(p2).rhs.node_count() as u32 {
+                let mut path = consumer.path.to_vec();
+                *path.last_mut().unwrap() = EdgeLabel::Plain { k: p2, i };
+                let producer = PortLabel::new(path, consumer.port);
+                let forged = DataLabel::final_output(producer.clone());
+                assert_eq!(fvl.query_structural(&idx, d, &forged), None, "{d:?} then p2 at {i}");
+                let (d1, d2) =
+                    (DataLabel::initial_input(producer), DataLabel::final_output(consumer.clone()));
+                assert_eq!(fvl.query_structural(&idx, &d1, &d2), None, "p2 at {i} then {d:?}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 0, "no Figure 3 label is consumed under p3");
+    }
+
+    /// How the (o₁, i₂) paths of a pair part.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+    enum Shape {
+        Plain,
+        /// A chain fork whose shallower child lies on d₁'s side (`a < b`)
+        /// or on d₂'s; `far` when the children are two or more steps
+        /// apart, so the deeper side's lead chain edge is not empty.
+        Chain {
+            d1_shallower: bool,
+            far: bool,
+        },
+        Nested,
+        Foreign,
+    }
+
+    const SHAPES: [Shape; 6] = [
+        Shape::Plain,
+        Shape::Chain { d1_shallower: true, far: false },
+        Shape::Chain { d1_shallower: true, far: true },
+        Shape::Chain { d1_shallower: false, far: false },
+        Shape::Chain { d1_shallower: false, far: true },
+        Shape::Nested,
+    ];
+
+    fn shape(pg: &ProdGraph, d1: &DataLabel, d2: &DataLabel) -> Shape {
+        let (o1, i2) = (d1.to_ref().out.unwrap(), d2.to_ref().inp.unwrap());
+        match parting(pg, o1, i2) {
+            Parting::Nested => Shape::Nested,
+            Parting::Foreign => Shape::Foreign,
+            Parting::Fork { rest: [r1, r2], .. } => match (r1.lead, r2.lead) {
+                (None, None) => Shape::Plain,
+                (None, Some(EdgeLabel::Rec { i, .. })) => {
+                    Shape::Chain { d1_shallower: true, far: i > 0 }
+                }
+                (Some(EdgeLabel::Rec { i, .. }), None) => {
+                    Shape::Chain { d1_shallower: false, far: i > 0 }
+                }
+                leads => panic!("a fork led by {leads:?}"),
+            },
+        }
+    }
+
+    /// Classifies every ordered pair `(d₁, d₂)` of `run`'s items that has a
+    /// producer path o₁ and a consumer path i₂ (`d₁ = d₂` included) by how
+    /// those paths part, and checks up to `per_shape` pairs of each shape
+    /// against `RunOracle` under every variant and view. Returns the count
+    /// of each shape.
+    fn shapes_match_oracle(
+        spec: &Spec,
+        run: &Run,
+        views: &[View],
+        per_shape: usize,
+    ) -> BTreeMap<Shape, usize> {
+        let fvl = Fvl::new(spec).unwrap();
+        let labeler = fvl.labeler(run);
+        let items = || run.items().map(|d| (d, labeler.label(d)));
+        let mut counts = BTreeMap::new();
+        let mut sample = Vec::new();
+        for (a, d1) in items().filter(|(_, d)| d.out.is_some()) {
+            for (b, d2) in items().filter(|(_, d)| d.inp.is_some()) {
+                let n = counts.entry(shape(fvl.prod_graph(), d1, d2)).or_insert(0);
+                *n += 1;
+                if *n <= per_shape {
+                    sample.push((a, b));
+                }
+            }
+        }
+        let mut scratch = QueryScratch::new();
+        for view in views {
+            let oracle = RunOracle::new(&spec.grammar, &ViewSpec::new(spec, view), run).unwrap();
+            for kind in VariantKind::ALL {
+                let vl = fvl.label_view(view, kind).unwrap();
+                for &(a, b) in &sample {
+                    let got = fvl.query_with(&vl, &mut scratch, labeler.label(a), labeler.label(b));
+                    assert_eq!(got, oracle.depends_on(a, b), "{} {a:?} -> {b:?}", kind.name());
+                }
+            }
+        }
+        counts
+    }
+
+    /// Every shape the one `Oᵀ · Z · I` product decides occurs (a plain
+    /// fork, and a chain fork with either side's child the shallower, one
+    /// or more steps apart), nested pairs too, and every answer equals the
+    /// oracle's: the Figure 3 run in full under U1, U2 and the default
+    /// view, and a sampled BioAID run under its default view and a random
+    /// safe one.
+    #[test]
+    fn every_parting_shape_matches_the_oracle() {
+        let ex = paper_example();
+        let (run, _) = figure3_run(&ex);
+        let views = [ex.spec.default_view(), ex.view_u1(), ex.view_u2()];
+        let counts = shapes_match_oracle(&ex.spec, &run, &views, usize::MAX);
+        let want = SHAPES.iter().copied().zip([639, 54, 114, 24, 102, 549]).collect();
+        assert_eq!(counts, want);
+
+        let w = wf_workloads::bioaid(1);
+        let mut rng = StdRng::seed_from_u64(3);
+        let (_, run) = wf_workloads::sample::sample_run(
+            &w,
+            Fvl::new(&w.spec).unwrap().prod_graph(),
+            &mut rng,
+            2_000,
+        );
+        let views = [w.spec.default_view(), wf_workloads::views::random_safe_view(&w, &mut rng, 8)];
+        let counts = shapes_match_oracle(&w.spec, &run, &views, 200);
+        for s in SHAPES {
+            assert!(counts.get(&s).is_some_and(|&n| n > 0), "no {s:?} pair in {counts:?}");
+        }
+        assert_eq!(counts.get(&Shape::Foreign), None, "one run holds every pair");
     }
 }

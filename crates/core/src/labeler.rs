@@ -150,7 +150,7 @@ mod tests {
         );
         assert_eq!(i.port, 1);
         // "The first three edge labels can be factored out."
-        assert_eq!(o.common_prefix_len(i), 3);
+        assert_eq!(o.to_ref().common_prefix_len(&i.to_ref()), 3);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod viewlabel;
 pub mod visibility;
 
 pub use codec::LabelCodec;
-pub use decode::{pi, pi_with, DecodeCtx, QueryScratch};
+pub use decode::{pi_with, DecodeCtx, QueryScratch};
 pub use error::FvlError;
 pub use label::{DataLabel, LabelRef, PortLabel, PortRef};
 pub use labeler::RunLabeler;

@@ -261,7 +261,7 @@ pub fn is_visible_user(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decode::{pi, DecodeCtx};
+    use crate::decode::{pi_with, DecodeCtx, QueryScratch};
     use crate::scheme::Fvl;
     use wf_model::fixtures::paper_example;
     use wf_run::fixtures::figure3_run;
@@ -330,11 +330,15 @@ mod tests {
         let (run, ids) = figure3_run(&ex);
         let labeler = fvl.labeler(&run);
         let ctx = DecodeCtx::new(g, pg, &vl);
+        let mut scratch = QueryScratch::new();
+        let mut pi = |d1: wf_run::DataId, d2: wf_run::DataId| {
+            pi_with(&ctx, &mut scratch, labeler.label(d1).to_ref(), labeler.label(d2).to_ref())
+        };
         // d21 flows into F.in1 (= D.in1) -> λ'(F) -> F.out0 (= E.out0) ->
         // c.in0 -> c.out0 = C:4.out0 -> … -> d31. Expect true.
-        assert_eq!(pi(&ctx, labeler.label(ids.d21), labeler.label(ids.d31)), Some(true));
+        assert_eq!(pi(ids.d21, ids.d31), Some(true));
         // d17 (C.in1 ↦ E.in2 = F.in2) -> λ'(F) -> F.out1 = E.out1 -> c.in1
         // -> c.out1 = C:4.out1 ≠ d31's port: false, as in the true view.
-        assert_eq!(pi(&ctx, labeler.label(ids.d17), labeler.label(ids.d31)), Some(false));
+        assert_eq!(pi(ids.d17, ids.d31), Some(false));
     }
 }

@@ -10,6 +10,11 @@
 //!   over the flattened run graph, and batched queries against a published
 //!   [`EngineGeneration`] over trie-interned labels agree **as
 //!   `Option<bool>`** — visibility (`None`) included, not just the boolean.
+//! * When the spec is coarse-grained and the view black-box (§6.4), the
+//!   Matrix-Free predicate (`Fvl::query_structural`) and DRL (`Drl::query`
+//!   over `Drl::label_run`'s labels) answer every pair whose items the
+//!   oracle shows exactly as the oracle does; a DRL rejection of the view,
+//!   or a visible item DRL left unlabeled, is a divergence too.
 //! * For every churn stream replayed through `EngineWriter` /
 //!   [`LiveEngine`] (every publish a durable frame): each published
 //!   generation answers every batch exactly like a sequential reference
@@ -30,13 +35,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex};
 use wf_core::{DataLabel, Fvl, QueryScratch, VariantKind};
+use wf_drl::Drl;
 use wf_engine::{
     shared_durable, DurableEngine, EngineError, EngineGeneration, EngineWriter, IngestOp,
     IngestPipeline, IngestQueue, ItemId, LabelStore, LiveEngine, PipelineOptions, PublishPolicy,
     Ticket, ViewRef, WorkerScratch,
 };
 use wf_model::{View, ViewSpec};
-use wf_run::{DataId, RunOracle};
+use wf_run::{DataId, Run, RunOracle};
 use wf_snapshot::{scan_log, MemStorage};
 use wf_workloads::churn::{churn_stream, producer_churn_streams, ChurnOp, ChurnSpec};
 use wf_workloads::{sample, views, Workload};
@@ -183,6 +189,10 @@ fn check_workload(
                 fail_ctx(seed, shape)
             ),
         };
+        if w.spec.is_coarse_grained() && view.is_black_box(&w.spec.grammar) {
+            let ctx = format!("{}: view {vix}", fail_ctx(seed, shape));
+            out.queries += check_structural(&fvl, view, &run, &labels, &pairs, &oracle, &ctx)?;
+        }
         let mut variant_labels = Vec::new();
         for kind in VariantKind::ALL {
             match fvl.label_view(view, kind) {
@@ -251,6 +261,47 @@ fn check_workload(
         out.views += 1;
     }
     Ok(out)
+}
+
+/// Matrix-Free FVL and DRL against the oracle on a black-box view of a
+/// coarse-grained spec: every pair of `pairs` whose items the oracle shows
+/// must get the oracle's answer from both. Returns the number of pairs
+/// checked.
+fn check_structural(
+    fvl: &Fvl,
+    view: &View,
+    run: &Run,
+    labels: &[DataLabel],
+    pairs: &[(DataId, DataId)],
+    oracle: &RunOracle,
+    ctx: &str,
+) -> Result<u64, Divergence> {
+    let idx = fvl.structural_index(view);
+    let drl = match Drl::new(fvl.spec(), view) {
+        Ok(drl) => drl,
+        Err(e) => diverge!("{ctx}: DRL rejected the black-box view: {e}"),
+    };
+    let drl_labels = drl.label_run(run);
+    if let Some(d) = run.items().find(|&d| oracle.is_visible(d) && drl_labels.label(d).is_none()) {
+        diverge!("{ctx}: DRL left visible item {} unlabeled", d.0);
+    }
+    let mut checked = 0;
+    for &(d1, d2) in pairs.iter().filter(|&&(a, b)| oracle.is_visible(a) && oracle.is_visible(b)) {
+        let expected = oracle.depends_on(d1, d2);
+        let mf = fvl.query_structural(&idx, &labels[d1.0 as usize], &labels[d2.0 as usize]);
+        let drl_got =
+            drl_labels.label(d1).zip(drl_labels.label(d2)).and_then(|(l1, l2)| drl.query(l1, l2));
+        if mf != expected || drl_got != expected {
+            diverge!(
+                "{ctx}: pair ({},{}) — Matrix-Free answered {mf:?}, DRL {drl_got:?}, oracle \
+                 {expected:?}",
+                d1.0,
+                d2.0
+            );
+        }
+        checked += 1;
+    }
+    Ok(checked)
 }
 
 /// The live-engine differential: one seed generates an adversarial spec, a
